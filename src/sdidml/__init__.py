@@ -14,7 +14,6 @@ from .panel import (
     Cohort,
     NEVER_TREATED,
     PanelDataset,
-    PanelObservation,
     build_panel,
     event_time,
     feature_matrix,

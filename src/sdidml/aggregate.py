@@ -38,7 +38,7 @@ from .errors import (
     LearnerError,
     NoPreCellsError,
 )
-from .panel import PanelDataset, PanelObservation, pivot_unit_time, subset_units
+from .panel import PanelDataset, pivot_unit_time, subset_units, unit_rows
 
 SCHEMES = ("overall", "event_time", "by_group")
 
@@ -248,11 +248,10 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
                                            control_rule=config.control_rule,
                                            anticipation=config.anticipation)
             else:
-                originals = [panel.units[i] for i in idx]
                 fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
-                bpanel = subset_units(panel, originals, fresh)
+                bpanel = subset_units(panel, idx, fresh)
                 if mode == "fixed_nuisance":
-                    rows = np.concatenate([panel.rows_of_unit(u) for u in originals])
+                    rows = unit_rows(panel, idx)
                     bresid = ResidualPanel(panel=bpanel,
                                            y_tilde=resid.y_tilde[rows],
                                            d_tilde=resid.d_tilde[rows])
@@ -392,8 +391,8 @@ def placebo_test(panel: PanelDataset, config, shift: int,
     """
     if shift < 1:
         raise ConfigError("placebo shift must be >= 1")
-    cohorts = sorted({c.first_treated for c in panel.cohort.values()
-                      if c.ever_treated})
+    adoption = panel.cohort_times
+    cohorts = sorted({int(g) for g in adoption[np.isfinite(adoption)]})
     if not cohorts:
         raise InsufficientPrePeriodsError("panel has no treated cohort")
     for g in cohorts:
@@ -402,18 +401,13 @@ def placebo_test(panel: PanelDataset, config, shift: int,
             raise InsufficientPrePeriodsError(
                 f"cohort {g} has {n_pre} pre-treatment period(s); "
                 f"shift={shift} needs at least {shift + 1}")
-    observations = []
-    for obs in panel.observations:
-        cohort = panel.cohort[obs.unit_id]
-        if cohort.ever_treated:
-            if obs.time >= cohort.first_treated:
-                continue
-            d_new = 1 if obs.time >= cohort.first_treated - shift else 0
-        else:
-            d_new = 0
-        observations.append(PanelObservation(obs.unit_id, obs.time, obs.outcome,
-                                             d_new, obs.covariates))
-    pseudo_panel = PanelDataset(observations, panel.covariate_names)
+    g_obs = adoption[panel.unit_codes]
+    t_obs = np.asarray(panel.periods)[panel.time_codes]
+    rows = np.flatnonzero(t_obs < g_obs)
+    pseudo_panel = PanelDataset(np.asarray(panel.units)[panel.unit_codes[rows]],
+                                t_obs[rows], panel.outcomes[rows],
+                                t_obs[rows] >= g_obs[rows] - shift,
+                                panel.covariates[rows], panel.covariate_names)
 
     from .pipeline import estimate_effects
     artifacts = estimate_effects(pseudo_panel, config)

@@ -66,14 +66,9 @@ def nuisance_features(panel: PanelDataset):
     reference so the dummies stay linearly independent of an intercept.
     """
     X, _, _ = feature_matrix(panel, standardize=True)
-    names = list(panel.covariate_names)
-    blocks = [X]
-    for code, t in enumerate(panel.periods):
-        if code == 0:
-            continue
-        blocks.append((panel.time_codes == code).astype(np.float64)[:, None])
-        names.append(f"t={t}")
-    return np.hstack(blocks), names
+    dummies = np.eye(panel.n_periods)[panel.time_codes, 1:]
+    names = [*panel.covariate_names, *(f"t={t}" for t in panel.periods[1:])]
+    return np.hstack([X, dummies]), names
 
 
 @dataclass(frozen=True)
@@ -124,9 +119,8 @@ def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerS
     features, _ = nuisance_features(panel)
     y = panel.outcomes
     d = panel.treatments
-    fold_of_obs = np.fromiter(
-        (folds.fold_of_unit[panel.observations[i].unit_id] for i in range(panel.n_obs)),
-        dtype=np.intp, count=panel.n_obs)
+    fold_of_obs = np.array([folds.fold_of_unit[u] for u in panel.units],
+                           dtype=np.intp)[panel.unit_codes]
 
     g_hat = np.empty(panel.n_obs)
     m_raw = np.empty(panel.n_obs)

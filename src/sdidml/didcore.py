@@ -3,7 +3,9 @@
 Two interchangeable second stages are provided. The default contrast form
 computes, for every cohort g and period t, the 2x2 double difference of
 residualized outcomes against base period b = g - 1 - anticipation, using
-never-treated (or not-yet-treated) units as the comparison pool. The
+never-treated units as the comparison pool, or not-yet-treated units:
+those adopting after max(t, g) + anticipation, so that no control is
+already anticipating its own treatment (Callaway and Sant'Anna 2021). The
 regression form fits the residualized outcome on treatment-residual
 interactions with cohort and period fixed effects, absorbed by alternating
 projections. A raw two-way fixed-effects regression is included purely as
@@ -30,7 +32,7 @@ from .errors import (
     EmptyResultError,
     NonConvergenceError,
 )
-from .panel import PanelDataset, pivot_unit_time, subset_units
+from .panel import PanelDataset, pivot_unit_time, subset_units, unit_rows
 
 CONTROL_RULES = ("never_treated", "not_yet_treated")
 
@@ -137,7 +139,7 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
             if control_rule == "never_treated":
                 pool = never
             else:
-                pool = cohort_times > max(t, g)
+                pool = cohort_times > max(t, g) + anticipation
             controls = pool & both
             n_control = int(controls.sum())
             if n_control < 1:
@@ -227,9 +229,7 @@ def estimate_interacted_regression(resid: ResidualPanel, anticipation: int = 0,
     n = panel.n_obs
 
     # cohort fixed-effect levels: one per adoption time, one shared by never-treated
-    unique_g = np.unique(panel.cohort_times)
-    level_of_g = {g: i for i, g in enumerate(unique_g)}
-    unit_levels = np.array([level_of_g[g] for g in panel.cohort_times], dtype=np.intp)
+    unique_g, unit_levels = np.unique(panel.cohort_times, return_inverse=True)
     cohort_codes = unit_levels[panel.unit_codes]
 
     times = np.asarray(panel.periods)[panel.time_codes]
@@ -260,7 +260,7 @@ def estimate_interacted_regression(resid: ResidualPanel, anticipation: int = 0,
 
     stacked = np.column_stack([resid.y_tilde, Z])
     demeaned, _, _ = demean_two_way(
-        stacked, cohort_codes, len(level_of_g), panel.time_codes,
+        stacked, cohort_codes, len(unique_g), panel.time_codes,
         panel.n_periods, tol=tol, max_sweeps=max_sweeps)
     yd = demeaned[:, 0]
     Zd = demeaned[:, 1:]
@@ -384,12 +384,12 @@ def subgroup_effects(resid: ResidualPanel, subgroup_of_unit: Mapping[str, object
     if unlabeled:
         raise ValueError(f"{len(unlabeled)} unit(s) lack a subgroup label, "
                          f"e.g. {unlabeled[0]!r}")
-    labels = sorted({subgroup_of_unit[u] for u in panel.units}, key=str)
+    label_of_unit = [subgroup_of_unit[u] for u in panel.units]
     effects: dict = {}
     failures: dict = {}
-    for label in labels:
-        members = [u for u in panel.units if subgroup_of_unit[u] == label]
-        rows = np.concatenate([panel.rows_of_unit(u) for u in members])
+    for label in sorted(set(label_of_unit), key=str):
+        members = [k for k, v in enumerate(label_of_unit) if v == label]
+        rows = unit_rows(panel, members)
         try:
             sub_panel = subset_units(panel, members)
         except EmptyControlPoolError as exc:

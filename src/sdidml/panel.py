@@ -1,8 +1,13 @@
 """Panel ingestion, validation, and treatment-exposure encoding.
 
-Raw rows become a :class:`PanelDataset`: a rectangular (unit, time) panel
-with a binary absorbing treatment indicator, a fixed-width covariate vector
-per observation, and derived adoption cohorts g(i) = min{t : D_it = 1}.
+A :class:`PanelDataset` is a set of aligned numpy columns with one entry
+per (unit, time) observation, in canonical (unit, time) order: unit and
+period codes into the sorted ``units`` and ``periods``, the outcome Y, the
+binary absorbing treatment D and a fixed-width covariate matrix X. Adoption
+cohorts g(i) = min{t : D_it = 1} are derived per unit. Records
+(:func:`build_panel`) and CSV files (:func:`read_panel_csv`) go through one
+column parser; panels are sliced by row index (:func:`unit_rows`,
+:func:`subset_units`), never rebuilt row by row.
 """
 
 from __future__ import annotations
@@ -59,122 +64,105 @@ class PanelObservation:
 
 
 class PanelDataset:
-    """Validated, immutable panel in canonical (unit, time) order.
+    """Validated, immutable panel stored as columns in (unit, time) order.
+
+    The constructor takes the columns in any row order, sorts them and
+    rejects duplicate (unit, time) pairs, non-absorbing treatment and a
+    panel without never-treated units or a second cohort to serve as controls.
 
     Attributes
     ----------
-    observations : tuple of PanelObservation
-        Sorted by (unit_id, time).
     units : tuple of str
         Sorted unit identifiers.
     periods : tuple of int
         Sorted distinct time periods.
-    cohort : dict
-        unit_id -> Cohort.
     covariate_names : tuple of str
+    unit_codes, time_codes : ndarray of intp
+        Per-row indices into ``units`` and ``periods``.
+    outcomes, treatments : ndarray of float64
+        Per-row Y and D (D is 0.0 or 1.0).
+    covariates : ndarray of float64, shape (n_obs, n_covariates)
+    cohort_times : ndarray of float64
+        Per-unit first treated period, ``np.inf`` for never treated.
+    unit_starts : ndarray of intp, length n_units + 1
+        Row offsets: unit k owns rows ``unit_starts[k]:unit_starts[k + 1]``.
 
-    Numpy views aligned to observation order are precomputed: ``unit_codes``,
-    ``time_codes``, ``outcomes``, ``treatments``, ``covariates`` and the
-    per-unit cohort array ``cohort_times`` (np.inf for never treated).
+    All arrays are read-only. ``cohort`` and ``observations`` are derived
+    views of the columns.
     """
 
     __slots__ = (
-        "observations", "units", "periods", "cohort", "covariate_names",
-        "unit_codes", "time_codes", "outcomes", "treatments", "covariates",
-        "cohort_times", "_unit_index", "_period_index", "_unit_rows",
+        "units", "periods", "covariate_names", "unit_codes", "time_codes",
+        "outcomes", "treatments", "covariates", "cohort_times", "unit_starts",
+        "_observations",
     )
 
-    def __init__(self, observations: Sequence[PanelObservation],
-                 covariate_names: Sequence[str]):
-        obs = tuple(sorted(observations, key=lambda o: (o.unit_id, o.time)))
-        if not obs:
+    def __init__(self, unit_ids: Sequence[str], times: Sequence[int],
+                 outcomes: Sequence[float], treatments: Sequence[float],
+                 covariates, covariate_names: Sequence[str]):
+        self.covariate_names = tuple(covariate_names)
+        n = len(unit_ids)
+        if not n:
             raise MissingFieldError("no observations supplied")
-        p = len(covariate_names)
-        units = tuple(sorted({o.unit_id for o in obs}))
-        periods = tuple(sorted({o.time for o in obs}))
-        unit_index = {u: i for i, u in enumerate(units)}
-        period_index = {t: i for i, t in enumerate(periods)}
+        outcomes = np.asarray(outcomes, dtype=np.float64)
+        treatments = np.asarray(treatments, dtype=np.float64)
+        covariates = np.asarray(covariates, dtype=np.float64)
+        if covariates.shape != (n, self.n_covariates):
+            raise FieldTypeError(
+                f"expected {self.n_covariates} covariates per observation, "
+                f"got an array of shape {covariates.shape}")
 
-        seen: set[tuple[str, int]] = set()
-        for o in obs:
-            key = (o.unit_id, o.time)
-            if key in seen:
-                raise DuplicateIndexError(
-                    f"duplicate (unit, time) pair ({o.unit_id!r}, {o.time})")
-            seen.add(key)
-            if len(o.covariates) != p:
-                raise FieldTypeError(
-                    f"unit {o.unit_id!r} at t={o.time}: expected {p} covariates, "
-                    f"got {len(o.covariates)}")
+        units, unit_codes = np.unique(np.asarray(unit_ids, dtype=str),
+                                      return_inverse=True)
+        periods, time_codes = np.unique(np.asarray(times), return_inverse=True)
+        order = np.lexsort((time_codes, unit_codes))
+        unit_codes, time_codes = unit_codes[order], time_codes[order]
+        self.units = tuple(units.tolist())
+        self.periods = tuple(periods.tolist())
 
-        cohort: dict[str, Cohort] = {}
-        i = 0
-        n = len(obs)
-        while i < n:
-            j = i
-            unit = obs[i].unit_id
-            first: Optional[int] = None
-            while j < n and obs[j].unit_id == unit:
-                o = obs[j]
-                if o.treatment == 1 and first is None:
-                    first = o.time
-                elif o.treatment == 0 and first is not None:
-                    raise NonAbsorbingTreatmentError(
-                        f"unit {unit!r}: treatment reverts to 0 at t={o.time} "
-                        f"after first treatment at t={first}")
-                j += 1
-            cohort[unit] = Cohort(first) if first is not None else NEVER_TREATED
-            i = j
+        same_unit = unit_codes[1:] == unit_codes[:-1]
+        duplicate = np.flatnonzero(same_unit & (time_codes[1:] == time_codes[:-1]))
+        if duplicate.size:
+            k = duplicate[0]
+            raise DuplicateIndexError(
+                f"duplicate (unit, time) pair ({self.units[unit_codes[k]]!r}, "
+                f"{self.periods[time_codes[k]]})")
 
-        treated_times = {c.first_treated for c in cohort.values() if c.ever_treated}
-        any_never = any(not c.ever_treated for c in cohort.values())
-        if not any_never and len(treated_times) < 2:
+        treatments = treatments[order]
+        cohort_times = np.full(len(units), np.inf)
+        treated = treatments == 1.0
+        np.minimum.at(cohort_times, unit_codes[treated],
+                      periods.astype(np.float64)[time_codes[treated]])
+        revert = np.flatnonzero(same_unit & (treatments[1:] < treatments[:-1]))
+        if revert.size:
+            k = revert[0] + 1
+            raise NonAbsorbingTreatmentError(
+                f"unit {self.units[unit_codes[k]]!r}: treatment reverts to 0 at "
+                f"t={self.periods[time_codes[k]]} after first treatment at "
+                f"t={int(cohort_times[unit_codes[k]])}")
+        if not np.isinf(cohort_times).any() and np.unique(cohort_times).size < 2:
             raise EmptyControlPoolError(
                 "every unit is treated in the same cohort; no never-treated or "
                 "later-treated unit can serve as a control")
 
-        self.observations = obs
-        self.units = units
-        self.periods = periods
-        self.cohort = cohort
-        self.covariate_names = tuple(covariate_names)
-        self._unit_index = unit_index
-        self._period_index = period_index
-
-        self.unit_codes = np.fromiter((unit_index[o.unit_id] for o in obs),
-                                      dtype=np.intp, count=n)
-        self.time_codes = np.fromiter((period_index[o.time] for o in obs),
-                                      dtype=np.intp, count=n)
-        self.outcomes = np.fromiter((o.outcome for o in obs),
-                                    dtype=np.float64, count=n)
-        self.treatments = np.fromiter((o.treatment for o in obs),
-                                      dtype=np.float64, count=n)
-        if p:
-            self.covariates = np.array([o.covariates for o in obs],
-                                       dtype=np.float64)
-        else:
-            self.covariates = np.empty((n, 0), dtype=np.float64)
-        self.cohort_times = np.array(
-            [cohort[u].first_treated if cohort[u].ever_treated else np.inf
-             for u in units], dtype=np.float64)
-
-        unit_rows: dict[str, np.ndarray] = {}
-        start = 0
-        for k in range(1, n + 1):
-            if k == n or obs[k].unit_id != obs[start].unit_id:
-                unit_rows[obs[start].unit_id] = np.arange(start, k, dtype=np.intp)
-                start = k
-        self._unit_rows = unit_rows
-
+        self.unit_codes = unit_codes
+        self.time_codes = time_codes
+        self.outcomes = outcomes[order]
+        self.treatments = treatments
+        self.covariates = covariates[order]
+        self.cohort_times = cohort_times
+        self.unit_starts = np.searchsorted(unit_codes, np.arange(len(units) + 1))
+        self._observations = None
         for arr in (self.unit_codes, self.time_codes, self.outcomes,
-                    self.treatments, self.covariates, self.cohort_times):
+                    self.treatments, self.covariates, self.cohort_times,
+                    self.unit_starts):
             arr.setflags(write=False)
 
     # -- basic introspection --------------------------------------------------
 
     @property
     def n_obs(self) -> int:
-        return len(self.observations)
+        return len(self.outcomes)
 
     @property
     def n_units(self) -> int:
@@ -188,42 +176,53 @@ class PanelDataset:
     def n_covariates(self) -> int:
         return len(self.covariate_names)
 
-    def unit_code(self, unit_id: str) -> int:
-        try:
-            return self._unit_index[unit_id]
-        except KeyError:
-            raise UnknownUnitError(f"unknown unit {unit_id!r}") from None
+    @property
+    def cohort(self) -> dict[str, Cohort]:
+        """unit_id -> Cohort, built from ``cohort_times`` on every access."""
+        return {u: NEVER_TREATED if math.isinf(g) else Cohort(int(g))
+                for u, g in zip(self.units, self.cohort_times.tolist())}
 
-    def period_code(self, time: int) -> int:
-        try:
-            return self._period_index[time]
-        except KeyError:
-            raise UnknownPeriodError(f"unknown period {time}") from None
-
-    def rows_of_unit(self, unit_id: str) -> np.ndarray:
-        """Observation-row indices of one unit, contiguous in canonical order."""
-        try:
-            return self._unit_rows[unit_id]
-        except KeyError:
-            raise UnknownUnitError(f"unknown unit {unit_id!r}") from None
+    @property
+    def observations(self) -> tuple[PanelObservation, ...]:
+        """Row objects in canonical order, built on first access and cached."""
+        if self._observations is None:
+            self._observations = tuple(PanelObservation(*row[:4], tuple(row[4:]))
+                                       for row in _rows(self))
+        return self._observations
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PanelDataset):
             return NotImplemented
-        return (self.observations == other.observations
-                and self.covariate_names == other.covariate_names)
+        return (self.units == other.units and self.periods == other.periods
+                and self.covariate_names == other.covariate_names
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in ("unit_codes", "time_codes", "outcomes",
+                                     "treatments", "covariates")))
 
     def __hash__(self):  # identity hash; datasets are mutable-free but large
         return id(self)
 
     def __repr__(self) -> str:
-        n_never = sum(1 for c in self.cohort.values() if not c.ever_treated)
+        n_never = int(np.isinf(self.cohort_times).sum())
         return (f"PanelDataset(n_obs={self.n_obs}, units={self.n_units}, "
                 f"periods={self.n_periods}, p={self.n_covariates}, "
                 f"never_treated={n_never})")
 
 
-# -- row parsing --------------------------------------------------------------
+def unit_rows(panel: PanelDataset, codes) -> np.ndarray:
+    """Row indices of the units with the given codes, unit after unit.
+
+    Codes index ``panel.units`` and may repeat; each unit's rows are
+    contiguous and in time order.
+    """
+    codes = np.asarray(codes, dtype=np.intp)
+    starts = panel.unit_starts[codes]
+    lengths = panel.unit_starts[codes + 1] - starts
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return offsets + np.arange(offsets.size)
+
+
+# -- parsing ---------------------------------------------------------------------
 
 def _parse_int(value, row: int, field: str) -> int:
     if isinstance(value, bool):
@@ -254,22 +253,47 @@ def _parse_float(value, row: int, field: str) -> float:
     return f
 
 
-def _parse_treatment(value, row: int) -> int:
+def _parse_treatment(value, row: int, field: str) -> int:
     try:
         f = float(value)
     except (TypeError, ValueError):
-        raise FieldTypeError(f"row {row}: field 'treatment' = {value!r} is not 0/1") from None
-    if f == 0.0:
-        return 0
-    if f == 1.0:
-        return 1
-    raise FieldTypeError(f"row {row}: field 'treatment' = {value!r} is not 0/1")
+        f = math.nan
+    if f not in (0.0, 1.0):
+        raise FieldTypeError(f"row {row}: field {field!r} = {value!r} is not 0/1")
+    return int(f)
 
 
-def _get(record: Mapping, field: str, row: int):
-    if field not in record or record[field] is None or record[field] == "":
-        raise MissingFieldError(f"row {row}: missing field {field!r}")
-    return record[field]
+def _cells(values, field: str, parse) -> list:
+    """Parse a column cell by cell; errors name the row of the first bad cell."""
+    out = []
+    for row, value in enumerate(values):
+        if value is None or value == "":
+            raise MissingFieldError(f"row {row}: missing field {field!r}")
+        out.append(parse(value, row, field))
+    return out
+
+
+def _float_column(values, field: str) -> np.ndarray:
+    """Parse a column with Python's ``float``, cell by cell only if that fails."""
+    try:
+        col = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+        if np.isfinite(col).all():
+            return col
+    except (TypeError, ValueError):
+        pass
+    return np.array(_cells(values, field, _parse_float))
+
+
+def _panel_from_columns(columns: Mapping[str, Sequence],
+                        covariate_names: Sequence[str]) -> PanelDataset:
+    """Parse raw cell columns (one per field, rows aligned) into a panel."""
+    X = np.array([_float_column(columns[name], name) for name in covariate_names])
+    return PanelDataset(_cells(columns["unit"], "unit", lambda v, row, field: str(v)),
+                        _cells(columns["time"], "time", _parse_int),
+                        _float_column(columns["outcome"], "outcome"),
+                        _cells(columns["treatment"], "treatment", _parse_treatment),
+                        X.reshape(len(covariate_names), len(columns["unit"])).T,
+                        covariate_names)
 
 
 def build_panel(records: Iterable[Mapping],
@@ -296,42 +320,36 @@ def build_panel(records: Iterable[Mapping],
     if covariate_names is None:
         covariate_names = [k for k in records[0].keys() if k not in REQUIRED_COLUMNS]
     covariate_names = list(covariate_names)
+    columns = {name: [rec.get(name) for rec in records]
+               for name in (*REQUIRED_COLUMNS, *covariate_names)}
+    return _panel_from_columns(columns, covariate_names)
 
-    observations = []
-    for row, rec in enumerate(records):
-        unit = str(_get(rec, "unit", row))
-        time = _parse_int(_get(rec, "time", row), row, "time")
-        outcome = _parse_float(_get(rec, "outcome", row), row, "outcome")
-        treatment = _parse_treatment(_get(rec, "treatment", row), row)
-        covs = tuple(_parse_float(_get(rec, name, row), row, name)
-                     for name in covariate_names)
-        observations.append(PanelObservation(unit, time, outcome, treatment, covs))
-    return PanelDataset(observations, covariate_names)
+
+def _rows(panel: PanelDataset):
+    """Rows ``[unit, time, outcome, treatment, *covariates]`` of Python scalars."""
+    units = [panel.units[c] for c in panel.unit_codes.tolist()]
+    times = [panel.periods[c] for c in panel.time_codes.tolist()]
+    return [[u, t, y, d, *x] for u, t, y, d, x in zip(
+        units, times, panel.outcomes.tolist(),
+        panel.treatments.astype(int).tolist(), panel.covariates.tolist())]
 
 
 def to_records(panel: PanelDataset) -> list[dict]:
     """Serialize back to raw rows (inverse of :func:`build_panel`)."""
-    out = []
-    for o in panel.observations:
-        rec = {"unit": o.unit_id, "time": o.time, "outcome": o.outcome,
-               "treatment": o.treatment}
-        rec.update(zip(panel.covariate_names, o.covariates))
-        out.append(rec)
-    return out
+    header = (*REQUIRED_COLUMNS, *panel.covariate_names)
+    return [dict(zip(header, row)) for row in _rows(panel)]
 
 
 # -- cohort / event-time queries ----------------------------------------------
 
 def event_time(panel: PanelDataset, unit: str, t: int) -> Optional[int]:
     """Periods elapsed since adoption, e = t - g(i); None if never treated."""
-    if unit not in panel.cohort:
+    if unit not in panel.units:
         raise UnknownUnitError(f"unknown unit {unit!r}")
-    if t not in panel._period_index:
+    if t not in panel.periods:
         raise UnknownPeriodError(f"unknown period {t}")
-    c = panel.cohort[unit]
-    if not c.ever_treated:
-        return None
-    return t - c.first_treated
+    g = panel.cohort[unit].first_treated
+    return None if g is None else t - g
 
 
 def feature_matrix(panel: PanelDataset, standardize: bool = True):
@@ -366,28 +384,26 @@ def pivot_unit_time(panel: PanelDataset, values: np.ndarray):
     return mat, present
 
 
-def subset_units(panel: PanelDataset, unit_ids: Sequence[str],
+def subset_units(panel: PanelDataset, codes,
                  fresh_ids: Optional[Sequence[str]] = None) -> PanelDataset:
-    """Panel restricted to the given units (repeats allowed with fresh ids).
+    """Panel of the units with the given codes (repeats allowed with fresh ids).
 
-    Used for subgroup estimation and cluster-bootstrap resampling; the
-    result passes full validation, so an invalid subset (e.g. one with no
-    control pool) raises the corresponding panel error.
+    ``codes`` index ``panel.units``. Used for subgroup estimation and
+    cluster-bootstrap resampling; the result passes full validation, so an
+    invalid subset (e.g. one with no control pool, or a repeated unit
+    without fresh ids) raises the corresponding panel error.
     """
+    codes = np.asarray(codes, dtype=np.intp)
     if fresh_ids is None:
-        if len(set(unit_ids)) != len(unit_ids):
-            raise DuplicateIndexError(
-                "repeated units require fresh_ids to keep (unit, time) unique")
-        fresh_ids = list(unit_ids)
-    elif len(fresh_ids) != len(unit_ids):
-        raise ValueError("fresh_ids must parallel unit_ids")
-    observations = []
-    for orig, new in zip(unit_ids, fresh_ids):
-        for r in panel.rows_of_unit(orig):
-            o = panel.observations[r]
-            observations.append(PanelObservation(
-                str(new), o.time, o.outcome, o.treatment, o.covariates))
-    return PanelDataset(observations, panel.covariate_names)
+        fresh_ids = np.asarray(panel.units)[codes]  # repeats fail as duplicates
+    elif len(fresh_ids) != len(codes):
+        raise ValueError("fresh_ids must parallel the unit codes")
+    rows = unit_rows(panel, codes)
+    lengths = panel.unit_starts[codes + 1] - panel.unit_starts[codes]
+    return PanelDataset(np.repeat(np.asarray(fresh_ids, dtype=str), lengths),
+                        np.asarray(panel.periods)[panel.time_codes[rows]],
+                        panel.outcomes[rows], panel.treatments[rows],
+                        panel.covariates[rows], panel.covariate_names)
 
 
 # -- CSV interface -------------------------------------------------------------
@@ -403,9 +419,7 @@ def read_panel_csv(path) -> PanelDataset:
         for col in REQUIRED_COLUMNS:
             if col not in header:
                 raise MissingFieldError(f"{path}: missing {col!r} column")
-        idx = {name: header.index(name) for name in header}
-        covariate_names = [c for c in header if c not in REQUIRED_COLUMNS]
-        records = []
+        rows = []
         for line, row in enumerate(reader):
             if not row:
                 continue
@@ -413,8 +427,10 @@ def read_panel_csv(path) -> PanelDataset:
                 raise FieldTypeError(
                     f"{path}: line {line + 2} has {len(row)} fields, "
                     f"header has {len(header)}")
-            records.append({name: row[idx[name]] for name in header})
-    return build_panel(records, covariate_names)
+            rows.append(row)
+    cells = list(zip(*rows)) or [()] * len(header)
+    columns = {name: cells[header.index(name)] for name in header}
+    return _panel_from_columns(columns, [c for c in header if c not in REQUIRED_COLUMNS])
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
@@ -422,6 +438,4 @@ def write_panel_csv(panel: PanelDataset, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(REQUIRED_COLUMNS) + list(panel.covariate_names))
-        for o in panel.observations:
-            writer.writerow([o.unit_id, o.time, repr(o.outcome), o.treatment]
-                            + [repr(v) for v in o.covariates])
+        writer.writerows(_rows(panel))

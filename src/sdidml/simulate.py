@@ -30,7 +30,7 @@ from .aggregate import bootstrap, overall_att
 from .crossfit import ResidualPanel
 from .didcore import estimate_group_time, twfe_baseline
 from .errors import InvalidConfigError
-from .panel import PanelDataset, PanelObservation
+from .panel import PanelDataset
 from .pipeline import PipelineConfig, estimate_effects
 
 GENERATOR_NAME = "pcg64"
@@ -245,7 +245,6 @@ def generate(config: DGPConfig) -> OraclePanel:
     subgroup_coin = rng.random(n)
     noise = config.noise_sd * rng.standard_normal((n, T))
 
-    periods = list(range(1, T + 1))
     X_by_period = np.empty((T, n, p))
     X_by_period[0] = X_base
     scale = math.sqrt(1.0 - rho * rho)
@@ -273,42 +272,40 @@ def generate(config: DGPConfig) -> OraclePanel:
     ever = np.isfinite(cohort_of_unit)
     t_center = (1 + T) / 2.0
 
-    unit_ids = [f"u{i:05d}" for i in range(n)]
-    observations = []
-    effect_sums: dict[tuple[int, int], list] = {}
-    event_sums: dict[int, list] = {}
-    total_effect = 0.0
-    total_treated = 0
-    for ti, t in enumerate(periods):
+    # (T, n) arrays, period-major; the panel constructor sorts by unit
+    periods = np.arange(1, T + 1)
+    treated = periods[:, None] >= cohort_of_unit
+    Y = np.empty((T, n))
+    for ti in range(T):
         f_t = _confounding_surface(config.confounding, X_by_period[ti])
-        trend_t = config.trend_violation * (t - t_center) * ever
+        trend_t = config.trend_violation * (periods[ti] - t_center) * ever
         y0_t = f_t + unit_effects + period_effects[ti] + trend_t + noise[:, ti]
-        for i in range(n):
-            g = cohort_of_unit[i]
-            treated = bool(np.isfinite(g) and t >= g)
-            if treated:
-                e = t - int(g)
-                eff = config.effect.value(e, subgroups[i])
-                y = y0_t[i] + eff
-                key = (int(g), t)
-                effect_sums.setdefault(key, [0.0, 0])
-                effect_sums[key][0] += eff
-                effect_sums[key][1] += 1
-                event_sums.setdefault(e, [0.0, 0])
-                event_sums[e][0] += eff
-                event_sums[e][1] += 1
-                total_effect += eff
-                total_treated += 1
-            else:
-                y = y0_t[i]
-            observations.append(PanelObservation(
-                unit_ids[i], t, float(y), int(treated),
-                tuple(X_by_period[ti, i, :])))
+        # snap Y(0) to a 2^-32 grid so that Y(0) + tau - Y(0) == tau exactly
+        # for dyadic effects tau
+        Y[ti] = np.ldexp(np.round(np.ldexp(y0_t, 32)), -32)
 
-    panel = PanelDataset(observations, [f"x{j}" for j in range(p)])
-    true_att = {key: s / c for key, (s, c) in sorted(effect_sums.items())}
-    true_event_curve = {e: s / c for e, (s, c) in sorted(event_sums.items())}
-    true_overall = total_effect / total_treated if total_treated else math.nan
+    t_idx, i_idx = np.nonzero(treated)
+    t_cell = periods[t_idx]
+    g_cell = cohort_of_unit[i_idx].astype(int)
+    e_cell = t_cell - g_cell
+    eff_cell = np.array([config.effect.value(e, s)
+                         for e, s in zip(e_cell.tolist(), subgroups[i_idx])])
+    Y[t_idx, i_idx] += eff_cell
+
+    def oracle_mean(mask) -> float:
+        # sequential sum in (period, unit) order keeps the oracle reproducible
+        values = eff_cell[mask]
+        return float(np.add.accumulate(values)[-1] / values.size)
+
+    true_att = {(g, t): oracle_mean((g_cell == g) & (t_cell == t))
+                for g, t in sorted(set(zip(g_cell.tolist(), t_cell.tolist())))}
+    true_event_curve = {e: oracle_mean(e_cell == e)
+                        for e in sorted(set(e_cell.tolist()))}
+    true_overall = oracle_mean(slice(None)) if eff_cell.size else math.nan
+    unit_ids = [f"u{i:05d}" for i in range(n)]
+    panel = PanelDataset(np.tile(unit_ids, T), np.repeat(periods, n),
+                         Y.ravel(), treated.ravel(), X_by_period.reshape(T * n, p),
+                         [f"x{j}" for j in range(p)])
     subgroup_of_unit = {unit_ids[i]: str(subgroups[i]) for i in range(n)}
     return OraclePanel(panel=panel, true_att=true_att,
                        true_overall_att=true_overall,

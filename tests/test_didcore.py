@@ -82,6 +82,19 @@ class TestGroupTimeContrast:
         assert any(o.g == 2 and o.t == 3 and "control" in o.reason
                    for o in effects.omitted)
 
+    def test_not_yet_treated_pool_excludes_anticipating_cohort(self):
+        # with anticipation=1, cohort 4 is already anticipating at t=3, so the
+        # pool for cell (3, 3) is units adopting after max(t, g) + 1 = 4
+        cohorts = {"a": 3, "b": 3, "e": 4, "c": 5, "n": None}
+        panel = panel_from_layout(cohorts, (1, 2, 3, 4, 5),
+                                  lambda u, t: float(u == "e" and t >= 3))
+        effects = estimate_group_time(resid_panel(panel, panel.outcomes),
+                                      control_rule="not_yet_treated",
+                                      anticipation=1)
+        cell = effects.cells[(3, 3)]
+        assert (cell.n_treated, cell.n_control) == (2, 2)  # c and n, not e
+        assert cell.tau == 0.0
+
     def test_never_treated_rule_counts(self):
         cohorts = {"a": 2, "b": None, "c": None, "d": 3}
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: 0.0)
