@@ -8,6 +8,10 @@ unit-level (cluster) bootstrap: whole units are resampled with replacement
 and given fresh identities, and each replicate either reruns the entire
 pipeline (``full`` mode) or reuses the point-estimate nuisance predictions
 (``fixed_nuisance`` mode, faster but approximate).
+
+This module does not import :mod:`sdidml.pipeline` at import time, so the
+pipeline can import it. ``bootstrap`` and ``placebo_test`` refit nuisances
+through ``pipeline.estimate_effects``, imported inside those two functions.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ import numpy as np
 from scipy.stats import chi2
 
 from ._util import parallel_map
-from .crossfit import NuisanceFits, ResidualPanel
+from .crossfit import (
+    FoldAssignment,
+    NuisanceFits,
+    ResidualPanel,
+    assign_folds,
+    residualize,
+)
 from .didcore import (
     GroupTimeEffects,
     estimate_group_time,
@@ -50,15 +60,9 @@ WEAK_OVERLAP_CLIP_SHARE = 0.10
 
 
 @dataclass(frozen=True)
-class EventPoint:
-    att: float
-    se: Optional[float] = None
-    ci_low: Optional[float] = None
-    ci_high: Optional[float] = None
+class SummaryPoint:
+    """One event-time or cohort summary; inference fields set by the bootstrap."""
 
-
-@dataclass(frozen=True)
-class GroupPoint:
     att: float
     se: Optional[float] = None
     ci_low: Optional[float] = None
@@ -76,8 +80,8 @@ class AggregatedResults:
     overall_se: Optional[float] = None
     overall_ci_low: Optional[float] = None
     overall_ci_high: Optional[float] = None
-    event_curve: Mapping[int, EventPoint] = field(default_factory=dict)
-    group_atts: Mapping[int, GroupPoint] = field(default_factory=dict)
+    event_curve: Mapping[int, SummaryPoint] = field(default_factory=dict)
+    group_atts: Mapping[int, SummaryPoint] = field(default_factory=dict)
 
 
 def _check_weights(weights: Sequence[float], context: str) -> None:
@@ -137,12 +141,12 @@ def aggregate_schemes(effects: GroupTimeEffects, schemes: Sequence[str],
     if not 0 < ci_level < 1:
         raise ConfigError("ci_level must lie in (0, 1)")
     att, weights = overall_att(effects)
-    event: dict[int, EventPoint] = {}
-    groups: dict[int, GroupPoint] = {}
+    event: dict[int, SummaryPoint] = {}
+    groups: dict[int, SummaryPoint] = {}
     if "event_time" in schemes:
-        event = {e: EventPoint(att=v) for e, v in event_curve_att(effects).items()}
+        event = {e: SummaryPoint(att=v) for e, v in event_curve_att(effects).items()}
     if "by_group" in schemes:
-        groups = {g: GroupPoint(att=v) for g, v in group_att(effects).items()}
+        groups = {g: SummaryPoint(att=v) for g, v in group_att(effects).items()}
     return AggregatedResults(overall_att=att, weights_used=weights,
                              ci_level=ci_level, schemes=tuple(schemes),
                              event_curve=event, group_atts=groups)
@@ -211,11 +215,15 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
 
     Replicate r draws ``n_units`` units with replacement using seed
     ``seed + r`` and gives resampled units fresh identities. ``full`` mode
-    reruns cross-fitting and estimation on each replicate; ``fixed_nuisance``
-    reuses the point-estimate nuisance predictions looked up by original
-    unit. Replicates whose resample admits no estimable cell are counted as
+    reruns cross-fitting and estimation on each replicate, with folds
+    assigned over the original units by seed ``seed + r`` so that every
+    copy of a unit lands in its unit's fold; ``fixed_nuisance`` reuses the
+    point-estimate nuisance predictions looked up by original unit.
+    Replicates whose resample admits no estimable cell are counted as
     failures; more than 20% failures aborts.
     """
+    from .pipeline import estimate_effects
+
     if B < 1:
         raise ConfigError("bootstrap B must be >= 1")
     if mode not in ("full", "fixed_nuisance"):
@@ -224,12 +232,8 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
 
     if mode == "fixed_nuisance":
         if fits is None:
-            from .pipeline import estimate_effects
             fits = estimate_effects(panel, config).fits
-        resid = ResidualPanel(panel=panel,
-                              y_tilde=panel.outcomes - fits.g_hat,
-                              d_tilde=panel.treatments - fits.m_hat,
-                              fits=fits)
+        resid = residualize(panel, fits)
         ymat, present = pivot_unit_time(panel, resid.y_tilde)
         cohort_times = panel.cohort_times
 
@@ -258,9 +262,10 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
                     effects = estimate_interacted_regression(
                         bresid, config.anticipation)
                 else:
-                    from .pipeline import estimate_effects
-                    effects = estimate_effects(
-                        bpanel, replace(config, seed=seed + r)).effects
+                    fold_of = assign_folds(panel, config.n_folds, seed + r).fold_of_unit
+                    folds = FoldAssignment(config.n_folds, {
+                        f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
+                    effects = estimate_effects(bpanel, config, folds).effects
             return _replicate_summaries(effects)
         except (DataError, EstimationError, LearnerError):
             return None
@@ -295,26 +300,17 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
 def merge_inference(results: AggregatedResults,
                     inference: BootstrapInference) -> AggregatedResults:
     """Attach bootstrap SEs and percentile CIs to point summaries."""
-    event = {}
-    for e, point in results.event_curve.items():
-        inf = inference.event.get(e)
-        if inf is None:
-            event[e] = point
-        else:
-            event[e] = EventPoint(att=point.att, se=inf.se,
-                                  ci_low=inf.ci_low, ci_high=inf.ci_high)
-    groups = {}
-    for g, point in results.group_atts.items():
-        inf = inference.group.get(g)
-        if inf is None:
-            groups[g] = point
-        else:
-            groups[g] = GroupPoint(att=point.att, se=inf.se,
-                                   ci_low=inf.ci_low, ci_high=inf.ci_high)
+    def attach(points, inferred):
+        return {k: p if k not in inferred else replace(
+                    p, se=inferred[k].se, ci_low=inferred[k].ci_low,
+                    ci_high=inferred[k].ci_high)
+                for k, p in points.items()}
+
     return replace(results, overall_se=inference.overall.se,
                    overall_ci_low=inference.overall.ci_low,
                    overall_ci_high=inference.overall.ci_high,
-                   event_curve=event, group_atts=groups)
+                   event_curve=attach(results.event_curve, inference.event),
+                   group_atts=attach(results.group_atts, inference.group))
 
 
 # -- robustness battery -------------------------------------------------------------

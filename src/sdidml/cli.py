@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,20 +31,13 @@ from .errors import (
     ConfigError,
     DataError,
     EstimationError,
-    InvalidConfigError,
     LearnerError,
     MissingArtifactsError,
     SdidmlError,
 )
 from .learners import LearnerSpec
 from .panel import read_panel_csv, write_panel_csv
-from .pipeline import (
-    AGGREGATION_SCHEMES,
-    PipelineConfig,
-    default_g_learner,
-    default_m_learner,
-    run_pipeline,
-)
+from .pipeline import PipelineConfig, run_pipeline
 from .simulate import DGPConfig, SCENARIO_NAMES, generate, monte_carlo, scenario
 
 EXIT_OK = 0
@@ -53,81 +45,90 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_ESTIMATION = 4
 
-_RUN_CONFIG_KEYS = {
-    "input_path", "output_dir", "g_learner", "m_learner", "K", "clip_eps",
-    "control_rule", "anticipation", "estimator", "aggregation", "bootstrap",
-    "ci_level", "seed", "placebo_shift", "threads", "allow_no_crossfit",
+# JSON key -> (field, JSON type, null allowed). Fields named "pipeline.x" are
+# PipelineConfig fields; keys "bootstrap.x" sit inside the "bootstrap" object.
+_CONFIG_KEYS = {
+    "input_path": ("input_path", str, True),
+    "output_dir": ("output_dir", str, True),
+    "g_learner": ("pipeline.g_learner", LearnerSpec, False),
+    "m_learner": ("pipeline.m_learner", LearnerSpec, False),
+    "K": ("pipeline.n_folds", int, False),
+    "clip_eps": ("pipeline.clip_eps", float, False),
+    "control_rule": ("pipeline.control_rule", str, False),
+    "anticipation": ("pipeline.anticipation", int, False),
+    "estimator": ("pipeline.estimator", str, False),
+    "aggregation": ("pipeline.aggregation", list, False),
+    "bootstrap.B": ("pipeline.bootstrap_reps", int, False),
+    "bootstrap.mode": ("pipeline.bootstrap_mode", str, False),
+    "ci_level": ("pipeline.ci_level", float, False),
+    "seed": ("pipeline.seed", int, False),
+    "placebo_shift": ("placebo_shift", int, True),
+    "threads": ("threads", int, True),
+    "allow_no_crossfit": ("allow_no_crossfit", bool, False),
 }
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+                    bool: "true or false", list: "a list of strings",
+                    LearnerSpec: "a learner object"}
 
 
-@dataclass
+def _from_json(key: str, value, kind: type, nullable: bool):
+    """Check one config value's JSON type and convert it to the field's type."""
+    if value is None and nullable:
+        return None
+    # bool subclasses int, but only a bool field takes true/false.
+    if isinstance(value, bool) == (kind is bool):
+        if kind is LearnerSpec and isinstance(value, dict):
+            return LearnerSpec.from_dict(value)
+        if kind is list and isinstance(value, list) and all(isinstance(v, str) for v in value):
+            return tuple(value)
+        if kind is float and isinstance(value, (int, float)):
+            return float(value)
+        if kind in (str, int, bool) and isinstance(value, kind):
+            return value
+    raise ConfigError(f"config key {key!r} must be {_JSON_TYPE_NAMES[kind]}"
+                      f"{' or null' if nullable else ''}, got {json.dumps(value)}")
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Resolved ``run`` settings; serialized verbatim into every results file."""
+    """Resolved ``run`` settings; echoed into every results file.
 
+    ``pipeline`` holds the estimation settings, the other fields I/O and
+    run-level ones. The config JSON is an object; every key is optional:
+    ``input_path``, ``output_dir`` (string or null); ``g_learner``,
+    ``m_learner`` (learner object, e.g. ``{"kind": "ridge", "lambda": 1.0}``);
+    ``K``, ``anticipation``, ``seed`` (integer); ``clip_eps``, ``ci_level``
+    (number); ``control_rule``, ``estimator`` (string); ``aggregation``
+    (list of strings); ``bootstrap`` (``{"B": integer, "mode": string}``);
+    ``placebo_shift``, ``threads`` (integer or null); ``allow_no_crossfit``
+    (true or false). A value of another JSON type raises
+    :class:`ConfigError`: true/false is not an integer, nor is 2.0.
+    """
+
+    pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     input_path: Optional[str] = None
     output_dir: Optional[str] = None
-    g_learner: LearnerSpec = field(default_factory=default_g_learner)
-    m_learner: LearnerSpec = field(default_factory=default_m_learner)
-    n_folds: int = 5
-    clip_eps: float = 0.01
-    control_rule: str = "never_treated"
-    anticipation: int = 0
-    estimator: str = "contrast"
-    aggregation: tuple[str, ...] = AGGREGATION_SCHEMES
-    bootstrap_reps: int = 199
-    bootstrap_mode: str = "full"
-    ci_level: float = 0.95
-    seed: int = 0
     placebo_shift: Optional[int] = None
     threads: Optional[int] = None
     allow_no_crossfit: bool = False
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        unknown = set(d) - _RUN_CONFIG_KEYS
+        flat = dict(d)
+        boot = flat.pop("bootstrap", {})
+        if not isinstance(boot, dict):
+            raise ConfigError("'bootstrap' must be an object like {\"B\": 199, \"mode\": \"full\"}")
+        flat.update({f"bootstrap.{k}": v for k, v in boot.items()})
+        top_level = {key.partition(".")[0] for key in _CONFIG_KEYS}
+        unknown = sorted((set(d) - top_level) | (set(flat) - set(_CONFIG_KEYS)))
         if unknown:
-            raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-        cfg = cls()
-        if "input_path" in d:
-            cfg.input_path = str(d["input_path"])
-        if "output_dir" in d:
-            cfg.output_dir = str(d["output_dir"])
-        if "g_learner" in d:
-            cfg.g_learner = LearnerSpec.from_dict(d["g_learner"])
-        if "m_learner" in d:
-            cfg.m_learner = LearnerSpec.from_dict(d["m_learner"])
-        if "K" in d:
-            cfg.n_folds = int(d["K"])
-        for key in ("clip_eps", "ci_level"):
-            if key in d:
-                setattr(cfg, key, float(d[key]))
-        for key in ("control_rule", "estimator"):
-            if key in d:
-                setattr(cfg, key, str(d[key]))
-        if "anticipation" in d:
-            cfg.anticipation = int(d["anticipation"])
-        if "aggregation" in d:
-            cfg.aggregation = tuple(str(s) for s in d["aggregation"])
-        if "bootstrap" in d:
-            boot = d["bootstrap"]
-            if not isinstance(boot, dict):
-                raise ConfigError("'bootstrap' must be an object like {\"B\": 199, \"mode\": \"full\"}")
-            unknown = set(boot) - {"B", "mode"}
-            if unknown:
-                raise ConfigError(f"unknown bootstrap key(s): {sorted(unknown)}")
-            if "B" in boot:
-                cfg.bootstrap_reps = int(boot["B"])
-            if "mode" in boot:
-                cfg.bootstrap_mode = str(boot["mode"])
-        if "seed" in d:
-            cfg.seed = int(d["seed"])
-        if "placebo_shift" in d and d["placebo_shift"] is not None:
-            cfg.placebo_shift = int(d["placebo_shift"])
-        if "threads" in d and d["threads"] is not None:
-            cfg.threads = int(d["threads"])
-        if "allow_no_crossfit" in d:
-            cfg.allow_no_crossfit = bool(d["allow_no_crossfit"])
-        return cfg
+            raise ConfigError(f"unknown config key(s): {unknown}")
+        run, pipeline = {}, {}
+        for key, value in flat.items():
+            name, kind, nullable = _CONFIG_KEYS[key]
+            owner, _, name = name.rpartition(".")
+            (pipeline if owner else run)[name] = _from_json(key, value, kind, nullable)
+        return cls(pipeline=PipelineConfig(**pipeline), **run)
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -143,40 +144,29 @@ class RunConfig:
         return cls.from_dict(data)
 
     def to_dict(self) -> dict:
-        return {
-            "input_path": self.input_path,
-            "output_dir": self.output_dir,
-            "g_learner": self.g_learner.to_dict(),
-            "m_learner": self.m_learner.to_dict(),
-            "K": self.n_folds,
-            "clip_eps": self.clip_eps,
-            "control_rule": self.control_rule,
-            "anticipation": self.anticipation,
-            "estimator": self.estimator,
-            "aggregation": list(self.aggregation),
-            "bootstrap": {"B": self.bootstrap_reps, "mode": self.bootstrap_mode},
-            "ci_level": self.ci_level,
-            "seed": self.seed,
-            "placebo_shift": self.placebo_shift,
-            "threads": self.threads,
-            "allow_no_crossfit": self.allow_no_crossfit,
-        }
-
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            g_learner=self.g_learner, m_learner=self.m_learner,
-            n_folds=self.n_folds, clip_eps=self.clip_eps,
-            control_rule=self.control_rule, anticipation=self.anticipation,
-            estimator=self.estimator, aggregation=self.aggregation,
-            bootstrap_reps=self.bootstrap_reps,
-            bootstrap_mode=self.bootstrap_mode,
-            ci_level=self.ci_level, seed=self.seed)
+        out: dict = {}
+        for key, (name, _, _) in _CONFIG_KEYS.items():
+            owner, _, name = name.rpartition(".")
+            value = getattr(self.pipeline if owner else self, name)
+            if isinstance(value, LearnerSpec):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = list(value)
+            group, _, sub = key.rpartition(".")
+            (out.setdefault(group, {}) if group else out)[sub] = value
+        return out
 
 
 def _json_safe(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
+
+
+def _points_json(label: str, points) -> list:
+    return [{label: k, "att": p.att, "se": _json_safe(p.se),
+             "ci_low": _json_safe(p.ci_low), "ci_high": _json_safe(p.ci_high)}
+            for k, p in sorted(points.items())]
 
 
 def _write_json(path, payload) -> None:
@@ -207,32 +197,29 @@ def _resolve_scenario_or_config(token: str) -> DGPConfig:
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    if args.input is not None:
-        cfg.input_path = args.input
-    if args.output is not None:
-        cfg.output_dir = args.output
+    overrides = {name: value for name, value in (
+        ("input_path", args.input), ("output_dir", args.output),
+        ("threads", args.threads)) if value is not None}
     if args.seed is not None:
-        cfg.seed = args.seed
-    if args.threads is not None:
-        cfg.threads = args.threads
+        overrides["pipeline"] = replace(cfg.pipeline, seed=args.seed)
     if args.allow_no_crossfit:
-        cfg.allow_no_crossfit = True
+        overrides["allow_no_crossfit"] = True
+    cfg = replace(cfg, **overrides)
     if cfg.input_path is None:
         raise ConfigError("no input CSV given; set input_path in the config "
                           "or pass --input")
     if cfg.output_dir is None:
         raise ConfigError("no output directory given; set output_dir in the "
                           "config or pass --output")
-    if cfg.n_folds == 1 and not cfg.allow_no_crossfit:
+    if cfg.pipeline.n_folds == 1 and not cfg.allow_no_crossfit:
         raise ConfigError(
             "K=1 trains and predicts on the same sample, which defeats "
             "cross-fitting and is meant for diagnostics only; pass "
             "--allow-no-crossfit to run it anyway")
     threads = resolve_threads(cfg.threads)
-    pcfg = cfg.pipeline_config()
 
     panel = read_panel_csv(cfg.input_path)
-    result = run_pipeline(panel, pcfg, placebo_shift=cfg.placebo_shift,
+    result = run_pipeline(panel, cfg.pipeline, placebo_shift=cfg.placebo_shift,
                           threads=threads)
 
     outdir = Path(cfg.output_dir)
@@ -246,14 +233,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "ci_low": _json_safe(res.overall_ci_low),
                     "ci_high": _json_safe(res.overall_ci_high),
                     "ci_level": res.ci_level},
-        "event_curve": [{"e": e, "att": p.att, "se": _json_safe(p.se),
-                         "ci_low": _json_safe(p.ci_low),
-                         "ci_high": _json_safe(p.ci_high)}
-                        for e, p in sorted(res.event_curve.items())],
-        "groups": [{"g": g, "att": p.att, "se": _json_safe(p.se),
-                    "ci_low": _json_safe(p.ci_low),
-                    "ci_high": _json_safe(p.ci_high)}
-                   for g, p in sorted(res.group_atts.items())],
+        "event_curve": _points_json("e", res.event_curve),
+        "groups": _points_json("g", res.group_atts),
         "group_time": result.artifacts.effects.to_json_dict(),
         "weights": {f"{g},{t}": w
                     for (g, t), w in sorted(res.weights_used.items())},

@@ -96,8 +96,7 @@ class ResidualPanel:
 
 
 def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerSpec,
-                      folds: FoldAssignment, clip_eps: float = 0.01,
-                      seed: int = 0) -> NuisanceFits:
+                      folds: FoldAssignment, clip_eps: float = 0.01) -> NuisanceFits:
     """Produce out-of-fold nuisance predictions for every observation.
 
     For each fold k the two learners are trained on all observations of
@@ -128,8 +127,8 @@ def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerS
         test = fold_of_obs == k
         train = ~test if folds.n_folds > 1 else np.ones(panel.n_obs, dtype=bool)
         try:
-            g_model = learners.fit(g_spec, features[train], y[train], seed=seed + k)
-            m_model = learners.fit(m_spec, features[train], d[train], seed=seed + k)
+            g_model = learners.fit(g_spec, features[train], y[train])
+            m_model = learners.fit(m_spec, features[train], d[train])
         except LearnerError as exc:
             raise type(exc)(f"fold {k}: {exc}") from exc
         g_hat[test] = learners.predict(g_model, features[test])

@@ -3,8 +3,7 @@
 Five learner kinds are available: a constant-mean baseline, ridge and lasso
 linear models, greedy gradient-boosted regression trees, and L2-penalized
 logistic regression for binary treatment models. All fits are deterministic
-functions of (spec, data, seed); the seed is reserved for optional
-subsampling variants and is unused by the default full-data fits.
+functions of (spec, data).
 """
 
 from __future__ import annotations
@@ -400,11 +399,10 @@ def _fit_gbt(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
 # -- public API ----------------------------------------------------------------
 
 
-def fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray,
-        seed: int = 0) -> FittedModel:
+def fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray) -> FittedModel:
     """Train the learner selected by ``spec`` on the given data.
 
-    The fit is deterministic given (spec, data, seed). Iterative learners
+    The fit is deterministic given (spec, data). Iterative learners
     that exhaust ``max_iter`` emit a :class:`ConvergenceWarning` and return
     a model whose diagnostics carry ``converged=False``.
     """

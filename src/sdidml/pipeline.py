@@ -1,19 +1,37 @@
 """Configuration and orchestration of the five estimation stages.
 
+:class:`PipelineConfig` is the one set of estimation settings; the CLI's
+run config wraps it and adds only I/O and run-level fields.
 :func:`estimate_effects` covers stages 2-4 (cross-fitting, residualization,
 structural estimation) for a validated panel; :func:`run_pipeline` adds
-stage 5 (aggregation, bootstrap inference, diagnostics). The bootstrap and
-placebo machinery in :mod:`sdidml.aggregate` re-enters through
-``estimate_effects`` when it refits nuisances on resampled or shifted
-panels.
+stage 5 (aggregation, bootstrap inference, diagnostics) from
+:mod:`sdidml.aggregate`. Imports run one way, from this module into
+``aggregate``; the bootstrap and placebo test call back into
+``estimate_effects`` through a function-level import when they refit
+nuisances on resampled or shifted panels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
+from .aggregate import (
+    SCHEMES,
+    AggregatedResults,
+    BootstrapInference,
+    OverlapReport,
+    PlaceboReport,
+    PretrendReport,
+    aggregate_schemes,
+    bootstrap,
+    merge_inference,
+    overlap_report,
+    placebo_test,
+    pretrend_test,
+)
 from .crossfit import (
+    FoldAssignment,
     NuisanceFits,
     ResidualPanel,
     assign_folds,
@@ -26,35 +44,26 @@ from .didcore import (
     estimate_group_time,
     estimate_interacted_regression,
 )
-from .errors import ConfigError
+from .errors import ConfigError, NoPreCellsError
 from .learners import LearnerSpec
 from .panel import PanelDataset
 
 ESTIMATORS = ("contrast", "interacted_regression")
-AGGREGATION_SCHEMES = ("overall", "event_time", "by_group")
 BOOTSTRAP_MODES = ("full", "fixed_nuisance")
-
-
-def default_g_learner() -> LearnerSpec:
-    return LearnerSpec.ridge(1.0)
-
-
-def default_m_learner() -> LearnerSpec:
-    return LearnerSpec.logistic(1.0)
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     """Resolved estimation settings shared by the CLI, bootstrap, and tests."""
 
-    g_learner: LearnerSpec = field(default_factory=default_g_learner)
-    m_learner: LearnerSpec = field(default_factory=default_m_learner)
+    g_learner: LearnerSpec = LearnerSpec.ridge(1.0)
+    m_learner: LearnerSpec = LearnerSpec.logistic(1.0)
     n_folds: int = 5
     clip_eps: float = 0.01
     control_rule: str = "never_treated"
     anticipation: int = 0
     estimator: str = "contrast"
-    aggregation: tuple[str, ...] = AGGREGATION_SCHEMES
+    aggregation: tuple[str, ...] = SCHEMES
     bootstrap_reps: int = 199
     bootstrap_mode: str = "full"
     ci_level: float = 0.95
@@ -73,10 +82,10 @@ class PipelineConfig:
         if est not in ESTIMATORS:
             raise ConfigError(f"estimator must be one of {ESTIMATORS}")
         object.__setattr__(self, "estimator", est)
-        bad = [s for s in self.aggregation if s not in AGGREGATION_SCHEMES]
+        bad = [s for s in self.aggregation if s not in SCHEMES]
         if bad:
             raise ConfigError(f"unknown aggregation scheme(s) {bad}; "
-                              f"expected subset of {AGGREGATION_SCHEMES}")
+                              f"expected subset of {SCHEMES}")
         object.__setattr__(self, "aggregation", tuple(self.aggregation))
         if self.bootstrap_reps < 0:
             raise ConfigError("bootstrap B must be >= 0 (0 disables inference)")
@@ -95,11 +104,16 @@ class EstimationArtifacts:
     effects: GroupTimeEffects
 
 
-def estimate_effects(panel: PanelDataset, config: PipelineConfig) -> EstimationArtifacts:
-    """Cross-fit nuisances, residualize, and estimate group-time effects."""
-    folds = assign_folds(panel, config.n_folds, config.seed)
+def estimate_effects(panel: PanelDataset, config: PipelineConfig,
+                     folds: Optional[FoldAssignment] = None) -> EstimationArtifacts:
+    """Cross-fit nuisances, residualize, and estimate group-time effects.
+
+    ``folds`` defaults to ``assign_folds(panel, config.n_folds, config.seed)``.
+    """
+    if folds is None:
+        folds = assign_folds(panel, config.n_folds, config.seed)
     fits = crossfit_nuisance(panel, config.g_learner, config.m_learner, folds,
-                             clip_eps=config.clip_eps, seed=config.seed)
+                             clip_eps=config.clip_eps)
     resid = residualize(panel, fits)
     if config.estimator == "contrast":
         effects = estimate_group_time(resid, config.control_rule,
@@ -115,11 +129,11 @@ class PipelineResult:
 
     config: PipelineConfig
     artifacts: EstimationArtifacts
-    results: "AggregatedResults"
-    inference: Optional["BootstrapInference"]
-    overlap: "OverlapReport"
-    pretrend: Optional["PretrendReport"]
-    placebo: Optional["PlaceboReport"]
+    results: AggregatedResults
+    inference: Optional[BootstrapInference]
+    overlap: OverlapReport
+    pretrend: Optional[PretrendReport]
+    placebo: Optional[PlaceboReport]
 
 
 def run_pipeline(panel: PanelDataset, config: PipelineConfig,
@@ -131,16 +145,6 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     (None) when ``config.bootstrap_reps`` leaves inference disabled, as is
     the placebo report unless ``placebo_shift`` is given.
     """
-    from .aggregate import (
-        aggregate_schemes,
-        bootstrap,
-        merge_inference,
-        overlap_report,
-        placebo_test,
-        pretrend_test,
-    )
-    from .errors import NoPreCellsError
-
     artifacts = estimate_effects(panel, config)
     results = aggregate_schemes(artifacts.effects, config.aggregation,
                                 config.ci_level)

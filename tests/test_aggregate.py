@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sdidml import pipeline
 from sdidml.aggregate import (
     aggregate,
     aggregate_schemes,
@@ -140,6 +141,27 @@ class TestBootstrap:
                          mode="full")
         fixed = bootstrap(self.pipe(), panel, B=9, seed=7, mode="fixed_nuisance")
         assert full.event.keys() == fixed.event.keys()
+
+    def test_full_mode_keeps_all_copies_of_a_unit_in_one_fold(self, monkeypatch):
+        # A copy in another fold would train the model that predicts its twin.
+        calls = []
+        crossfit_nuisance = pipeline.crossfit_nuisance
+
+        def recording(panel, g_spec, m_spec, folds, **kw):
+            calls.append((panel, folds))
+            return crossfit_nuisance(panel, g_spec, m_spec, folds, **kw)
+
+        monkeypatch.setattr(pipeline, "crossfit_nuisance", recording)
+        bootstrap(self.pipe(bootstrap_mode="full"), small_null_panel(), B=4,
+                  seed=3, mode="full")
+        assert len(calls) == 4
+        for bpanel, folds in calls:
+            folds_of_origin = {}
+            for copy in bpanel.units:  # fresh ids are "b<k>.<original id>"
+                origin = copy.split(".", 1)[1]
+                folds_of_origin.setdefault(origin, []).append(folds.fold_of_unit[copy])
+            assert len(folds_of_origin) < bpanel.n_units  # some unit was drawn twice
+            assert all(len(set(f)) == 1 for f in folds_of_origin.values())
 
     def test_failure_share_aborts(self):
         # one never-treated unit among 8: ~1/3 of resamples miss all controls

@@ -190,8 +190,8 @@ class TestContracts:
         X = rng.standard_normal((60, 4))
         y = ((X[:, 0] > 0).astype(float) if spec.kind == "logistic"
              else X[:, 0] - X[:, 1] + 0.1 * rng.standard_normal(60))
-        m1 = fit(spec, X, y, seed=3)
-        m2 = fit(spec, X, y, seed=3)
+        m1 = fit(spec, X, y)
+        m2 = fit(spec, X, y)
         assert_array_equal(predict(m1, X), predict(m2, X))
         if spec.kind == "gbt":
             flat1 = [(t.feature, t.threshold) for t in m1.trees]
