@@ -1,13 +1,17 @@
 """Aggregation of group-time effects, cluster-bootstrap inference, and the
 robustness battery (pre-trend test, placebo intervention, overlap report).
 
-Aggregation weights are proportional to each cell's treated count, so they
-are non-negative by construction and sum to one within machine precision;
-both properties are verified on every call. Uncertainty comes from a
-unit-level (cluster) bootstrap: whole units are resampled with replacement
-and given fresh identities, and each replicate either reruns the entire
-pipeline (``full`` mode) or reuses the point-estimate nuisance predictions
-(``fixed_nuisance`` mode, faster but approximate).
+Aggregation works on (R, C) arrays of cell effects and treated counts, one
+row per estimate: R = 1 for the point estimate, R = B for the bootstrap.
+Weights are proportional to each cell's treated count, so they are
+non-negative by construction and sum to one within machine precision; both
+properties are verified for every row. Uncertainty comes from a unit-level
+(cluster) bootstrap: whole units are resampled with replacement. ``full``
+mode gives the drawn units fresh identities and reruns the entire pipeline
+on each replicate. ``fixed_nuisance`` mode (faster but approximate) reuses
+the point-estimate nuisance predictions; with the contrast estimator a
+replicate is a multiplicity-weight vector over the original units, so no
+fresh identities are created and all B replicates are one matrix product.
 
 This module does not import :mod:`sdidml.pipeline` at import time, so the
 pipeline can import it. ``bootstrap`` and ``placebo_test`` refit nuisances
@@ -34,7 +38,6 @@ from .crossfit import (
 )
 from .didcore import (
     GroupTimeEffects,
-    estimate_group_time,
     estimate_interacted_regression,
     group_time_cells,
 )
@@ -84,21 +87,75 @@ class AggregatedResults:
     group_atts: Mapping[int, SummaryPoint] = field(default_factory=dict)
 
 
-def _check_weights(weights: Sequence[float], context: str) -> None:
-    total = math.fsum(weights)
-    if any(w < 0 for w in weights):
-        raise EstimationError(f"negative aggregation weight in {context}")
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise EstimationError(
-            f"aggregation weights in {context} sum to {total!r}, not 1")
+def _cell_rows(cell_maps: Sequence[Optional[Mapping]]):
+    """Stack cell maps into (R, C) tau and treated-count arrays, one row each.
+
+    Columns are the sorted union of the maps' (g, t) keys; a cell missing
+    from a row has NaN tau and count 0 there. A None entry is a failed row.
+    Returns ``(keys, tau, counts, failed)``.
+    """
+    keys = sorted({key for cells in cell_maps if cells is not None for key in cells})
+    column = {key: j for j, key in enumerate(keys)}
+    tau = np.full((len(cell_maps), len(keys)), np.nan)
+    counts = np.zeros_like(tau)
+    for r, cells in enumerate(cell_maps):
+        for key, cell in (cells or {}).items():
+            tau[r, column[key]] = cell.tau
+            counts[r, column[key]] = cell.n_treated
+    return keys, tau, counts, np.array([c is None for c in cell_maps], dtype=bool)
 
 
-def _weighted_att(cells: Mapping, context: str) -> tuple[float, dict]:
-    total = sum(c.n_treated for c in cells.values())
-    weights = {key: c.n_treated / total for key, c in cells.items()}
-    _check_weights(list(weights.values()), context)
-    att = math.fsum(weights[key] * cells[key].tau for key in cells)
-    return att, weights
+def _weighted_att(tau: np.ndarray, counts: np.ndarray, labels: np.ndarray,
+                  context: str, failed: Optional[np.ndarray] = None):
+    """Treated-count-weighted means of (R, C) cell arrays per row and label.
+
+    ``labels`` maps each column to a summary (overall, event time or cohort;
+    ``context`` formats the label into messages). A cell takes part in a row
+    where its tau is not NaN; a (row, label) with no such cell gives NaN.
+    Each (row, label)'s weights must be non-negative and sum to 1 within
+    ``WEIGHT_SUM_TOL``: a failure raises :class:`EstimationError`, or marks
+    the row in the boolean (R,) array ``failed`` when one is given.
+    Returns ``{label: (R,) ATTs}`` and the (R, C) weights.
+    """
+    levels, code = np.unique(labels, return_inverse=True)
+    member = (code[:, None] == np.arange(levels.size)).astype(np.float64)
+    taking_part = ~np.isnan(tau)
+    counts = np.where(taking_part, counts, 0.0)
+    total = counts @ member
+    weights = counts / np.where(total > 0, total, 1.0)[:, code]
+    in_use = taking_part @ member > 0
+    bad = in_use & (((weights < 0) @ member > 0)
+                    | ~(np.abs(weights @ member - 1.0) <= WEIGHT_SUM_TOL))
+    if failed is not None:
+        failed |= bad.any(axis=1)
+    elif bad.any():
+        label = levels[np.argwhere(bad)[0][1]]
+        raise EstimationError(f"aggregation weights in {context.format(label)} "
+                              f"are negative or do not sum to 1")
+    att = np.where(in_use, (weights * np.where(taking_part, tau, 0.0)) @ member, np.nan)
+    return {int(v): att[:, j] for j, v in enumerate(levels)}, weights
+
+
+def _cell_labels(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Cohort and period of each (g, t) key, as int arrays."""
+    cells = np.array(keys, dtype=np.int64).reshape(-1, 2)
+    return cells[:, 0], cells[:, 1]
+
+
+def _summaries(keys, tau: np.ndarray, counts: np.ndarray, failed: np.ndarray):
+    """Overall, per-event-time and per-cohort ATT rows of (R, C) cell arrays.
+
+    Rows that fail a weight check are marked in ``failed``. The overall ATT
+    is NaN in a row without a post-treatment cell.
+    """
+    g, t = _cell_labels(keys)
+    post = t >= g
+    overall, _ = _weighted_att(tau[:, post], counts[:, post], np.zeros(post.sum()),
+                               "overall aggregation", failed)
+    event, _ = _weighted_att(tau, counts, t - g, "event-time {} aggregation", failed)
+    group, _ = _weighted_att(tau[:, post], counts[:, post], g[post],
+                             "cohort {} aggregation", failed)
+    return overall.get(0, np.full(len(tau), np.nan)), event, group
 
 
 def overall_att(effects: GroupTimeEffects) -> tuple[float, dict]:
@@ -106,25 +163,25 @@ def overall_att(effects: GroupTimeEffects) -> tuple[float, dict]:
     post = effects.post_cells()
     if not post:
         raise EmptyResultError("no post-treatment cell to aggregate")
-    return _weighted_att(post, "overall aggregation")
+    keys, tau, counts, _ = _cell_rows([post])
+    att, weights = _weighted_att(tau, counts, np.zeros(len(keys)), "overall aggregation")
+    return float(att[0][0]), dict(zip(keys, weights[0].tolist()))
 
 
 def event_curve_att(effects: GroupTimeEffects) -> dict[int, float]:
     """Per-event-time weighted means; negative e are placebo contrasts."""
-    by_e: dict[int, dict] = {}
-    for (g, t), cell in effects.cells.items():
-        by_e.setdefault(t - g, {})[(g, t)] = cell
-    return {e: _weighted_att(cells, f"event-time {e} aggregation")[0]
-            for e, cells in sorted(by_e.items())}
+    keys, tau, counts, _ = _cell_rows([effects.cells])
+    g, t = _cell_labels(keys)
+    event, _ = _weighted_att(tau, counts, t - g, "event-time {} aggregation")
+    return {e: float(v[0]) for e, v in event.items()}
 
 
 def group_att(effects: GroupTimeEffects) -> dict[int, float]:
     """Per-cohort weighted means over post-treatment periods."""
-    by_g: dict[int, dict] = {}
-    for (g, t), cell in effects.post_cells().items():
-        by_g.setdefault(g, {})[(g, t)] = cell
-    return {g: _weighted_att(cells, f"cohort {g} aggregation")[0]
-            for g, cells in sorted(by_g.items())}
+    keys, tau, counts, _ = _cell_rows([effects.post_cells()])
+    g, _ = _cell_labels(keys)
+    group, _ = _weighted_att(tau, counts, g, "cohort {} aggregation")
+    return {g: float(v[0]) for g, v in group.items()}
 
 
 def aggregate_schemes(effects: GroupTimeEffects, schemes: Sequence[str],
@@ -194,18 +251,17 @@ class BootstrapInference:
     seed: int
 
 
-def _replicate_summaries(effects: GroupTimeEffects):
-    att, _ = overall_att(effects)
-    return att, event_curve_att(effects), group_att(effects)
-
-
-def _summarize(values: list[float], ci_level: float) -> InferencePoint:
-    arr = np.asarray(values, dtype=np.float64)
-    se = float(arr.std(ddof=1)) if arr.size >= 2 else None
+def _summarize(values: np.ndarray, ci_level: float) -> InferencePoint:
+    se = float(values.std(ddof=1)) if values.size >= 2 else None
     alpha = 1.0 - ci_level
-    lo, hi = np.quantile(arr, [alpha / 2.0, 1.0 - alpha / 2.0])
+    lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
     return InferencePoint(se=se, ci_low=float(lo), ci_high=float(hi),
-                          n_reps=int(arr.size))
+                          n_reps=int(values.size))
+
+
+def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
+    """Codes of the units drawn with replacement by bootstrap replicate r."""
+    return np.random.default_rng(seed + r).integers(0, n_units, size=n_units)
 
 
 def bootstrap(config, panel: PanelDataset, B: int, seed: int,
@@ -214,13 +270,18 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
     """Unit-level bootstrap of the overall, event-time, and cohort summaries.
 
     Replicate r draws ``n_units`` units with replacement using seed
-    ``seed + r`` and gives resampled units fresh identities. ``full`` mode
+    ``seed + r``. ``full`` mode gives the drawn units fresh identities and
     reruns cross-fitting and estimation on each replicate, with folds
     assigned over the original units by seed ``seed + r`` so that every
-    copy of a unit lands in its unit's fold; ``fixed_nuisance`` reuses the
-    point-estimate nuisance predictions looked up by original unit.
-    Replicates whose resample admits no estimable cell are counted as
-    failures; more than 20% failures aborts.
+    copy of a unit lands in its unit's fold. ``fixed_nuisance`` reuses the
+    point-estimate residuals. With the contrast estimator it creates no
+    fresh identities: replicate r weights each original unit by the number
+    of times it was drawn, and one :func:`group_time_cells` call computes
+    every replicate's cells at once. The interacted estimator still
+    rebuilds each resampled panel. Replicates whose resample admits no
+    estimable post-treatment cell are counted as failures; more than 20%
+    failures aborts. ``threads`` only parallelizes replicates that rebuild
+    a panel.
     """
     from .pipeline import estimate_effects
 
@@ -234,65 +295,52 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
         if fits is None:
             fits = estimate_effects(panel, config).fits
         resid = residualize(panel, fits)
-        ymat, present = pivot_unit_time(panel, resid.y_tilde)
-        cohort_times = panel.cohort_times
 
-    def one_replicate(r: int):
-        rng = np.random.default_rng(seed + r)
-        idx = rng.integers(0, n_units, size=n_units)
-        try:
-            if mode == "fixed_nuisance" and config.estimator == "contrast":
-                cells, _ = group_time_cells(cohort_times[idx], ymat[idx],
-                                            present[idx], panel.periods,
-                                            config.control_rule,
-                                            config.anticipation)
-                if not cells:
-                    raise EmptyResultError("no estimable cell in replicate")
-                effects = GroupTimeEffects(cells=cells,
-                                           control_rule=config.control_rule,
-                                           anticipation=config.anticipation)
-            else:
-                fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
+    if mode == "fixed_nuisance" and config.estimator == "contrast":
+        ymat, present = pivot_unit_time(panel, resid.y_tilde)
+        weights = np.array([np.bincount(_resample(seed, r, n_units), minlength=n_units)
+                            for r in range(B)], dtype=np.float64)
+        keys, tau, counts, _, _ = group_time_cells(
+            panel.cohort_times, ymat, present, panel.periods,
+            config.control_rule, config.anticipation, weights)
+        failed = np.zeros(B, dtype=bool)
+    else:
+        def one_replicate(r: int):
+            idx = _resample(seed, r, n_units)
+            fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
+            try:
                 bpanel = subset_units(panel, idx, fresh)
                 if mode == "fixed_nuisance":
                     rows = unit_rows(panel, idx)
                     bresid = ResidualPanel(panel=bpanel,
                                            y_tilde=resid.y_tilde[rows],
                                            d_tilde=resid.d_tilde[rows])
-                    effects = estimate_interacted_regression(
-                        bresid, config.anticipation)
-                else:
-                    fold_of = assign_folds(panel, config.n_folds, seed + r).fold_of_unit
-                    folds = FoldAssignment(config.n_folds, {
-                        f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
-                    effects = estimate_effects(bpanel, config, folds).effects
-            return _replicate_summaries(effects)
-        except (DataError, EstimationError, LearnerError):
-            return None
+                    return estimate_interacted_regression(
+                        bresid, config.anticipation).cells
+                fold_of = assign_folds(panel, config.n_folds, seed + r).fold_of_unit
+                folds = FoldAssignment(config.n_folds, {
+                    f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
+                return estimate_effects(bpanel, config, folds).effects.cells
+            except (DataError, EstimationError, LearnerError):
+                return None
 
-    outcomes = parallel_map(one_replicate, list(range(B)), threads=threads)
-    overall_vals: list[float] = []
-    event_vals: dict[int, list[float]] = {}
-    group_vals: dict[int, list[float]] = {}
-    n_failed = 0
-    for out in outcomes:
-        if out is None:
-            n_failed += 1
-            continue
-        att, by_e, by_g = out
-        overall_vals.append(att)
-        for e, v in by_e.items():
-            event_vals.setdefault(e, []).append(v)
-        for g, v in by_g.items():
-            group_vals.setdefault(g, []).append(v)
+        keys, tau, counts, failed = _cell_rows(
+            parallel_map(one_replicate, list(range(B)), threads=threads))
 
+    overall, event, group = _summaries(keys, tau, counts, failed)
+    failed |= np.isnan(overall)
+    n_failed = int(failed.sum())
     if n_failed > 0.2 * B:
         raise BootstrapFailureError(
             f"{n_failed} of {B} bootstrap replicates failed to estimate")
-    overall = _summarize(overall_vals, config.ci_level)
-    event = {e: _summarize(v, config.ci_level) for e, v in sorted(event_vals.items())}
-    group = {g: _summarize(v, config.ci_level) for g, v in sorted(group_vals.items())}
-    return BootstrapInference(overall=overall, event=event, group=group,
+    ok = ~failed
+
+    def summarize(rows: dict) -> dict:
+        kept = {k: v[ok & ~np.isnan(v)] for k, v in rows.items()}
+        return {k: _summarize(v, config.ci_level) for k, v in kept.items() if v.size}
+
+    return BootstrapInference(overall=_summarize(overall[ok], config.ci_level),
+                              event=summarize(event), group=summarize(group),
                               n_reps=B, n_failed=n_failed, mode=mode,
                               ci_level=config.ci_level, seed=seed)
 

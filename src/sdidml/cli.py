@@ -96,7 +96,9 @@ class RunConfig:
     ``pipeline`` holds the estimation settings, the other fields I/O and
     run-level ones. The config JSON is an object; every key is optional:
     ``input_path``, ``output_dir`` (string or null); ``g_learner``,
-    ``m_learner`` (learner object, e.g. ``{"kind": "ridge", "lambda": 1.0}``);
+    ``m_learner`` (learner object, e.g. ``{"kind": "ridge", "lambda": 1.0}``,
+    whose ``n_trees``, ``max_depth``, ``min_leaf``, ``max_iter`` are integers
+    and ``lambda``, ``tol``, ``learning_rate`` numbers);
     ``K``, ``anticipation``, ``seed`` (integer); ``clip_eps``, ``ci_level``
     (number); ``control_rule``, ``estimator`` (string); ``aggregation``
     (list of strings); ``bootstrap`` (``{"B": integer, "mode": string}``);
@@ -394,7 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", help="output directory (overrides config)")
     run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument("--threads", type=int,
-                     help=f"max concurrency (default ${THREADS_ENV_VAR} or 1)")
+                     help=f"max concurrency (default ${THREADS_ENV_VAR} or 1); the "
+                          f"fixed-nuisance contrast bootstrap ignores it")
     run.add_argument("--allow-no-crossfit", action="store_true",
                      help="permit the K=1 diagnostic mode")
     run.set_defaults(func=cmd_run)

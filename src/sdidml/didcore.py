@@ -104,21 +104,36 @@ class GroupTimeEffects:
 
 def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
                      present: np.ndarray, periods, control_rule: str,
-                     anticipation: int):
-    """Array-level contrast computation shared with the bootstrap fast path.
+                     anticipation: int, weights: Optional[np.ndarray] = None):
+    """Contrast tau(g, t) of every cell under one or more unit weightings.
 
     ``cohort_times`` is per-unit adoption time (np.inf when never treated),
     ``ymat``/``present`` are (units x periods) residualized outcomes and the
-    observation mask.
+    observation mask. ``weights`` is an (R, units) matrix of non-negative
+    unit multiplicities, one weighting per row; the default is one row of
+    ones. A unit of weight k counts as k copies of itself, so row r of a
+    cluster bootstrap is ``np.bincount`` of replicate r's drawn unit codes,
+    and all rows come from one matrix product.
+
+    Returns ``(keys, tau, n_treated, n_control, omitted)``. ``keys`` lists
+    the (g, t) cells with a treated and a control unit observed at t and at
+    the base period; ``omitted`` records every other cell with its reason.
+    ``tau`` and the weighted counts are (R, len(keys)) arrays; a cell whose
+    weighted treated or control count is 0 in a row is absent from that row,
+    and its tau there is NaN.
     """
     if control_rule not in CONTROL_RULES:
         raise ValueError(f"control_rule must be one of {CONTROL_RULES}")
     if anticipation < 0:
         raise ValueError("anticipation must be >= 0")
+    n_units = len(cohort_times)
+    if weights is None:
+        weights = np.ones((1, n_units))
     period_code = {t: i for i, t in enumerate(periods)}
     never = np.isinf(cohort_times)
-    cells: dict[tuple[int, int], CellEffect] = {}
+    keys: list[tuple[int, int]] = []
     omitted: list[OmittedCell] = []
+    columns: list[np.ndarray] = []  # per cell: treated, treated diffs, controls, control diffs
     for g in sorted({int(v) for v in cohort_times[~never]}):
         b = g - 1 - anticipation
         bi = period_code.get(b)
@@ -132,8 +147,7 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
             ti = period_code[t]
             both = present[:, ti] & present[:, bi]
             treated = in_cohort & both
-            n_treated = int(treated.sum())
-            if n_treated < 1:
+            if not treated.any():
                 omitted.append(OmittedCell(g, t, "no treated unit observed at t and base"))
                 continue
             if control_rule == "never_treated":
@@ -141,14 +155,18 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
             else:
                 pool = cohort_times > max(t, g) + anticipation
             controls = pool & both
-            n_control = int(controls.sum())
-            if n_control < 1:
+            if not controls.any():
                 omitted.append(OmittedCell(g, t, "no control pool"))
                 continue
-            tau = float((ymat[treated, ti] - ymat[treated, bi]).mean()
-                        - (ymat[controls, ti] - ymat[controls, bi]).mean())
-            cells[(g, t)] = CellEffect(tau, n_treated, n_control)
-    return cells, tuple(omitted)
+            diff = ymat[:, ti] - ymat[:, bi]
+            keys.append((g, t))
+            columns += [treated, np.where(treated, diff, 0.0),
+                        controls, np.where(controls, diff, 0.0)]
+    sums = weights @ (np.column_stack(columns) if columns else np.zeros((n_units, 0)))
+    n_treated, y_treated, n_control, y_control = (sums[:, k::4] for k in range(4))
+    with np.errstate(invalid="ignore"):  # 0/0: the cell is absent from that row
+        tau = y_treated / n_treated - y_control / n_control
+    return keys, tau, n_treated, n_control, tuple(omitted)
 
 
 def estimate_group_time(resid: ResidualPanel, control_rule: str = "never_treated",
@@ -156,10 +174,12 @@ def estimate_group_time(resid: ResidualPanel, control_rule: str = "never_treated
     """Contrast-form ATT(g, t) on residualized outcomes (the default estimator)."""
     panel = resid.panel
     ymat, present = pivot_unit_time(panel, resid.y_tilde)
-    cells, omitted = group_time_cells(panel.cohort_times, ymat, present,
-                                      panel.periods, control_rule, anticipation)
-    if not cells:
+    keys, tau, n_treated, n_control, omitted = group_time_cells(
+        panel.cohort_times, ymat, present, panel.periods, control_rule, anticipation)
+    if not keys:
         raise EmptyResultError("no (g, t) cell was estimable")
+    cells = {key: CellEffect(float(tau[0, j]), int(n_treated[0, j]), int(n_control[0, j]))
+             for j, key in enumerate(keys)}
     return GroupTimeEffects(cells=cells, control_rule=control_rule,
                             anticipation=anticipation, omitted=omitted)
 

@@ -33,6 +33,9 @@ _KIND_ALIASES = {
     "gradient_boosted_trees": "gbt",
     "logistic": "logistic",
 }
+# JSON learner parameter -> field type; a bool is neither, and 2.0 is no int.
+_PARAM_TYPES = {"lambda": float, "tol": float, "learning_rate": float,
+                "max_iter": int, "n_trees": int, "max_depth": int, "min_leaf": int}
 
 
 @dataclass(frozen=True)
@@ -104,6 +107,16 @@ class LearnerSpec:
             raise ConfigError(f"learner spec must be an object with a 'kind': {d!r}")
         kw = dict(d)
         kind = kw.pop("kind")
+        for key, value in kw.items():
+            expected = _PARAM_TYPES.get(key)
+            if expected is None:
+                continue  # an unknown parameter fails in the constructor below
+            allowed = (int, float) if expected is float else int
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(
+                    f"learner parameter {key!r} must be "
+                    f"{'a number' if expected is float else 'an integer'}, got {value!r}")
+            kw[key] = expected(value)
         if "lambda" in kw:
             kw["lam"] = kw.pop("lambda")
         try:

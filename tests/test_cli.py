@@ -32,9 +32,14 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"aggregation": "overall"},
     {"threads": True},
     {"bootstrap.B": 5},
+    {"g_learner": {"kind": "gbt", "n_trees": 2.5}},
+    {"g_learner": {"kind": "ridge", "lambda": True}},
+    {"g_learner": {"kind": "gbt", "max_depth": 2.0}},
+    {"m_learner": {"kind": "logistic", "tol": True}},
 ], ids=["K_string", "B_string", "seed_string", "seed_float", "anticipation_null",
         "allow_no_crossfit_string", "aggregation_string", "threads_bool",
-        "dotted_key"])
+        "dotted_key", "learner_n_trees_float", "learner_lambda_bool",
+        "learner_max_depth_float", "learner_tol_bool"])
 def test_malformed_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
