@@ -28,7 +28,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.stats import chi2
 
-from ._util import parallel_map
 from .crossfit import (
     FoldAssignment,
     NuisanceFits,
@@ -265,8 +264,7 @@ def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
 
 
 def bootstrap(config, panel: PanelDataset, B: int, seed: int,
-              mode: str = "full", fits: Optional[NuisanceFits] = None,
-              threads: int = 1) -> BootstrapInference:
+              mode: str = "full", fits: Optional[NuisanceFits] = None) -> BootstrapInference:
     """Unit-level bootstrap of the overall, event-time, and cohort summaries.
 
     Replicate r draws ``n_units`` units with replacement using seed
@@ -278,10 +276,9 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
     fresh identities: replicate r weights each original unit by the number
     of times it was drawn, and one :func:`group_time_cells` call computes
     every replicate's cells at once. The interacted estimator still
-    rebuilds each resampled panel. Replicates whose resample admits no
-    estimable post-treatment cell are counted as failures; more than 20%
-    failures aborts. ``threads`` only parallelizes replicates that rebuild
-    a panel.
+    rebuilds each resampled panel, one replicate after another. Replicates
+    whose resample admits no estimable post-treatment cell are counted as
+    failures; more than 20% failures aborts.
     """
     from .pipeline import estimate_effects
 
@@ -324,8 +321,7 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
             except (DataError, EstimationError, LearnerError):
                 return None
 
-        keys, tau, counts, failed = _cell_rows(
-            parallel_map(one_replicate, list(range(B)), threads=threads))
+        keys, tau, counts, failed = _cell_rows([one_replicate(r) for r in range(B)])
 
     overall, event, group = _summaries(keys, tau, counts, failed)
     failed |= np.isnan(overall)
@@ -424,8 +420,7 @@ class PlaceboReport:
     ci_level: float
 
 
-def placebo_test(panel: PanelDataset, config, shift: int,
-                 threads: int = 1) -> PlaceboReport:
+def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
     """Rerun the full pipeline on pre-treatment data with adoption moved back.
 
     Only observations strictly before each cohort's true adoption survive;
@@ -460,7 +455,7 @@ def placebo_test(panel: PanelDataset, config, shift: int,
     if config.bootstrap_reps >= 1:
         inference = bootstrap(config, pseudo_panel, config.bootstrap_reps,
                               config.seed, config.bootstrap_mode,
-                              fits=artifacts.fits, threads=threads)
+                              fits=artifacts.fits)
         ci_low, ci_high = inference.overall.ci_low, inference.overall.ci_high
     return PlaceboReport(shift=shift, pseudo_att=att, ci_low=ci_low,
                          ci_high=ci_high, ci_level=config.ci_level)

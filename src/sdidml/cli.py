@@ -25,7 +25,6 @@ import numpy as np
 import scipy
 
 from . import __version__
-from ._util import THREADS_ENV_VAR, resolve_threads
 from .aggregate import DiagnosticsReport, write_event_curve_csv
 from .errors import (
     ConfigError,
@@ -63,7 +62,6 @@ _CONFIG_KEYS = {
     "ci_level": ("pipeline.ci_level", float, False),
     "seed": ("pipeline.seed", int, False),
     "placebo_shift": ("placebo_shift", int, True),
-    "threads": ("threads", int, True),
     "allow_no_crossfit": ("allow_no_crossfit", bool, False),
 }
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
@@ -102,8 +100,8 @@ class RunConfig:
     ``K``, ``anticipation``, ``seed`` (integer); ``clip_eps``, ``ci_level``
     (number); ``control_rule``, ``estimator`` (string); ``aggregation``
     (list of strings); ``bootstrap`` (``{"B": integer, "mode": string}``);
-    ``placebo_shift``, ``threads`` (integer or null); ``allow_no_crossfit``
-    (true or false). A value of another JSON type raises
+    ``placebo_shift`` (integer or null); ``allow_no_crossfit`` (true or
+    false). Any other key, or a value of another JSON type, raises
     :class:`ConfigError`: true/false is not an integer, nor is 2.0.
     """
 
@@ -111,7 +109,6 @@ class RunConfig:
     input_path: Optional[str] = None
     output_dir: Optional[str] = None
     placebo_shift: Optional[int] = None
-    threads: Optional[int] = None
     allow_no_crossfit: bool = False
 
     @classmethod
@@ -182,6 +179,16 @@ def _versions() -> dict:
             "scipy": scipy.__version__, "rng": "pcg64"}
 
 
+def _output_dir(path) -> Path:
+    """Make the output directory before any work, so a bad path fails fast."""
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir}: {exc}") from None
+    return outdir
+
+
 def _resolve_scenario_or_config(token: str) -> DGPConfig:
     if token.endswith(".json"):
         try:
@@ -200,8 +207,7 @@ def _resolve_scenario_or_config(token: str) -> DGPConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     overrides = {name: value for name, value in (
-        ("input_path", args.input), ("output_dir", args.output),
-        ("threads", args.threads)) if value is not None}
+        ("input_path", args.input), ("output_dir", args.output)) if value is not None}
     if args.seed is not None:
         overrides["pipeline"] = replace(cfg.pipeline, seed=args.seed)
     if args.allow_no_crossfit:
@@ -218,14 +224,10 @@ def cmd_run(args: argparse.Namespace) -> int:
             "K=1 trains and predicts on the same sample, which defeats "
             "cross-fitting and is meant for diagnostics only; pass "
             "--allow-no-crossfit to run it anyway")
-    threads = resolve_threads(cfg.threads)
+    outdir = _output_dir(cfg.output_dir)
 
     panel = read_panel_csv(cfg.input_path)
-    result = run_pipeline(panel, cfg.pipeline, placebo_shift=cfg.placebo_shift,
-                          threads=threads)
-
-    outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    result = run_pipeline(panel, cfg.pipeline, placebo_shift=cfg.placebo_shift)
     res = result.results
     diagnostics = DiagnosticsReport(pretrend=result.pretrend,
                                     placebo=result.placebo,
@@ -272,9 +274,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_scenario_or_config(args.scenario)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    outdir = _output_dir(args.out)
     oracle = generate(cfg)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     write_panel_csv(oracle.panel, outdir / "panel.csv")
     payload = {
         "generator": oracle.generator,
@@ -300,16 +301,13 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ConfigError("--reps must be >= 1")
     dgp = _resolve_scenario_or_config(args.scenario)
-    threads = resolve_threads(args.threads)
+    outdir = _output_dir(args.out)
     pipe = PipelineConfig(bootstrap_reps=args.bootstrap_reps,
                           bootstrap_mode=args.bootstrap_mode, seed=args.seed)
     results = {
-        method: monte_carlo(dgp, pipe, args.reps, args.seed, method=method,
-                            threads=threads)
+        method: monte_carlo(dgp, pipe, args.reps, args.seed, method=method)
         for method in ("sdidml", "twfe")
     }
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     payload = {
         "scenario": args.scenario,
         "reps": args.reps,
@@ -395,9 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", help="panel CSV path (overrides config)")
     run.add_argument("--output", help="output directory (overrides config)")
     run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument("--threads", type=int,
-                     help=f"max concurrency (default ${THREADS_ENV_VAR} or 1); the "
-                          f"fixed-nuisance contrast bootstrap ignores it")
     run.add_argument("--allow-no-crossfit", action="store_true",
                      help="permit the K=1 diagnostic mode")
     run.set_defaults(func=cmd_run)
@@ -419,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--bootstrap-reps", type=int, default=199)
     bench.add_argument("--bootstrap-mode", default="fixed_nuisance",
                        choices=("full", "fixed_nuisance"))
-    bench.add_argument("--threads", type=int)
     bench.set_defaults(func=cmd_benchmark)
 
     diag = sub.add_parser("diagnose", help="summarize a prior run's diagnostics")

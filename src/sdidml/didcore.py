@@ -233,9 +233,8 @@ class FixedEffectsSolution:
     dof: int
 
 
-def estimate_interacted_regression(resid: ResidualPanel, anticipation: int = 0,
-                                   tol: float = DEMEAN_TOL,
-                                   max_sweeps: int = DEMEAN_MAX_SWEEPS) -> GroupTimeEffects:
+def estimate_interacted_regression(resid: ResidualPanel,
+                                   anticipation: int = 0) -> GroupTimeEffects:
     """Regression-form tau(g, t): residual outcome on cell-wise treatment residuals.
 
     The design interacts d_tilde with (cohort, period) cell indicators for
@@ -280,8 +279,7 @@ def estimate_interacted_regression(resid: ResidualPanel, anticipation: int = 0,
 
     stacked = np.column_stack([resid.y_tilde, Z])
     demeaned, _, _ = demean_two_way(
-        stacked, cohort_codes, len(unique_g), panel.time_codes,
-        panel.n_periods, tol=tol, max_sweeps=max_sweeps)
+        stacked, cohort_codes, len(unique_g), panel.time_codes, panel.n_periods)
     yd = demeaned[:, 0]
     Zd = demeaned[:, 1:]
 
@@ -329,8 +327,7 @@ class TwfeResult:
     solution: FixedEffectsSolution
 
 
-def twfe_baseline(panel: PanelDataset, tol: float = DEMEAN_TOL,
-                  max_sweeps: int = DEMEAN_MAX_SWEEPS) -> TwfeResult:
+def twfe_baseline(panel: PanelDataset) -> TwfeResult:
     """Static two-way fixed-effects OLS of raw Y on raw D (diagnostic only).
 
     Standard error is cluster-robust at the unit level with the usual
@@ -340,8 +337,7 @@ def twfe_baseline(panel: PanelDataset, tol: float = DEMEAN_TOL,
     """
     stacked = np.column_stack([panel.outcomes, panel.treatments])
     demeaned, sweeps, final_adj = demean_two_way(
-        stacked, panel.unit_codes, panel.n_units, panel.time_codes,
-        panel.n_periods, tol=tol, max_sweeps=max_sweeps)
+        stacked, panel.unit_codes, panel.n_units, panel.time_codes, panel.n_periods)
     yd = demeaned[:, 0]
     dd = demeaned[:, 1]
     ssd = float(dd @ dd)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Three broad families mirror the CLI exit codes: configuration problems,
-data/panel problems, and estimation problems.
+data/panel problems, and estimation problems. ``json_number`` checks the
+type of a numeric learner or DGP parameter read from JSON.
 """
 
 
@@ -17,6 +18,19 @@ class ConfigError(SdidmlError):
 
 class InvalidConfigError(ConfigError):
     """A simulation DGP configuration violates its invariants."""
+
+
+def json_number(value, kind: type, what: str, error: type = ConfigError):
+    """A JSON config value as ``kind`` (int or float), or ``error`` naming ``what``.
+
+    An int field takes a JSON integer and a float field any JSON number; a
+    bool is neither, and 2.0 is not an integer.
+    """
+    allowed = (int, float) if kind is float else int
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise error(f"{what} must be {'a number' if kind is float else 'an integer'}, "
+                    f"got {value!r}")
+    return kind(value)
 
 
 # --- data / panel -----------------------------------------------------------

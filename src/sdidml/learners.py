@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteInputError,
     SingularSystemError,
+    json_number,
 )
 
 KINDS = ("mean", "ridge", "lasso", "gbt", "logistic")
@@ -33,7 +34,7 @@ _KIND_ALIASES = {
     "gradient_boosted_trees": "gbt",
     "logistic": "logistic",
 }
-# JSON learner parameter -> field type; a bool is neither, and 2.0 is no int.
+# JSON learner parameter -> field type, checked by errors.json_number.
 _PARAM_TYPES = {"lambda": float, "tol": float, "learning_rate": float,
                 "max_iter": int, "n_trees": int, "max_depth": int, "min_leaf": int}
 
@@ -108,15 +109,9 @@ class LearnerSpec:
         kw = dict(d)
         kind = kw.pop("kind")
         for key, value in kw.items():
-            expected = _PARAM_TYPES.get(key)
-            if expected is None:
-                continue  # an unknown parameter fails in the constructor below
-            allowed = (int, float) if expected is float else int
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                raise ConfigError(
-                    f"learner parameter {key!r} must be "
-                    f"{'a number' if expected is float else 'an integer'}, got {value!r}")
-            kw[key] = expected(value)
+            if key in _PARAM_TYPES:  # an unknown parameter fails in the constructor
+                kw[key] = json_number(value, _PARAM_TYPES[key],
+                                      f"learner parameter {key!r}")
         if "lambda" in kw:
             kw["lam"] = kw.pop("lambda")
         try:

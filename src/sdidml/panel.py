@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DataError,
     DuplicateIndexError,
     EmptyControlPoolError,
     FieldTypeError,
@@ -410,7 +411,11 @@ def subset_units(panel: PanelDataset, codes,
 
 def read_panel_csv(path) -> PanelDataset:
     """Read the canonical CSV layout: unit,time,outcome,treatment,<covariates...>."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open panel CSV {path}: {exc}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -137,8 +137,7 @@ class PipelineResult:
 
 
 def run_pipeline(panel: PanelDataset, config: PipelineConfig,
-                 placebo_shift: Optional[int] = None,
-                 threads: int = 1) -> PipelineResult:
+                 placebo_shift: Optional[int] = None) -> PipelineResult:
     """Execute stages 1-5 on a validated panel and collect diagnostics.
 
     The pre-trend report needs bootstrap standard errors, so it is skipped
@@ -153,7 +152,7 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     if config.bootstrap_reps >= 1:
         inference = bootstrap(config, panel, config.bootstrap_reps,
                               config.seed, config.bootstrap_mode,
-                              fits=artifacts.fits, threads=threads)
+                              fits=artifacts.fits)
         results = merge_inference(results, inference)
         if inference.overall.se is not None:
             try:
@@ -163,7 +162,7 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     overlap = overlap_report(artifacts.fits)
     placebo = None
     if placebo_shift is not None:
-        placebo = placebo_test(panel, config, placebo_shift, threads=threads)
+        placebo = placebo_test(panel, config, placebo_shift)
     return PipelineResult(config=config, artifacts=artifacts, results=results,
                           inference=inference, overlap=overlap,
                           pretrend=pretrend, placebo=placebo)

@@ -25,11 +25,10 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.stats import norm
 
-from ._util import parallel_map
 from .aggregate import bootstrap, overall_att
 from .crossfit import ResidualPanel
 from .didcore import estimate_group_time, twfe_baseline
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, json_number
 from .panel import PanelDataset
 from .pipeline import PipelineConfig, estimate_effects
 
@@ -45,6 +44,18 @@ SCENARIO_NAMES = (
 
 EFFECT_KINDS = ("null", "homogeneous", "dynamic", "subgroup")
 CONFOUNDING_KINDS = ("none", "linear", "sparse_nonlinear")
+
+# JSON key -> field type, checked by errors.json_number.
+_EFFECT_TYPES = {"tau": float, "tau_a": float, "tau_b": float}
+_DGP_TYPES = {"n_units": int, "n_periods": int, "n_covariates": int, "seed": int,
+              "n_time_varying": int, "never_share": float, "selection_strength": float,
+              "noise_sd": float, "trend_violation": float, "ar1_rho": float}
+
+
+def _json_fields(kw: dict, types: Mapping, what: str) -> dict:
+    """``kw`` with every typed key checked and converted to its field type."""
+    return {key: json_number(value, types[key], f"{what} {key!r}", InvalidConfigError)
+            if key in types else value for key, value in kw.items()}
 
 
 @dataclass(frozen=True)
@@ -106,10 +117,16 @@ class EffectSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "EffectSpec":
-        kw = dict(d)
+        kw = _json_fields(d, _EFFECT_TYPES, "effect parameter")
         kind = kw.pop("kind", None)
         if kind is None:
             raise InvalidConfigError("effect spec needs a 'kind'")
+        values = kw.get("by_event_time", ())
+        if not isinstance(values, (list, tuple)):
+            raise InvalidConfigError("effect by_event_time must be a list of numbers")
+        kw["by_event_time"] = tuple(
+            json_number(v, float, "effect by_event_time value", InvalidConfigError)
+            for v in values)
         try:
             return cls(kind, **kw)
         except TypeError as exc:
@@ -182,21 +199,26 @@ class DGPConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "DGPConfig":
-        kw = dict(d)
+        kw = _json_fields(d, _DGP_TYPES, "DGP parameter")
         shares = kw.pop("cohort_shares", None)
         if shares is None:
             raise InvalidConfigError("config needs cohort_shares")
-        if isinstance(shares, Mapping):
-            pairs = tuple((int(g), float(s)) for g, s in shares.items())
-        else:
-            pairs = tuple((int(g), float(s)) for g, s in shares)
-        effect = kw.pop("effect", None)
-        if effect is None:
-            raise InvalidConfigError("config needs an effect spec")
-        if isinstance(effect, Mapping):
-            effect = EffectSpec.from_dict(effect)
+        if isinstance(shares, Mapping):  # JSON object keys are strings
+            shares = [(int(g) if isinstance(g, str) and g.isdigit() else g, s)
+                      for g, s in shares.items()]
         try:
-            return cls(cohort_shares=pairs, effect=effect, **kw)
+            pairs = tuple(
+                (json_number(g, int, "cohort time", InvalidConfigError),
+                 json_number(s, float, "cohort share", InvalidConfigError))
+                for g, s in shares)
+        except (TypeError, ValueError):
+            raise InvalidConfigError(
+                "cohort_shares must be a list of [cohort time, share] pairs") from None
+        effect = kw.pop("effect", None)
+        if not isinstance(effect, Mapping):
+            raise InvalidConfigError("config needs an effect object")
+        try:
+            return cls(cohort_shares=pairs, effect=EffectSpec.from_dict(effect), **kw)
         except TypeError as exc:
             raise InvalidConfigError(f"bad DGP parameters: {exc}") from None
 
@@ -417,8 +439,7 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
 
 
 def monte_carlo(config: DGPConfig, pipeline: PipelineConfig, reps: int,
-                seed: int, method: str = "sdidml",
-                threads: int = 1) -> MonteCarloResult:
+                seed: int, method: str = "sdidml") -> MonteCarloResult:
     """Repeat generate-and-estimate with derived seeds and score the method.
 
     Replicate r generates from ``config`` reseeded to ``seed + r`` and runs
@@ -444,7 +465,7 @@ def monte_carlo(config: DGPConfig, pipeline: PipelineConfig, reps: int,
                                 truth=oracle.true_overall_att,
                                 ci_low=ci_low, ci_high=ci_high, covered=covered)
 
-    records = parallel_map(one_rep, list(range(reps)), threads=threads)
+    records = [one_rep(r) for r in range(reps)]
     errors = np.array([rec.estimate - rec.truth for rec in records])
     bias = float(errors.mean())
     rmse = float(np.sqrt((errors ** 2).mean()))

@@ -116,14 +116,6 @@ class TestBootstrap:
         for e in a.event:
             assert a.event[e].ci_low == b.event[e].ci_low
 
-    def test_threads_do_not_change_results(self):
-        panel = small_null_panel()
-        a = bootstrap(self.pipe(), panel, B=29, seed=4, mode="fixed_nuisance",
-                      threads=1)
-        b = bootstrap(self.pipe(), panel, B=29, seed=4, mode="fixed_nuisance",
-                      threads=4)
-        assert a.overall == b.overall
-
     def test_zero_noise_dgp_has_zero_se(self):
         cfg = replace(scenario("S1"), n_units=60, noise_sd=0.0,
                       effect=EffectSpec.homogeneous(1.5), seed=31)

@@ -8,6 +8,11 @@ from sdidml.panel import read_panel_csv, write_panel_csv
 from sdidml.simulate import generate, scenario
 
 
+def last_error(capsys) -> dict:
+    """The JSON error line a failing command printed last on stderr."""
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
 def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert cli.main(["simulate", "S1", "--seed", "3", "--out", str(sim)]) == 0
@@ -31,6 +36,7 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"allow_no_crossfit": "false", "K": 1},
     {"aggregation": "overall"},
     {"threads": True},
+    {"threads": 2},
     {"bootstrap.B": 5},
     {"g_learner": {"kind": "gbt", "n_trees": 2.5}},
     {"g_learner": {"kind": "ridge", "lambda": True}},
@@ -38,7 +44,7 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"m_learner": {"kind": "logistic", "tol": True}},
 ], ids=["K_string", "B_string", "seed_string", "seed_float", "anticipation_null",
         "allow_no_crossfit_string", "aggregation_string", "threads_bool",
-        "dotted_key", "learner_n_trees_float", "learner_lambda_bool",
+        "threads_int", "dotted_key", "learner_n_trees_float", "learner_lambda_bool",
         "learner_max_depth_float", "learner_tol_bool"])
 def test_malformed_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -46,9 +52,56 @@ def test_malformed_config_exits_2(tmp_path, capsys, config):
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(path), "--input", str(tmp_path / "x.csv"),
                      "--output", str(out)]) == 2
-    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+    error = last_error(capsys)
     assert (error["code"], error["type"]) == (2, "ConfigError")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [
+    {"n_units": 20.5},
+    {"seed": 1.5},
+    {"seed": True},
+    {"n_time_varying": True},
+    {"effect": {"kind": "homogeneous", "tau": "1"}},
+    {"cohort_shares": [[4.5, 0.5]]},
+], ids=["n_units_float", "seed_float", "seed_bool", "n_time_varying_bool",
+        "tau_string", "cohort_time_float"])
+def test_malformed_dgp_config_exits_2(tmp_path, capsys, change):
+    path = tmp_path / "dgp.json"
+    path.write_text(json.dumps(dict(scenario("S1").to_dict(), **change)))
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", str(path), "--out", str(out)]) == 2
+    error = last_error(capsys)
+    assert (error["code"], error["type"]) == (2, "InvalidConfigError")
+    assert not out.exists()
+
+
+def test_unreadable_input_csv_exits_3(tmp_path, capsys):
+    assert cli.main(["run", "--input", str(tmp_path / "missing.csv"),
+                     "--output", str(tmp_path / "run")]) == 3
+    error = last_error(capsys)
+    assert (error["code"], error["type"]) == (3, "DataError")
+
+
+@pytest.mark.parametrize("command, work", [
+    ("run", "run_pipeline"), ("simulate", "generate"), ("benchmark", "monte_carlo")])
+def test_output_path_taken_by_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                             command, work):
+    panel = tmp_path / "panel.csv"
+    write_panel_csv(generate(replace(scenario("S1"), n_units=40, seed=5)).panel, panel)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output directory was made")
+
+    monkeypatch.setattr(cli, work, no_work)
+    argv = {"run": ["run", "--input", str(panel), "--output"],
+            "simulate": ["simulate", "S1", "--out"],
+            "benchmark": ["benchmark", "S1", "--reps", "1", "--out"]}[command]
+    assert cli.main(argv + [str(taken)]) == 2
+    error = last_error(capsys)
+    assert (error["code"], error["type"]) == (2, "ConfigError")
 
 
 def test_run_config_round_trips_every_key():
@@ -58,7 +111,7 @@ def test_run_config_round_trips_every_key():
          "K": 4, "clip_eps": 0.02, "control_rule": "not_yet_treated", "anticipation": 1,
          "estimator": "interacted_regression", "aggregation": ["overall", "by_group"],
          "bootstrap": {"B": 7, "mode": "fixed_nuisance"}, "ci_level": 0.9, "seed": 11,
-         "placebo_shift": 2, "threads": 3, "allow_no_crossfit": True}
+         "placebo_shift": 2, "allow_no_crossfit": True}
     cfg = cli.RunConfig.from_dict(d)
     assert cfg.to_dict() == d
     assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg
