@@ -37,7 +37,6 @@ from .didcore import (
     SubgroupEffects,
     TwfeResult,
     estimate_group_time,
-    estimate_interacted_regression,
     residual_slope,
     subgroup_effects,
     twfe_baseline,

@@ -7,15 +7,16 @@ Weights are proportional to each cell's treated count, so they are
 non-negative by construction and sum to one within machine precision; both
 properties are verified for every row. Uncertainty comes from a unit-level
 (cluster) bootstrap: whole units are resampled with replacement. ``full``
-mode gives the drawn units fresh identities and reruns the entire pipeline
-on each replicate. ``fixed_nuisance`` mode (faster but approximate) reuses
-the point-estimate nuisance predictions; with the contrast estimator a
-replicate is a multiplicity-weight vector over the original units, so no
-fresh identities are created and all B replicates are one matrix product.
+mode gives the drawn units fresh identities and cross-fits the outcome
+model g again on each replicate. ``fixed_nuisance`` mode (faster but
+approximate) reuses the point-estimate residuals; a replicate is a
+multiplicity-weight vector over the original units, so no fresh identities
+are created and all B replicates are one matrix product.
 
-This module does not import :mod:`sdidml.pipeline` at import time, so the
-pipeline can import it. ``bootstrap`` and ``placebo_test`` refit nuisances
-through ``pipeline.estimate_effects``, imported inside those two functions.
+Every refit here (a full-mode replicate, the placebo test, and the
+fixed-nuisance bootstrap without point residuals) cross-fits g alone: the
+contrast estimator reads only y_tilde = Y - g_hat, so the treatment model
+m is fit once, for the point estimate, in :mod:`sdidml.pipeline`.
 """
 
 from __future__ import annotations
@@ -33,13 +34,9 @@ from .crossfit import (
     NuisanceFits,
     ResidualPanel,
     assign_folds,
-    residualize,
+    crossfit_predictions,
 )
-from .didcore import (
-    GroupTimeEffects,
-    estimate_interacted_regression,
-    group_time_cells,
-)
+from .didcore import GroupTimeEffects, estimate_group_time, group_time_cells
 from .errors import (
     BootstrapFailureError,
     ConfigError,
@@ -50,7 +47,7 @@ from .errors import (
     LearnerError,
     NoPreCellsError,
 )
-from .panel import PanelDataset, pivot_unit_time, subset_units, unit_rows
+from .panel import PanelDataset, pivot_unit_time, subset_units
 
 SCHEMES = ("overall", "event_time", "by_group")
 
@@ -263,25 +260,31 @@ def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
     return np.random.default_rng(seed + r).integers(0, n_units, size=n_units)
 
 
-def bootstrap(config, panel: PanelDataset, B: int, seed: int,
-              mode: str = "full", fits: Optional[NuisanceFits] = None) -> BootstrapInference:
+def _outcome_residuals(panel: PanelDataset, config, folds: FoldAssignment) -> ResidualPanel:
+    """y_tilde from an outcome-only cross-fit; the treatment model is not fit."""
+    g_hat = crossfit_predictions(panel, config.g_learner, panel.outcomes, folds)
+    return ResidualPanel(panel=panel, y_tilde=panel.outcomes - g_hat)
+
+
+def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full",
+              y_tilde: Optional[np.ndarray] = None) -> BootstrapInference:
     """Unit-level bootstrap of the overall, event-time, and cohort summaries.
 
     Replicate r draws ``n_units`` units with replacement using seed
-    ``seed + r``. ``full`` mode gives the drawn units fresh identities and
-    reruns cross-fitting and estimation on each replicate, with folds
-    assigned over the original units by seed ``seed + r`` so that every
-    copy of a unit lands in its unit's fold. ``fixed_nuisance`` reuses the
-    point-estimate residuals. With the contrast estimator it creates no
-    fresh identities: replicate r weights each original unit by the number
-    of times it was drawn, and one :func:`group_time_cells` call computes
-    every replicate's cells at once. The interacted estimator still
-    rebuilds each resampled panel, one replicate after another. Replicates
-    whose resample admits no estimable post-treatment cell are counted as
-    failures; more than 20% failures aborts.
+    ``seed + r`` and estimates contrast cells on its draw. ``full`` mode
+    gives the drawn units fresh identities and cross-fits the outcome model
+    g on each replicate, with folds assigned over the original units by
+    seed ``seed + r`` so that every copy of a unit lands in its unit's fold.
+    ``fixed_nuisance`` reuses ``y_tilde``, the point estimate's residualized
+    outcomes in ``panel``'s observation order; when None, they come from an
+    outcome-only cross-fit on ``assign_folds(panel, K, config.seed)``. It
+    creates no fresh identities: replicate r weights each original unit by
+    the number of times it was drawn, and one :func:`group_time_cells` call
+    computes every replicate's cells at once. Neither mode fits the
+    treatment model. Replicates whose resample admits no estimable
+    post-treatment cell are counted as failures; more than 20% failures
+    aborts.
     """
-    from .pipeline import estimate_effects
-
     if B < 1:
         raise ConfigError("bootstrap B must be >= 1")
     if mode not in ("full", "fixed_nuisance"):
@@ -289,12 +292,10 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
     n_units = panel.n_units
 
     if mode == "fixed_nuisance":
-        if fits is None:
-            fits = estimate_effects(panel, config).fits
-        resid = residualize(panel, fits)
-
-    if mode == "fixed_nuisance" and config.estimator == "contrast":
-        ymat, present = pivot_unit_time(panel, resid.y_tilde)
+        if y_tilde is None:
+            folds = assign_folds(panel, config.n_folds, config.seed)
+            y_tilde = _outcome_residuals(panel, config, folds).y_tilde
+        ymat, present = pivot_unit_time(panel, y_tilde)
         weights = np.array([np.bincount(_resample(seed, r, n_units), minlength=n_units)
                             for r in range(B)], dtype=np.float64)
         keys, tau, counts, _, _ = group_time_cells(
@@ -307,17 +308,11 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int,
             fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
             try:
                 bpanel = subset_units(panel, idx, fresh)
-                if mode == "fixed_nuisance":
-                    rows = unit_rows(panel, idx)
-                    bresid = ResidualPanel(panel=bpanel,
-                                           y_tilde=resid.y_tilde[rows],
-                                           d_tilde=resid.d_tilde[rows])
-                    return estimate_interacted_regression(
-                        bresid, config.anticipation).cells
                 fold_of = assign_folds(panel, config.n_folds, seed + r).fold_of_unit
                 folds = FoldAssignment(config.n_folds, {
                     f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
-                return estimate_effects(bpanel, config, folds).effects.cells
+                return estimate_group_time(_outcome_residuals(bpanel, config, folds),
+                                           config.control_rule, config.anticipation).cells
             except (DataError, EstimationError, LearnerError):
                 return None
 
@@ -421,12 +416,13 @@ class PlaceboReport:
 
 
 def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
-    """Rerun the full pipeline on pre-treatment data with adoption moved back.
+    """Re-estimate on pre-treatment data with adoption moved back.
 
     Only observations strictly before each cohort's true adoption survive;
-    cohort g is reassigned to g - shift. The entire pipeline (including
-    nuisance re-estimation on the pre-period subsample) is rerun, so the
-    pseudo-ATT should be indistinguishable from zero under a valid design.
+    cohort g is reassigned to g - shift. The outcome model is cross-fit
+    again on this subsample (folds by ``config.seed``), the contrast cells
+    are aggregated and bootstrapped as in a run, so the pseudo-ATT should be
+    indistinguishable from zero under a valid design.
     """
     if shift < 1:
         raise ConfigError("placebo shift must be >= 1")
@@ -448,14 +444,15 @@ def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
                                 t_obs[rows] >= g_obs[rows] - shift,
                                 panel.covariates[rows], panel.covariate_names)
 
-    from .pipeline import estimate_effects
-    artifacts = estimate_effects(pseudo_panel, config)
-    att, _ = overall_att(artifacts.effects)
+    resid = _outcome_residuals(pseudo_panel, config,
+                               assign_folds(pseudo_panel, config.n_folds, config.seed))
+    att, _ = overall_att(estimate_group_time(resid, config.control_rule,
+                                             config.anticipation))
     ci_low = ci_high = None
     if config.bootstrap_reps >= 1:
         inference = bootstrap(config, pseudo_panel, config.bootstrap_reps,
                               config.seed, config.bootstrap_mode,
-                              fits=artifacts.fits)
+                              y_tilde=resid.y_tilde)
         ci_low, ci_high = inference.overall.ci_low, inference.overall.ci_high
     return PlaceboReport(shift=shift, pseudo_att=att, ci_low=ci_low,
                          ci_high=ci_high, ci_level=config.ci_level)

@@ -55,7 +55,6 @@ _CONFIG_KEYS = {
     "clip_eps": ("pipeline.clip_eps", float, False),
     "control_rule": ("pipeline.control_rule", str, False),
     "anticipation": ("pipeline.anticipation", int, False),
-    "estimator": ("pipeline.estimator", str, False),
     "aggregation": ("pipeline.aggregation", list, False),
     "bootstrap.B": ("pipeline.bootstrap_reps", int, False),
     "bootstrap.mode": ("pipeline.bootstrap_mode", str, False),
@@ -98,8 +97,8 @@ class RunConfig:
     whose ``n_trees``, ``max_depth``, ``min_leaf``, ``max_iter`` are integers
     and ``lambda``, ``tol``, ``learning_rate`` numbers);
     ``K``, ``anticipation``, ``seed`` (integer); ``clip_eps``, ``ci_level``
-    (number); ``control_rule``, ``estimator`` (string); ``aggregation``
-    (list of strings); ``bootstrap`` (``{"B": integer, "mode": string}``);
+    (number); ``control_rule`` (string); ``aggregation`` (list of
+    strings); ``bootstrap`` (``{"B": integer, "mode": string}``);
     ``placebo_shift`` (integer or null); ``allow_no_crossfit`` (true or
     false). Any other key, or a value of another JSON type, raises
     :class:`ConfigError`: true/false is not an integer, nor is 2.0.
@@ -333,6 +332,18 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 # -- diagnose ---------------------------------------------------------------------
 
 
+def _read_artifact(path: Path) -> dict:
+    """One JSON object written by a prior run; unreadable content is a DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    return data
+
+
 def cmd_diagnose(args: argparse.Namespace) -> int:
     results_dir = Path(args.results_dir)
     diag_path = results_dir / "diagnostics.json"
@@ -340,11 +351,16 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     if not diag_path.exists() or not res_path.exists():
         raise MissingArtifactsError(
             f"{results_dir} lacks results.json/diagnostics.json from a prior run")
-    with open(diag_path, encoding="utf-8") as fh:
-        diag = json.load(fh)
-    with open(res_path, encoding="utf-8") as fh:
-        res = json.load(fh)
+    diag = _read_artifact(diag_path)
+    res = _read_artifact(res_path)
+    try:
+        _print_diagnosis(res, diag)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{results_dir} holds malformed run artifacts: {exc!r}") from None
+    return EXIT_OK
 
+
+def _print_diagnosis(res: dict, diag: dict) -> None:
     overall = res.get("overall", {})
     att = overall.get("att")
     lo, hi = overall.get("ci_low"), overall.get("ci_high")
@@ -375,7 +391,6 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     flag = "WARN" if ov["weak_overlap"] else "PASS"
     print(f"overlap:   {flag} (share outside [0.05,0.95]={ov['share_outside_05_95']:.3f}, "
           f"clipped={ov['n_clipped']}/{ov['n_obs']})")
-    return EXIT_OK
 
 
 # -- entry point ------------------------------------------------------------------

@@ -6,6 +6,12 @@ nuisance feature set is the standardized covariate matrix augmented with
 one-hot period indicators (first period omitted as the reference);
 adoption-cohort information is deliberately excluded so the treatment
 contrast survives into the structural stage.
+
+:func:`crossfit_predictions` cross-fits one learner for one target.
+:func:`crossfit_nuisance` calls it for the outcome model g and then the
+treatment model m; the point estimate needs both, for the residuals and
+the overlap report. The bootstrap and placebo refits cross-fit only g,
+because the contrast estimator reads y_tilde alone.
 """
 
 from __future__ import annotations
@@ -87,53 +93,59 @@ class NuisanceFits:
 
 @dataclass(frozen=True)
 class ResidualPanel:
-    """Orthogonalized panel: y_tilde = Y - g_hat, d_tilde = D - m_hat."""
+    """Orthogonalized panel: y_tilde = Y - g_hat, d_tilde = D - m_hat.
+
+    ``d_tilde`` is None where only the outcome model was cross-fit.
+    """
 
     panel: PanelDataset
     y_tilde: np.ndarray
-    d_tilde: np.ndarray
+    d_tilde: Optional[np.ndarray] = None
     fits: Optional[NuisanceFits] = None
+
+
+def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndarray,
+                         folds: FoldAssignment) -> np.ndarray:
+    """Out-of-fold predictions of one learner for one per-observation target.
+
+    For each fold k the learner is trained on all observations of units
+    outside fold k and evaluated on fold k's observations. With one fold it
+    is trained and evaluated on the full sample, which is a diagnostic mode
+    only. A learner failure is re-raised with its fold number.
+    """
+    missing = [u for u in panel.units if u not in folds.fold_of_unit]
+    if missing:
+        raise AlignmentMismatchError(
+            f"fold assignment lacks {len(missing)} panel unit(s), e.g. {missing[0]!r}")
+    features, _ = nuisance_features(panel)
+    fold_of_obs = np.array([folds.fold_of_unit[u] for u in panel.units],
+                           dtype=np.intp)[panel.unit_codes]
+    predictions = np.empty(panel.n_obs)
+    for k in range(folds.n_folds):
+        test = fold_of_obs == k
+        train = ~test if folds.n_folds > 1 else np.ones(panel.n_obs, dtype=bool)
+        try:
+            model = learners.fit(spec, features[train], target[train])
+        except LearnerError as exc:
+            raise type(exc)(f"fold {k}: {exc}") from exc
+        predictions[test] = learners.predict(model, features[test])
+    return predictions
 
 
 def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerSpec,
                       folds: FoldAssignment, clip_eps: float = 0.01) -> NuisanceFits:
-    """Produce out-of-fold nuisance predictions for every observation.
+    """Out-of-fold g_hat and then m_hat, each by :func:`crossfit_predictions`.
 
-    For each fold k the two learners are trained on all observations of
-    units outside fold k and evaluated on fold k's observations. With one
-    fold the models are trained and evaluated on the full sample, which is
-    a diagnostic mode only. Raw treatment predictions are clipped into
-    [clip_eps, 1 - clip_eps]; ``n_clipped`` counts entries the clip moved.
+    Raw treatment predictions are clipped into [clip_eps, 1 - clip_eps];
+    ``n_clipped`` counts entries the clip moved.
     """
     if not 0 <= clip_eps < 0.5:
         raise ConfigError("clip_eps must lie in [0, 0.5)")
     if g_spec.kind == "logistic":
         raise ConfigError("logistic is a treatment-model learner; "
                           "the outcome nuisance needs a regression learner")
-    missing = [u for u in panel.units if u not in folds.fold_of_unit]
-    if missing:
-        raise AlignmentMismatchError(
-            f"fold assignment lacks {len(missing)} panel unit(s), e.g. {missing[0]!r}")
-
-    features, _ = nuisance_features(panel)
-    y = panel.outcomes
-    d = panel.treatments
-    fold_of_obs = np.array([folds.fold_of_unit[u] for u in panel.units],
-                           dtype=np.intp)[panel.unit_codes]
-
-    g_hat = np.empty(panel.n_obs)
-    m_raw = np.empty(panel.n_obs)
-    for k in range(folds.n_folds):
-        test = fold_of_obs == k
-        train = ~test if folds.n_folds > 1 else np.ones(panel.n_obs, dtype=bool)
-        try:
-            g_model = learners.fit(g_spec, features[train], y[train])
-            m_model = learners.fit(m_spec, features[train], d[train])
-        except LearnerError as exc:
-            raise type(exc)(f"fold {k}: {exc}") from exc
-        g_hat[test] = learners.predict(g_model, features[test])
-        m_raw[test] = learners.predict(m_model, features[test])
-
+    g_hat = crossfit_predictions(panel, g_spec, panel.outcomes, folds)
+    m_raw = crossfit_predictions(panel, m_spec, panel.treatments, folds)
     m_hat = np.clip(m_raw, clip_eps, 1.0 - clip_eps)
     n_clipped = int(np.sum((m_raw < clip_eps) | (m_raw > 1.0 - clip_eps)))
     g_hat.setflags(write=False)

@@ -1,32 +1,27 @@
 """Structural group-time effect estimation on the residualized panel.
 
-Two interchangeable second stages are provided. The default contrast form
-computes, for every cohort g and period t, the 2x2 double difference of
-residualized outcomes against base period b = g - 1 - anticipation, using
-never-treated units as the comparison pool, or not-yet-treated units:
-those adopting after max(t, g) + anticipation, so that no control is
-already anticipating its own treatment (Callaway and Sant'Anna 2021). The
-regression form fits the residualized outcome on treatment-residual
-interactions with cohort and period fixed effects, absorbed by alternating
-projections. A raw two-way fixed-effects regression is included purely as
-the diagnostic comparator whose staggered-adoption bias the pipeline is
-designed to avoid.
+The contrast estimator computes, for every cohort g and period t, the 2x2
+double difference of residualized outcomes against base period
+b = g - 1 - anticipation, using never-treated units as the comparison
+pool, or not-yet-treated units: those adopting after
+max(t, g) + anticipation, so that no control is already anticipating its
+own treatment (Callaway and Sant'Anna 2021). It reads only y_tilde. A raw
+two-way fixed-effects regression, with its effects absorbed by alternating
+projections, is included purely as the diagnostic comparator whose
+staggered-adoption bias the pipeline is designed to avoid.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .crossfit import ResidualPanel
 from .errors import (
-    CollinearCellWarning,
     DegenerateDesignError,
     EmptyControlPoolError,
     EmptyResultError,
@@ -233,93 +228,6 @@ class FixedEffectsSolution:
     dof: int
 
 
-def estimate_interacted_regression(resid: ResidualPanel,
-                                   anticipation: int = 0) -> GroupTimeEffects:
-    """Regression-form tau(g, t): residual outcome on cell-wise treatment residuals.
-
-    The design interacts d_tilde with (cohort, period) cell indicators for
-    every period except each cohort's base period, absorbs cohort and period
-    fixed effects by alternating-projection demeaning, and solves OLS on the
-    demeaned interactions. Interaction columns that are degenerate after
-    demeaning (or collinear with the rest) are dropped with a
-    :class:`CollinearCellWarning` and recorded as omitted cells.
-    """
-    panel = resid.panel
-    n = panel.n_obs
-
-    # cohort fixed-effect levels: one per adoption time, one shared by never-treated
-    unique_g, unit_levels = np.unique(panel.cohort_times, return_inverse=True)
-    cohort_codes = unit_levels[panel.unit_codes]
-
-    times = np.asarray(panel.periods)[panel.time_codes]
-    g_of_obs = panel.cohort_times[panel.unit_codes]
-
-    columns: list[tuple[int, int]] = []
-    omitted: list[OmittedCell] = []
-    period_set = set(panel.periods)
-    cohorts = sorted(int(g) for g in unique_g if np.isfinite(g))
-    for g in cohorts:
-        b = g - 1 - anticipation
-        if b not in period_set:
-            omitted.append(OmittedCell(g, None, f"base period {b} not in panel"))
-            continue
-        for t in panel.periods:
-            if t != b and bool(((g_of_obs == g) & (times == t)).any()):
-                columns.append((g, t))
-    if not columns:
-        raise EmptyResultError("no interaction cell was estimable")
-
-    Z = np.zeros((n, len(columns)))
-    cell_obs_count = []
-    period_obs_count = {t: int((times == t).sum()) for t in panel.periods}
-    for j, (g, t) in enumerate(columns):
-        mask = (g_of_obs == g) & (times == t)
-        Z[mask, j] = resid.d_tilde[mask]
-        cell_obs_count.append(int(mask.sum()))
-
-    stacked = np.column_stack([resid.y_tilde, Z])
-    demeaned, _, _ = demean_two_way(
-        stacked, cohort_codes, len(unique_g), panel.time_codes, panel.n_periods)
-    yd = demeaned[:, 0]
-    Zd = demeaned[:, 1:]
-
-    def drop_cell(j: int) -> None:
-        g, t = columns[j]
-        warnings.warn(f"interaction cell (g={g}, t={t}) is degenerate after "
-                      f"demeaning; dropped", CollinearCellWarning)
-        omitted.append(OmittedCell(g, t, "collinear interaction column"))
-
-    pre_norms = (Z ** 2).sum(axis=0)
-    post_norms = (Zd ** 2).sum(axis=0)
-    keep = post_norms > 1e-12 * np.maximum(1.0, pre_norms)
-    for j in np.nonzero(~keep)[0]:
-        drop_cell(j)
-    kept_idx = np.nonzero(keep)[0]
-    if kept_idx.size == 0:
-        raise EmptyResultError("all interaction cells were collinear")
-
-    q, r, piv = scipy.linalg.qr(Zd[:, kept_idx], mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    rank_tol = diag.max() * max(Zd.shape[0], kept_idx.size) * np.finfo(np.float64).eps
-    rank = int((diag > rank_tol).sum())
-    if rank < kept_idx.size:
-        for local in piv[rank:]:
-            drop_cell(int(kept_idx[local]))
-        kept_idx = kept_idx[np.sort(piv[:rank])]
-        q, r, piv = scipy.linalg.qr(Zd[:, kept_idx], mode="economic", pivoting=True)
-    coef = np.zeros(kept_idx.size)
-    coef[piv] = scipy.linalg.solve_triangular(r, q.T @ yd)
-
-    cells: dict[tuple[int, int], CellEffect] = {}
-    for local, j in enumerate(kept_idx):
-        g, t = columns[j]
-        n_treated = cell_obs_count[j]
-        n_control = period_obs_count[t] - n_treated
-        cells[(g, t)] = CellEffect(float(coef[local]), n_treated, n_control)
-    return GroupTimeEffects(cells=cells, control_rule="pooled_regression",
-                            anticipation=anticipation, omitted=tuple(omitted))
-
-
 @dataclass(frozen=True)
 class TwfeResult:
     tau: float
@@ -411,12 +319,9 @@ def subgroup_effects(resid: ResidualPanel, subgroup_of_unit: Mapping[str, object
         except EmptyControlPoolError as exc:
             failures[label] = f"empty result: {exc}"
             continue
-        sub_resid = ResidualPanel(panel=sub_panel,
-                                  y_tilde=resid.y_tilde[rows],
-                                  d_tilde=resid.d_tilde[rows])
+        sub_resid = ResidualPanel(panel=sub_panel, y_tilde=resid.y_tilde[rows])
         try:
-            effects[label] = estimate_group_time(sub_resid, control_rule,
-                                                 anticipation)
+            effects[label] = estimate_group_time(sub_resid, control_rule, anticipation)
         except EmptyResultError as exc:
             failures[label] = f"empty result: {exc}"
     return SubgroupEffects(effects=effects, failures=failures)

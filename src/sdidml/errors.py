@@ -125,10 +125,6 @@ class DegenerateDesignError(EstimationError):
     """Fixed effects absorb all regressor variation."""
 
 
-class CollinearCellWarning(UserWarning):
-    """An interaction column was degenerate after demeaning and was dropped."""
-
-
 class BootstrapFailureError(EstimationError):
     """Too large a share of bootstrap replicates failed to estimate."""
 

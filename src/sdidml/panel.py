@@ -415,24 +415,27 @@ def read_panel_csv(path) -> PanelDataset:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open panel CSV {path}: {exc}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingFieldError(f"{path}: empty file") from None
-        for col in REQUIRED_COLUMNS:
-            if col not in header:
-                raise MissingFieldError(f"{path}: missing {col!r} column")
-        rows = []
-        for line, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FieldTypeError(
-                    f"{path}: line {line + 2} has {len(row)} fields, "
-                    f"header has {len(header)}")
-            rows.append(row)
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MissingFieldError(f"{path}: empty file") from None
+            for col in REQUIRED_COLUMNS:
+                if col not in header:
+                    raise MissingFieldError(f"{path}: missing {col!r} column")
+            rows = []
+            for line, row in enumerate(reader):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FieldTypeError(
+                        f"{path}: line {line + 2} has {len(row)} fields, "
+                        f"header has {len(header)}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
     cells = list(zip(*rows)) or [()] * len(header)
     columns = {name: cells[header.index(name)] for name in header}
     return _panel_from_columns(columns, [c for c in header if c not in REQUIRED_COLUMNS])

@@ -3,12 +3,12 @@
 :class:`PipelineConfig` is the one set of estimation settings; the CLI's
 run config wraps it and adds only I/O and run-level fields.
 :func:`estimate_effects` covers stages 2-4 (cross-fitting, residualization,
-structural estimation) for a validated panel; :func:`run_pipeline` adds
-stage 5 (aggregation, bootstrap inference, diagnostics) from
-:mod:`sdidml.aggregate`. Imports run one way, from this module into
-``aggregate``; the bootstrap and placebo test call back into
-``estimate_effects`` through a function-level import when they refit
-nuisances on resampled or shifted panels.
+contrast estimation of the group-time effects) for a validated panel;
+:func:`run_pipeline` adds stage 5 (aggregation, bootstrap inference,
+diagnostics) from :mod:`sdidml.aggregate`. Only this point estimate fits
+the treatment model m, whose predictions feed the overlap report; the
+bootstrap and the placebo test refit the outcome model alone, inside
+``aggregate``. Imports run one way, from this module into ``aggregate``.
 """
 
 from __future__ import annotations
@@ -38,17 +38,11 @@ from .crossfit import (
     crossfit_nuisance,
     residualize,
 )
-from .didcore import (
-    CONTROL_RULES,
-    GroupTimeEffects,
-    estimate_group_time,
-    estimate_interacted_regression,
-)
+from .didcore import CONTROL_RULES, GroupTimeEffects, estimate_group_time
 from .errors import ConfigError, NoPreCellsError
 from .learners import LearnerSpec
 from .panel import PanelDataset
 
-ESTIMATORS = ("contrast", "interacted_regression")
 BOOTSTRAP_MODES = ("full", "fixed_nuisance")
 
 
@@ -62,7 +56,6 @@ class PipelineConfig:
     clip_eps: float = 0.01
     control_rule: str = "never_treated"
     anticipation: int = 0
-    estimator: str = "contrast"
     aggregation: tuple[str, ...] = SCHEMES
     bootstrap_reps: int = 199
     bootstrap_mode: str = "full"
@@ -70,6 +63,9 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.g_learner.kind == "logistic":
+            raise ConfigError("logistic is a treatment-model learner; "
+                              "the outcome nuisance needs a regression learner")
         if self.n_folds < 1:
             raise ConfigError("K (n_folds) must be >= 1")
         if not 0 <= self.clip_eps < 0.5:
@@ -78,10 +74,6 @@ class PipelineConfig:
             raise ConfigError(f"control_rule must be one of {CONTROL_RULES}")
         if self.anticipation < 0:
             raise ConfigError("anticipation must be >= 0")
-        est = "interacted_regression" if self.estimator == "interacted" else self.estimator
-        if est not in ESTIMATORS:
-            raise ConfigError(f"estimator must be one of {ESTIMATORS}")
-        object.__setattr__(self, "estimator", est)
         bad = [s for s in self.aggregation if s not in SCHEMES]
         if bad:
             raise ConfigError(f"unknown aggregation scheme(s) {bad}; "
@@ -106,7 +98,7 @@ class EstimationArtifacts:
 
 def estimate_effects(panel: PanelDataset, config: PipelineConfig,
                      folds: Optional[FoldAssignment] = None) -> EstimationArtifacts:
-    """Cross-fit nuisances, residualize, and estimate group-time effects.
+    """Cross-fit both nuisances, residualize, and estimate contrast cells.
 
     ``folds`` defaults to ``assign_folds(panel, config.n_folds, config.seed)``.
     """
@@ -115,11 +107,7 @@ def estimate_effects(panel: PanelDataset, config: PipelineConfig,
     fits = crossfit_nuisance(panel, config.g_learner, config.m_learner, folds,
                              clip_eps=config.clip_eps)
     resid = residualize(panel, fits)
-    if config.estimator == "contrast":
-        effects = estimate_group_time(resid, config.control_rule,
-                                      config.anticipation)
-    else:
-        effects = estimate_interacted_regression(resid, config.anticipation)
+    effects = estimate_group_time(resid, config.control_rule, config.anticipation)
     return EstimationArtifacts(fits=fits, resid=resid, effects=effects)
 
 
@@ -152,7 +140,7 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     if config.bootstrap_reps >= 1:
         inference = bootstrap(config, panel, config.bootstrap_reps,
                               config.seed, config.bootstrap_mode,
-                              fits=artifacts.fits)
+                              y_tilde=artifacts.resid.y_tilde)
         results = merge_inference(results, inference)
         if inference.overall.se is not None:
             try:

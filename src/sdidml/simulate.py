@@ -421,7 +421,7 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
         if pipeline.bootstrap_reps >= 2:
             inference = bootstrap(pipeline, panel, pipeline.bootstrap_reps,
                                   pipeline.seed, pipeline.bootstrap_mode,
-                                  fits=artifacts.fits)
+                                  y_tilde=artifacts.resid.y_tilde)
             return att, inference.overall.ci_low, inference.overall.ci_high
         return att, None, None
     if method == "twfe":

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sdidml import pipeline
 from sdidml.aggregate import (
     aggregate,
     aggregate_schemes,
@@ -30,6 +30,9 @@ from sdidml.learners import LearnerSpec
 from sdidml.panel import build_panel
 from sdidml.pipeline import PipelineConfig
 from sdidml.simulate import EffectSpec, generate, scenario
+
+# The package attribute ``sdidml.aggregate`` is the aggregate() function.
+aggregate_module = importlib.import_module("sdidml.aggregate")
 
 
 def effects_from(cells, anticipation=0):
@@ -137,13 +140,13 @@ class TestBootstrap:
     def test_full_mode_keeps_all_copies_of_a_unit_in_one_fold(self, monkeypatch):
         # A copy in another fold would train the model that predicts its twin.
         calls = []
-        crossfit_nuisance = pipeline.crossfit_nuisance
+        crossfit_predictions = aggregate_module.crossfit_predictions
 
-        def recording(panel, g_spec, m_spec, folds, **kw):
+        def recording(panel, spec, target, folds):
             calls.append((panel, folds))
-            return crossfit_nuisance(panel, g_spec, m_spec, folds, **kw)
+            return crossfit_predictions(panel, spec, target, folds)
 
-        monkeypatch.setattr(pipeline, "crossfit_nuisance", recording)
+        monkeypatch.setattr(aggregate_module, "crossfit_predictions", recording)
         bootstrap(self.pipe(bootstrap_mode="full"), small_null_panel(), B=4,
                   seed=3, mode="full")
         assert len(calls) == 4
@@ -181,7 +184,7 @@ class TestBootstrap:
         art = estimate_effects(panel, pipe)
         res = aggregate_schemes(art.effects, ("overall", "event_time", "by_group"))
         inf = bootstrap(pipe, panel, B=29, seed=5, mode="fixed_nuisance",
-                        fits=art.fits)
+                        y_tilde=art.resid.y_tilde)
         merged = merge_inference(res, inf)
         assert merged.overall_att == res.overall_att  # point estimate unchanged
         assert merged.overall_se is not None

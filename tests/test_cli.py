@@ -37,6 +37,7 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"aggregation": "overall"},
     {"threads": True},
     {"threads": 2},
+    {"estimator": "contrast"},
     {"bootstrap.B": 5},
     {"g_learner": {"kind": "gbt", "n_trees": 2.5}},
     {"g_learner": {"kind": "ridge", "lambda": True}},
@@ -44,7 +45,7 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"m_learner": {"kind": "logistic", "tol": True}},
 ], ids=["K_string", "B_string", "seed_string", "seed_float", "anticipation_null",
         "allow_no_crossfit_string", "aggregation_string", "threads_bool",
-        "threads_int", "dotted_key", "learner_n_trees_float", "learner_lambda_bool",
+        "threads_int", "estimator", "dotted_key", "learner_n_trees_float", "learner_lambda_bool",
         "learner_max_depth_float", "learner_tol_bool"])
 def test_malformed_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
@@ -83,6 +84,33 @@ def test_unreadable_input_csv_exits_3(tmp_path, capsys):
     assert (error["code"], error["type"]) == (3, "DataError")
 
 
+def test_non_utf8_input_csv_exits_3(tmp_path, capsys):
+    panel = tmp_path / "panel.csv"
+    panel.write_bytes(b"\xff\xfeu\x00n\x00i\x00t\x00")
+    assert cli.main(["run", "--input", str(panel), "--output", str(tmp_path / "run")]) == 3
+    error = last_error(capsys)
+    assert (error["code"], error["type"]) == (3, "DataError")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("results.json", "{"), ("diagnostics.json", "{"),
+    ("results.json", "{}"), ("diagnostics.json", "{}"), ("results.json", "[]"),
+], ids=["results_truncated", "diagnostics_truncated", "results_empty_object",
+        "diagnostics_empty_object", "results_list"])
+def test_diagnose_malformed_artifacts_exits_3(tmp_path, capsys, name, content):
+    panel = tmp_path / "panel.csv"
+    write_panel_csv(generate(replace(scenario("S1"), n_units=40, seed=5)).panel, panel)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bootstrap": {"B": 0}}))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(config), "--input", str(panel),
+                     "--output", str(out)]) == 0
+    (out / name).write_text(content)
+    assert cli.main(["diagnose", str(out)]) == 3
+    error = last_error(capsys)
+    assert (error["code"], error["type"]) == (3, "DataError")
+
+
 @pytest.mark.parametrize("command, work", [
     ("run", "run_pipeline"), ("simulate", "generate"), ("benchmark", "monte_carlo")])
 def test_output_path_taken_by_a_file_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
@@ -109,7 +137,7 @@ def test_run_config_round_trips_every_key():
          "g_learner": {"kind": "lasso", "lambda": 0.05, "max_iter": 500, "tol": 1e-6},
          "m_learner": {"kind": "logistic", "lambda": 0.5, "max_iter": 100, "tol": 1e-8},
          "K": 4, "clip_eps": 0.02, "control_rule": "not_yet_treated", "anticipation": 1,
-         "estimator": "interacted_regression", "aggregation": ["overall", "by_group"],
+         "aggregation": ["overall", "by_group"],
          "bootstrap": {"B": 7, "mode": "fixed_nuisance"}, "ci_level": 0.9, "seed": 11,
          "placebo_shift": 2, "allow_no_crossfit": True}
     cfg = cli.RunConfig.from_dict(d)
@@ -121,14 +149,13 @@ def test_config_echo_reproduces_results(tmp_path):
     panel = tmp_path / "panel.csv"
     write_panel_csv(generate(replace(scenario("S1"), n_units=40, seed=5)).panel, panel)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"estimator": "interacted", "anticipation": 1,
-                                  "bootstrap": {"B": 3, "mode": "full"}, "seed": 4}))
+    config.write_text(json.dumps({"anticipation": 1, "bootstrap": {"B": 3, "mode": "full"},
+                                  "seed": 4}))
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(config), "--input", str(panel),
                      "--output", str(out)]) == 0
     first = (out / "results.json").read_bytes()
     echo = json.loads(first)["config_echo"]
-    assert echo["estimator"] == "interacted_regression"
     config.write_text(json.dumps(echo))
     assert cli.main(["run", "--config", str(config)]) == 0
     assert (out / "results.json").read_bytes() == first

@@ -6,13 +6,11 @@ from sdidml.crossfit import ResidualPanel, assign_folds, crossfit_nuisance, resi
 from sdidml.didcore import (
     demean_two_way,
     estimate_group_time,
-    estimate_interacted_regression,
     residual_slope,
     subgroup_effects,
     twfe_baseline,
 )
 from sdidml.errors import (
-    CollinearCellWarning,
     DegenerateDesignError,
     EmptyResultError,
     NonConvergenceError,
@@ -36,11 +34,8 @@ def panel_from_layout(cohorts, periods, y_fn, p=1, x_fn=None):
     return build_panel(recs)
 
 
-def resid_panel(panel, y_tilde, d_tilde=None):
-    y = np.asarray(y_tilde, dtype=np.float64)
-    d = (panel.treatments.astype(np.float64) if d_tilde is None
-         else np.asarray(d_tilde, dtype=np.float64))
-    return ResidualPanel(panel=panel, y_tilde=y, d_tilde=d)
+def resid_panel(panel, y_tilde):
+    return ResidualPanel(panel=panel, y_tilde=np.asarray(y_tilde, dtype=np.float64))
 
 
 class TestGroupTimeContrast:
@@ -144,87 +139,6 @@ class TestGroupTimeContrast:
         atts = np.array(atts)
         mc_se = atts.std(ddof=1) / np.sqrt(len(atts))
         assert abs(atts.mean()) < 3 * mc_se + 1e-12
-
-
-class TestInteractedRegression:
-    def minimal_panel(self, seed=0, n_each=3):
-        cohorts = {f"t{i}": 2 for i in range(n_each)}
-        cohorts.update({f"c{i}": None for i in range(n_each)})
-        panel = panel_from_layout(cohorts, (1, 2), lambda u, t: 0.0)
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal(panel.n_obs)
-        return panel, y
-
-    def test_minimal_equivalence_with_dense_least_squares(self):
-        panel, y = self.minimal_panel()
-        rp = resid_panel(panel, y)  # d_tilde = D
-        contrast = estimate_group_time(rp)
-        regression = estimate_interacted_regression(rp)
-        # dense LS oracle: y on [D-interaction, cohort dummy, period dummy, 1]
-        treated = np.isfinite(panel.cohort_times[panel.unit_codes])
-        post = np.array([o.time == 2 for o in panel.observations])
-        design = np.column_stack([treated & post, treated, post,
-                                  np.ones(panel.n_obs)]).astype(float)
-        beta = np.linalg.lstsq(design, y, rcond=None)[0]
-        assert_allclose(regression.cells[(2, 2)].tau, beta[0], atol=1e-8)
-        assert_allclose(regression.cells[(2, 2)].tau,
-                        contrast.cells[(2, 2)].tau, atol=1e-8)
-
-    def test_zero_outcome_gives_zero_taus(self):
-        panel, _ = self.minimal_panel()
-        rp = resid_panel(panel, np.zeros(panel.n_obs))
-        regression = estimate_interacted_regression(rp)
-        for cell in regression.cells.values():
-            assert abs(cell.tau) < 1e-12
-
-    def test_constant_shift_absorbed_by_fixed_effects(self):
-        panel, y = self.minimal_panel(seed=3)
-        r1 = estimate_interacted_regression(resid_panel(panel, y))
-        r2 = estimate_interacted_regression(resid_panel(panel, y + 7.5))
-        for key in r1.cells:
-            assert abs(r1.cells[key].tau - r2.cells[key].tau) < 1e-10
-
-    def test_saturated_single_pre_period_agreement_with_noise(self):
-        # one pre period (the base): the regression is saturated in
-        # (group x time) cell means, so it reproduces the contrast exactly
-        cohorts = {f"t{i}": 2 for i in range(4)}
-        cohorts.update({f"c{i}": None for i in range(5)})
-        panel = panel_from_layout(cohorts, (1, 2, 3, 4), lambda u, t: 0.0)
-        rng = np.random.default_rng(17)
-        y = rng.standard_normal(panel.n_obs)
-        rp = resid_panel(panel, y)
-        contrast = estimate_group_time(rp)
-        regression = estimate_interacted_regression(rp)
-        for key, cell in contrast.post_cells().items():
-            assert_allclose(regression.cells[key].tau, cell.tau, atol=1e-6)
-
-    def test_structured_residuals_recovered_exactly(self):
-        # y_tilde = alpha_g + lambda_t + tau(g,t) * d_tilde with d_tilde = D:
-        # regression fits with zero residual, contrast double-differences
-        # the fixed effects away; both recover tau per post cell
-        cohorts = {"t1": 3, "t2": 3, "t3": 3, "c1": None, "c2": None}
-        periods = (1, 2, 3, 4, 5)
-        panel = panel_from_layout(cohorts, periods, lambda u, t: 0.0)
-        taus = {(3, 3): 0.7, (3, 4): -0.4, (3, 5): 1.9}
-        alpha = {True: 2.0, False: -1.0}
-        lam = {1: 0.1, 2: -0.6, 3: 0.25, 4: 1.4, 5: -0.9}
-        y = []
-        for o in panel.observations:
-            ever = panel.cohort[o.unit_id].ever_treated
-            v = alpha[ever] + lam[o.time]
-            if o.treatment:
-                v += taus[(3, o.time)]
-            y.append(v)
-        rp = resid_panel(panel, np.array(y))
-        with pytest.warns(CollinearCellWarning):  # pre cells have all-zero columns
-            regression = estimate_interacted_regression(rp)
-        contrast = estimate_group_time(rp)
-        for key, tau in taus.items():
-            assert_allclose(regression.cells[key].tau, tau, atol=1e-8)
-            assert_allclose(contrast.cells[key].tau, tau, atol=1e-8)
-            assert abs(regression.cells[key].tau - contrast.cells[key].tau) < 1e-6
-        dropped = {(o.g, o.t) for o in regression.omitted}
-        assert (3, 1) in dropped  # pre-period columns are degenerate when d~=D
 
 
 class TestDemeaning:

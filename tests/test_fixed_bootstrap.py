@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sdidml.aggregate import bootstrap
-from sdidml.crossfit import residualize
 from sdidml.didcore import CONTROL_RULES, group_time_cells
 from sdidml.panel import PanelDataset, build_panel, pivot_unit_time
 from sdidml.pipeline import PipelineConfig, estimate_effects
@@ -112,10 +111,9 @@ def dict_att(cells):
     return math.fsum(n / total * tau for tau, n in cells.values())
 
 
-def loop_bootstrap(config, panel, fits, B, seed):
+def loop_bootstrap(config, panel, y_tilde, B, seed):
     """Resample units by index, compute each replicate's cells, aggregate with dicts."""
-    resid = residualize(panel, fits)
-    ymat, present = pivot_unit_time(panel, resid.y_tilde)
+    ymat, present = pivot_unit_time(panel, y_tilde)
     overall, event, group, n_failed = [], {}, {}, 0
     for r in range(B):
         idx = np.random.default_rng(seed + r).integers(0, panel.n_units, size=panel.n_units)
@@ -177,10 +175,10 @@ def test_matches_per_replicate_loop(make_panel, control_rule, anticipation,
     config = PipelineConfig(n_folds=2, control_rule=control_rule,
                             anticipation=anticipation, bootstrap_reps=60,
                             bootstrap_mode="fixed_nuisance", seed=3)
-    fits = estimate_effects(panel, config).fits
+    y_tilde = estimate_effects(panel, config).resid.y_tilde
     B, seed = 60, 9
-    inference = bootstrap(config, panel, B, seed, mode="fixed_nuisance", fits=fits)
-    overall, event, group, n_failed = loop_bootstrap(config, panel, fits, B, seed)
+    inference = bootstrap(config, panel, B, seed, mode="fixed_nuisance", y_tilde=y_tilde)
+    overall, event, group, n_failed = loop_bootstrap(config, panel, y_tilde, B, seed)
     assert inference.n_failed == n_failed
     assert (0 < n_failed <= 0.2 * B) == expect_failures
     assert_matches(inference.overall, overall, config.ci_level)
@@ -198,7 +196,7 @@ def test_matches_per_replicate_loop(make_panel, control_rule, anticipation,
 def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
     panel = small_null_panel()
     config = PipelineConfig(bootstrap_reps=29, bootstrap_mode="fixed_nuisance", seed=5)
-    fits = estimate_effects(panel, config).fits
+    y_tilde = estimate_effects(panel, config).resid.y_tilde
     calls = {"group_time_cells": 0, "subset_units": 0, "PanelDataset": 0}
 
     def counting(name, func):
@@ -214,5 +212,5 @@ def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
                             counting("subset_units", module.subset_units))
     monkeypatch.setattr(PanelDataset, "__init__",
                         counting("PanelDataset", PanelDataset.__init__))
-    bootstrap(config, panel, B=29, seed=4, mode="fixed_nuisance", fits=fits)
+    bootstrap(config, panel, B=29, seed=4, mode="fixed_nuisance", y_tilde=y_tilde)
     assert calls == {"group_time_cells": 1, "subset_units": 0, "PanelDataset": 0}

@@ -1,8 +1,7 @@
-"""Modules import in one direction: no ``sdidml`` import inside a function.
+"""Modules import in one direction.
 
-The only exceptions are the documented re-entries of the bootstrap and the
-placebo test into ``pipeline.estimate_effects``; ``pipeline`` imports
-``aggregate`` at module level, so these two cannot move to import time.
+No ``sdidml`` import sits inside a function, and every module-level import
+of a sibling module goes to a lower layer of ``LAYERS``.
 """
 
 import ast
@@ -10,10 +9,15 @@ from pathlib import Path
 
 import sdidml
 
-RE_ENTRIES = {
-    ("aggregate", "bootstrap", "pipeline", "estimate_effects"),
-    ("aggregate", "placebo_test", "pipeline", "estimate_effects"),
-}
+LAYERS = ("errors", "panel", "learners", "crossfit", "didcore", "aggregate",
+          "pipeline", "simulate", "cli")
+# (module, name) pairs imported from the package itself rather than a layer.
+PACKAGE_IMPORTS = {("cli", "__version__")}
+RE_ENTRIES = set()
+
+
+def package_files() -> list:
+    return sorted(Path(sdidml.__file__).parent.glob("*.py"))
 
 
 def function_level_imports(path: Path) -> set:
@@ -39,8 +43,39 @@ def function_level_imports(path: Path) -> set:
     return found
 
 
+def module_level_imports(path: Path) -> set:
+    """(module, imported sibling) for every module-level sdidml import in the
+    file at ``path``; ``from . import learners`` imports ``learners``."""
+    found = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "sdidml"):
+            module = (node.module or "").removeprefix("sdidml").lstrip(".")
+            if module:
+                found.add((path.stem, module))
+            else:
+                found.update((path.stem, a.name) for a in node.names)
+        elif isinstance(node, ast.Import):
+            found.update((path.stem, a.name.removeprefix("sdidml.")) for a in node.names
+                         if a.name.startswith("sdidml."))
+    return found
+
+
 def test_no_function_level_imports_but_the_documented_re_entries():
     found = set()
-    for path in sorted(Path(sdidml.__file__).parent.glob("*.py")):
+    for path in package_files():
         found |= function_level_imports(path)
     assert found == RE_ENTRIES
+
+
+def test_module_level_imports_go_to_lower_layers():
+    modules = {path.stem for path in package_files()} - {"__init__"}
+    assert modules == set(LAYERS)
+    upward = []
+    for path in package_files():
+        if path.stem == "__init__":
+            continue
+        for module, target in module_level_imports(path) - PACKAGE_IMPORTS:
+            if LAYERS.index(target) >= LAYERS.index(module):
+                upward.append((module, target))
+    assert upward == []
