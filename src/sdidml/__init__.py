@@ -32,7 +32,6 @@ from .crossfit import (
     residualize,
 )
 from .didcore import (
-    CellEffect,
     GroupTimeEffects,
     SubgroupEffects,
     TwfeResult,

@@ -1,17 +1,20 @@
 """Aggregation of group-time effects, cluster-bootstrap inference, and the
 robustness battery (pre-trend test, placebo intervention, overlap report).
 
-Aggregation works on (R, C) arrays of cell effects and treated counts, one
-row per estimate: R = 1 for the point estimate, R = B for the bootstrap.
-Weights are proportional to each cell's treated count, so they are
-non-negative by construction and sum to one within machine precision; both
-properties are verified for every row. Uncertainty comes from a unit-level
-(cluster) bootstrap: whole units are resampled with replacement. ``full``
-mode gives the drawn units fresh identities and cross-fits the outcome
-model g again on each replicate. ``fixed_nuisance`` mode (faster but
-approximate) reuses the point-estimate residuals; a replicate is a
-multiplicity-weight vector over the original units, so no fresh identities
-are created and all B replicates are one matrix product.
+Aggregation works on the (R, C) cell table of
+:func:`sdidml.didcore.group_time_cells`, one row per estimate: R = 1 for
+the point estimate, R = B for the bootstrap; both go through one
+summary routine. Weights are proportional to each cell's treated count, so
+they are non-negative by construction and sum to one within machine
+precision; both properties are verified for every row. Uncertainty comes
+from a unit-level (cluster) bootstrap: whole units are resampled with
+replacement, and replicate r is the row of how many times each original
+unit was drawn. ``fixed_nuisance`` mode (faster but approximate) reuses the
+point-estimate residuals, so all B rows are one matrix product. ``full``
+mode cross-fits the outcome model g again on each replicate's draw, with
+fresh identities for the copies, and writes the residuals back onto the
+original units, so each replicate is one weighted cell call over the
+point estimate's cells.
 
 Every refit here (a full-mode replicate, the placebo test, and the
 fixed-nuisance bootstrap without point residuals) cross-fits g alone: the
@@ -47,9 +50,10 @@ from .errors import (
     LearnerError,
     NoPreCellsError,
 )
-from .panel import PanelDataset, pivot_unit_time, subset_units
+from .panel import PanelDataset, pivot_unit_time, subset_units, unit_rows
 
 SCHEMES = ("overall", "event_time", "by_group")
+BOOTSTRAP_MODES = ("full", "fixed_nuisance")
 
 WEIGHT_SUM_TOL = 1e-12
 WEAK_OVERLAP_CLIP_SHARE = 0.10
@@ -81,24 +85,6 @@ class AggregatedResults:
     overall_ci_high: Optional[float] = None
     event_curve: Mapping[int, SummaryPoint] = field(default_factory=dict)
     group_atts: Mapping[int, SummaryPoint] = field(default_factory=dict)
-
-
-def _cell_rows(cell_maps: Sequence[Optional[Mapping]]):
-    """Stack cell maps into (R, C) tau and treated-count arrays, one row each.
-
-    Columns are the sorted union of the maps' (g, t) keys; a cell missing
-    from a row has NaN tau and count 0 there. A None entry is a failed row.
-    Returns ``(keys, tau, counts, failed)``.
-    """
-    keys = sorted({key for cells in cell_maps if cells is not None for key in cells})
-    column = {key: j for j, key in enumerate(keys)}
-    tau = np.full((len(cell_maps), len(keys)), np.nan)
-    counts = np.zeros_like(tau)
-    for r, cells in enumerate(cell_maps):
-        for key, cell in (cells or {}).items():
-            tau[r, column[key]] = cell.tau
-            counts[r, column[key]] = cell.n_treated
-    return keys, tau, counts, np.array([c is None for c in cell_maps], dtype=bool)
 
 
 def _weighted_att(tau: np.ndarray, counts: np.ndarray, labels: np.ndarray,
@@ -138,46 +124,42 @@ def _cell_labels(keys) -> tuple[np.ndarray, np.ndarray]:
     return cells[:, 0], cells[:, 1]
 
 
-def _summaries(keys, tau: np.ndarray, counts: np.ndarray, failed: np.ndarray):
+def _summaries(keys, tau: np.ndarray, counts: np.ndarray,
+               failed: Optional[np.ndarray] = None):
     """Overall, per-event-time and per-cohort ATT rows of (R, C) cell arrays.
 
-    Rows that fail a weight check are marked in ``failed``. The overall ATT
-    is NaN in a row without a post-treatment cell.
+    Also returns the overall weights as ``{post (g, t): (R,) weights}``.
+    A row that fails a weight check is marked in ``failed``, or raises
+    :class:`EstimationError` when ``failed`` is None. The overall ATT is
+    NaN in a row without a post-treatment cell.
     """
     g, t = _cell_labels(keys)
     post = t >= g
-    overall, _ = _weighted_att(tau[:, post], counts[:, post], np.zeros(post.sum()),
-                               "overall aggregation", failed)
+    overall, weights = _weighted_att(tau[:, post], counts[:, post], np.zeros(post.sum()),
+                                     "overall aggregation", failed)
     event, _ = _weighted_att(tau, counts, t - g, "event-time {} aggregation", failed)
     group, _ = _weighted_att(tau[:, post], counts[:, post], g[post],
                              "cohort {} aggregation", failed)
-    return overall.get(0, np.full(len(tau), np.nan)), event, group
+    post_keys = [key for key, p in zip(keys, post) if p]
+    return (overall.get(0, np.full(len(tau), np.nan)), dict(zip(post_keys, weights.T)),
+            event, group)
+
+
+def _point_summaries(effects: GroupTimeEffects):
+    """:func:`_summaries` of the point estimate (R = 1), as floats."""
+    overall, weights, event, group = _summaries(
+        effects.keys, effects.tau[None], effects.n_treated[None])
+    return (float(overall[0]), {k: float(w[0]) for k, w in weights.items()},
+            {e: float(v[0]) for e, v in event.items()},
+            {g: float(v[0]) for g, v in group.items()})
 
 
 def overall_att(effects: GroupTimeEffects) -> tuple[float, dict]:
     """Treated-count-weighted mean of post-treatment cells, plus the weights."""
-    post = effects.post_cells()
-    if not post:
+    att, weights, _, _ = _point_summaries(effects)
+    if not weights:
         raise EmptyResultError("no post-treatment cell to aggregate")
-    keys, tau, counts, _ = _cell_rows([post])
-    att, weights = _weighted_att(tau, counts, np.zeros(len(keys)), "overall aggregation")
-    return float(att[0][0]), dict(zip(keys, weights[0].tolist()))
-
-
-def event_curve_att(effects: GroupTimeEffects) -> dict[int, float]:
-    """Per-event-time weighted means; negative e are placebo contrasts."""
-    keys, tau, counts, _ = _cell_rows([effects.cells])
-    g, t = _cell_labels(keys)
-    event, _ = _weighted_att(tau, counts, t - g, "event-time {} aggregation")
-    return {e: float(v[0]) for e, v in event.items()}
-
-
-def group_att(effects: GroupTimeEffects) -> dict[int, float]:
-    """Per-cohort weighted means over post-treatment periods."""
-    keys, tau, counts, _ = _cell_rows([effects.post_cells()])
-    g, _ = _cell_labels(keys)
-    group, _ = _weighted_att(tau, counts, g, "cohort {} aggregation")
-    return {g: float(v[0]) for g, v in group.items()}
+    return att, weights
 
 
 def aggregate_schemes(effects: GroupTimeEffects, schemes: Sequence[str],
@@ -193,16 +175,14 @@ def aggregate_schemes(effects: GroupTimeEffects, schemes: Sequence[str],
         raise ConfigError(f"unknown aggregation scheme(s) {bad}")
     if not 0 < ci_level < 1:
         raise ConfigError("ci_level must lie in (0, 1)")
-    att, weights = overall_att(effects)
-    event: dict[int, SummaryPoint] = {}
-    groups: dict[int, SummaryPoint] = {}
-    if "event_time" in schemes:
-        event = {e: SummaryPoint(att=v) for e, v in event_curve_att(effects).items()}
-    if "by_group" in schemes:
-        groups = {g: SummaryPoint(att=v) for g, v in group_att(effects).items()}
-    return AggregatedResults(overall_att=att, weights_used=weights,
-                             ci_level=ci_level, schemes=tuple(schemes),
-                             event_curve=event, group_atts=groups)
+    att, weights, event, group = _point_summaries(effects)
+    if not weights:
+        raise EmptyResultError("no post-treatment cell to aggregate")
+    return AggregatedResults(
+        overall_att=att, weights_used=weights, ci_level=ci_level, schemes=tuple(schemes),
+        event_curve={e: SummaryPoint(att=v) for e, v in event.items()
+                     if "event_time" in schemes},
+        group_atts={g: SummaryPoint(att=v) for g, v in group.items() if "by_group" in schemes})
 
 
 def aggregate(effects: GroupTimeEffects, scheme: str = "overall",
@@ -271,54 +251,64 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
     """Unit-level bootstrap of the overall, event-time, and cohort summaries.
 
     Replicate r draws ``n_units`` units with replacement using seed
-    ``seed + r`` and estimates contrast cells on its draw. ``full`` mode
-    gives the drawn units fresh identities and cross-fits the outcome model
-    g on each replicate, with folds assigned over the original units by
-    seed ``seed + r`` so that every copy of a unit lands in its unit's fold.
-    ``fixed_nuisance`` reuses ``y_tilde``, the point estimate's residualized
-    outcomes in ``panel``'s observation order; when None, they come from an
-    outcome-only cross-fit on ``assign_folds(panel, K, config.seed)``. It
-    creates no fresh identities: replicate r weights each original unit by
-    the number of times it was drawn, and one :func:`group_time_cells` call
-    computes every replicate's cells at once. Neither mode fits the
-    treatment model. Replicates whose resample admits no estimable
-    post-treatment cell are counted as failures; more than 20% failures
-    aborts.
+    ``seed + r``; its weight row counts how many times each original unit
+    was drawn, and :func:`group_time_cells` turns that row and a residual
+    vector on ``panel``'s observations into the replicate's cells.
+    ``fixed_nuisance`` uses ``y_tilde``, the point estimate's residualized
+    outcomes in ``panel``'s observation order, for every replicate (when
+    None, they come from an outcome-only cross-fit on
+    ``assign_folds(panel, K, config.seed)``), so one call computes all B
+    rows. ``full`` mode gives the drawn units fresh identities and
+    cross-fits the outcome model g on each replicate, with folds assigned
+    over the original units by seed ``seed + r`` so that every copy of a
+    unit lands in its unit's fold. Copies of a unit share a fold and a
+    feature row, hence one prediction, so the replicate's residuals are
+    written back onto the original rows of each drawn unit; undrawn units
+    get 0 (their weight is 0), and a replicate whose refit fails gets NaN.
+    Neither mode fits the treatment model. Replicates whose resample admits
+    no estimable post-treatment cell are counted as failures; more than 20%
+    failures aborts.
     """
     if B < 1:
         raise ConfigError("bootstrap B must be >= 1")
-    if mode not in ("full", "fixed_nuisance"):
+    if mode not in BOOTSTRAP_MODES:
         raise ConfigError(f"unknown bootstrap mode {mode!r}")
     n_units = panel.n_units
+    draws = [_resample(seed, r, n_units) for r in range(B)]
+    weights = np.array([np.bincount(idx, minlength=n_units) for idx in draws],
+                       dtype=np.float64)
+
+    def cells(y: np.ndarray, rows: np.ndarray):
+        ymat, present = pivot_unit_time(panel, y)
+        return group_time_cells(panel.cohort_times, ymat, present, panel.periods,
+                                config.control_rule, config.anticipation, rows)
+
+    def replicate_y_tilde(r: int) -> np.ndarray:
+        idx = draws[r]
+        fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
+        y = np.zeros(panel.n_obs)
+        try:
+            bpanel = subset_units(panel, idx, fresh)
+            fold_of = assign_folds(panel, config.n_folds, seed + r).fold_of_unit
+            folds = FoldAssignment(config.n_folds, {
+                f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
+            y[unit_rows(panel, idx)] = _outcome_residuals(bpanel, config, folds).y_tilde
+        except (DataError, EstimationError, LearnerError):
+            y[:] = np.nan
+        return y
 
     if mode == "fixed_nuisance":
         if y_tilde is None:
             folds = assign_folds(panel, config.n_folds, config.seed)
             y_tilde = _outcome_residuals(panel, config, folds).y_tilde
-        ymat, present = pivot_unit_time(panel, y_tilde)
-        weights = np.array([np.bincount(_resample(seed, r, n_units), minlength=n_units)
-                            for r in range(B)], dtype=np.float64)
-        keys, tau, counts, _, _ = group_time_cells(
-            panel.cohort_times, ymat, present, panel.periods,
-            config.control_rule, config.anticipation, weights)
-        failed = np.zeros(B, dtype=bool)
+        keys, tau, counts, _, _ = cells(y_tilde, weights)
     else:
-        def one_replicate(r: int):
-            idx = _resample(seed, r, n_units)
-            fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
-            try:
-                bpanel = subset_units(panel, idx, fresh)
-                fold_of = assign_folds(panel, config.n_folds, seed + r).fold_of_unit
-                folds = FoldAssignment(config.n_folds, {
-                    f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
-                return estimate_group_time(_outcome_residuals(bpanel, config, folds),
-                                           config.control_rule, config.anticipation).cells
-            except (DataError, EstimationError, LearnerError):
-                return None
+        rows = [cells(replicate_y_tilde(r), weights[r:r + 1]) for r in range(B)]
+        keys = rows[0][0]
+        tau, counts = (np.vstack([row[k] for row in rows]) for k in (1, 2))
 
-        keys, tau, counts, failed = _cell_rows([one_replicate(r) for r in range(B)])
-
-    overall, event, group = _summaries(keys, tau, counts, failed)
+    failed = np.zeros(B, dtype=bool)
+    overall, _, event, group = _summaries(keys, tau, counts, failed)
     failed |= np.isnan(overall)
     n_failed = int(failed.sum())
     if n_failed > 0.2 * B:
@@ -365,10 +355,13 @@ class PretrendPoint:
 
 @dataclass(frozen=True)
 class PretrendReport:
-    """Wald-type joint test that pre-treatment placebo contrasts are zero.
+    """Joint test that the pre-treatment event-time contrasts are zero.
 
-    The chi-square reference treats the bootstrap SEs as known, so the
-    p-value is approximate.
+    The statistic is the sum of the squared per-event-time z-scores, each
+    event time's ATT over its bootstrap SE. It ignores the covariance
+    between event times (those of one cohort share a base period), so it
+    is not a Wald test with the joint covariance. The chi-square reference
+    also treats the bootstrap SEs as known, so the p-value is approximate.
     """
 
     statistic: float
@@ -380,7 +373,7 @@ class PretrendReport:
 def pretrend_test(effects: GroupTimeEffects,
                   inference: BootstrapInference) -> PretrendReport:
     """Sum of squared z-scores over pre-treatment event times, chi2 reference."""
-    curve = event_curve_att(effects)
+    _, _, curve, _ = _point_summaries(effects)
     pre_es = [e for e in sorted(curve) if e < -effects.anticipation]
     if not pre_es:
         raise NoPreCellsError("no pre-treatment event times available")

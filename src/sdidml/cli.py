@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .aggregate import DiagnosticsReport, write_event_curve_csv
+from .aggregate import BOOTSTRAP_MODES, DiagnosticsReport, write_event_curve_csv
 from .errors import (
     ConfigError,
     DataError,
@@ -428,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", required=True, help="output directory")
     bench.add_argument("--bootstrap-reps", type=int, default=199)
     bench.add_argument("--bootstrap-mode", default="fixed_nuisance",
-                       choices=("full", "fixed_nuisance"))
+                       choices=BOOTSTRAP_MODES)
     bench.set_defaults(func=cmd_benchmark)
 
     diag = sub.add_parser("diagnose", help="summarize a prior run's diagnostics")

@@ -101,7 +101,6 @@ class ResidualPanel:
     panel: PanelDataset
     y_tilde: np.ndarray
     d_tilde: Optional[np.ndarray] = None
-    fits: Optional[NuisanceFits] = None
 
 
 def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndarray,
@@ -165,4 +164,4 @@ def residualize(panel: PanelDataset, fits: NuisanceFits) -> ResidualPanel:
     d_tilde = panel.treatments - fits.m_hat
     y_tilde.setflags(write=False)
     d_tilde.setflags(write=False)
-    return ResidualPanel(panel=panel, y_tilde=y_tilde, d_tilde=d_tilde, fits=fits)
+    return ResidualPanel(panel=panel, y_tilde=y_tilde, d_tilde=d_tilde)

@@ -9,6 +9,12 @@ own treatment (Callaway and Sant'Anna 2021). It reads only y_tilde. A raw
 two-way fixed-effects regression, with its effects absorbed by alternating
 projections, is included purely as the diagnostic comparator whose
 staggered-adoption bias the pipeline is designed to avoid.
+
+:func:`group_time_cells` is the one cell routine. It takes an (R, units)
+matrix of unit multiplicities: the point estimate is one row of ones, and
+each bootstrap replicate, in either mode, is the row of how many times each
+original unit was drawn. :class:`GroupTimeEffects` holds the point
+estimate's row of the table it returns.
 """
 
 from __future__ import annotations
@@ -36,13 +42,6 @@ DEMEAN_MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
-class CellEffect:
-    tau: float
-    n_treated: int
-    n_control: int
-
-
-@dataclass(frozen=True)
 class OmittedCell:
     g: int
     t: Optional[int]
@@ -53,12 +52,17 @@ class OmittedCell:
 class GroupTimeEffects:
     """Estimated tau(g, t) per cohort-period cell, plus omission records.
 
-    Pre-treatment cells (t < g) are placebo contrasts kept for pre-trend
-    testing; post cells have t >= g. ``base_period_rule`` documents the
-    comparison period convention.
+    ``keys`` lists the (g, t) cells in sorted order; ``tau``, ``n_treated``
+    and ``n_control`` are the matching read-only 1-D arrays, row 0 of the
+    :func:`group_time_cells` table. Pre-treatment cells (t < g) are placebo
+    contrasts kept for pre-trend testing; post cells have t >= g.
+    ``base_period_rule`` documents the comparison period convention.
     """
 
-    cells: Mapping[tuple[int, int], CellEffect]
+    keys: tuple[tuple[int, int], ...]
+    tau: np.ndarray
+    n_treated: np.ndarray
+    n_control: np.ndarray
     control_rule: str
     anticipation: int = 0
     omitted: tuple[OmittedCell, ...] = ()
@@ -67,15 +71,9 @@ class GroupTimeEffects:
     def base_period_rule(self) -> str:
         return f"g-1-{self.anticipation}"
 
-    def post_cells(self) -> dict[tuple[int, int], CellEffect]:
-        return {k: v for k, v in self.cells.items() if k[1] >= k[0]}
-
-    def pre_cells(self) -> dict[tuple[int, int], CellEffect]:
-        return {k: v for k, v in self.cells.items() if k[1] < k[0]}
-
     def to_rows(self) -> list[tuple]:
-        return [(g, t, t - g, c.tau, c.n_treated, c.n_control)
-                for (g, t), c in sorted(self.cells.items())]
+        return [(g, t, t - g, tau, int(n_tr), int(n_c)) for (g, t), tau, n_tr, n_c
+                in zip(self.keys, self.tau.tolist(), self.n_treated, self.n_control)]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -173,9 +171,10 @@ def estimate_group_time(resid: ResidualPanel, control_rule: str = "never_treated
         panel.cohort_times, ymat, present, panel.periods, control_rule, anticipation)
     if not keys:
         raise EmptyResultError("no (g, t) cell was estimable")
-    cells = {key: CellEffect(float(tau[0, j]), int(n_treated[0, j]), int(n_control[0, j]))
-             for j, key in enumerate(keys)}
-    return GroupTimeEffects(cells=cells, control_rule=control_rule,
+    columns = (tau[0], n_treated[0], n_control[0])
+    for column in columns:
+        column.setflags(write=False)
+    return GroupTimeEffects(tuple(keys), *columns, control_rule=control_rule,
                             anticipation=anticipation, omitted=omitted)
 
 
@@ -219,20 +218,9 @@ def demean_two_way(values: np.ndarray, codes_a: np.ndarray, n_a: int,
 
 
 @dataclass(frozen=True)
-class FixedEffectsSolution:
-    """Solver output of a demeaned least-squares fit."""
-
-    coefficients: dict
-    demeaning_iterations: int
-    demeaning_residual: float
-    dof: int
-
-
-@dataclass(frozen=True)
 class TwfeResult:
     tau: float
     se: float
-    solution: FixedEffectsSolution
 
 
 def twfe_baseline(panel: PanelDataset) -> TwfeResult:
@@ -244,7 +232,7 @@ def twfe_baseline(panel: PanelDataset) -> TwfeResult:
     the validation suite contrasts against the residualized pipeline.
     """
     stacked = np.column_stack([panel.outcomes, panel.treatments])
-    demeaned, sweeps, final_adj = demean_two_way(
+    demeaned, _, _ = demean_two_way(
         stacked, panel.unit_codes, panel.n_units, panel.time_codes, panel.n_periods)
     yd = demeaned[:, 0]
     dd = demeaned[:, 1]
@@ -264,11 +252,7 @@ def twfe_baseline(panel: PanelDataset) -> TwfeResult:
     else:
         correction = 1.0
     se = math.sqrt(correction * meat) / ssd
-    solution = FixedEffectsSolution(coefficients={"treatment": tau},
-                                    demeaning_iterations=sweeps,
-                                    demeaning_residual=final_adj,
-                                    dof=max(n - k, 0))
-    return TwfeResult(tau=tau, se=se, solution=solution)
+    return TwfeResult(tau=tau, se=se)
 
 
 def residual_slope(resid: ResidualPanel) -> float:

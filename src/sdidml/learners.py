@@ -248,11 +248,18 @@ def _fit_lasso(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: flo
 
 
 def _fit_logistic(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: float):
-    """Damped Newton on sum[log(1+e^z) - y z] + (lam/2)||b||^2, intercept unpenalized."""
+    """Damped Newton on sum[log(1+e^z) - y z] + (lam/2)||b||^2, intercept unpenalized.
+
+    A constant target has its infimum at an infinite intercept with zero
+    slopes, which is returned at once, with no Newton step.
+    """
     uniq = np.unique(y)
     if not np.isin(uniq, (0.0, 1.0)).all():
         raise DimensionMismatchError("logistic targets must be binary 0/1")
     n, p = X.shape
+    if uniq.size == 1:
+        intercept = math.inf if uniq[0] == 1.0 else -math.inf
+        return intercept, np.zeros(p), TrainingDiagnostics(0, 0.0, True)
     Xa = np.column_stack([np.ones(n), X])
     pen = np.zeros(p + 1)
     pen[1:] = lam

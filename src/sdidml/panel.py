@@ -53,17 +53,6 @@ class Cohort:
 NEVER_TREATED = Cohort(None)
 
 
-@dataclass(frozen=True)
-class PanelObservation:
-    """One (unit, time) row: outcome Y, binary exposure D, covariates X."""
-
-    unit_id: str
-    time: int
-    outcome: float
-    treatment: int
-    covariates: tuple[float, ...]
-
-
 class PanelDataset:
     """Validated, immutable panel stored as columns in (unit, time) order.
 
@@ -88,14 +77,13 @@ class PanelDataset:
     unit_starts : ndarray of intp, length n_units + 1
         Row offsets: unit k owns rows ``unit_starts[k]:unit_starts[k + 1]``.
 
-    All arrays are read-only. ``cohort`` and ``observations`` are derived
-    views of the columns.
+    All arrays are read-only. ``cohort`` is a derived view of the columns;
+    :func:`to_records` gives the rows.
     """
 
     __slots__ = (
         "units", "periods", "covariate_names", "unit_codes", "time_codes",
         "outcomes", "treatments", "covariates", "cohort_times", "unit_starts",
-        "_observations",
     )
 
     def __init__(self, unit_ids: Sequence[str], times: Sequence[int],
@@ -153,7 +141,6 @@ class PanelDataset:
         self.covariates = covariates[order]
         self.cohort_times = cohort_times
         self.unit_starts = np.searchsorted(unit_codes, np.arange(len(units) + 1))
-        self._observations = None
         for arr in (self.unit_codes, self.time_codes, self.outcomes,
                     self.treatments, self.covariates, self.cohort_times,
                     self.unit_starts):
@@ -182,14 +169,6 @@ class PanelDataset:
         """unit_id -> Cohort, built from ``cohort_times`` on every access."""
         return {u: NEVER_TREATED if math.isinf(g) else Cohort(int(g))
                 for u, g in zip(self.units, self.cohort_times.tolist())}
-
-    @property
-    def observations(self) -> tuple[PanelObservation, ...]:
-        """Row objects in canonical order, built on first access and cached."""
-        if self._observations is None:
-            self._observations = tuple(PanelObservation(*row[:4], tuple(row[4:]))
-                                       for row in _rows(self))
-        return self._observations
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PanelDataset):

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .aggregate import (
+    BOOTSTRAP_MODES,
     SCHEMES,
     AggregatedResults,
     BootstrapInference,
@@ -42,8 +43,6 @@ from .didcore import CONTROL_RULES, GroupTimeEffects, estimate_group_time
 from .errors import ConfigError, NoPreCellsError
 from .learners import LearnerSpec
 from .panel import PanelDataset
-
-BOOTSTRAP_MODES = ("full", "fixed_nuisance")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from sdidml.aggregate import (
     aggregate,
     aggregate_schemes,
     bootstrap,
-    event_curve_att,
     merge_inference,
     overall_att,
     overlap_report,
@@ -18,7 +17,7 @@ from sdidml.aggregate import (
     pretrend_test,
 )
 from sdidml.crossfit import FoldAssignment, NuisanceFits, assign_folds
-from sdidml.didcore import CellEffect, GroupTimeEffects
+from sdidml.didcore import GroupTimeEffects
 from sdidml.errors import (
     BootstrapFailureError,
     ConfigError,
@@ -36,10 +35,11 @@ aggregate_module = importlib.import_module("sdidml.aggregate")
 
 
 def effects_from(cells, anticipation=0):
-    table = {key: CellEffect(tau, n_tr, n_c)
-             for key, (tau, n_tr, n_c) in cells.items()}
-    return GroupTimeEffects(cells=table, control_rule="never_treated",
-                            anticipation=anticipation)
+    keys = sorted(cells)
+    tau, n_treated, n_control = (np.array([cells[k][j] for k in keys], dtype=np.float64)
+                                 for j in range(3))
+    return GroupTimeEffects(tuple(keys), tau, n_treated, n_control,
+                            control_rule="never_treated", anticipation=anticipation)
 
 
 class TestAggregate:

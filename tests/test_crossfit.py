@@ -15,7 +15,7 @@ from sdidml.errors import (
     TooManyFoldsError,
 )
 from sdidml.learners import LearnerSpec
-from sdidml.panel import build_panel
+from sdidml.panel import build_panel, to_records
 
 
 def toy_panel(n_units=10, n_periods=2, treated_units=(), treat_from=2, seed=0):
@@ -70,8 +70,8 @@ class TestCrossfitNuisance:
         folds = explicit_folds(panel)
         fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
                                  folds, clip_eps=0.01)
-        fold_of_obs = np.array([folds.fold_of_unit[o.unit_id]
-                                for o in panel.observations])
+        fold_of_obs = np.array([folds.fold_of_unit[panel.units[c]]
+                                for c in panel.unit_codes])
         y = panel.outcomes
         # fold-0 predictions equal the fold-1 outcome mean, and vice versa
         assert_allclose(fits.g_hat[fold_of_obs == 0], y[fold_of_obs == 1].mean(),
@@ -86,8 +86,8 @@ class TestCrossfitNuisance:
         folds = explicit_folds(panel)
         fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
                                  folds, clip_eps=0.01)
-        fold_of_obs = np.array([folds.fold_of_unit[o.unit_id]
-                                for o in panel.observations])
+        fold_of_obs = np.array([folds.fold_of_unit[panel.units[c]]
+                                for c in panel.unit_codes])
         # complement of fold 0 is fold 1: share 0/10 -> clipped to 0.01
         assert_allclose(fits.m_hat[fold_of_obs == 0], 0.01)
         # complement of fold 1 is fold 0: share 6/10, unclipped
@@ -129,20 +129,15 @@ class TestCrossfitNuisance:
         fits = crossfit_nuisance(panel, spec, LearnerSpec.mean(), folds)
 
         # perturb one observation's outcome and refit with the same folds
-        victim = panel.observations[0]
-        recs = []
-        for o in panel.observations:
-            y = o.outcome + (100.0 if o is victim else 0.0)
-            rec = {"unit": o.unit_id, "time": o.time, "outcome": y,
-                   "treatment": o.treatment}
-            rec.update({f"x{j}": v for j, v in enumerate(o.covariates)})
-            recs.append(rec)
-        perturbed = build_panel(recs)
+        records = to_records(panel)
+        victim = records[0]
+        perturbed = build_panel([dict(o, outcome=o["outcome"] + (100.0 if o is victim else 0.0))
+                                 for o in records])
         fits2 = crossfit_nuisance(perturbed, spec, LearnerSpec.mean(), folds)
 
-        fold_of_obs = np.array([folds.fold_of_unit[o.unit_id]
-                                for o in panel.observations])
-        own = folds.fold_of_unit[victim.unit_id]
+        fold_of_obs = np.array([folds.fold_of_unit[panel.units[c]]
+                                for c in panel.unit_codes])
+        own = folds.fold_of_unit[victim["unit"]]
         assert_array_equal(fits.g_hat[fold_of_obs == own],
                            fits2.g_hat[fold_of_obs == own])
         assert not np.array_equal(fits.g_hat[fold_of_obs != own],

@@ -16,7 +16,7 @@ from sdidml.errors import (
     NonConvergenceError,
 )
 from sdidml.learners import LearnerSpec
-from sdidml.panel import build_panel
+from sdidml.panel import build_panel, to_records
 
 
 def panel_from_layout(cohorts, periods, y_fn, p=1, x_fn=None):
@@ -38,17 +38,23 @@ def resid_panel(panel, y_tilde):
     return ResidualPanel(panel=panel, y_tilde=np.asarray(y_tilde, dtype=np.float64))
 
 
+def cell_table(effects):
+    """{(g, t): (tau, n_treated, n_control)} of an effects table."""
+    return {key: (tau, n_tr, n_c) for key, tau, n_tr, n_c
+            in zip(effects.keys, effects.tau, effects.n_treated, effects.n_control)}
+
+
 class TestGroupTimeContrast:
     def test_constructed_additive_effect(self):
         cohorts = {"t1": 3, "t2": 3, "c1": None, "c2": None}
         panel = panel_from_layout(cohorts, (1, 2, 3, 4), lambda u, t: 0.0)
         base_pattern = {1: 0.3, 2: -0.2, 3: 0.5, 4: 1.1}  # common to all units
-        y = np.array([base_pattern[o.time] + (1.0 if o.treatment else 0.0)
-                      for o in panel.observations])
+        y = np.array([base_pattern[o["time"]] + (1.0 if o["treatment"] else 0.0)
+                      for o in to_records(panel)])
         effects = estimate_group_time(resid_panel(panel, y))
-        for (g, t), cell in effects.cells.items():
+        for (g, t), (tau, _, _) in cell_table(effects).items():
             expected = 1.0 if t >= g else 0.0
-            assert_allclose(cell.tau, expected, atol=1e-12)
+            assert_allclose(tau, expected, atol=1e-12)
 
     def test_two_by_two_hand_computed(self):
         # treated deltas: (1.7-0.3)=1.4 and (2.1-(-0.1))=2.2 -> mean 1.8
@@ -58,12 +64,12 @@ class TestGroupTimeContrast:
         panel = panel_from_layout(cohorts, (1, 2), lambda u, t: 0.0)
         values = {("t1", 1): 0.3, ("t1", 2): 1.7, ("t2", 1): -0.1, ("t2", 2): 2.1,
                   ("c1", 1): 0.2, ("c1", 2): 0.5, ("c2", 1): 0.0, ("c2", 2): 0.1}
-        y = np.array([values[(o.unit_id, o.time)] for o in panel.observations])
-        effects = estimate_group_time(resid_panel(panel, y))
-        assert set(effects.cells) == {(2, 2)}
-        cell = effects.cells[(2, 2)]
-        assert_allclose(cell.tau, 1.6, rtol=1e-12)
-        assert (cell.n_treated, cell.n_control) == (2, 2)
+        y = np.array([values[(o["unit"], o["time"])] for o in to_records(panel)])
+        cells = cell_table(estimate_group_time(resid_panel(panel, y)))
+        assert set(cells) == {(2, 2)}
+        tau, n_treated, n_control = cells[(2, 2)]
+        assert_allclose(tau, 1.6, rtol=1e-12)
+        assert (n_treated, n_control) == (2, 2)
 
     def test_not_yet_treated_omission(self):
         # cohorts 2 and 3, nobody never-treated: cell (2,3) has no controls
@@ -71,9 +77,10 @@ class TestGroupTimeContrast:
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: u == "a")
         effects = estimate_group_time(resid_panel(panel, panel.outcomes),
                                       control_rule="not_yet_treated")
-        assert (2, 2) in effects.cells
-        assert effects.cells[(2, 2)].n_control == 2  # cohort-3 units not yet treated
-        assert (2, 3) not in effects.cells
+        cells = cell_table(effects)
+        assert (2, 2) in cells
+        assert cells[(2, 2)][2] == 2  # n_control: cohort-3 units not yet treated
+        assert (2, 3) not in cells
         assert any(o.g == 2 and o.t == 3 and "control" in o.reason
                    for o in effects.omitted)
 
@@ -86,27 +93,27 @@ class TestGroupTimeContrast:
         effects = estimate_group_time(resid_panel(panel, panel.outcomes),
                                       control_rule="not_yet_treated",
                                       anticipation=1)
-        cell = effects.cells[(3, 3)]
-        assert (cell.n_treated, cell.n_control) == (2, 2)  # c and n, not e
-        assert cell.tau == 0.0
+        tau, n_treated, n_control = cell_table(effects)[(3, 3)]
+        assert (n_treated, n_control) == (2, 2)  # c and n, not e
+        assert tau == 0.0
 
     def test_never_treated_rule_counts(self):
         cohorts = {"a": 2, "b": None, "c": None, "d": 3}
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: 0.0)
         effects = estimate_group_time(resid_panel(panel, panel.outcomes))
-        assert effects.cells[(2, 2)].n_control == 2  # only the two never-treated
+        assert cell_table(effects)[(2, 2)][2] == 2  # n_control: only the two never-treated
 
     def test_anticipation_moves_base_period(self):
         cohorts = {"a": 3, "b": 3, "c": None, "d": None}
         panel = panel_from_layout(cohorts, (1, 2, 3, 4), lambda u, t: 0.0)
-        y = np.array([float(o.time >= 2 and o.treatment >= 0 and
-                            panel.cohort[o.unit_id].ever_treated)
-                      for o in panel.observations])
+        y = np.array([float(o["time"] >= 2 and o["treatment"] >= 0 and
+                            panel.cohort[o["unit"]].ever_treated)
+                      for o in to_records(panel)])
         # anticipation=1: base period is g-2=1, so the "effect" visible from t=2 on
-        eff = estimate_group_time(resid_panel(panel, y), anticipation=1)
-        assert_allclose(eff.cells[(3, 3)].tau, 1.0, atol=1e-12)
-        assert_allclose(eff.cells[(3, 2)].tau, 1.0, atol=1e-12)  # anticipation window
-        assert (3, 1) not in eff.cells  # base period itself
+        cells = cell_table(estimate_group_time(resid_panel(panel, y), anticipation=1))
+        assert_allclose(cells[(3, 3)][0], 1.0, atol=1e-12)
+        assert_allclose(cells[(3, 2)][0], 1.0, atol=1e-12)  # anticipation window
+        assert (3, 1) not in cells  # base period itself
 
     def test_missing_base_period_omits_cohort(self):
         cohorts = {"a": 2, "b": None}
@@ -119,10 +126,10 @@ class TestGroupTimeContrast:
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: 0.0)
         rng = np.random.default_rng(8)
         y = rng.standard_normal(panel.n_obs)
-        e1 = estimate_group_time(resid_panel(panel, y))
-        e2 = estimate_group_time(resid_panel(panel, y + 123.456))
-        for key in e1.cells:
-            assert abs(e1.cells[key].tau - e2.cells[key].tau) < 1e-12
+        e1 = cell_table(estimate_group_time(resid_panel(panel, y)))
+        e2 = cell_table(estimate_group_time(resid_panel(panel, y + 123.456)))
+        for key in e1:
+            assert abs(e1[key][0] - e2[key][0]) < 1e-12
 
     def test_permutation_null_centers_on_zero(self):
         rng = np.random.default_rng(21)
@@ -135,7 +142,8 @@ class TestGroupTimeContrast:
             cohorts = {f"u{i:02d}": labels[perm[i]] for i in range(n_units)}
             panel = panel_from_layout(cohorts, periods, lambda u, t: 0.0)
             effects = estimate_group_time(resid_panel(panel, y))
-            atts.append(np.mean([c.tau for k, c in effects.post_cells().items()]))
+            atts.append(np.mean([c[0] for (g, t), c in cell_table(effects).items()
+                                 if t >= g]))
         atts = np.array(atts)
         mc_se = atts.std(ddof=1) / np.sqrt(len(atts))
         assert abs(atts.mean()) < 3 * mc_se + 1e-12
@@ -229,8 +237,8 @@ class TestSubgroups:
         labels = {u: u.split(".")[0] for u in panel.units}
         result = subgroup_effects(resid_panel(panel, panel.outcomes), labels)
         assert not result.failures
-        cells_a = {k: v.tau for k, v in result.effects["A"].cells.items()}
-        cells_b = {k: v.tau for k, v in result.effects["B"].cells.items()}
+        cells_a = {k: v[0] for k, v in cell_table(result.effects["A"]).items()}
+        cells_b = {k: v[0] for k, v in cell_table(result.effects["B"]).items()}
         assert cells_a.keys() == cells_b.keys()
         for k in cells_a:
             assert_allclose(cells_a[k], cells_b[k], rtol=1e-12)

@@ -1,10 +1,11 @@
 """The full-mode bootstrap refits only the outcome model.
 
 The contrast cells read y_tilde = Y - g_hat alone, so a replicate cross-fits
-g on its fresh-id panel and never fits the treatment model m. These tests
-pin that this reproduces, to the bit, the replicate that ran the whole of
-``estimate_effects`` (both nuisances), kept here as the reference, and
-that no refit fits m.
+g on its fresh-id panel and never fits the treatment model m; its residuals
+go back onto the original units and its cells come from one weighted
+``group_time_cells`` call. These tests pin that this reproduces the
+replicate that ran the whole of ``estimate_effects`` (both nuisances) on
+the fresh-id panel, kept here as the reference, and that no refit fits m.
 """
 
 import importlib
@@ -24,6 +25,11 @@ from sdidml.simulate import generate, scenario
 # The package attribute ``sdidml.aggregate`` is the aggregate() function.
 aggregate = importlib.import_module("sdidml.aggregate")
 learners = importlib.import_module("sdidml.learners")
+
+# A unit drawn k times enters the weighted cell sums once with weight k, not
+# as k copies, so sums run in another order: tau, SEs (relative) and CI
+# bounds may move in the last digits of a double.
+TOL = 1e-12
 
 
 def small_null_panel(n_units=60, seed=11):
@@ -45,13 +51,14 @@ def two_control_panel():
 
 
 def both_nuisance_replicates(config, panel, B, seed):
-    """Cell maps of the replicate that ran all of ``estimate_effects``.
+    """Cell tables ``{(g, t): (tau, n_treated, n_control)}`` of the replicate
+    that ran all of ``estimate_effects``.
 
     Replicate r resamples with seed ``seed + r``, gives the copies fresh
     ids, puts every copy in its unit's fold, and cross-fits both nuisances;
     None marks a failed replicate.
     """
-    maps = []
+    tables = []
     for r in range(B):
         idx = np.random.default_rng(seed + r).integers(0, panel.n_units, size=panel.n_units)
         fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
@@ -59,15 +66,29 @@ def both_nuisance_replicates(config, panel, B, seed):
         folds = FoldAssignment(config.n_folds,
                                {f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
         try:
-            bpanel = subset_units(panel, idx, fresh)
-            maps.append(estimate_effects(bpanel, config, folds).effects.cells)
+            effects = estimate_effects(subset_units(panel, idx, fresh), config, folds).effects
         except (DataError, EstimationError, LearnerError):
-            maps.append(None)
-    return maps
+            tables.append(None)
+            continue
+        tables.append({key: (tau, n_tr, n_c) for key, tau, n_tr, n_c in zip(
+            effects.keys, effects.tau, effects.n_treated, effects.n_control)})
+    return tables
 
 
-# Logistic fits on the 8-unit panel's tiny folds may stop at max_iter.
-@pytest.mark.filterwarnings("ignore::sdidml.errors.ConvergenceWarning")
+def assert_inference_close(got, want):
+    assert (got.n_reps, got.n_failed, got.mode) == (want.n_reps, want.n_failed, want.mode)
+    assert got.event.keys() == want.event.keys()
+    assert got.group.keys() == want.group.keys()
+    pairs = [(got.overall, want.overall),
+             *((got.event[e], want.event[e]) for e in want.event),
+             *((got.group[g], want.group[g]) for g in want.group)]
+    for a, b in pairs:
+        assert a.n_reps == b.n_reps
+        assert a.se == b.se if b.se is None else a.se == pytest.approx(b.se, rel=TOL, abs=0)
+        assert abs(a.ci_low - b.ci_low) <= TOL
+        assert abs(a.ci_high - b.ci_high) <= TOL
+
+
 @pytest.mark.parametrize("make_panel,n_folds,B,expect_failures", [
     (small_null_panel, 5, 12, False),
     (two_control_panel, 2, 30, True),
@@ -76,21 +97,41 @@ def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel,
                                                         B, expect_failures):
     panel = make_panel()
     config = PipelineConfig(n_folds=n_folds, bootstrap_reps=B, seed=3)
-    reference_maps = both_nuisance_replicates(config, panel, B, seed=9)
-    cell_rows = aggregate._cell_rows
-    seen = []
-    monkeypatch.setattr(aggregate, "_cell_rows",
-                        lambda maps: seen.append(maps) or cell_rows(maps))
+    reference = both_nuisance_replicates(config, panel, B, seed=9)
+    group_time_cells = aggregate.group_time_cells
+    calls = []
+    monkeypatch.setattr(aggregate, "group_time_cells",
+                        lambda *args: calls.append(group_time_cells(*args)) or calls[-1])
+    monkeypatch.setattr(aggregate, "estimate_group_time", None)  # never called
     inference = bootstrap(config, panel, B, seed=9, mode="full")
-    assert seen == [reference_maps]  # every replicate's cells, to the bit
+
+    # One weighted call per replicate, all over the point estimate's cells;
+    # the present cells and their counts match the reference's exactly.
+    assert len(calls) == B
+    keys = calls[0][0]
+    ref_tau = np.full((B, len(keys)), np.nan)
+    ref_treated = np.zeros((B, len(keys)))
+    for r, ((row_keys, tau, n_treated, n_control, _), table) in enumerate(zip(calls, reference)):
+        assert row_keys == keys
+        present = np.flatnonzero(~np.isnan(tau[0]))
+        assert ({keys[j]: (n_treated[0, j], n_control[0, j]) for j in present}
+                == {key: cell[1:] for key, cell in (table or {}).items()})
+        for j in present:
+            assert abs(tau[0, j] - table[keys[j]][0]) <= TOL
+            ref_tau[r, j], ref_treated[r, j] = table[keys[j]][:2]
 
     # The same aggregation tail on the reference cells gives the same
-    # n_failed and every SE and CI bound to the bit.
-    monkeypatch.setattr(aggregate, "_cell_rows", lambda maps: cell_rows(reference_maps))
-    reference = bootstrap(config, panel, B, seed=9, mode="full")
-    assert (0 < reference.n_failed <= 0.2 * B) == expect_failures
-    assert inference.n_failed == reference.n_failed
-    assert inference == reference
+    # n_failed, and every SE and CI bound within TOL.
+    rows = iter(range(B))
+
+    def reference_cells(*args):
+        r = next(rows)
+        return keys, ref_tau[r:r + 1], ref_treated[r:r + 1], None, ()
+
+    monkeypatch.setattr(aggregate, "group_time_cells", reference_cells)
+    want = bootstrap(config, panel, B, seed=9, mode="full")
+    assert (0 < want.n_failed <= 0.2 * B) == expect_failures
+    assert_inference_close(inference, want)
 
 
 def test_refits_never_fit_the_treatment_model(monkeypatch):

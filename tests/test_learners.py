@@ -9,7 +9,7 @@ from sdidml.errors import (
     NonFiniteInputError,
     SingularSystemError,
 )
-from sdidml.learners import LearnerSpec, fit, predict
+from sdidml.learners import _PROB_EPS, LearnerSpec, fit, predict
 
 
 def linear_data(n=50, p=5, seed=3, noise=0.0):
@@ -173,6 +173,14 @@ class TestLogistic:
         X_shift[:, 2] += 10.0
         m2 = fit(LearnerSpec.logistic(0.0, max_iter=500, tol=1e-12), X_shift, y)
         assert np.max(np.abs(predict(m1, X) - predict(m2, X_shift))) < 1e-8
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_constant_target_returns_at_once(self, label):
+        X = np.random.default_rng(3).standard_normal((30, 2))
+        model = fit(LearnerSpec.logistic(1.0), X, np.full(30, label))  # no ConvergenceWarning
+        assert model.diagnostics.iterations == 0 and model.diagnostics.converged
+        assert_array_equal(model.coef, 0.0)
+        assert_array_equal(predict(model, X), _PROB_EPS if label == 0.0 else 1.0 - _PROB_EPS)
 
     def test_requires_binary_targets(self):
         X = np.zeros((4, 1))

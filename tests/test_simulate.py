@@ -66,10 +66,10 @@ class TestGenerate:
         # counterfactual check: the same seed with a null effect shares every
         # draw, so observed outcomes differ by exactly 2.0 on treated cells
         null = generate(replace(cfg, effect=EffectSpec.null()))
-        for obs, obs0 in zip(oracle.panel.observations, null.panel.observations):
-            assert (obs.unit_id, obs.time) == (obs0.unit_id, obs0.time)
-            diff = obs.outcome - obs0.outcome
-            assert diff == (2.0 if obs.treatment else 0.0)
+        for obs, obs0 in zip(to_records(oracle.panel), to_records(null.panel)):
+            assert (obs["unit"], obs["time"]) == (obs0["unit"], obs0["time"])
+            diff = obs["outcome"] - obs0["outcome"]
+            assert diff == (2.0 if obs["treatment"] else 0.0)
 
     def test_dynamic_event_curve_by_construction(self):
         cfg = small_config(effect=EffectSpec.dynamic((0.5, 1.0, 1.5)),
