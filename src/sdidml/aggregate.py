@@ -11,10 +11,10 @@ from a unit-level (cluster) bootstrap: whole units are resampled with
 replacement, and replicate r is the row of how many times each original
 unit was drawn. ``fixed_nuisance`` mode (faster but approximate) reuses the
 point-estimate residuals, so all B rows are one matrix product. ``full``
-mode cross-fits the outcome model g again on each replicate's draw, with
-fresh identities for the copies, and writes the residuals back onto the
-original units, so each replicate is one weighted cell call over the
-point estimate's cells.
+mode cross-fits the outcome model g again on each replicate's distinct
+drawn units, with the weight row as sample weights in place of repeated
+copies, and writes the residuals back onto the original units, so each
+replicate is one weighted cell call over the point estimate's cells.
 
 Every refit here (a full-mode replicate, the placebo test, and the
 fixed-nuisance bootstrap without point residuals) cross-fits g alone: the
@@ -258,13 +258,13 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
     outcomes in ``panel``'s observation order, for every replicate (when
     None, they come from an outcome-only cross-fit on
     ``assign_folds(panel, K, config.seed)``), so one call computes all B
-    rows. ``full`` mode gives the drawn units fresh identities and
-    cross-fits the outcome model g on each replicate, with folds assigned
-    over the original units by seed ``seed + r`` so that every copy of a
-    unit lands in its unit's fold. Copies of a unit share a fold and a
-    feature row, hence one prediction, so the replicate's residuals are
-    written back onto the original rows of each drawn unit; undrawn units
-    get 0 (their weight is 0), and a replicate whose refit fails gets NaN.
+    rows. ``full`` mode cross-fits the outcome model g on each replicate's
+    distinct drawn units, with folds assigned over the original units by
+    seed ``seed + r`` and the weight row as sample weights: a unit drawn c
+    times counts as c copies in the standardization and in every fit, and
+    all of them sit in its fold. The replicate's residuals are written back
+    onto the original rows of each drawn unit; undrawn units get 0 (their
+    weight is 0), and a replicate whose refit fails gets NaN.
     Neither mode fits the treatment model. Replicates whose resample admits
     no estimable post-treatment cell are counted as failures; more than 20%
     failures aborts.
@@ -274,9 +274,8 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
     if mode not in BOOTSTRAP_MODES:
         raise ConfigError(f"unknown bootstrap mode {mode!r}")
     n_units = panel.n_units
-    draws = [_resample(seed, r, n_units) for r in range(B)]
-    weights = np.array([np.bincount(idx, minlength=n_units) for idx in draws],
-                       dtype=np.float64)
+    weights = np.array([np.bincount(_resample(seed, r, n_units), minlength=n_units)
+                        for r in range(B)], dtype=np.float64)
 
     def cells(y: np.ndarray, rows: np.ndarray):
         ymat, present = pivot_unit_time(panel, y)
@@ -284,15 +283,15 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
                                 config.control_rule, config.anticipation, rows)
 
     def replicate_y_tilde(r: int) -> np.ndarray:
-        idx = draws[r]
-        fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
+        c = weights[r]
+        drawn = np.flatnonzero(c)
         y = np.zeros(panel.n_obs)
         try:
-            bpanel = subset_units(panel, idx, fresh)
-            fold_of = assign_folds(panel, config.n_folds, seed + r).fold_of_unit
-            folds = FoldAssignment(config.n_folds, {
-                f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
-            y[unit_rows(panel, idx)] = _outcome_residuals(bpanel, config, folds).y_tilde
+            bpanel = subset_units(panel, drawn)
+            folds = assign_folds(panel, config.n_folds, seed + r)
+            y[unit_rows(panel, drawn)] = bpanel.outcomes - crossfit_predictions(
+                bpanel, config.g_learner, bpanel.outcomes, folds,
+                c[drawn][bpanel.unit_codes])
         except (DataError, EstimationError, LearnerError):
             y[:] = np.nan
         return y

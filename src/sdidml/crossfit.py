@@ -11,7 +11,10 @@ contrast survives into the structural stage.
 :func:`crossfit_nuisance` calls it for the outcome model g and then the
 treatment model m; the point estimate needs both, for the residuals and
 the overlap report. The bootstrap and placebo refits cross-fit only g,
-because the contrast estimator reads y_tilde alone.
+because the contrast estimator reads y_tilde alone. Both functions take
+optional per-observation weights, which weight the feature
+standardization and every fit; a full-mode bootstrap replicate passes how
+many times each of its distinct units was drawn.
 """
 
 from __future__ import annotations
@@ -65,13 +68,16 @@ def assign_folds(panel: PanelDataset, n_folds: int, seed: int) -> FoldAssignment
     return FoldAssignment(n_folds, MappingProxyType(fold_of_unit))
 
 
-def nuisance_features(panel: PanelDataset):
+def nuisance_features(panel: PanelDataset, sample_weight: Optional[np.ndarray] = None):
     """Feature matrix for the nuisance models: standardized X + period dummies.
 
     Returns ``(matrix, names)``. The earliest period is the omitted
     reference so the dummies stay linearly independent of an intercept.
+    With ``sample_weight`` (one weight per observation) the covariates are
+    standardized by their weighted mean and weighted population SD.
     """
-    X, _, _ = feature_matrix(panel, standardize=True)
+    w = learners.check_sample_weight(sample_weight, panel.n_obs)
+    X, _, _ = feature_matrix(panel, standardize=True, sample_weight=w)
     dummies = np.eye(panel.n_periods)[panel.time_codes, 1:]
     names = [*panel.covariate_names, *(f"t={t}" for t in panel.periods[1:])]
     return np.hstack([X, dummies]), names
@@ -104,19 +110,27 @@ class ResidualPanel:
 
 
 def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndarray,
-                         folds: FoldAssignment) -> np.ndarray:
+                         folds: FoldAssignment,
+                         sample_weight: Optional[np.ndarray] = None) -> np.ndarray:
     """Out-of-fold predictions of one learner for one per-observation target.
 
     For each fold k the learner is trained on all observations of units
     outside fold k and evaluated on fold k's observations. With one fold it
     is trained and evaluated on the full sample, which is a diagnostic mode
-    only. A learner failure is re-raised with its fold number.
+    only. A learner failure is re-raised with its fold number. ``folds``
+    may also cover units that are not in ``panel``.
+
+    ``sample_weight`` gives each observation a weight in the standardization
+    (:func:`nuisance_features`) and in every fit (:func:`learners.fit`);
+    integer weights c give the predictions of the panel whose units are
+    repeated c times, every copy in its unit's fold.
     """
     missing = [u for u in panel.units if u not in folds.fold_of_unit]
     if missing:
         raise AlignmentMismatchError(
             f"fold assignment lacks {len(missing)} panel unit(s), e.g. {missing[0]!r}")
-    features, _ = nuisance_features(panel)
+    w = learners.check_sample_weight(sample_weight, panel.n_obs)
+    features, _ = nuisance_features(panel, w)
     fold_of_obs = np.array([folds.fold_of_unit[u] for u in panel.units],
                            dtype=np.intp)[panel.unit_codes]
     predictions = np.empty(panel.n_obs)
@@ -124,7 +138,8 @@ def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndar
         test = fold_of_obs == k
         train = ~test if folds.n_folds > 1 else np.ones(panel.n_obs, dtype=bool)
         try:
-            model = learners.fit(spec, features[train], target[train])
+            model = learners.fit(spec, features[train], target[train],
+                                 None if w is None else w[train])
         except LearnerError as exc:
             raise type(exc)(f"fold {k}: {exc}") from exc
         predictions[test] = learners.predict(model, features[test])

@@ -3,14 +3,15 @@
 Five learner kinds are available: a constant-mean baseline, ridge and lasso
 linear models, greedy gradient-boosted regression trees, and L2-penalized
 logistic regression for binary treatment models. All fits are deterministic
-functions of (spec, data).
+functions of (spec, data). The regression kinds also take per-row sample
+weights: a row of integer weight c counts as c copies of that row.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import (
     ConfigError,
     ConvergenceWarning,
     DimensionMismatchError,
+    LearnerError,
     NonFiniteInputError,
     SingularSystemError,
     json_number,
@@ -171,21 +173,53 @@ def _check_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     return X, y
 
 
+def check_sample_weight(sample_weight, n: int) -> Optional[np.ndarray]:
+    """Per-row weights for ``n`` rows as floats: finite, non-negative, positive sum."""
+    if sample_weight is None:
+        return None
+    w = np.asarray(sample_weight, dtype=np.float64)
+    if w.shape != (n,):
+        raise DimensionMismatchError(
+            f"sample weights of shape {w.shape} do not match {n} rows")
+    total = w.sum()  # NaN or infinite if any weight is
+    if not (np.isfinite(total) and total > 0 and w.min() >= 0):
+        raise LearnerError("sample weights must be finite and non-negative "
+                           "with a positive sum")
+    return w
+
+
 # -- linear fits ---------------------------------------------------------------
 
 
-def _fit_mean(y: np.ndarray, p: int) -> tuple[float, np.ndarray, TrainingDiagnostics]:
-    mu = float(y.mean())
-    sse = float(((y - mu) ** 2).sum())
-    return mu, np.zeros(p), TrainingDiagnostics(0, 0.5 * sse, True)
+def _centered(X: np.ndarray, y: np.ndarray, w: Optional[np.ndarray]):
+    """Means of X and y and the centered data.
 
-
-def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float):
-    n, p = X.shape
-    xm = X.mean(axis=0)
-    ym = float(y.mean())
+    With weights the means are weighted and the centered rows are scaled by
+    sqrt(w), so that plain sums of squares and products of the returned
+    rows are the weighted ones.
+    """
+    if w is None:
+        xm = X.mean(axis=0)
+        ym = float(y.mean())
+        return xm, ym, X - xm, y - ym
+    total = w.sum()
+    xm = w @ X / total
+    ym = float(w @ y / total)
+    sw = np.sqrt(w)
     Xc = X - xm
-    yc = y - ym
+    Xc *= sw[:, None]
+    return xm, ym, Xc, (y - ym) * sw
+
+
+def _fit_mean(X: np.ndarray, y: np.ndarray, w: Optional[np.ndarray]):
+    _, mu, _, yc = _centered(X[:, :0], y, w)
+    sse = float((yc ** 2).sum())
+    return mu, np.zeros(X.shape[1]), TrainingDiagnostics(0, 0.5 * sse, True)
+
+
+def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float, w: Optional[np.ndarray]):
+    p = X.shape[1]
+    xm, ym, Xc, yc = _centered(X, y, w)
     if p == 0:
         return ym, np.zeros(0), TrainingDiagnostics(0, 0.5 * float(yc @ yc), True)
     if lam == 0.0 and np.linalg.matrix_rank(Xc) < p:
@@ -210,14 +244,16 @@ def _soft_threshold(rho: float, lam: float) -> float:
     return 0.0
 
 
-def _fit_lasso(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: float):
-    """Cyclic coordinate descent on (1/2n)||y - b0 - Xb||^2 + lam*||b||_1."""
-    n, p = X.shape
-    xm = X.mean(axis=0)
-    ym = float(y.mean())
-    Xc = X - xm
-    yc = y - ym
-    col_ms = (Xc ** 2).mean(axis=0)
+def _fit_lasso(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: float,
+               w: Optional[np.ndarray]):
+    """Cyclic coordinate descent on (1/2n)||y - b0 - Xb||^2 + lam*||b||_1.
+
+    With weights, n is their sum and the squared residuals are weighted.
+    """
+    n = X.shape[0] if w is None else w.sum()
+    p = X.shape[1]
+    xm, ym, Xc, yc = _centered(X, y, w)
+    col_ms = (Xc ** 2).sum(axis=0) / n
     beta = np.zeros(p)
     r = yc.copy()
     converged = False
@@ -305,7 +341,8 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: 
 # -- gradient-boosted trees ----------------------------------------------------
 
 
-def _best_split(X: np.ndarray, r: np.ndarray, sorted_idx: np.ndarray, min_leaf: int):
+def _best_split(X: np.ndarray, r: np.ndarray, wr: np.ndarray, w: Optional[np.ndarray],
+                sorted_idx: np.ndarray, min_leaf: int):
     """Greedy variance-reduction split over all features and thresholds.
 
     ``sorted_idx`` holds, per feature column, the node's row indices in
@@ -313,26 +350,31 @@ def _best_split(X: np.ndarray, r: np.ndarray, sorted_idx: np.ndarray, min_leaf: 
     the tree). Thresholds are midpoints between consecutive distinct
     values, scored by the post-split sum of squared leaf means. Exact ties
     break toward the lowest feature index, then the lowest threshold
-    (argmax returns the first maximizer).
+    (argmax returns the first maximizer). With weights ``w`` (``wr`` is
+    ``w * r``) a side's size is its weight, for ``min_leaf`` too.
     """
     m, p = sorted_idx.shape
-    if m < 2 * min_leaf:
+    rows = sorted_idx[:, 0]
+    size = m if w is None else float(w[rows].sum())
+    if m < 2 or size < 2 * min_leaf:
         return None
     xs = X[sorted_idx, np.arange(p)]
-    csum = np.cumsum(r[sorted_idx], axis=0)
+    csum = np.cumsum(wr[sorted_idx], axis=0)
     total = float(csum[-1, 0])
     csum = csum[:-1]
-    n_left = np.arange(1, m, dtype=np.float64)[:, None]
-    score = csum ** 2 / n_left + (total - csum) ** 2 / (m - n_left)
+    if w is None:
+        n_left = np.arange(1, m, dtype=np.float64)[:, None]
+    else:
+        n_left = np.cumsum(w[sorted_idx], axis=0)[:-1]
+    score = csum ** 2 / n_left + (total - csum) ** 2 / (size - n_left)
     valid = xs[1:] > xs[:-1]
     if min_leaf > 1:
-        valid &= (n_left >= min_leaf) & (m - n_left >= min_leaf)
+        valid &= (n_left >= min_leaf) & (size - n_left >= min_leaf)
     score = np.where(valid, score, -np.inf)
     best_pos = np.argmax(score, axis=0)
     best_scores = score[best_pos, np.arange(p)]
-    base = total * total / m
-    rs = r[sorted_idx[:, 0]]
-    sse = float(rs @ rs) - base
+    base = total * total / size
+    sse = float(wr[rows] @ r[rows]) - base
     guard = 1e-12 * (sse + 1.0)
     j = int(np.argmax(best_scores))
     gain = float(best_scores[j]) - base
@@ -355,18 +397,20 @@ def _partition_sorted(X: np.ndarray, sorted_idx: np.ndarray,
     return np.ascontiguousarray(left), np.ascontiguousarray(right)
 
 
-def _grow_tree(X: np.ndarray, r: np.ndarray, sorted_idx: np.ndarray,
-               depth: int, max_depth: int, min_leaf: int) -> _TreeNode:
-    value = float(r[sorted_idx[:, 0]].mean())
+def _grow_tree(X: np.ndarray, r: np.ndarray, wr: np.ndarray, w: Optional[np.ndarray],
+               sorted_idx: np.ndarray, depth: int, max_depth: int,
+               min_leaf: int) -> _TreeNode:
+    rows = sorted_idx[:, 0]
+    value = float(r[rows].mean() if w is None else wr[rows].sum() / w[rows].sum())
     if depth >= max_depth:
         return _TreeNode(value=value)
-    split = _best_split(X, r, sorted_idx, min_leaf)
+    split = _best_split(X, r, wr, w, sorted_idx, min_leaf)
     if split is None:
         return _TreeNode(value=value)
     feature, threshold, _ = split
     left_idx, right_idx = _partition_sorted(X, sorted_idx, feature, threshold)
-    left = _grow_tree(X, r, left_idx, depth + 1, max_depth, min_leaf)
-    right = _grow_tree(X, r, right_idx, depth + 1, max_depth, min_leaf)
+    left = _grow_tree(X, r, wr, w, left_idx, depth + 1, max_depth, min_leaf)
+    right = _grow_tree(X, r, wr, w, right_idx, depth + 1, max_depth, min_leaf)
     return _TreeNode(value=value, feature=feature,
                      threshold=threshold, left=left, right=right)
 
@@ -390,9 +434,9 @@ def _ensemble_predict(trees, base: float, learning_rate: float, X: np.ndarray) -
     return out
 
 
-def _fit_gbt(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
+def _fit_gbt(X: np.ndarray, y: np.ndarray, spec: LearnerSpec, w: Optional[np.ndarray]):
     n = X.shape[0]
-    base = float(y.mean())
+    base = float(np.average(y, weights=w))
     pred = np.full(n, base)
     trees: list[_TreeNode] = []
     stage_losses: list[float] = []
@@ -401,11 +445,12 @@ def _fit_gbt(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
     stage = np.empty(n)
     for _ in range(spec.n_trees):
         resid = y - pred
-        tree = _grow_tree(X, resid, sorted_root, 0, spec.max_depth, spec.min_leaf)
+        tree = _grow_tree(X, resid, resid if w is None else w * resid, w,
+                          sorted_root, 0, spec.max_depth, spec.min_leaf)
         _tree_predict(tree, X, all_idx, stage)
         pred = pred + spec.learning_rate * stage
         trees.append(tree)
-        stage_losses.append(float(((y - pred) ** 2).mean()))
+        stage_losses.append(float(np.average((y - pred) ** 2, weights=w)))
     diag = TrainingDiagnostics(spec.n_trees, stage_losses[-1], True,
                                tuple(stage_losses))
     return base, tuple(trees), diag
@@ -414,25 +459,39 @@ def _fit_gbt(X: np.ndarray, y: np.ndarray, spec: LearnerSpec):
 # -- public API ----------------------------------------------------------------
 
 
-def fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray) -> FittedModel:
+def fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray,
+        sample_weight: Optional[np.ndarray] = None) -> FittedModel:
     """Train the learner selected by ``spec`` on the given data.
 
     The fit is deterministic given (spec, data). Iterative learners
     that exhaust ``max_iter`` emit a :class:`ConvergenceWarning` and return
     a model whose diagnostics carry ``converged=False``.
+
+    ``sample_weight`` (one finite, non-negative weight per row, with a
+    positive sum; see :func:`check_sample_weight`) weights each row's term
+    of the training objective, so integer weights c give the fit on the
+    rows repeated c times; rows of weight 0 are dropped. The regression
+    kinds (mean, ridge, lasso, gbt) take weights, logistic does not.
+    Without weights every kind runs its unweighted arithmetic.
     """
     X, y = _check_training_input(features, targets)
+    w = check_sample_weight(sample_weight, X.shape[0])
+    if w is not None:
+        if spec.kind == "logistic":
+            raise ConfigError("logistic regression takes no sample weights")
+        if not w.all():
+            X, y, w = X[w > 0], y[w > 0], w[w > 0]
     p = X.shape[1]
     if spec.kind == "mean":
-        intercept, coef, diag = _fit_mean(y, p)
+        intercept, coef, diag = _fit_mean(X, y, w)
     elif spec.kind == "ridge":
-        intercept, coef, diag = _fit_ridge(X, y, spec.lam)
+        intercept, coef, diag = _fit_ridge(X, y, spec.lam, w)
     elif spec.kind == "lasso":
-        intercept, coef, diag = _fit_lasso(X, y, spec.lam, spec.max_iter, spec.tol)
+        intercept, coef, diag = _fit_lasso(X, y, spec.lam, spec.max_iter, spec.tol, w)
     elif spec.kind == "logistic":
         intercept, coef, diag = _fit_logistic(X, y, spec.lam, spec.max_iter, spec.tol)
     elif spec.kind == "gbt":
-        intercept, trees, diag = _fit_gbt(X, y, spec)
+        intercept, trees, diag = _fit_gbt(X, y, spec, w)
         return FittedModel(spec=spec, n_features=p, intercept=intercept,
                            trees=trees, diagnostics=diag)
     else:  # pragma: no cover - guarded by LearnerSpec validation

@@ -332,18 +332,27 @@ def event_time(panel: PanelDataset, unit: str, t: int) -> Optional[int]:
     return None if g is None else t - g
 
 
-def feature_matrix(panel: PanelDataset, standardize: bool = True):
+def feature_matrix(panel: PanelDataset, standardize: bool = True,
+                   sample_weight: Optional[np.ndarray] = None):
     """Covariate matrix in canonical observation order.
 
     With ``standardize`` each column is centered and scaled to unit
     population standard deviation; zero-variance columns are centered only
-    and their scale is reported as 1. Returns ``(matrix, means, scales)``.
+    and their scale is reported as 1. ``sample_weight`` (one non-negative
+    weight per observation, positive sum) weights the mean and the standard
+    deviation, so integer weights c standardize as the rows repeated c
+    times would. Returns ``(matrix, means, scales)``.
     """
     X = np.array(panel.covariates, dtype=np.float64)
     if not standardize:
         return X, np.zeros(X.shape[1]), np.ones(X.shape[1])
-    means = X.mean(axis=0) if X.shape[0] else np.zeros(X.shape[1])
-    scales = X.std(axis=0, ddof=0) if X.shape[0] else np.ones(X.shape[1])
+    if sample_weight is None:
+        means = X.mean(axis=0) if X.shape[0] else np.zeros(X.shape[1])
+        scales = X.std(axis=0, ddof=0) if X.shape[0] else np.ones(X.shape[1])
+    else:
+        total = sample_weight.sum()
+        means = sample_weight @ X / total
+        scales = np.sqrt(sample_weight @ (X - means) ** 2 / total)
     scales = np.where(scales == 0.0, 1.0, scales)
     X = (X - means) / scales
     return X, means, scales
@@ -364,23 +373,16 @@ def pivot_unit_time(panel: PanelDataset, values: np.ndarray):
     return mat, present
 
 
-def subset_units(panel: PanelDataset, codes,
-                 fresh_ids: Optional[Sequence[str]] = None) -> PanelDataset:
-    """Panel of the units with the given codes (repeats allowed with fresh ids).
+def subset_units(panel: PanelDataset, codes) -> PanelDataset:
+    """Panel of the units with the given codes.
 
-    ``codes`` index ``panel.units``. Used for subgroup estimation and
-    cluster-bootstrap resampling; the result passes full validation, so an
-    invalid subset (e.g. one with no control pool, or a repeated unit
-    without fresh ids) raises the corresponding panel error.
+    ``codes`` index ``panel.units``. Used for subgroup estimation and the
+    full-mode bootstrap refits; the result passes full validation, so an
+    invalid subset (e.g. one with no control pool, or a repeated unit)
+    raises the corresponding panel error.
     """
-    codes = np.asarray(codes, dtype=np.intp)
-    if fresh_ids is None:
-        fresh_ids = np.asarray(panel.units)[codes]  # repeats fail as duplicates
-    elif len(fresh_ids) != len(codes):
-        raise ValueError("fresh_ids must parallel the unit codes")
     rows = unit_rows(panel, codes)
-    lengths = panel.unit_starts[codes + 1] - panel.unit_starts[codes]
-    return PanelDataset(np.repeat(np.asarray(fresh_ids, dtype=str), lengths),
+    return PanelDataset(np.asarray(panel.units)[panel.unit_codes[rows]],
                         np.asarray(panel.periods)[panel.time_codes[rows]],
                         panel.outcomes[rows], panel.treatments[rows],
                         panel.covariates[rows], panel.covariate_names)

@@ -11,7 +11,6 @@ from sdidml.aggregate import (
     aggregate_schemes,
     bootstrap,
     merge_inference,
-    overall_att,
     overlap_report,
     placebo_test,
     pretrend_test,
@@ -137,26 +136,30 @@ class TestBootstrap:
         fixed = bootstrap(self.pipe(), panel, B=9, seed=7, mode="fixed_nuisance")
         assert full.event.keys() == fixed.event.keys()
 
-    def test_full_mode_keeps_all_copies_of_a_unit_in_one_fold(self, monkeypatch):
-        # A copy in another fold would train the model that predicts its twin.
+    def test_full_mode_refits_drawn_units_in_their_folds_with_their_counts(self, monkeypatch):
+        # No observation is predicted by a model that saw its own unit: each
+        # drawn unit is fitted once, weighted by its draw count, in its fold.
         calls = []
         crossfit_predictions = aggregate_module.crossfit_predictions
 
-        def recording(panel, spec, target, folds):
-            calls.append((panel, folds))
-            return crossfit_predictions(panel, spec, target, folds)
+        def recording(panel, spec, target, folds, sample_weight):
+            calls.append((panel, folds, sample_weight))
+            return crossfit_predictions(panel, spec, target, folds, sample_weight)
 
         monkeypatch.setattr(aggregate_module, "crossfit_predictions", recording)
-        bootstrap(self.pipe(bootstrap_mode="full"), small_null_panel(), B=4,
-                  seed=3, mode="full")
+        panel = small_null_panel()
+        config = self.pipe(bootstrap_mode="full")
+        bootstrap(config, panel, B=4, seed=3, mode="full")
         assert len(calls) == 4
-        for bpanel, folds in calls:
-            folds_of_origin = {}
-            for copy in bpanel.units:  # fresh ids are "b<k>.<original id>"
-                origin = copy.split(".", 1)[1]
-                folds_of_origin.setdefault(origin, []).append(folds.fold_of_unit[copy])
-            assert len(folds_of_origin) < bpanel.n_units  # some unit was drawn twice
-            assert all(len(set(f)) == 1 for f in folds_of_origin.values())
+        for r, (bpanel, folds, sample_weight) in enumerate(calls):
+            draw = np.random.default_rng(3 + r).integers(0, panel.n_units, size=panel.n_units)
+            counts = np.bincount(draw, minlength=panel.n_units)
+            drawn = np.flatnonzero(counts)
+            assert bpanel.units == tuple(panel.units[i] for i in drawn)
+            fold_of = assign_folds(panel, config.n_folds, 3 + r).fold_of_unit
+            assert all(folds.fold_of_unit[u] == fold_of[u] for u in bpanel.units)
+            assert np.array_equal(sample_weight, counts[drawn][bpanel.unit_codes])
+            assert sample_weight.max() > 1  # some unit was drawn twice
 
     def test_failure_share_aborts(self):
         # one never-treated unit among 8: ~1/3 of resamples miss all controls

@@ -1,11 +1,13 @@
-"""The full-mode bootstrap refits only the outcome model.
+"""The full-mode bootstrap refits only the outcome model, with weights.
 
 The contrast cells read y_tilde = Y - g_hat alone, so a replicate cross-fits
-g on its fresh-id panel and never fits the treatment model m; its residuals
-go back onto the original units and its cells come from one weighted
-``group_time_cells`` call. These tests pin that this reproduces the
-replicate that ran the whole of ``estimate_effects`` (both nuisances) on
-the fresh-id panel, kept here as the reference, and that no refit fits m.
+g and never fits the treatment model m. It fits the distinct drawn units
+once each, weighted by how many times each was drawn; its residuals go back
+onto the original units and its cells come from one weighted
+``group_time_cells`` call. These tests pin that this reproduces, for every
+outcome learner kind, the replicate that copied each drawn unit under a
+fresh id and ran the whole of ``estimate_effects`` (both nuisances) on that
+panel, kept here as the reference, and that no refit fits m.
 """
 
 import importlib
@@ -18,7 +20,8 @@ import pytest
 from sdidml.aggregate import bootstrap, placebo_test
 from sdidml.crossfit import FoldAssignment, assign_folds
 from sdidml.errors import DataError, EstimationError, LearnerError
-from sdidml.panel import build_panel, subset_units
+from sdidml.learners import LearnerSpec
+from sdidml.panel import PanelDataset, build_panel, unit_rows
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import generate, scenario
 
@@ -26,8 +29,8 @@ from sdidml.simulate import generate, scenario
 aggregate = importlib.import_module("sdidml.aggregate")
 learners = importlib.import_module("sdidml.learners")
 
-# A unit drawn k times enters the weighted cell sums once with weight k, not
-# as k copies, so sums run in another order: tau, SEs (relative) and CI
+# A unit drawn k times enters the fits and the cell sums once with weight k,
+# not as k copies, so sums run in another order: tau, SEs (relative) and CI
 # bounds may move in the last digits of a double.
 TOL = 1e-12
 
@@ -50,6 +53,17 @@ def two_control_panel():
     return build_panel(recs)
 
 
+def fresh_id_panel(panel, idx):
+    """The drawn units' rows, copy k of unit i renamed ``b<k>.<unit i>``."""
+    rows = unit_rows(panel, idx)
+    fresh = np.array([f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)])
+    lengths = panel.unit_starts[idx + 1] - panel.unit_starts[idx]
+    return PanelDataset(np.repeat(fresh, lengths),
+                        np.asarray(panel.periods)[panel.time_codes[rows]],
+                        panel.outcomes[rows], panel.treatments[rows],
+                        panel.covariates[rows], panel.covariate_names)
+
+
 def both_nuisance_replicates(config, panel, B, seed):
     """Cell tables ``{(g, t): (tau, n_treated, n_control)}`` of the replicate
     that ran all of ``estimate_effects``.
@@ -66,7 +80,7 @@ def both_nuisance_replicates(config, panel, B, seed):
         folds = FoldAssignment(config.n_folds,
                                {f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
         try:
-            effects = estimate_effects(subset_units(panel, idx, fresh), config, folds).effects
+            effects = estimate_effects(fresh_id_panel(panel, idx), config, folds).effects
         except (DataError, EstimationError, LearnerError):
             tables.append(None)
             continue
@@ -89,14 +103,24 @@ def assert_inference_close(got, want):
         assert abs(a.ci_high - b.ci_high) <= TOL
 
 
-@pytest.mark.parametrize("make_panel,n_folds,B,expect_failures", [
-    (small_null_panel, 5, 12, False),
-    (two_control_panel, 2, 30, True),
-], ids=["null_panel", "some_failures"])
+# Outcome learners, by id suffix; the default (ridge) has none. The trees
+# are stumps: in a deeper tree on the eight-unit panel a covariate cut and a
+# period dummy can split off the same rows, and rounding, which differs
+# between weights and copies, breaks that exact tie.
+G_LEARNERS = {"": LearnerSpec.ridge(1.0), "-lasso": LearnerSpec.lasso(0.05),
+              "-mean": LearnerSpec.mean(), "-gbt": LearnerSpec.gbt(5, 1, 0.3, 2)}
+
+
+@pytest.mark.parametrize("make_panel,n_folds,B,expect_failures,g_learner", [
+    pytest.param(make_panel, n_folds, B, expect_failures, spec, id=name + suffix)
+    for name, make_panel, n_folds, B, expect_failures in [
+        ("null_panel", small_null_panel, 5, 12, False),
+        ("some_failures", two_control_panel, 2, 30, True)]
+    for suffix, spec in G_LEARNERS.items()])
 def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel, n_folds,
-                                                        B, expect_failures):
+                                                        B, expect_failures, g_learner):
     panel = make_panel()
-    config = PipelineConfig(n_folds=n_folds, bootstrap_reps=B, seed=3)
+    config = PipelineConfig(g_learner=g_learner, n_folds=n_folds, bootstrap_reps=B, seed=3)
     reference = both_nuisance_replicates(config, panel, B, seed=9)
     group_time_cells = aggregate.group_time_cells
     calls = []

@@ -1,7 +1,8 @@
-"""Modules import in one direction.
+"""Modules import in one direction, and only what they use.
 
 No ``sdidml`` import sits inside a function, and every module-level import
-of a sibling module goes to a lower layer of ``LAYERS``.
+of a sibling module goes to a lower layer of ``LAYERS``. Every name that a
+package or test module imports is read in that module.
 """
 
 import ast
@@ -79,3 +80,32 @@ def test_module_level_imports_go_to_lower_layers():
             if LAYERS.index(target) >= LAYERS.index(module):
                 upward.append((module, target))
     assert upward == []
+
+
+def unread_imports(path: Path) -> list:
+    """Names bound by an import in the file at ``path`` that the file never
+    reads; a string listed in ``__all__`` counts as a read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    return sorted(imported - read)
+
+
+def test_every_imported_name_is_read():
+    # The package __init__ imports to re-export: its __all__ is every
+    # public name in it.
+    files = [path for path in package_files() if path.stem != "__init__"]
+    files += sorted(Path(__file__).parent.glob("*.py"))
+    unread = {f"{path.parent.name}/{path.name}": names
+              for path in files if (names := unread_imports(path))}
+    assert unread == {}

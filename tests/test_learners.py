@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sdidml.errors import (
     ConfigError,
     ConvergenceWarning,
     DimensionMismatchError,
+    LearnerError,
     NonFiniteInputError,
     SingularSystemError,
 )
@@ -222,3 +225,70 @@ class TestContracts:
         X[0, 0] = np.nan
         with pytest.raises(NonFiniteInputError):
             fit(LearnerSpec.ridge(1.0), X, y)
+
+
+# One spec per regression kind; the trees use min_leaf > 1 so that a leaf's
+# size is its weight.
+WEIGHTED_SPECS = [LearnerSpec.mean(), LearnerSpec.ridge(0.5),
+                  LearnerSpec.lasso(0.05, tol=1e-12), LearnerSpec.gbt(10, 3, 0.3, 3)]
+
+
+def continuous_data(seed, n=30, p=4):
+    """Features and targets with no repeated value."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    return X, X[:, 0] - X[:, p - 1] ** 2 + 0.3 * rng.standard_normal(n)
+
+
+def assert_same_model(a, b):
+    assert a.intercept == b.intercept
+    assert a.diagnostics == b.diagnostics
+    assert a.trees == b.trees
+    assert (a.coef is None) == (b.coef is None)
+    if a.coef is not None:
+        assert_array_equal(a.coef, b.coef)
+
+
+class TestSampleWeights:
+    @pytest.mark.parametrize("spec", WEIGHTED_SPECS, ids=lambda s: s.kind)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           counts=st.lists(st.integers(0, 3), min_size=30, max_size=30).filter(any))
+    def test_integer_weights_equal_repeated_rows(self, spec, seed, counts):
+        # Two features can cut a small node into the same two row sets; that
+        # exact tie is broken by rounding, which differs between weights and
+        # copies, so the trees get one feature and no split ties.
+        X, y = continuous_data(seed, p=1 if spec.kind == "gbt" else 4)
+        weighted = fit(spec, X, y, sample_weight=np.array(counts))
+        repeated = fit(spec, np.repeat(X, counts, axis=0), np.repeat(y, counts))
+        assert_allclose(predict(weighted, X), predict(repeated, X), rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("spec", WEIGHTED_SPECS, ids=lambda s: s.kind)
+    def test_no_weights_is_the_unweighted_fit(self, spec):
+        X, y = continuous_data(7)
+        plain = fit(spec, X, y)
+        none = fit(spec, X, y, sample_weight=None)
+        assert_same_model(none, plain)
+        assert_array_equal(predict(none, X), predict(plain, X))
+        unit = fit(spec, X, y, sample_weight=np.ones(len(y)))
+        assert_allclose(predict(unit, X), predict(plain, X), rtol=0, atol=1e-12)
+
+    def test_ridge_without_weights_solves_the_centered_gram(self):
+        X, y = continuous_data(7)
+        Xc = X - X.mean(axis=0)
+        beta = np.linalg.solve(Xc.T @ Xc + 0.5 * np.eye(X.shape[1]), Xc.T @ (y - y.mean()))
+        assert_array_equal(fit(LearnerSpec.ridge(0.5), X, y).coef, beta)
+
+    @pytest.mark.parametrize("spec", WEIGHTED_SPECS, ids=lambda s: s.kind)
+    @pytest.mark.parametrize("weights", [
+        np.r_[-1.0, np.ones(29)], np.r_[np.nan, np.ones(29)], np.r_[np.inf, np.ones(29)],
+        np.ones(29), np.zeros(30)], ids=["negative", "nan", "inf", "short", "zero_sum"])
+    def test_invalid_weights_raise(self, spec, weights):
+        X, y = continuous_data(1)
+        with pytest.raises(LearnerError):
+            fit(spec, X, y, sample_weight=weights)
+
+    def test_logistic_takes_no_weights(self):
+        X, y = continuous_data(2)
+        with pytest.raises(ConfigError):
+            fit(LearnerSpec.logistic(1.0), X, (y > 0).astype(float), sample_weight=np.ones(30))

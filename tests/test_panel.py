@@ -149,6 +149,15 @@ class TestFeatureMatrix:
         assert_array_equal(X[:, 0], [0.0, 0.0])
         assert scales[0] == 1.0
 
+    def test_weighted_standardization_hand_values(self):
+        # weights (1, 3, 0) on (1, 2, 3): mean 7/4, population SD sqrt(3)/4
+        panel = build_panel(rows(("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
+                                 ("B", 1, 0.0, 0, 3.0)))
+        X, means, scales = feature_matrix(panel, sample_weight=np.array([1.0, 3.0, 0.0]))
+        assert_allclose(means, [1.75], rtol=1e-15)
+        assert_allclose(scales, [np.sqrt(3.0) / 4.0], rtol=1e-15)
+        assert_allclose(X[:, 0], (np.array([1.0, 2.0, 3.0]) - 1.75) / scales[0], rtol=1e-15)
+
     def test_no_standardize_is_identity(self):
         panel = two_unit_panel()
         X, _, _ = feature_matrix(panel, standardize=False)

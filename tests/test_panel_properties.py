@@ -122,22 +122,21 @@ def test_unit_rows_concatenates_each_units_rows(case):
 
 @settings(max_examples=200, deadline=None)
 @given(panels_and_codes())
-def test_subset_units_with_repeats_and_fresh_ids(case):
+def test_subset_units_rejects_repeats_and_matches_row_reference(case):
     panel, codes = case
-    records = to_records(panel)
-    fresh = [f"r{k:02d}" for k in range(len(codes))]
-    expected_recs = [dict(rec, unit=new) for new, c in zip(fresh, codes)
-                     for rec in records if rec["unit"] == panel.units[c]]
     if len(set(codes)) != len(codes):
         with pytest.raises(DuplicateIndexError):
             subset_units(panel, codes)
+        return
     if not codes:
         with pytest.raises(MissingFieldError):
-            subset_units(panel, codes, fresh)
+            subset_units(panel, codes)
         return
-    expected = reference_panel(expected_recs, panel.covariate_names)
+    chosen = {panel.units[c] for c in codes}
+    expected = reference_panel([rec for rec in to_records(panel) if rec["unit"] in chosen],
+                               panel.covariate_names)
     if isinstance(expected, type):
         with pytest.raises(expected):
-            subset_units(panel, codes, fresh)
+            subset_units(panel, codes)
     else:
-        assert_matches(subset_units(panel, codes, fresh), expected)
+        assert_matches(subset_units(panel, codes), expected)
