@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.special import expit
 
 from .errors import (
@@ -286,6 +287,11 @@ def _fit_lasso(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: flo
 def _fit_logistic(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: float):
     """Damped Newton on sum[log(1+e^z) - y z] + (lam/2)||b||^2, intercept unpenalized.
 
+    Each step solves H s = g by Cholesky, with the Hessian H = Xs'Xs + diag(pen)
+    built as one symmetric product from the design rows scaled by
+    sqrt(p(1-p)); a Hessian that is not positive definite falls back to
+    least squares. The step is halved until the objective does not rise, and
+    the accepted point's linear predictor z = Xb is kept for the next step.
     A constant target has its infimum at an infinite intercept with zero
     slopes, which is returned at once, with no Newton step.
     """
@@ -301,34 +307,33 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: 
     pen[1:] = lam
     beta = np.zeros(p + 1)
 
-    def objective(b: np.ndarray) -> float:
+    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         z = Xa @ b
-        return float(np.logaddexp(0.0, z).sum() - y @ z + 0.5 * (pen * b * b).sum())
+        return float(np.logaddexp(0.0, z).sum() - y @ z + 0.5 * (pen * b * b).sum()), z
 
-    obj = objective(beta)
+    obj, z = objective(beta)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        z = Xa @ beta
         prob = expit(z)
         grad = Xa.T @ (prob - y) + pen * beta
-        w = prob * (1.0 - prob)
-        hess = (Xa * w[:, None]).T @ Xa + np.diag(pen)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
+        Xs = Xa * np.sqrt(prob * (1.0 - prob))[:, None]
+        hess = Xs.T @ Xs
+        hess.flat[::p + 2] += pen
+        _, step, info = dposv(hess, grad)  # LAPACK Cholesky factor and solve
+        if info:  # not positive definite
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         scale = 1.0
         new_beta = beta - step
-        new_obj = objective(new_beta)
+        new_obj, new_z = objective(new_beta)
         halvings = 0
         while new_obj > obj and halvings < 30:
             scale *= 0.5
             halvings += 1
             new_beta = beta - scale * step
-            new_obj = objective(new_beta)
+            new_obj, new_z = objective(new_beta)
         delta = float(np.max(np.abs(new_beta - beta)))
-        beta, obj = new_beta, new_obj
+        beta, obj, z = new_beta, new_obj, new_z
         if delta < tol:
             converged = True
             break
@@ -348,10 +353,12 @@ def _best_split(X: np.ndarray, r: np.ndarray, wr: np.ndarray, w: Optional[np.nda
     ``sorted_idx`` holds, per feature column, the node's row indices in
     ascending feature order (presorted once per fit and partitioned down
     the tree). Thresholds are midpoints between consecutive distinct
-    values, scored by the post-split sum of squared leaf means. Exact ties
-    break toward the lowest feature index, then the lowest threshold
-    (argmax returns the first maximizer). With weights ``w`` (``wr`` is
-    ``w * r``) a side's size is its weight, for ``min_leaf`` too.
+    values, scored by the post-split sum of squared leaf means. The split
+    is the lowest threshold of the first feature whose best score is within
+    the gain guard of the maximum: two features that cut a node into the
+    same rows score equal only up to rounding, and the lower index must win
+    whatever the summation order. With weights ``w`` (``wr`` is ``w * r``)
+    a side's size is its weight, for ``min_leaf`` too.
     """
     m, p = sorted_idx.shape
     rows = sorted_idx[:, 0]
@@ -376,7 +383,7 @@ def _best_split(X: np.ndarray, r: np.ndarray, wr: np.ndarray, w: Optional[np.nda
     base = total * total / size
     sse = float(wr[rows] @ r[rows]) - base
     guard = 1e-12 * (sse + 1.0)
-    j = int(np.argmax(best_scores))
+    j = int(np.argmax(best_scores >= best_scores.max() - guard))
     gain = float(best_scores[j]) - base
     if not math.isfinite(gain) or gain <= guard:
         return None

@@ -5,14 +5,18 @@ per (unit, time) observation, in canonical (unit, time) order: unit and
 period codes into the sorted ``units`` and ``periods``, the outcome Y, the
 binary absorbing treatment D and a fixed-width covariate matrix X. Adoption
 cohorts g(i) = min{t : D_it = 1} are derived per unit. Records
-(:func:`build_panel`) and CSV files (:func:`read_panel_csv`) go through one
-column parser; panels are sliced by row index (:func:`unit_rows`,
-:func:`subset_units`), never rebuilt row by row.
+(:func:`build_panel`) go through a per-cell column parser. A CSV file
+(:func:`read_panel_csv`) is parsed by one ``np.loadtxt`` call and checked
+in arrays; a text that parse declines goes through the csv module and the
+same per-cell parser, which accepts the same inputs and raises the errors.
+Panels are sliced by row index (:func:`unit_rows`, :func:`subset_units`),
+never rebuilt row by row.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
@@ -390,36 +394,104 @@ def subset_units(panel: PanelDataset, codes) -> PanelDataset:
 
 # -- CSV interface -------------------------------------------------------------
 
+def _panel_from_text(text: str) -> Optional[PanelDataset]:
+    """The panel of a plain CSV text, parsed by one ``np.loadtxt`` call.
+
+    Returns None, for the csv-module reader to parse or reject, whenever
+    the text has a quote, a field longer than the csv module allows, a
+    repeated or missing header name or no data row, when ``loadtxt``
+    rejects a cell or a row, or when a value fails a check the cell parser
+    makes: finite outcome and covariates, an integral time below 2**53 in
+    magnitude, a 0/1 treatment and a non-empty unit id. Lines end at LF
+    or CRLF and empty lines are skipped, as in the csv module; a CR
+    anywhere else in a line makes it decline.
+    """
+    if '"' in text:
+        return None
+    lines = text.split("\n")  # loadtxt ends a line at a CR too, and rejects a CR inside one
+    head = lines[0].removesuffix("\r")
+    header = head.split(",")
+    if ("\r" in head or len(set(header)) < len(header)
+            or not set(REQUIRED_COLUMNS) <= set(header)
+            or all(line in ("", "\r") for line in lines[1:])
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    at = header.index("unit")  # the columns before and after it are two float fields
+    dtype = np.dtype([("before", np.float64, (at,)), ("unit", object),
+                      ("after", np.float64, (len(header) - at - 1,))])
+    try:
+        data = np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None,
+                          quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    values = np.hstack([data["before"], data["after"]])
+    numeric = header[:at] + header[at + 1:]
+    time, outcome, d = (values[:, numeric.index(name)] for name in REQUIRED_COLUMNS[1:])
+    covariate_names = [name for name in numeric if name not in REQUIRED_COLUMNS]
+    X = values[:, [numeric.index(name) for name in covariate_names]]
+    ids = data["unit"]
+    if not (np.isfinite(outcome).all() and np.isfinite(X).all()
+            and (np.abs(time) < 2.0 ** 53).all() and (time == np.trunc(time)).all()
+            and ((d == 0.0) | (d == 1.0)).all() and all(ids)):
+        return None
+    return PanelDataset(ids, time.astype(np.int64), outcome,
+                        (d == 1.0).astype(np.float64), X, covariate_names)
+
+
+def _read_csv_cells(path, lines) -> PanelDataset:
+    """Parse CSV lines with the csv module and the per-cell column parser.
+
+    Accepts every text :func:`_panel_from_text` accepts, with the same
+    result, and raises the panel errors, naming ``path`` and the line.
+    """
+    reader = csv.reader(lines)
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingFieldError(f"{path}: empty file") from None
+        for col in REQUIRED_COLUMNS:
+            if col not in header:
+                raise MissingFieldError(f"{path}: missing {col!r} column")
+        rows = []
+        for line, row in enumerate(reader):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FieldTypeError(
+                    f"{path}: line {line + 2} has {len(row)} fields, "
+                    f"header has {len(header)}")
+            rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+    cells = list(zip(*rows)) or [()] * len(header)
+    columns = {name: cells[header.index(name)] for name in header}
+    return _panel_from_columns(columns, [c for c in header if c not in REQUIRED_COLUMNS])
+
+
 def read_panel_csv(path) -> PanelDataset:
-    """Read the canonical CSV layout: unit,time,outcome,treatment,<covariates...>."""
+    """Read the canonical CSV layout: unit,time,outcome,treatment,<covariates...>.
+
+    The text is read once and parsed by :func:`_panel_from_text`; a text
+    it declines goes to :func:`_read_csv_cells`, which parses it cell by
+    cell or raises the error that names the bad cell or line.
+    """
     try:
         fh = open(path, newline="", encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot open panel CSV {path}: {exc}") from None
-    try:
-        with fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise MissingFieldError(f"{path}: empty file") from None
-            for col in REQUIRED_COLUMNS:
-                if col not in header:
-                    raise MissingFieldError(f"{path}: missing {col!r} column")
-            rows = []
-            for line, row in enumerate(reader):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise FieldTypeError(
-                        f"{path}: line {line + 2} has {len(row)} fields, "
-                        f"header has {len(header)}")
-                rows.append(row)
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
-    cells = list(zip(*rows)) or [()] * len(header)
-    columns = {name: cells[header.index(name)] for name in header}
-    return _panel_from_columns(columns, [c for c in header if c not in REQUIRED_COLUMNS])
+    with fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            fh.seek(0)  # the line-by-line reader reports where decoding fails
+            return _read_csv_cells(path, fh)
+    panel = _panel_from_text(text)
+    if panel is None:
+        panel = _read_csv_cells(path, io.StringIO(text, newline=""))
+    return panel
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:

@@ -92,6 +92,19 @@ def test_non_utf8_input_csv_exits_3(tmp_path, capsys):
     assert (error["code"], error["type"]) == (3, "DataError")
 
 
+@pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "plain"])
+def test_csv_the_csv_module_cannot_tokenize_exits_3(tmp_path, capsys, quote):
+    # A field longer than csv.field_size_limit() (131,072 characters).
+    panel = tmp_path / "panel.csv"
+    long_id = quote + "u" * 200_000 + quote
+    panel.write_text(f"unit,time,outcome,treatment\nA,1,0.0,0\n{long_id},1,0.0,0\n",
+                     encoding="utf-8")
+    assert cli.main(["run", "--input", str(panel), "--output", str(tmp_path / "run")]) == 3
+    error = last_error(capsys)
+    assert (error["code"], error["type"]) == (3, "DataError")
+    assert str(panel) in error["message"] and "line 3" in error["message"]
+
+
 @pytest.mark.parametrize("name, content", [
     ("results.json", "{"), ("diagnostics.json", "{"),
     ("results.json", "{}"), ("diagnostics.json", "{}"), ("results.json", "[]"),

@@ -15,6 +15,7 @@ from sdidml.errors import (
 from sdidml.panel import (
     NEVER_TREATED,
     Cohort,
+    _panel_from_text,
     build_panel,
     event_time,
     feature_matrix,
@@ -22,6 +23,7 @@ from sdidml.panel import (
     to_records,
     write_panel_csv,
 )
+from sdidml.simulate import generate, scenario
 
 
 def rows(*tuples, p=1):
@@ -178,6 +180,17 @@ class TestSerialization:
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
         assert read_panel_csv(path) == panel
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
+    def test_csv_round_trip_every_scenario(self, tmp_path, name):
+        panel = generate(scenario(name)).panel
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        got = read_panel_csv(path)
+        assert got == panel
+        assert got.treatments.tobytes() == panel.treatments.tobytes()
+        with open(path, newline="", encoding="utf-8") as fh:  # one loadtxt pass, no fallback
+            assert _panel_from_text(fh.read()) == panel
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"

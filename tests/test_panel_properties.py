@@ -1,20 +1,39 @@
-"""Property tests: the columnar panel against a plain-Python row reference."""
+"""Property tests: the columnar panel against plain-Python references.
 
+Panels built from records are checked against a row-by-row construction,
+and ``read_panel_csv`` against the csv-module reader it falls back to,
+kept here in its earlier form as the reference.
+"""
+
+import csv
+import tempfile
 from itertools import groupby
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from sdidml.errors import (
+    DataError,
     DuplicateIndexError,
     EmptyControlPoolError,
+    FieldTypeError,
     MissingFieldError,
     NonAbsorbingTreatmentError,
 )
-from sdidml.panel import Cohort, build_panel, subset_units, to_records, unit_rows
+from sdidml.panel import (
+    REQUIRED_COLUMNS,
+    Cohort,
+    _panel_from_columns,
+    build_panel,
+    read_panel_csv,
+    subset_units,
+    to_records,
+    unit_rows,
+)
 
 # mixed case and a non-ASCII id: the panel must order units like sorted()
 UNIT_IDS = ("a", "b", "B", "u10", "u2", "é")
@@ -140,3 +159,150 @@ def test_subset_units_rejects_repeats_and_matches_row_reference(case):
             subset_units(panel, codes)
     else:
         assert_matches(subset_units(panel, codes), expected)
+
+
+# -- CSV ingest -----------------------------------------------------------------
+
+
+def reference_read_panel_csv(path):
+    """The csv-module reader: every row through ``csv.reader``, then cell by cell."""
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open panel CSV {path}: {exc}") from None
+    try:
+        with fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MissingFieldError(f"{path}: empty file") from None
+            for col in REQUIRED_COLUMNS:
+                if col not in header:
+                    raise MissingFieldError(f"{path}: missing {col!r} column")
+            rows = []
+            for line, row in enumerate(reader):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise FieldTypeError(
+                        f"{path}: line {line + 2} has {len(row)} fields, "
+                        f"header has {len(header)}")
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    cells = list(zip(*rows)) or [()] * len(header)
+    columns = {name: cells[header.index(name)] for name in header}
+    return _panel_from_columns(columns, [c for c in header if c not in REQUIRED_COLUMNS])
+
+
+def read_both(data: bytes):
+    """(result or exception) of read_panel_csv and of the reference on one file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panel.csv"
+        path.write_bytes(data)
+        results = []
+        for read in (read_panel_csv, reference_read_panel_csv):
+            try:
+                results.append(read(path))
+            except Exception as exc:  # the same class and message are required
+                results.append(exc)
+        return results
+
+
+def assert_same_read(data: bytes):
+    got, want = read_both(data)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+        assert got.treatments.tobytes() == want.treatments.tobytes()
+        assert [type(t) for t in got.periods] == [type(t) for t in want.periods]
+    return got
+
+
+# Cell texts that only float() accepts, that nothing accepts, or that parse
+# to a value the panel rejects.
+ODD_NUMBERS = ("1_0", "١٢", " 3", "+0.0", "1e400", "-1e400", "1e-400", "nan",
+               "inf", "", " ", "0x10", "1e", "2", "0.5", "True", "1e19", "9007199254740993")
+ODD_UNITS = ('"q,r"', '"s""t"', "", "a\rb")
+UNIT_CELLS = ("a", "b", "B", "u10", "u2", "é", " a", "a ", " ", "x\x85y", "#c", "'q'")
+DIGITS = st.from_regex(r"-?[0-9]{1,20}(\.[0-9]{0,20})?(e-?[0-9]{1,3})?", fullmatch=True)
+
+
+def number_cell(value):
+    """Plain texts of a finite float, or a random decimal string."""
+    return st.one_of(st.just(repr(value)), st.just(f"{value:.17e}"), st.just(f" {value!r}"),
+                     DIGITS)
+
+
+def integer_cell(value):
+    """Plain texts of an integer, -0 for zero."""
+    return st.sampled_from((str(value), f"{value}.0", f" {value}", f"{value}e0",
+                            "-0" if value == 0 else str(value)))
+
+
+@st.composite
+def csv_texts(draw):
+    """A small panel as CSV bytes, with up to two odd cells, rows, lines or names."""
+    p = draw(st.integers(0, 2))
+    header = draw(st.permutations(["unit", "time", "outcome", "treatment",
+                                   *(f"x{j}" for j in range(p))]))
+    rows = []
+    units = draw(st.lists(st.sampled_from(UNIT_CELLS), min_size=1, max_size=4, unique=True))
+    for unit in units:
+        adopt = draw(st.one_of(st.none(), st.integers(-1, 4)))
+        for t in draw(st.lists(st.integers(-1, 4), min_size=1, max_size=4, unique=True)):
+            cells = {"unit": unit, "time": draw(integer_cell(t)),
+                     "treatment": draw(integer_cell(int(adopt is not None and t >= adopt)))}
+            rows.append([cells[name] if name in cells else draw(number_cell(draw(finite)))
+                         for name in header])
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(("cell", "row", "line", "name")))
+        i = draw(st.integers(0, len(rows) - 1))
+        if change == "cell":
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            unit = header[j:j + 1] == ["unit"]
+            rows[i][j] = draw(st.sampled_from(ODD_UNITS if unit else ODD_NUMBERS))
+        elif change == "row":  # one field short or one too many
+            rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+        elif change == "line":  # a blank or whitespace-only line
+            rows.insert(i, [draw(st.sampled_from(("", " ", "\t")))])
+        else:  # a repeated, missing or padded header name
+            j = draw(st.integers(0, len(header) - 1))
+            if draw(st.booleans()):
+                header = [*header, header[j]]
+            else:
+                odd = draw(st.sampled_from(("", f" {header[j]}", f"{header[j]}\r ")))
+                header = [*header[:j], odd, *header[j + 1:]]
+    ends = draw(st.sampled_from((["\n"], ["\r\n"], ["\r"], ["\n", "\r\n", "\r"])))
+    text = "".join(",".join(row) + draw(st.sampled_from(ends)) for row in [header, *rows])
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 19)) == 19:  # hypothesis favours small integers
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+@given(csv_texts())
+@example(b"unit,time,outcome,treatment,x0\r \nA,1,0.5,0,1\n")  # a CR inside the header
+@example(b"unit,time,outcome,treatment\nA,0.5,1,0\n")
+@example(b"unit,time,outcome,treatment\nA,1e19,1,0\nB,1,1,0\n")
+@example(b"unit,time,outcome,treatment,x0\nA,1,1,0,inf\n")
+@example(b"unit,time,outcome,treatment\nA,1,1,-0\nA,2,1,1\nB,1,1,0\n")
+@example(b"unit,time,outcome,treatment\nA,1,1,2\nB,1,1,0\n")
+@example(b"unit,time,outcome,treatment\n\r")  # a blank line, and no data row
+def test_read_panel_csv_matches_the_csv_module_reader(data):
+    assert_same_read(data)
+
+
+def test_bad_byte_after_the_first_chunk_names_the_same_offset():
+    rows = "".join(f"u{i},1,{i}.5,0\n" for i in range(2000))
+    data = ("unit,time,outcome,treatment\n" + rows).encode() + b"\xffA,1,0,0\n"
+    assert len(data) > 3 * 8192
+    got = assert_same_read(data)
+    assert "not UTF-8" in str(got)
