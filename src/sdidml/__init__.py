@@ -1,21 +1,19 @@
 """Staggered difference-in-differences with machine-learned residualization.
 
 The pipeline runs in five stages: panel structuring and cohort encoding,
-cross-fitted nuisance estimation, double residualization, structural
-group-time effect estimation, and aggregation with bootstrap inference and
-robustness diagnostics. A synthetic-panel generator with known oracle
-effects backs the validation suite.
+cross-fitted nuisance estimation, the outcome residual y_tilde = Y - g_hat
+(the treatment model's m_hat feeds only the overlap report), structural
+group-time effect estimation on y_tilde, and aggregation with bootstrap
+inference and robustness diagnostics. A synthetic-panel generator with
+known oracle effects backs the validation suite.
 """
 
 __version__ = "0.1.0"
 
 from . import errors
 from .panel import (
-    Cohort,
-    NEVER_TREATED,
     PanelDataset,
     build_panel,
-    event_time,
     feature_matrix,
     read_panel_csv,
     to_records,
@@ -25,18 +23,15 @@ from .learners import FittedModel, LearnerSpec, fit, predict
 from .crossfit import (
     FoldAssignment,
     NuisanceFits,
-    ResidualPanel,
     assign_folds,
     crossfit_nuisance,
     nuisance_features,
-    residualize,
 )
 from .didcore import (
     GroupTimeEffects,
     SubgroupEffects,
     TwfeResult,
     estimate_group_time,
-    residual_slope,
     subgroup_effects,
     twfe_baseline,
 )

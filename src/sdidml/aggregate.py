@@ -30,15 +30,9 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
-from .crossfit import (
-    FoldAssignment,
-    NuisanceFits,
-    ResidualPanel,
-    assign_folds,
-    crossfit_predictions,
-)
+from .crossfit import FoldAssignment, NuisanceFits, assign_folds, crossfit_predictions
 from .didcore import GroupTimeEffects, estimate_group_time, group_time_cells
 from .errors import (
     BootstrapFailureError,
@@ -119,7 +113,7 @@ def _weighted_att(tau: np.ndarray, counts: np.ndarray, labels: np.ndarray,
 
 
 def _cell_labels(keys) -> tuple[np.ndarray, np.ndarray]:
-    """Cohort and period of each (g, t) key, as int arrays."""
+    """The cohort and period of each (g, t) key, as int arrays."""
     cells = np.array(keys, dtype=np.int64).reshape(-1, 2)
     return cells[:, 0], cells[:, 1]
 
@@ -240,10 +234,10 @@ def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
     return np.random.default_rng(seed + r).integers(0, n_units, size=n_units)
 
 
-def _outcome_residuals(panel: PanelDataset, config, folds: FoldAssignment) -> ResidualPanel:
+def _outcome_residuals(panel: PanelDataset, config, folds: FoldAssignment) -> np.ndarray:
     """y_tilde from an outcome-only cross-fit; the treatment model is not fit."""
-    g_hat = crossfit_predictions(panel, config.g_learner, panel.outcomes, folds)
-    return ResidualPanel(panel=panel, y_tilde=panel.outcomes - g_hat)
+    return panel.outcomes - crossfit_predictions(panel, config.g_learner,
+                                                 panel.outcomes, folds)
 
 
 def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full",
@@ -254,8 +248,8 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
     ``seed + r``; its weight row counts how many times each original unit
     was drawn, and :func:`group_time_cells` turns that row and a residual
     vector on ``panel``'s observations into the replicate's cells.
-    ``fixed_nuisance`` uses ``y_tilde``, the point estimate's residualized
-    outcomes in ``panel``'s observation order, for every replicate (when
+    ``fixed_nuisance`` uses ``y_tilde``, the point estimate's outcome
+    residuals in ``panel``'s observation order, for every replicate (when
     None, they come from an outcome-only cross-fit on
     ``assign_folds(panel, K, config.seed)``), so one call computes all B
     rows. ``full`` mode cross-fits the outcome model g on each replicate's
@@ -299,7 +293,7 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
     if mode == "fixed_nuisance":
         if y_tilde is None:
             folds = assign_folds(panel, config.n_folds, config.seed)
-            y_tilde = _outcome_residuals(panel, config, folds).y_tilde
+            y_tilde = _outcome_residuals(panel, config, folds)
         keys, tau, counts, _, _ = cells(y_tilde, weights)
     else:
         rows = [cells(replicate_y_tilde(r), weights[r:r + 1]) for r in range(B)]
@@ -391,7 +385,7 @@ def pretrend_test(effects: GroupTimeEffects,
         points.append(PretrendPoint(e=e, att=att, se=se, z=z))
     statistic = math.fsum(p.z ** 2 for p in points)
     dof = len(points)
-    p_value = float(chi2.sf(statistic, dof)) if math.isfinite(statistic) else 0.0
+    p_value = float(chdtrc(dof, statistic)) if math.isfinite(statistic) else 0.0
     return PretrendReport(statistic=statistic, dof=dof, p_value=p_value,
                           per_e=tuple(points))
 
@@ -436,15 +430,15 @@ def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
                                 t_obs[rows] >= g_obs[rows] - shift,
                                 panel.covariates[rows], panel.covariate_names)
 
-    resid = _outcome_residuals(pseudo_panel, config,
-                               assign_folds(pseudo_panel, config.n_folds, config.seed))
-    att, _ = overall_att(estimate_group_time(resid, config.control_rule,
+    y_tilde = _outcome_residuals(pseudo_panel, config,
+                                 assign_folds(pseudo_panel, config.n_folds, config.seed))
+    att, _ = overall_att(estimate_group_time(pseudo_panel, y_tilde, config.control_rule,
                                              config.anticipation))
     ci_low = ci_high = None
     if config.bootstrap_reps >= 1:
         inference = bootstrap(config, pseudo_panel, config.bootstrap_reps,
                               config.seed, config.bootstrap_mode,
-                              y_tilde=resid.y_tilde)
+                              y_tilde=y_tilde)
         ci_low, ci_high = inference.overall.ci_low, inference.overall.ci_high
     return PlaceboReport(shift=shift, pseudo_att=att, ci_low=ci_low,
                          ci_high=ci_high, ci_level=config.ci_level)

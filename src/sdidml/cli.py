@@ -2,7 +2,7 @@
 
 Subcommands: ``run`` (full five-stage estimation on a panel CSV),
 ``simulate`` (write a synthetic panel plus its oracle sidecar),
-``benchmark`` (Monte Carlo comparison of the residualized estimator against
+``benchmark`` (Monte Carlo comparison of the cross-fitted estimator against
 the TWFE baseline), and ``diagnose`` (human-readable summary of a prior
 run's robustness reports).
 
@@ -109,6 +109,10 @@ class RunConfig:
     output_dir: Optional[str] = None
     placebo_shift: Optional[int] = None
     allow_no_crossfit: bool = False
+
+    def __post_init__(self):
+        if self.placebo_shift is not None and self.placebo_shift < 1:
+            raise ConfigError("placebo_shift must be >= 1 (or null to skip the placebo)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":

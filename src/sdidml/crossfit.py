@@ -1,4 +1,4 @@
-"""Cross-fitted nuisance estimation and double residualization.
+"""Cross-fitted nuisance estimation.
 
 Folds are assigned at the unit level so every observation's prediction
 comes from models trained without any observation of its own unit. The
@@ -9,12 +9,12 @@ contrast survives into the structural stage.
 
 :func:`crossfit_predictions` cross-fits one learner for one target.
 :func:`crossfit_nuisance` calls it for the outcome model g and then the
-treatment model m; the point estimate needs both, for the residuals and
-the overlap report. The bootstrap and placebo refits cross-fit only g,
-because the contrast estimator reads y_tilde alone. Both functions take
-optional per-observation weights, which weight the feature
-standardization and every fit; a full-mode bootstrap replicate passes how
-many times each of its distinct units was drawn.
+treatment model m. The contrast estimator reads only the outcome
+residual y_tilde = Y - g_hat, an array in observation order; m_hat feeds
+the overlap report alone, so the bootstrap and placebo refits cross-fit
+only g. Both functions take optional per-observation weights, which
+weight the feature standardization and every fit; a full-mode bootstrap
+replicate passes how many times each of its distinct units was drawn.
 """
 
 from __future__ import annotations
@@ -87,26 +87,10 @@ def nuisance_features(panel: PanelDataset, sample_weight: Optional[np.ndarray] =
 class NuisanceFits:
     """Out-of-fold predictions g_hat ~ E[Y|X,t] and m_hat ~ E[D|X,t]."""
 
-    panel: PanelDataset
     g_hat: np.ndarray
     m_hat: np.ndarray
     folds: FoldAssignment
-    g_spec: LearnerSpec
-    m_spec: LearnerSpec
-    clip_eps: float
     n_clipped: int
-
-
-@dataclass(frozen=True)
-class ResidualPanel:
-    """Orthogonalized panel: y_tilde = Y - g_hat, d_tilde = D - m_hat.
-
-    ``d_tilde`` is None where only the outcome model was cross-fit.
-    """
-
-    panel: PanelDataset
-    y_tilde: np.ndarray
-    d_tilde: Optional[np.ndarray] = None
 
 
 def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndarray,
@@ -164,19 +148,4 @@ def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerS
     n_clipped = int(np.sum((m_raw < clip_eps) | (m_raw > 1.0 - clip_eps)))
     g_hat.setflags(write=False)
     m_hat.setflags(write=False)
-    return NuisanceFits(panel=panel, g_hat=g_hat, m_hat=m_hat, folds=folds,
-                        g_spec=g_spec, m_spec=m_spec, clip_eps=clip_eps,
-                        n_clipped=n_clipped)
-
-
-def residualize(panel: PanelDataset, fits: NuisanceFits) -> ResidualPanel:
-    """Entrywise subtraction of the nuisance predictions from Y and D."""
-    if fits.panel is not panel and fits.panel != panel:
-        raise AlignmentMismatchError("nuisance fits were computed on a different panel")
-    if fits.g_hat.shape != (panel.n_obs,) or fits.m_hat.shape != (panel.n_obs,):
-        raise AlignmentMismatchError("nuisance vectors do not match the panel length")
-    y_tilde = panel.outcomes - fits.g_hat
-    d_tilde = panel.treatments - fits.m_hat
-    y_tilde.setflags(write=False)
-    d_tilde.setflags(write=False)
-    return ResidualPanel(panel=panel, y_tilde=y_tilde, d_tilde=d_tilde)
+    return NuisanceFits(g_hat=g_hat, m_hat=m_hat, folds=folds, n_clipped=n_clipped)

@@ -1,14 +1,15 @@
-"""Structural group-time effect estimation on the residualized panel.
+"""Structural group-time effect estimation on the outcome residuals.
 
 The contrast estimator computes, for every cohort g and period t, the 2x2
-double difference of residualized outcomes against base period
-b = g - 1 - anticipation, using never-treated units as the comparison
-pool, or not-yet-treated units: those adopting after
-max(t, g) + anticipation, so that no control is already anticipating its
-own treatment (Callaway and Sant'Anna 2021). It reads only y_tilde. A raw
-two-way fixed-effects regression, with its effects absorbed by alternating
-projections, is included purely as the diagnostic comparator whose
-staggered-adoption bias the pipeline is designed to avoid.
+double difference of the outcome residuals y_tilde = Y - g_hat (one array
+in observation order) against base period b = g - 1 - anticipation, using
+never-treated units as the comparison pool, or not-yet-treated units:
+those adopting after max(t, g) + anticipation, so that no control is
+already anticipating its own treatment (Callaway and Sant'Anna 2021).
+Cohorts come from ``panel.cohort_times``; no treatment residual is read.
+A raw two-way fixed-effects regression, with its effects absorbed by
+alternating projections, is included purely as the diagnostic comparator
+whose staggered-adoption bias the pipeline is designed to avoid.
 
 :func:`group_time_cells` is the one cell routine. It takes an (R, units)
 matrix of unit multiplicities: the point estimate is one row of ones, and
@@ -26,7 +27,6 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .crossfit import ResidualPanel
 from .errors import (
     DegenerateDesignError,
     EmptyControlPoolError,
@@ -101,7 +101,7 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
     """Contrast tau(g, t) of every cell under one or more unit weightings.
 
     ``cohort_times`` is per-unit adoption time (np.inf when never treated),
-    ``ymat``/``present`` are (units x periods) residualized outcomes and the
+    ``ymat``/``present`` are (units x periods) outcome residuals and the
     observation mask. ``weights`` is an (R, units) matrix of non-negative
     unit multiplicities, one weighting per row; the default is one row of
     ones. A unit of weight k counts as k copies of itself, so row r of a
@@ -162,11 +162,12 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
     return keys, tau, n_treated, n_control, tuple(omitted)
 
 
-def estimate_group_time(resid: ResidualPanel, control_rule: str = "never_treated",
+def estimate_group_time(panel: PanelDataset, y_tilde: np.ndarray,
+                        control_rule: str = "never_treated",
                         anticipation: int = 0) -> GroupTimeEffects:
-    """Contrast-form ATT(g, t) on residualized outcomes (the default estimator)."""
-    panel = resid.panel
-    ymat, present = pivot_unit_time(panel, resid.y_tilde)
+    """Contrast-form ATT(g, t) on ``y_tilde``, the outcome residuals of
+    ``panel``'s observations (the default estimator)."""
+    ymat, present = pivot_unit_time(panel, y_tilde)
     keys, tau, n_treated, n_control, omitted = group_time_cells(
         panel.cohort_times, ymat, present, panel.periods, control_rule, anticipation)
     if not keys:
@@ -229,7 +230,7 @@ def twfe_baseline(panel: PanelDataset) -> TwfeResult:
     Standard error is cluster-robust at the unit level with the usual
     small-sample correction. Under staggered adoption with heterogeneous
     dynamic effects this estimator is biased; it exists as the comparator
-    the validation suite contrasts against the residualized pipeline.
+    the validation suite contrasts against the cross-fitted pipeline.
     """
     stacked = np.column_stack([panel.outcomes, panel.treatments])
     demeaned, _, _ = demean_two_way(
@@ -255,39 +256,23 @@ def twfe_baseline(panel: PanelDataset) -> TwfeResult:
     return TwfeResult(tau=tau, se=se)
 
 
-def residual_slope(resid: ResidualPanel) -> float:
-    """OLS slope of y_tilde on d_tilde (with intercept).
-
-    This is the degenerate no-fixed-effects second stage used by the
-    orthogonality diagnostics: on a single-period cross-section with
-    full-sample OLS nuisances it must reproduce the joint-OLS coefficient
-    on D (Frisch-Waugh-Lovell).
-    """
-    d = resid.d_tilde
-    y = resid.y_tilde
-    dc = d - d.mean()
-    var = float(dc @ dc)
-    if var <= 0.0:
-        raise DegenerateDesignError("treatment residual has no variation")
-    return float(dc @ y) / var
-
-
 @dataclass(frozen=True)
 class SubgroupEffects:
     effects: dict
     failures: dict
 
 
-def subgroup_effects(resid: ResidualPanel, subgroup_of_unit: Mapping[str, object],
+def subgroup_effects(panel: PanelDataset, y_tilde: np.ndarray,
+                     subgroup_of_unit: Mapping[str, object],
                      control_rule: str = "never_treated",
                      anticipation: int = 0) -> SubgroupEffects:
     """Run the contrast estimator independently within each subgroup.
 
-    Every unit must carry a label. Subgroups whose partition leaves no
-    control pool or no estimable cell are recorded under ``failures``
-    rather than aborting the whole call.
+    ``y_tilde`` holds the outcome residuals of ``panel``'s
+    observations; every unit must carry a label. Subgroups whose partition
+    leaves no control pool or no estimable cell are recorded under
+    ``failures`` rather than aborting the whole call.
     """
-    panel = resid.panel
     unlabeled = [u for u in panel.units if u not in subgroup_of_unit]
     if unlabeled:
         raise ValueError(f"{len(unlabeled)} unit(s) lack a subgroup label, "
@@ -303,9 +288,9 @@ def subgroup_effects(resid: ResidualPanel, subgroup_of_unit: Mapping[str, object
         except EmptyControlPoolError as exc:
             failures[label] = f"empty result: {exc}"
             continue
-        sub_resid = ResidualPanel(panel=sub_panel, y_tilde=resid.y_tilde[rows])
         try:
-            effects[label] = estimate_group_time(sub_resid, control_rule, anticipation)
+            effects[label] = estimate_group_time(sub_panel, y_tilde[rows],
+                                                 control_rule, anticipation)
         except EmptyResultError as exc:
             failures[label] = f"empty result: {exc}"
     return SubgroupEffects(effects=effects, failures=failures)

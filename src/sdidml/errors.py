@@ -63,14 +63,6 @@ class EmptyControlPoolError(DataError):
     """No never-treated or later-treated unit exists to serve as control."""
 
 
-class UnknownUnitError(DataError):
-    """Unit id not present in the panel."""
-
-
-class UnknownPeriodError(DataError):
-    """Time period not present in the panel."""
-
-
 class MissingArtifactsError(DataError):
     """A prior run's output files are absent from the given directory."""
 

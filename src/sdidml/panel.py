@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,30 +30,9 @@ from .errors import (
     MissingFieldError,
     NonAbsorbingTreatmentError,
     NonFiniteValueError,
-    UnknownPeriodError,
-    UnknownUnitError,
 )
 
 REQUIRED_COLUMNS = ("unit", "time", "outcome", "treatment")
-
-
-@dataclass(frozen=True)
-class Cohort:
-    """Adoption cohort of a unit: first treated period, or never treated."""
-
-    first_treated: Optional[int] = None
-
-    @property
-    def ever_treated(self) -> bool:
-        return self.first_treated is not None
-
-    def __repr__(self) -> str:
-        if self.first_treated is None:
-            return "Cohort(never)"
-        return f"Cohort(first_treated={self.first_treated})"
-
-
-NEVER_TREATED = Cohort(None)
 
 
 class PanelDataset:
@@ -81,8 +59,7 @@ class PanelDataset:
     unit_starts : ndarray of intp, length n_units + 1
         Row offsets: unit k owns rows ``unit_starts[k]:unit_starts[k + 1]``.
 
-    All arrays are read-only. ``cohort`` is a derived view of the columns;
-    :func:`to_records` gives the rows.
+    All arrays are read-only; :func:`to_records` gives the rows.
     """
 
     __slots__ = (
@@ -167,12 +144,6 @@ class PanelDataset:
     @property
     def n_covariates(self) -> int:
         return len(self.covariate_names)
-
-    @property
-    def cohort(self) -> dict[str, Cohort]:
-        """unit_id -> Cohort, built from ``cohort_times`` on every access."""
-        return {u: NEVER_TREATED if math.isinf(g) else Cohort(int(g))
-                for u, g in zip(self.units, self.cohort_times.tolist())}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PanelDataset):
@@ -324,18 +295,6 @@ def to_records(panel: PanelDataset) -> list[dict]:
     return [dict(zip(header, row)) for row in _rows(panel)]
 
 
-# -- cohort / event-time queries ----------------------------------------------
-
-def event_time(panel: PanelDataset, unit: str, t: int) -> Optional[int]:
-    """Periods elapsed since adoption, e = t - g(i); None if never treated."""
-    if unit not in panel.units:
-        raise UnknownUnitError(f"unknown unit {unit!r}")
-    if t not in panel.periods:
-        raise UnknownPeriodError(f"unknown period {t}")
-    g = panel.cohort[unit].first_treated
-    return None if g is None else t - g
-
-
 def feature_matrix(panel: PanelDataset, standardize: bool = True,
                    sample_weight: Optional[np.ndarray] = None):
     """Covariate matrix in canonical observation order.
@@ -453,6 +412,9 @@ def _read_csv_cells(path, lines) -> PanelDataset:
         for col in REQUIRED_COLUMNS:
             if col not in header:
                 raise MissingFieldError(f"{path}: missing {col!r} column")
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise DataError(f"{path}: column {name!r} appears more than once")
         rows = []
         for line, row in enumerate(reader):
             if not row:

@@ -2,19 +2,22 @@
 
 :class:`PipelineConfig` is the one set of estimation settings; the CLI's
 run config wraps it and adds only I/O and run-level fields.
-:func:`estimate_effects` covers stages 2-4 (cross-fitting, residualization,
-contrast estimation of the group-time effects) for a validated panel;
-:func:`run_pipeline` adds stage 5 (aggregation, bootstrap inference,
-diagnostics) from :mod:`sdidml.aggregate`. Only this point estimate fits
-the treatment model m, whose predictions feed the overlap report; the
-bootstrap and the placebo test refit the outcome model alone, inside
-``aggregate``. Imports run one way, from this module into ``aggregate``.
+:func:`estimate_effects` covers stages 2-4 (cross-fitting, the outcome
+residual y_tilde = Y - g_hat, contrast estimation of the group-time
+effects) for a validated panel; :func:`run_pipeline` adds stage 5
+(aggregation, bootstrap inference, diagnostics) from
+:mod:`sdidml.aggregate`. Only this point estimate fits the treatment
+model m, whose predictions feed the overlap report; the bootstrap and the
+placebo test refit the outcome model alone, inside ``aggregate``. Imports
+run one way, from this module into ``aggregate``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
+
+import numpy as np
 
 from .aggregate import (
     BOOTSTRAP_MODES,
@@ -31,14 +34,7 @@ from .aggregate import (
     placebo_test,
     pretrend_test,
 )
-from .crossfit import (
-    FoldAssignment,
-    NuisanceFits,
-    ResidualPanel,
-    assign_folds,
-    crossfit_nuisance,
-    residualize,
-)
+from .crossfit import FoldAssignment, NuisanceFits, assign_folds, crossfit_nuisance
 from .didcore import CONTROL_RULES, GroupTimeEffects, estimate_group_time
 from .errors import ConfigError, NoPreCellsError
 from .learners import LearnerSpec
@@ -88,16 +84,20 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class EstimationArtifacts:
-    """Stages 2-4 outputs for one panel."""
+    """Stages 2-4 outputs for one panel.
+
+    ``y_tilde`` is the read-only outcome residual Y - g_hat, in the
+    panel's observation order.
+    """
 
     fits: NuisanceFits
-    resid: ResidualPanel
+    y_tilde: np.ndarray
     effects: GroupTimeEffects
 
 
 def estimate_effects(panel: PanelDataset, config: PipelineConfig,
                      folds: Optional[FoldAssignment] = None) -> EstimationArtifacts:
-    """Cross-fit both nuisances, residualize, and estimate contrast cells.
+    """Cross-fit both nuisances and estimate contrast cells on Y - g_hat.
 
     ``folds`` defaults to ``assign_folds(panel, config.n_folds, config.seed)``.
     """
@@ -105,9 +105,10 @@ def estimate_effects(panel: PanelDataset, config: PipelineConfig,
         folds = assign_folds(panel, config.n_folds, config.seed)
     fits = crossfit_nuisance(panel, config.g_learner, config.m_learner, folds,
                              clip_eps=config.clip_eps)
-    resid = residualize(panel, fits)
-    effects = estimate_group_time(resid, config.control_rule, config.anticipation)
-    return EstimationArtifacts(fits=fits, resid=resid, effects=effects)
+    y_tilde = panel.outcomes - fits.g_hat
+    y_tilde.setflags(write=False)
+    effects = estimate_group_time(panel, y_tilde, config.control_rule, config.anticipation)
+    return EstimationArtifacts(fits=fits, y_tilde=y_tilde, effects=effects)
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     if config.bootstrap_reps >= 1:
         inference = bootstrap(config, panel, config.bootstrap_reps,
                               config.seed, config.bootstrap_mode,
-                              y_tilde=artifacts.resid.y_tilde)
+                              y_tilde=artifacts.y_tilde)
         results = merge_inference(results, inference)
         if inference.overall.se is not None:
             try:

@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .aggregate import bootstrap, overall_att
-from .crossfit import ResidualPanel
 from .didcore import estimate_group_time, twfe_baseline
 from .errors import InvalidConfigError, json_number
 from .panel import PanelDataset
@@ -199,6 +198,8 @@ class DGPConfig:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "DGPConfig":
+        if not isinstance(d, Mapping):
+            raise InvalidConfigError("DGP config must be a JSON object")
         kw = _json_fields(d, _DGP_TYPES, "DGP parameter")
         shares = kw.pop("cohort_shares", None)
         if shares is None:
@@ -421,17 +422,15 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
         if pipeline.bootstrap_reps >= 2:
             inference = bootstrap(pipeline, panel, pipeline.bootstrap_reps,
                                   pipeline.seed, pipeline.bootstrap_mode,
-                                  y_tilde=artifacts.resid.y_tilde)
+                                  y_tilde=artifacts.y_tilde)
             return att, inference.overall.ci_low, inference.overall.ci_high
         return att, None, None
     if method == "twfe":
         res = twfe_baseline(panel)
-        zq = float(norm.ppf(0.5 + pipeline.ci_level / 2.0))
+        zq = float(ndtri(0.5 + pipeline.ci_level / 2.0))
         return res.tau, res.tau - zq * res.se, res.tau + zq * res.se
     if method == "raw_did":
-        resid = ResidualPanel(panel=panel, y_tilde=panel.outcomes,
-                              d_tilde=panel.treatments)
-        effects = estimate_group_time(resid, pipeline.control_rule,
+        effects = estimate_group_time(panel, panel.outcomes, pipeline.control_rule,
                                       pipeline.anticipation)
         att, _ = overall_att(effects)
         return att, None, None

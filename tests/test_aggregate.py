@@ -187,7 +187,7 @@ class TestBootstrap:
         art = estimate_effects(panel, pipe)
         res = aggregate_schemes(art.effects, ("overall", "event_time", "by_group"))
         inf = bootstrap(pipe, panel, B=29, seed=5, mode="fixed_nuisance",
-                        y_tilde=art.resid.y_tilde)
+                        y_tilde=art.y_tilde)
         merged = merge_inference(res, inf)
         assert merged.overall_att == res.overall_att  # point estimate unchanged
         assert merged.overall_se is not None
@@ -266,17 +266,10 @@ class TestPlacebo:
             placebo_test(panel, PipelineConfig(seed=0), shift=0)
 
 
-def fits_with_m(m_hat, clip_eps=0.01, n_clipped=0):
+def fits_with_m(m_hat, n_clipped=0):
     m = np.asarray(m_hat, dtype=np.float64)
-    panel = build_panel([
-        {"unit": "a", "time": 1, "outcome": 0.0, "treatment": 0, "x0": 0.0},
-        {"unit": "b", "time": 1, "outcome": 0.0, "treatment": 1, "x0": 1.0},
-    ])
-    folds = FoldAssignment(1, {u: 0 for u in panel.units})
-    return NuisanceFits(panel=panel, g_hat=np.zeros(m.size), m_hat=m,
-                        folds=folds, g_spec=LearnerSpec.mean(),
-                        m_spec=LearnerSpec.mean(), clip_eps=clip_eps,
-                        n_clipped=n_clipped)
+    return NuisanceFits(g_hat=np.zeros(m.size), m_hat=m,
+                        folds=FoldAssignment(1, {"a": 0, "b": 0}), n_clipped=n_clipped)
 
 
 class TestOverlap:
@@ -292,7 +285,7 @@ class TestOverlap:
         rng = np.random.default_rng(44)
         eps = 0.01
         m = rng.uniform(eps, 1 - eps, size=200_000)
-        rep = overlap_report(fits_with_m(m, clip_eps=eps))
+        rep = overlap_report(fits_with_m(m))
         expected = 2 * (0.05 - eps) / (1 - 2 * eps)
         mc_se = math.sqrt(expected * (1 - expected) / m.size)
         assert abs(rep.share_outside - expected) < 4 * mc_se

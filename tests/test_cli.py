@@ -43,10 +43,13 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"g_learner": {"kind": "ridge", "lambda": True}},
     {"g_learner": {"kind": "gbt", "max_depth": 2.0}},
     {"m_learner": {"kind": "logistic", "tol": True}},
+    {"placebo_shift": 0},
+    {"placebo_shift": -1},
 ], ids=["K_string", "B_string", "seed_string", "seed_float", "anticipation_null",
         "allow_no_crossfit_string", "aggregation_string", "threads_bool",
         "threads_int", "estimator", "dotted_key", "learner_n_trees_float", "learner_lambda_bool",
-        "learner_max_depth_float", "learner_tol_bool"])
+        "learner_max_depth_float", "learner_tol_bool", "placebo_shift_zero",
+        "placebo_shift_negative"])
 def test_malformed_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -70,6 +73,17 @@ def test_malformed_config_exits_2(tmp_path, capsys, config):
 def test_malformed_dgp_config_exits_2(tmp_path, capsys, change):
     path = tmp_path / "dgp.json"
     path.write_text(json.dumps(dict(scenario("S1").to_dict(), **change)))
+    out = tmp_path / "sim"
+    assert cli.main(["simulate", str(path), "--out", str(out)]) == 2
+    error = last_error(capsys)
+    assert (error["code"], error["type"]) == (2, "InvalidConfigError")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null", '"S1"'], ids=["list", "null", "string"])
+def test_dgp_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "dgp.json"
+    path.write_text(text)
     out = tmp_path / "sim"
     assert cli.main(["simulate", str(path), "--out", str(out)]) == 2
     error = last_error(capsys)

@@ -7,15 +7,14 @@ from sdidml.crossfit import (
     assign_folds,
     crossfit_nuisance,
     nuisance_features,
-    residualize,
 )
 from sdidml.errors import (
-    AlignmentMismatchError,
     ConfigError,
     TooManyFoldsError,
 )
 from sdidml.learners import LearnerSpec
 from sdidml.panel import build_panel, to_records
+from sdidml.pipeline import PipelineConfig, estimate_effects
 
 
 def toy_panel(n_units=10, n_periods=2, treated_units=(), treat_from=2, seed=0):
@@ -146,21 +145,13 @@ class TestCrossfitNuisance:
 
 class TestResidualize:
     def test_arithmetic(self):
+        # the pipeline's y_tilde is Y - g_hat, in observation order, read-only
         panel = toy_panel(n_units=2, treated_units=(0,), treat_from=2)
-        folds = assign_folds(panel, 1, seed=0)
-        fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
-                                 folds, clip_eps=0.0)
-        resid = residualize(panel, fits)
-        assert_array_equal(resid.y_tilde, panel.outcomes - fits.g_hat)
-        assert_array_equal(resid.d_tilde, panel.treatments - fits.m_hat)
-
-    def test_alignment_mismatch(self):
-        panel = toy_panel(treated_units=(0,))
-        other = toy_panel(treated_units=(0,), seed=99)
-        folds = assign_folds(panel, 2, seed=0)
-        fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(), folds)
-        with pytest.raises(AlignmentMismatchError):
-            residualize(other, fits)
+        config = PipelineConfig(g_learner=LearnerSpec.mean(), m_learner=LearnerSpec.mean(),
+                                n_folds=1, clip_eps=0.0)
+        art = estimate_effects(panel, config)
+        assert_array_equal(art.y_tilde, panel.outcomes - art.fits.g_hat)
+        assert not art.y_tilde.flags.writeable
 
     def test_perfect_fit_gives_zero_residual(self):
         # Y exactly linear in covariates, K=1 OLS -> y_tilde ~ 0
@@ -175,8 +166,7 @@ class TestResidualize:
         folds = assign_folds(panel, 1, seed=0)
         fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0), LearnerSpec.mean(),
                                  folds, clip_eps=0.0)
-        resid = residualize(panel, fits)
-        assert np.max(np.abs(resid.y_tilde)) < 1e-8
+        assert np.max(np.abs(panel.outcomes - fits.g_hat)) < 1e-8
 
 
 class TestOrthogonality:
@@ -199,14 +189,15 @@ class TestOrthogonality:
         fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0),
                                  LearnerSpec.ridge(0.0), folds, clip_eps=0.0)
         assert fits.n_clipped == 0
-        resid = residualize(panel, fits)
+        y_tilde = panel.outcomes - fits.g_hat
+        d_tilde = panel.treatments - fits.m_hat
         F, _ = nuisance_features(panel)
         n = panel.n_obs
-        assert abs(resid.y_tilde.mean()) < 1e-8
-        assert abs(resid.d_tilde.mean()) < 1e-8
+        assert abs(y_tilde.mean()) < 1e-8
+        assert abs(d_tilde.mean()) < 1e-8
         for j in range(F.shape[1]):
-            assert abs(F[:, j] @ resid.y_tilde) / n < 1e-8
-            assert abs(F[:, j] @ resid.d_tilde) / n < 1e-8
+            assert abs(F[:, j] @ y_tilde) / n < 1e-8
+            assert abs(F[:, j] @ d_tilde) / n < 1e-8
 
     def test_k1_mean_learner_zero_mean_treatment_residual(self):
         # 8 units x 2 periods, 4 treated observations: shares exactly representable
@@ -220,5 +211,4 @@ class TestOrthogonality:
         folds = assign_folds(panel, 1, seed=0)
         fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
                                  folds, clip_eps=0.0)
-        resid = residualize(panel, fits)
-        assert resid.d_tilde.mean() == 0.0
+        assert (panel.treatments - fits.m_hat).mean() == 0.0

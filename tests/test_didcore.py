@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sdidml.crossfit import ResidualPanel, assign_folds, crossfit_nuisance, residualize
+from sdidml.crossfit import assign_folds, crossfit_nuisance
 from sdidml.didcore import (
     demean_two_way,
     estimate_group_time,
-    residual_slope,
     subgroup_effects,
     twfe_baseline,
 )
@@ -34,10 +33,6 @@ def panel_from_layout(cohorts, periods, y_fn, p=1, x_fn=None):
     return build_panel(recs)
 
 
-def resid_panel(panel, y_tilde):
-    return ResidualPanel(panel=panel, y_tilde=np.asarray(y_tilde, dtype=np.float64))
-
-
 def cell_table(effects):
     """{(g, t): (tau, n_treated, n_control)} of an effects table."""
     return {key: (tau, n_tr, n_c) for key, tau, n_tr, n_c
@@ -51,7 +46,7 @@ class TestGroupTimeContrast:
         base_pattern = {1: 0.3, 2: -0.2, 3: 0.5, 4: 1.1}  # common to all units
         y = np.array([base_pattern[o["time"]] + (1.0 if o["treatment"] else 0.0)
                       for o in to_records(panel)])
-        effects = estimate_group_time(resid_panel(panel, y))
+        effects = estimate_group_time(panel, y)
         for (g, t), (tau, _, _) in cell_table(effects).items():
             expected = 1.0 if t >= g else 0.0
             assert_allclose(tau, expected, atol=1e-12)
@@ -65,7 +60,7 @@ class TestGroupTimeContrast:
         values = {("t1", 1): 0.3, ("t1", 2): 1.7, ("t2", 1): -0.1, ("t2", 2): 2.1,
                   ("c1", 1): 0.2, ("c1", 2): 0.5, ("c2", 1): 0.0, ("c2", 2): 0.1}
         y = np.array([values[(o["unit"], o["time"])] for o in to_records(panel)])
-        cells = cell_table(estimate_group_time(resid_panel(panel, y)))
+        cells = cell_table(estimate_group_time(panel, y))
         assert set(cells) == {(2, 2)}
         tau, n_treated, n_control = cells[(2, 2)]
         assert_allclose(tau, 1.6, rtol=1e-12)
@@ -75,7 +70,7 @@ class TestGroupTimeContrast:
         # cohorts 2 and 3, nobody never-treated: cell (2,3) has no controls
         cohorts = {"a": 2, "b": 2, "c": 3, "d": 3}
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: u == "a")
-        effects = estimate_group_time(resid_panel(panel, panel.outcomes),
+        effects = estimate_group_time(panel, panel.outcomes,
                                       control_rule="not_yet_treated")
         cells = cell_table(effects)
         assert (2, 2) in cells
@@ -90,7 +85,7 @@ class TestGroupTimeContrast:
         cohorts = {"a": 3, "b": 3, "e": 4, "c": 5, "n": None}
         panel = panel_from_layout(cohorts, (1, 2, 3, 4, 5),
                                   lambda u, t: float(u == "e" and t >= 3))
-        effects = estimate_group_time(resid_panel(panel, panel.outcomes),
+        effects = estimate_group_time(panel, panel.outcomes,
                                       control_rule="not_yet_treated",
                                       anticipation=1)
         tau, n_treated, n_control = cell_table(effects)[(3, 3)]
@@ -100,17 +95,16 @@ class TestGroupTimeContrast:
     def test_never_treated_rule_counts(self):
         cohorts = {"a": 2, "b": None, "c": None, "d": 3}
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: 0.0)
-        effects = estimate_group_time(resid_panel(panel, panel.outcomes))
+        effects = estimate_group_time(panel, panel.outcomes)
         assert cell_table(effects)[(2, 2)][2] == 2  # n_control: only the two never-treated
 
     def test_anticipation_moves_base_period(self):
         cohorts = {"a": 3, "b": 3, "c": None, "d": None}
         panel = panel_from_layout(cohorts, (1, 2, 3, 4), lambda u, t: 0.0)
-        y = np.array([float(o["time"] >= 2 and o["treatment"] >= 0 and
-                            panel.cohort[o["unit"]].ever_treated)
-                      for o in to_records(panel)])
+        treated = np.isfinite(panel.cohort_times)[panel.unit_codes]
+        y = np.array([float(o["time"] >= 2) for o in to_records(panel)]) * treated
         # anticipation=1: base period is g-2=1, so the "effect" visible from t=2 on
-        cells = cell_table(estimate_group_time(resid_panel(panel, y), anticipation=1))
+        cells = cell_table(estimate_group_time(panel, y, anticipation=1))
         assert_allclose(cells[(3, 3)][0], 1.0, atol=1e-12)
         assert_allclose(cells[(3, 2)][0], 1.0, atol=1e-12)  # anticipation window
         assert (3, 1) not in cells  # base period itself
@@ -119,15 +113,15 @@ class TestGroupTimeContrast:
         cohorts = {"a": 2, "b": None}
         panel = panel_from_layout(cohorts, (2, 3), lambda u, t: 0.0)
         with pytest.raises(EmptyResultError):
-            estimate_group_time(resid_panel(panel, panel.outcomes))
+            estimate_group_time(panel, panel.outcomes)
 
     def test_location_invariance_at_fixed_residuals(self):
         cohorts = {"a": 2, "b": 2, "c": None, "d": None}
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: 0.0)
         rng = np.random.default_rng(8)
         y = rng.standard_normal(panel.n_obs)
-        e1 = cell_table(estimate_group_time(resid_panel(panel, y)))
-        e2 = cell_table(estimate_group_time(resid_panel(panel, y + 123.456)))
+        e1 = cell_table(estimate_group_time(panel, y))
+        e2 = cell_table(estimate_group_time(panel, y + 123.456))
         for key in e1:
             assert abs(e1[key][0] - e2[key][0]) < 1e-12
 
@@ -141,7 +135,7 @@ class TestGroupTimeContrast:
             perm = rng.permutation(n_units)
             cohorts = {f"u{i:02d}": labels[perm[i]] for i in range(n_units)}
             panel = panel_from_layout(cohorts, periods, lambda u, t: 0.0)
-            effects = estimate_group_time(resid_panel(panel, y))
+            effects = estimate_group_time(panel, y)
             atts.append(np.mean([c[0] for (g, t), c in cell_table(effects).items()
                                  if t >= g]))
         atts = np.array(atts)
@@ -213,8 +207,10 @@ class TestResidualSlopeFwl:
         fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0),
                                  LearnerSpec.ridge(0.0), folds, clip_eps=0.0)
         assert fits.n_clipped == 0
-        resid = residualize(panel, fits)
-        slope = residual_slope(resid)
+        y_tilde = panel.outcomes - fits.g_hat
+        d_tilde = panel.treatments - fits.m_hat
+        dc = d_tilde - d_tilde.mean()
+        slope = (dc @ y_tilde) / (dc @ dc)
         joint = np.column_stack([np.ones(n), d, X])
         beta = np.linalg.lstsq(joint, y, rcond=None)[0]
         assert abs(slope - beta[1]) / abs(beta[1]) < 1e-8
@@ -235,7 +231,7 @@ class TestSubgroups:
                                  "x0": 0.0})
         panel = build_panel(recs)
         labels = {u: u.split(".")[0] for u in panel.units}
-        result = subgroup_effects(resid_panel(panel, panel.outcomes), labels)
+        result = subgroup_effects(panel, panel.outcomes, labels)
         assert not result.failures
         cells_a = {k: v[0] for k, v in cell_table(result.effects["A"]).items()}
         cells_b = {k: v[0] for k, v in cell_table(result.effects["B"]).items()}
@@ -248,7 +244,7 @@ class TestSubgroups:
         panel = panel_from_layout(cohorts, (1, 2), lambda u, t: 0.0)
         labels = {"t1": "treated_only", "t2": "treated_only",
                   "c1": "mixed", "c2": "mixed"}
-        result = subgroup_effects(resid_panel(panel, panel.outcomes), labels)
+        result = subgroup_effects(panel, panel.outcomes, labels)
         assert "treated_only" in result.failures
         # the mixed subgroup has no treated units at all -> also unestimable
         assert "mixed" in result.failures
@@ -257,4 +253,4 @@ class TestSubgroups:
         cohorts = {"t1": 2, "c1": None}
         panel = panel_from_layout(cohorts, (1, 2), lambda u, t: 0.0)
         with pytest.raises(ValueError):
-            subgroup_effects(resid_panel(panel, panel.outcomes), {"t1": "x"})
+            subgroup_effects(panel, panel.outcomes, {"t1": "x"})

@@ -175,7 +175,7 @@ def test_matches_per_replicate_loop(make_panel, control_rule, anticipation,
     config = PipelineConfig(n_folds=2, control_rule=control_rule,
                             anticipation=anticipation, bootstrap_reps=60,
                             bootstrap_mode="fixed_nuisance", seed=3)
-    y_tilde = estimate_effects(panel, config).resid.y_tilde
+    y_tilde = estimate_effects(panel, config).y_tilde
     B, seed = 60, 9
     inference = bootstrap(config, panel, B, seed, mode="fixed_nuisance", y_tilde=y_tilde)
     overall, event, group, n_failed = loop_bootstrap(config, panel, y_tilde, B, seed)
@@ -196,7 +196,7 @@ def test_matches_per_replicate_loop(make_panel, control_rule, anticipation,
 def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
     panel = small_null_panel()
     config = PipelineConfig(bootstrap_reps=29, bootstrap_mode="fixed_nuisance", seed=5)
-    y_tilde = estimate_effects(panel, config).resid.y_tilde
+    y_tilde = estimate_effects(panel, config).y_tilde
     calls = {"group_time_cells": 0, "subset_units": 0, "PanelDataset": 0}
 
     def counting(name, func):

@@ -2,10 +2,13 @@
 
 No ``sdidml`` import sits inside a function, and every module-level import
 of a sibling module goes to a lower layer of ``LAYERS``. Every name that a
-package or test module imports is read in that module.
+package or test module imports is read in that module. Importing the
+package does not load ``scipy.stats``, which takes most of a second.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import sdidml
@@ -109,3 +112,10 @@ def test_every_imported_name_is_read():
     unread = {f"{path.parent.name}/{path.name}": names
               for path in files if (names := unread_imports(path))}
     assert unread == {}
+
+
+def test_import_does_not_load_scipy_stats():
+    code = "import sys, sdidml; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=Path(sdidml.__file__).parent.parent)
+    assert out.stdout.strip() == "False"

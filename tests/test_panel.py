@@ -3,21 +3,17 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from sdidml.errors import (
+    DataError,
     DuplicateIndexError,
     EmptyControlPoolError,
     FieldTypeError,
     MissingFieldError,
     NonAbsorbingTreatmentError,
     NonFiniteValueError,
-    UnknownPeriodError,
-    UnknownUnitError,
 )
 from sdidml.panel import (
-    NEVER_TREATED,
-    Cohort,
     _panel_from_text,
     build_panel,
-    event_time,
     feature_matrix,
     read_panel_csv,
     to_records,
@@ -47,8 +43,7 @@ def two_unit_panel():
 class TestBuildPanel:
     def test_cohort_derivation(self):
         panel = two_unit_panel()
-        assert panel.cohort["A"] == Cohort(2)
-        assert panel.cohort["B"] == NEVER_TREATED
+        assert_array_equal(panel.cohort_times, [2.0, np.inf])
         assert panel.units == ("A", "B")
         assert panel.periods == (1, 2, 3)
 
@@ -65,8 +60,7 @@ class TestBuildPanel:
         panel = build_panel(rows(
             ("A", 1, 0.0, 0, 0.0), ("A", 2, 0.0, 1, 0.0), ("A", 3, 0.0, 1, 0.0),
             ("B", 1, 0.0, 0, 0.0), ("B", 2, 0.0, 0, 0.0), ("B", 3, 0.0, 1, 0.0)))
-        assert panel.cohort["A"] == Cohort(2)
-        assert panel.cohort["B"] == Cohort(3)
+        assert_array_equal(panel.cohort_times, [2.0, 3.0])
 
     def test_duplicate_index(self):
         with pytest.raises(DuplicateIndexError):
@@ -96,7 +90,7 @@ class TestBuildPanel:
             ("A", 1, 0.0, 0, 0.0), ("A", 3, 1.0, 1, 0.0),
             ("B", 1, 0.0, 0, 0.0), ("B", 2, 0.0, 0, 0.0), ("B", 3, 0.0, 0, 0.0)))
         assert panel.n_obs == 5
-        assert panel.cohort["A"] == Cohort(3)
+        assert_array_equal(panel.cohort_times, [3.0, np.inf])
 
     def test_row_order_invariance(self):
         recs = rows(
@@ -107,31 +101,6 @@ class TestBuildPanel:
         for _ in range(5):
             shuffled = [recs[i] for i in rng.permutation(len(recs))]
             assert build_panel(shuffled) == reference
-
-
-class TestEventTime:
-    def test_post_treatment(self):
-        panel = build_panel(rows(
-            ("A", 1, 0.0, 0, 0.0), ("A", 2, 0.0, 1, 0.0), ("A", 4, 0.0, 1, 0.0),
-            ("B", 1, 0.0, 0, 0.0), ("B", 4, 0.0, 0, 0.0)))
-        assert event_time(panel, "A", 4) == 2
-
-    def test_pre_treatment_and_never(self):
-        panel = two_unit_panel()
-        assert event_time(panel, "A", 1) == -1
-        assert event_time(panel, "B", 3) is None
-
-    def test_unknown_unit_and_period(self):
-        panel = two_unit_panel()
-        with pytest.raises(UnknownUnitError):
-            event_time(panel, "Z", 1)
-        with pytest.raises(UnknownPeriodError):
-            event_time(panel, "A", 99)
-
-    def test_strictly_increasing_in_t(self):
-        panel = two_unit_panel()
-        es = [event_time(panel, "A", t) for t in panel.periods]
-        assert es == [-1, 0, 1]
 
 
 class TestFeatureMatrix:
@@ -197,3 +166,14 @@ class TestSerialization:
         path.write_text("unit,time,outcome,x0\nA,1,0.0,0.0\n")
         with pytest.raises(MissingFieldError, match="treatment"):
             read_panel_csv(path)
+
+    @pytest.mark.parametrize("text, name", [
+        ("unit,time,outcome,treatment,x,x\nA,1,0,0,1,2\nB,1,0,0,3,4\n", "x"),
+        ("unit,time,outcome,outcome,treatment\nA,1,0,5,0\nB,1,0,6,0\n", "outcome"),
+    ], ids=["x_twice", "outcome_twice"])
+    def test_repeated_column_named(self, tmp_path, text, name):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            read_panel_csv(path)
+        assert str(err.value) == f"{path}: column '{name}' appears more than once"

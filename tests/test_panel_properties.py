@@ -26,7 +26,6 @@ from sdidml.errors import (
 )
 from sdidml.panel import (
     REQUIRED_COLUMNS,
-    Cohort,
     _panel_from_columns,
     build_panel,
     read_panel_csv,
@@ -84,14 +83,14 @@ def reference_panel(recs, names):
                 first = t
             elif d == 0 and first is not None:
                 return NonAbsorbingTreatmentError
-        cohort[unit] = Cohort(first)
-    firsts = [c.first_treated for c in cohort.values()]
-    if None not in firsts and len(set(firsts)) < 2:
+        cohort[unit] = np.inf if first is None else first
+    if np.inf not in cohort.values() and len(set(cohort.values())) < 2:
         return EmptyControlPoolError
     units = sorted(cohort)
     periods = sorted({row[1] for row in rows})
     return {
-        "units": tuple(units), "periods": tuple(periods), "cohort": cohort,
+        "units": tuple(units), "periods": tuple(periods),
+        "cohort_times": [cohort[unit] for unit in units],
         "unit_codes": [units.index(row[0]) for row in rows],
         "time_codes": [periods.index(row[1]) for row in rows],
         "outcomes": [row[2] for row in rows],
@@ -103,8 +102,8 @@ def reference_panel(recs, names):
 def assert_matches(panel, expected):
     assert panel.units == expected["units"]
     assert panel.periods == expected["periods"]
-    assert panel.cohort == expected["cohort"]
-    for name in ("unit_codes", "time_codes", "outcomes", "treatments", "covariates"):
+    for name in ("unit_codes", "time_codes", "outcomes", "treatments", "covariates",
+                 "cohort_times"):
         assert_array_equal(getattr(panel, name), expected[name])
 
 
@@ -180,6 +179,9 @@ def reference_read_panel_csv(path):
             for col in REQUIRED_COLUMNS:
                 if col not in header:
                     raise MissingFieldError(f"{path}: missing {col!r} column")
+            for i, name in enumerate(header):
+                if name in header[:i]:
+                    raise DataError(f"{path}: column {name!r} appears more than once")
             rows = []
             for line, row in enumerate(reader):
                 if not row:

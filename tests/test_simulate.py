@@ -173,7 +173,7 @@ class TestSubgroupDgp:
                       effect=EffectSpec.subgroup(1.0, 3.0), seed=777)
         oracle = generate(cfg)
         art = estimate_effects(oracle.panel, PipelineConfig(bootstrap_reps=0, seed=5))
-        result = subgroup_effects(art.resid, oracle.subgroup_of_unit)
+        result = subgroup_effects(oracle.panel, art.y_tilde, oracle.subgroup_of_unit)
         assert not result.failures
         att_a, _ = overall_att(result.effects["a"])
         att_b, _ = overall_att(result.effects["b"])
