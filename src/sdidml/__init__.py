@@ -4,8 +4,11 @@ The pipeline runs in five stages: panel structuring and cohort encoding,
 cross-fitted nuisance estimation, the outcome residual y_tilde = Y - g_hat
 (the treatment model's m_hat feeds only the overlap report), structural
 group-time effect estimation on y_tilde, and aggregation with bootstrap
-inference and robustness diagnostics. A synthetic-panel generator with
-known oracle effects backs the validation suite.
+inference and robustness diagnostics. Every summary (the overall,
+event-time and per-cohort ATTs of the point estimate, of each bootstrap
+replicate and of each subgroup) comes from one table of group-time cells,
+one row per unit weighting. A synthetic-panel generator with known oracle
+effects backs the validation suite.
 """
 
 __version__ = "0.1.0"
@@ -27,14 +30,7 @@ from .crossfit import (
     crossfit_nuisance,
     nuisance_features,
 )
-from .didcore import (
-    GroupTimeEffects,
-    SubgroupEffects,
-    TwfeResult,
-    estimate_group_time,
-    subgroup_effects,
-    twfe_baseline,
-)
+from .didcore import GroupTimeEffects, TwfeResult, estimate_group_time, twfe_baseline
 from .aggregate import (
     AggregatedResults,
     BootstrapInference,
@@ -42,11 +38,13 @@ from .aggregate import (
     OverlapReport,
     PlaceboReport,
     PretrendReport,
-    aggregate,
+    SubgroupEffects,
+    aggregate_schemes,
     bootstrap,
     overlap_report,
     placebo_test,
     pretrend_test,
+    subgroup_effects,
 )
 from .pipeline import PipelineConfig, PipelineResult, estimate_effects, run_pipeline
 from .simulate import (

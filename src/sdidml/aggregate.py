@@ -2,15 +2,19 @@
 robustness battery (pre-trend test, placebo intervention, overlap report).
 
 Aggregation works on the (R, C) cell table of
-:func:`sdidml.didcore.group_time_cells`, one row per estimate: R = 1 for
-the point estimate, R = B for the bootstrap; both go through one
-summary routine. Weights are proportional to each cell's treated count, so
-they are non-negative by construction and sum to one within machine
-precision; both properties are verified for every row. Uncertainty comes
-from a unit-level (cluster) bootstrap: whole units are resampled with
-replacement, and replicate r is the row of how many times each original
-unit was drawn. ``fixed_nuisance`` mode (faster but approximate) reuses the
-point-estimate residuals, so all B rows are one matrix product. ``full``
+:func:`sdidml.didcore.group_time_cells`, one row per unit weighting: R = 1
+for the point estimate, one row per subgroup label (the 0/1 row of the
+units it labels) for the subgroup effects, R = B for the bootstrap. All
+three go through one summary routine, which gives every row's overall,
+event-time and per-cohort ATT at once (Callaway and Sant'Anna 2021); the
+pre-trend test reads the pre-treatment points of the event curve. Weights
+are proportional to each cell's treated count, so they are non-negative
+by construction and sum to one within machine precision; both properties
+are verified for every row. Uncertainty comes from a unit-level (cluster)
+bootstrap: whole units are resampled with replacement, and replicate r is
+the row of how many times each original unit was drawn.
+``fixed_nuisance`` mode (faster but approximate) reuses the point-estimate
+residuals, so all B rows are one matrix product. ``full``
 mode cross-fits the outcome model g again on each replicate's distinct
 drawn units, with the weight row as sample weights in place of repeated
 copies, and writes the residuals back onto the original units, so each
@@ -27,7 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 from scipy.special import chdtrc
@@ -46,7 +50,6 @@ from .errors import (
 )
 from .panel import PanelDataset, pivot_unit_time, subset_units, unit_rows
 
-SCHEMES = ("overall", "event_time", "by_group")
 BOOTSTRAP_MODES = ("full", "fixed_nuisance")
 
 WEIGHT_SUM_TOL = 1e-12
@@ -73,7 +76,6 @@ class AggregatedResults:
     overall_att: float
     weights_used: Mapping[tuple[int, int], float]
     ci_level: float
-    schemes: tuple[str, ...]
     overall_se: Optional[float] = None
     overall_ci_low: Optional[float] = None
     overall_ci_high: Optional[float] = None
@@ -139,50 +141,83 @@ def _summaries(keys, tau: np.ndarray, counts: np.ndarray,
             event, group)
 
 
-def _point_summaries(effects: GroupTimeEffects):
-    """:func:`_summaries` of the point estimate (R = 1), as floats."""
-    overall, weights, event, group = _summaries(
-        effects.keys, effects.tau[None], effects.n_treated[None])
-    return (float(overall[0]), {k: float(w[0]) for k, w in weights.items()},
-            {e: float(v[0]) for e, v in event.items()},
-            {g: float(v[0]) for g, v in group.items()})
+def _results(keys, tau: np.ndarray, counts: np.ndarray,
+             ci_level: float = 0.95) -> list[AggregatedResults]:
+    """:func:`_summaries` of (R, C) cell arrays, one point summary per row.
 
-
-def overall_att(effects: GroupTimeEffects) -> tuple[float, dict]:
-    """Treated-count-weighted mean of post-treatment cells, plus the weights."""
-    att, weights, _, _ = _point_summaries(effects)
-    if not weights:
-        raise EmptyResultError("no post-treatment cell to aggregate")
-    return att, weights
-
-
-def aggregate_schemes(effects: GroupTimeEffects, schemes: Sequence[str],
-                      ci_level: float = 0.95) -> AggregatedResults:
-    """Aggregate tau(g, t) under each requested scheme.
-
-    The overall ATT is always computed (it is the headline estimate the
-    bootstrap pivots on); the event curve and per-cohort summaries are
-    populated when their schemes are requested.
+    A row keeps the cells and summaries it estimates: a cell absent from
+    the row has weight 0 and is left out, as is a NaN summary.
     """
-    bad = [s for s in schemes if s not in SCHEMES]
-    if bad:
-        raise ConfigError(f"unknown aggregation scheme(s) {bad}")
+    overall, weights, event, group = _summaries(keys, tau, counts)
+
+    def points(rows: dict, r: int) -> dict:
+        return {k: SummaryPoint(att=float(v[r])) for k, v in rows.items()
+                if not np.isnan(v[r])}
+
+    return [AggregatedResults(
+        overall_att=float(overall[r]), ci_level=ci_level,
+        weights_used={k: float(w[r]) for k, w in weights.items() if w[r] > 0},
+        event_curve=points(event, r), group_atts=points(group, r))
+        for r in range(len(tau))]
+
+
+def aggregate_schemes(effects: GroupTimeEffects,
+                      ci_level: float = 0.95) -> AggregatedResults:
+    """Overall, event-time and per-cohort summaries of the point estimate.
+
+    The event curve includes the pre-treatment event times that the
+    pre-trend test reads; the overall ATT and the cohort summaries use
+    post-treatment cells only.
+    """
     if not 0 < ci_level < 1:
         raise ConfigError("ci_level must lie in (0, 1)")
-    att, weights, event, group = _point_summaries(effects)
-    if not weights:
+    results, = _results(effects.keys, effects.tau[None], effects.n_treated[None], ci_level)
+    if not results.weights_used:
         raise EmptyResultError("no post-treatment cell to aggregate")
-    return AggregatedResults(
-        overall_att=att, weights_used=weights, ci_level=ci_level, schemes=tuple(schemes),
-        event_curve={e: SummaryPoint(att=v) for e, v in event.items()
-                     if "event_time" in schemes},
-        group_atts={g: SummaryPoint(att=v) for g, v in group.items() if "by_group" in schemes})
+    return results
 
 
-def aggregate(effects: GroupTimeEffects, scheme: str = "overall",
-              ci_level: float = 0.95) -> AggregatedResults:
-    """Single-scheme entry point; see :func:`aggregate_schemes`."""
-    return aggregate_schemes(effects, (scheme,), ci_level)
+@dataclass(frozen=True)
+class SubgroupEffects:
+    """Point summaries per subgroup label; unestimable labels under ``failures``."""
+
+    effects: Mapping[object, AggregatedResults]
+    failures: Mapping[object, str]
+
+
+def subgroup_effects(panel: PanelDataset, y_tilde: np.ndarray,
+                     subgroup_of_unit: Mapping[str, object],
+                     control_rule: str = "never_treated",
+                     anticipation: int = 0) -> SubgroupEffects:
+    """Overall, event-time and per-cohort summaries within each subgroup.
+
+    ``y_tilde`` holds the outcome residuals of ``panel``'s observations;
+    every unit must carry a label. Label l is the 0/1 weight row of the
+    units it labels, so one :func:`group_time_cells` call gives every
+    subgroup's cells, each as if the subgroup were estimated alone. A label
+    without a post-treatment cell that has both a treated and a control
+    unit is recorded under ``failures``.
+    """
+    unlabeled = [u for u in panel.units if u not in subgroup_of_unit]
+    if unlabeled:
+        raise ValueError(f"{len(unlabeled)} unit(s) lack a subgroup label, "
+                         f"e.g. {unlabeled[0]!r}")
+    labels = sorted({subgroup_of_unit[u] for u in panel.units}, key=str)
+    code = {label: j for j, label in enumerate(labels)}
+    label_code = np.array([code[subgroup_of_unit[u]] for u in panel.units])
+    member = (label_code == np.arange(len(labels))[:, None]).astype(np.float64)
+    ymat, present = pivot_unit_time(panel, y_tilde)
+    keys, tau, counts, _, _ = group_time_cells(panel.cohort_times, ymat, present,
+                                               panel.periods, control_rule,
+                                               anticipation, member)
+    effects: dict = {}
+    failures: dict = {}
+    for label, results in zip(labels, _results(keys, tau, counts)):
+        if np.isnan(results.overall_att):
+            failures[label] = "no post-treatment cell with a treated and a control unit"
+        else:
+            effects[label] = results
+    return SubgroupEffects(effects=effects, failures=failures)
 
 
 def write_event_curve_csv(results: AggregatedResults, path) -> None:
@@ -363,26 +398,26 @@ class PretrendReport:
     per_e: tuple[PretrendPoint, ...]
 
 
-def pretrend_test(effects: GroupTimeEffects,
-                  inference: BootstrapInference) -> PretrendReport:
-    """Sum of squared z-scores over pre-treatment event times, chi2 reference."""
-    _, _, curve, _ = _point_summaries(effects)
-    pre_es = [e for e in sorted(curve) if e < -effects.anticipation]
-    if not pre_es:
+def pretrend_test(results: AggregatedResults, anticipation: int = 0) -> PretrendReport:
+    """Sum of squared z-scores over the pre-treatment points of the event
+    curve, chi2 reference.
+
+    ``results`` carries the bootstrap SEs (see :func:`merge_inference`);
+    event times e >= -``anticipation`` are not tested.
+    """
+    pre = [(e, p) for e, p in sorted(results.event_curve.items()) if e < -anticipation]
+    if not pre:
         raise NoPreCellsError("no pre-treatment event times available")
     points = []
-    for e in pre_es:
-        att = curve[e]
-        inf = inference.event.get(e)
-        se = inf.se if inf is not None else None
-        if se is None:
+    for e, p in pre:
+        if p.se is None:
             raise EstimationError(
                 "pre-trend test needs bootstrap SEs (B >= 2) for every pre event time")
-        if se > 0.0:
-            z = att / se
+        if p.se > 0.0:
+            z = p.att / p.se
         else:
-            z = 0.0 if att == 0.0 else math.inf
-        points.append(PretrendPoint(e=e, att=att, se=se, z=z))
+            z = 0.0 if p.att == 0.0 else math.inf
+        points.append(PretrendPoint(e=e, att=p.att, se=p.se, z=z))
     statistic = math.fsum(p.z ** 2 for p in points)
     dof = len(points)
     p_value = float(chdtrc(dof, statistic)) if math.isfinite(statistic) else 0.0
@@ -432,8 +467,9 @@ def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
 
     y_tilde = _outcome_residuals(pseudo_panel, config,
                                  assign_folds(pseudo_panel, config.n_folds, config.seed))
-    att, _ = overall_att(estimate_group_time(pseudo_panel, y_tilde, config.control_rule,
-                                             config.anticipation))
+    effects = estimate_group_time(pseudo_panel, y_tilde, config.control_rule,
+                                  config.anticipation)
+    att = aggregate_schemes(effects, config.ci_level).overall_att
     ci_low = ci_high = None
     if config.bootstrap_reps >= 1:
         inference = bootstrap(config, pseudo_panel, config.bootstrap_reps,

@@ -55,7 +55,6 @@ _CONFIG_KEYS = {
     "clip_eps": ("pipeline.clip_eps", float, False),
     "control_rule": ("pipeline.control_rule", str, False),
     "anticipation": ("pipeline.anticipation", int, False),
-    "aggregation": ("pipeline.aggregation", list, False),
     "bootstrap.B": ("pipeline.bootstrap_reps", int, False),
     "bootstrap.mode": ("pipeline.bootstrap_mode", str, False),
     "ci_level": ("pipeline.ci_level", float, False),
@@ -64,8 +63,7 @@ _CONFIG_KEYS = {
     "allow_no_crossfit": ("allow_no_crossfit", bool, False),
 }
 _JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
-                    bool: "true or false", list: "a list of strings",
-                    LearnerSpec: "a learner object"}
+                    bool: "true or false", LearnerSpec: "a learner object"}
 
 
 def _from_json(key: str, value, kind: type, nullable: bool):
@@ -76,8 +74,6 @@ def _from_json(key: str, value, kind: type, nullable: bool):
     if isinstance(value, bool) == (kind is bool):
         if kind is LearnerSpec and isinstance(value, dict):
             return LearnerSpec.from_dict(value)
-        if kind is list and isinstance(value, list) and all(isinstance(v, str) for v in value):
-            return tuple(value)
         if kind is float and isinstance(value, (int, float)):
             return float(value)
         if kind in (str, int, bool) and isinstance(value, kind):
@@ -97,11 +93,11 @@ class RunConfig:
     whose ``n_trees``, ``max_depth``, ``min_leaf``, ``max_iter`` are integers
     and ``lambda``, ``tol``, ``learning_rate`` numbers);
     ``K``, ``anticipation``, ``seed`` (integer); ``clip_eps``, ``ci_level``
-    (number); ``control_rule`` (string); ``aggregation`` (list of
-    strings); ``bootstrap`` (``{"B": integer, "mode": string}``);
-    ``placebo_shift`` (integer or null); ``allow_no_crossfit`` (true or
-    false). Any other key, or a value of another JSON type, raises
-    :class:`ConfigError`: true/false is not an integer, nor is 2.0.
+    (number); ``control_rule`` (string); ``bootstrap`` (``{"B": integer,
+    "mode": string}``); ``placebo_shift`` (integer or null);
+    ``allow_no_crossfit`` (true or false). Any other key, or a value of
+    another JSON type, raises :class:`ConfigError`: true/false is not an
+    integer, nor is 2.0.
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -152,8 +148,6 @@ class RunConfig:
             value = getattr(self.pipeline if owner else self, name)
             if isinstance(value, LearnerSpec):
                 value = value.to_dict()
-            elif isinstance(value, tuple):
-                value = list(value)
             group, _, sub = key.rpartition(".")
             (out.setdefault(group, {}) if group else out)[sub] = value
         return out

@@ -43,12 +43,6 @@ class FoldAssignment:
     n_folds: int
     fold_of_unit: Mapping[str, int]
 
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.n_folds
-        for k in self.fold_of_unit.values():
-            sizes[k] += 1
-        return sizes
-
 
 def assign_folds(panel: PanelDataset, n_folds: int, seed: int) -> FoldAssignment:
     """Shuffle the sorted unit ids by ``seed`` and deal them round-robin.

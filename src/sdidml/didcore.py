@@ -14,8 +14,10 @@ whose staggered-adoption bias the pipeline is designed to avoid.
 :func:`group_time_cells` is the one cell routine. It takes an (R, units)
 matrix of unit multiplicities: the point estimate is one row of ones, and
 each bootstrap replicate, in either mode, is the row of how many times each
-original unit was drawn. :class:`GroupTimeEffects` holds the point
-estimate's row of the table it returns.
+original unit was drawn, and each subgroup label is the 0/1 row of the
+units it labels (:func:`sdidml.aggregate.subgroup_effects`).
+:class:`GroupTimeEffects` holds the point estimate's row of the table it
+returns.
 """
 
 from __future__ import annotations
@@ -23,17 +25,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateDesignError,
-    EmptyControlPoolError,
-    EmptyResultError,
-    NonConvergenceError,
-)
-from .panel import PanelDataset, pivot_unit_time, subset_units, unit_rows
+from .errors import DegenerateDesignError, EmptyResultError, NonConvergenceError
+from .panel import PanelDataset, pivot_unit_time
 
 CONTROL_RULES = ("never_treated", "not_yet_treated")
 
@@ -254,43 +251,3 @@ def twfe_baseline(panel: PanelDataset) -> TwfeResult:
         correction = 1.0
     se = math.sqrt(correction * meat) / ssd
     return TwfeResult(tau=tau, se=se)
-
-
-@dataclass(frozen=True)
-class SubgroupEffects:
-    effects: dict
-    failures: dict
-
-
-def subgroup_effects(panel: PanelDataset, y_tilde: np.ndarray,
-                     subgroup_of_unit: Mapping[str, object],
-                     control_rule: str = "never_treated",
-                     anticipation: int = 0) -> SubgroupEffects:
-    """Run the contrast estimator independently within each subgroup.
-
-    ``y_tilde`` holds the outcome residuals of ``panel``'s
-    observations; every unit must carry a label. Subgroups whose partition
-    leaves no control pool or no estimable cell are recorded under
-    ``failures`` rather than aborting the whole call.
-    """
-    unlabeled = [u for u in panel.units if u not in subgroup_of_unit]
-    if unlabeled:
-        raise ValueError(f"{len(unlabeled)} unit(s) lack a subgroup label, "
-                         f"e.g. {unlabeled[0]!r}")
-    label_of_unit = [subgroup_of_unit[u] for u in panel.units]
-    effects: dict = {}
-    failures: dict = {}
-    for label in sorted(set(label_of_unit), key=str):
-        members = [k for k, v in enumerate(label_of_unit) if v == label]
-        rows = unit_rows(panel, members)
-        try:
-            sub_panel = subset_units(panel, members)
-        except EmptyControlPoolError as exc:
-            failures[label] = f"empty result: {exc}"
-            continue
-        try:
-            effects[label] = estimate_group_time(sub_panel, y_tilde[rows],
-                                                 control_rule, anticipation)
-        except EmptyResultError as exc:
-            failures[label] = f"empty result: {exc}"
-    return SubgroupEffects(effects=effects, failures=failures)

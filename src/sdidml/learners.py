@@ -29,14 +29,6 @@ from .errors import (
 )
 
 KINDS = ("mean", "ridge", "lasso", "gbt", "logistic")
-_KIND_ALIASES = {
-    "mean": "mean",
-    "ridge": "ridge",
-    "lasso": "lasso",
-    "gbt": "gbt",
-    "gradient_boosted_trees": "gbt",
-    "logistic": "logistic",
-}
 # JSON learner parameter -> field type, checked by errors.json_number.
 _PARAM_TYPES = {"lambda": float, "tol": float, "learning_rate": float,
                 "max_iter": int, "n_trees": int, "max_depth": int, "min_leaf": int}
@@ -56,11 +48,9 @@ class LearnerSpec:
     min_leaf: int = 1
 
     def __post_init__(self):
-        kind = _KIND_ALIASES.get(self.kind)
-        if kind is None:
-            raise ConfigError(f"unknown learner kind {self.kind!r}; "
-                              f"expected one of {KINDS}")
-        object.__setattr__(self, "kind", kind)
+        kind = self.kind
+        if kind not in KINDS:
+            raise ConfigError(f"unknown learner kind {kind!r}; expected one of {KINDS}")
         if self.lam < 0:
             raise ConfigError("penalty lambda must be >= 0")
         if kind in ("lasso", "logistic") and (self.max_iter < 1 or self.tol <= 0):

@@ -339,10 +339,10 @@ def pivot_unit_time(panel: PanelDataset, values: np.ndarray):
 def subset_units(panel: PanelDataset, codes) -> PanelDataset:
     """Panel of the units with the given codes.
 
-    ``codes`` index ``panel.units``. Used for subgroup estimation and the
-    full-mode bootstrap refits; the result passes full validation, so an
-    invalid subset (e.g. one with no control pool, or a repeated unit)
-    raises the corresponding panel error.
+    ``codes`` index ``panel.units``. Used for the full-mode bootstrap
+    refits; the result passes full validation, so an invalid subset (e.g.
+    one with no control pool, or a repeated unit) raises the corresponding
+    panel error.
     """
     rows = unit_rows(panel, codes)
     return PanelDataset(np.asarray(panel.units)[panel.unit_codes[rows]],

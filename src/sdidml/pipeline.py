@@ -4,12 +4,14 @@
 run config wraps it and adds only I/O and run-level fields.
 :func:`estimate_effects` covers stages 2-4 (cross-fitting, the outcome
 residual y_tilde = Y - g_hat, contrast estimation of the group-time
-effects) for a validated panel; :func:`run_pipeline` adds stage 5
-(aggregation, bootstrap inference, diagnostics) from
-:mod:`sdidml.aggregate`. Only this point estimate fits the treatment
-model m, whose predictions feed the overlap report; the bootstrap and the
-placebo test refit the outcome model alone, inside ``aggregate``. Imports
-run one way, from this module into ``aggregate``.
+effects) for a validated panel; :func:`run_pipeline` adds stage 5 from
+:mod:`sdidml.aggregate`: the overall, event-time and per-cohort ATTs
+(always all three), bootstrap inference merged into them, and the
+diagnostics, whose pre-trend test reads the merged event curve. Only this
+point estimate fits the treatment model m, whose predictions feed the
+overlap report; the bootstrap and the placebo test refit the outcome model
+alone, inside ``aggregate``. Imports run one way, from this module into
+``aggregate``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 
 from .aggregate import (
     BOOTSTRAP_MODES,
-    SCHEMES,
     AggregatedResults,
     BootstrapInference,
     OverlapReport,
@@ -51,7 +52,6 @@ class PipelineConfig:
     clip_eps: float = 0.01
     control_rule: str = "never_treated"
     anticipation: int = 0
-    aggregation: tuple[str, ...] = SCHEMES
     bootstrap_reps: int = 199
     bootstrap_mode: str = "full"
     ci_level: float = 0.95
@@ -69,11 +69,6 @@ class PipelineConfig:
             raise ConfigError(f"control_rule must be one of {CONTROL_RULES}")
         if self.anticipation < 0:
             raise ConfigError("anticipation must be >= 0")
-        bad = [s for s in self.aggregation if s not in SCHEMES]
-        if bad:
-            raise ConfigError(f"unknown aggregation scheme(s) {bad}; "
-                              f"expected subset of {SCHEMES}")
-        object.__setattr__(self, "aggregation", tuple(self.aggregation))
         if self.bootstrap_reps < 0:
             raise ConfigError("bootstrap B must be >= 0 (0 disables inference)")
         if self.bootstrap_mode not in BOOTSTRAP_MODES:
@@ -133,8 +128,7 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     the placebo report unless ``placebo_shift`` is given.
     """
     artifacts = estimate_effects(panel, config)
-    results = aggregate_schemes(artifacts.effects, config.aggregation,
-                                config.ci_level)
+    results = aggregate_schemes(artifacts.effects, config.ci_level)
     inference = None
     pretrend = None
     if config.bootstrap_reps >= 1:
@@ -144,7 +138,7 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
         results = merge_inference(results, inference)
         if inference.overall.se is not None:
             try:
-                pretrend = pretrend_test(artifacts.effects, inference)
+                pretrend = pretrend_test(results, config.anticipation)
             except NoPreCellsError:
                 pretrend = None
     overlap = overlap_report(artifacts.fits)

@@ -25,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .aggregate import bootstrap, overall_att
+from .aggregate import aggregate_schemes, bootstrap
 from .didcore import estimate_group_time, twfe_baseline
 from .errors import InvalidConfigError, json_number
 from .panel import PanelDataset
@@ -418,7 +418,7 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
     """One estimate (and CI when available) on one generated panel."""
     if method == "sdidml":
         artifacts = estimate_effects(panel, pipeline)
-        att, _ = overall_att(artifacts.effects)
+        att = aggregate_schemes(artifacts.effects).overall_att
         if pipeline.bootstrap_reps >= 2:
             inference = bootstrap(pipeline, panel, pipeline.bootstrap_reps,
                                   pipeline.seed, pipeline.bootstrap_mode,
@@ -432,7 +432,7 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
     if method == "raw_did":
         effects = estimate_group_time(panel, panel.outcomes, pipeline.control_rule,
                                       pipeline.anticipation)
-        att, _ = overall_att(effects)
+        att = aggregate_schemes(effects).overall_att
         return att, None, None
     raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 

@@ -1,4 +1,3 @@
-import importlib
 import math
 from dataclasses import replace
 
@@ -6,8 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sdidml import aggregate as aggregate_module
 from sdidml.aggregate import (
-    aggregate,
+    BootstrapInference,
+    InferencePoint,
     aggregate_schemes,
     bootstrap,
     merge_inference,
@@ -29,9 +30,6 @@ from sdidml.panel import build_panel
 from sdidml.pipeline import PipelineConfig
 from sdidml.simulate import EffectSpec, generate, scenario
 
-# The package attribute ``sdidml.aggregate`` is the aggregate() function.
-aggregate_module = importlib.import_module("sdidml.aggregate")
-
 
 def effects_from(cells, anticipation=0):
     keys = sorted(cells)
@@ -45,33 +43,33 @@ class TestAggregate:
     def test_constant_cells_aggregate_to_constant(self):
         eff = effects_from({(2, 2): (1.0, 5, 9), (2, 3): (1.0, 4, 9),
                             (3, 3): (1.0, 11, 9)})
-        res = aggregate(eff, "overall")
+        res = aggregate_schemes(eff)
         assert_allclose(res.overall_att, 1.0, rtol=1e-15)
 
     def test_count_weighted_mean_hand_computed(self):
         eff = effects_from({(2, 2): (1.0, 10, 3), (3, 3): (3.0, 30, 3)})
-        res = aggregate(eff, "overall")
+        res = aggregate_schemes(eff)
         assert_allclose(res.overall_att, 2.5, rtol=1e-15)
         assert_allclose(res.weights_used[(2, 2)], 0.25, rtol=1e-15)
         assert_allclose(res.weights_used[(3, 3)], 0.75, rtol=1e-15)
 
     def test_weights_nonnegative_and_sum_to_one(self):
         eff = effects_from({(2, t): (0.1 * t, t, 5) for t in range(2, 9)})
-        res = aggregate_schemes(eff, ("overall", "event_time", "by_group"))
+        res = aggregate_schemes(eff)
         ws = list(res.weights_used.values())
         assert all(w >= 0 for w in ws)
         assert abs(math.fsum(ws) - 1.0) <= 1e-12
 
     def test_overall_within_cell_range(self):
         eff = effects_from({(2, 2): (-1.0, 7, 5), (2, 3): (2.0, 13, 5)})
-        res = aggregate(eff)
+        res = aggregate_schemes(eff)
         assert -1.0 <= res.overall_att <= 2.0
 
     def test_event_curve_includes_pre_cells(self):
         eff = effects_from({(3, 1): (0.05, 5, 5), (3, 2): (0.0, 5, 5),
                             (3, 3): (1.0, 5, 5), (3, 4): (1.2, 5, 5),
                             (4, 2): (-0.05, 7, 5), (4, 4): (0.9, 7, 5)})
-        res = aggregate(eff, "event_time")
+        res = aggregate_schemes(eff)
         assert set(res.event_curve) == {-2, -1, 0, 1}
         # e=-2: cells (3,1) n=5 and (4,2) n=7 -> (5*.05 + 7*(-.05))/12
         assert_allclose(res.event_curve[-2].att, (5 * 0.05 - 7 * 0.05) / 12,
@@ -81,14 +79,14 @@ class TestAggregate:
     def test_by_group(self):
         eff = effects_from({(2, 2): (1.0, 4, 5), (2, 3): (2.0, 4, 5),
                             (3, 3): (5.0, 6, 5)})
-        res = aggregate(eff, "by_group")
+        res = aggregate_schemes(eff)
         assert_allclose(res.group_atts[2].att, 1.5, rtol=1e-12)
         assert_allclose(res.group_atts[3].att, 5.0, rtol=1e-12)
 
     def test_no_post_cells_is_empty_result(self):
         eff = effects_from({(4, 2): (0.1, 5, 5)})
         with pytest.raises(EmptyResultError):
-            aggregate(eff)
+            aggregate_schemes(eff)
 
 
 def small_null_panel(n_units=60, seed=11):
@@ -185,7 +183,7 @@ class TestBootstrap:
         pipe = self.pipe()
         from sdidml.pipeline import estimate_effects
         art = estimate_effects(panel, pipe)
-        res = aggregate_schemes(art.effects, ("overall", "event_time", "by_group"))
+        res = aggregate_schemes(art.effects)
         inf = bootstrap(pipe, panel, B=29, seed=5, mode="fixed_nuisance",
                         y_tilde=art.y_tilde)
         merged = merge_inference(res, inf)
@@ -196,19 +194,23 @@ class TestBootstrap:
 
 
 class TestPretrend:
-    def fake_inference(self, es, se=0.5, ci_level=0.95):
-        from sdidml.aggregate import BootstrapInference, InferencePoint
+    def fake_inference(self, es, se=0.5):
         event = {e: InferencePoint(se=se, ci_low=-1, ci_high=1, n_reps=10)
                  for e in es}
         point = InferencePoint(se=se, ci_low=-1, ci_high=1, n_reps=10)
         return BootstrapInference(overall=point, event=event, group={},
                                   n_reps=10, n_failed=0, mode="fixed_nuisance",
-                                  ci_level=ci_level, seed=0)
+                                  ci_level=0.95, seed=0)
+
+    def pretrend(self, eff, es, se=0.5):
+        """The test on ``eff``'s summaries with SE ``se`` at event times ``es``."""
+        results = merge_inference(aggregate_schemes(eff), self.fake_inference(es, se))
+        return pretrend_test(results, eff.anticipation)
 
     def test_all_zero_pre_cells_give_p_one(self):
         eff = effects_from({(3, 1): (0.0, 5, 5), (3, 2): (0.0, 5, 5),
                             (3, 3): (1.0, 5, 5)})
-        rep = pretrend_test(eff, self.fake_inference([-2, -1, 0]))
+        rep = self.pretrend(eff, [-2, -1, 0])
         assert rep.statistic == 0.0
         assert rep.p_value == 1.0
         assert rep.dof == 2
@@ -216,14 +218,14 @@ class TestPretrend:
     def test_statistic_matches_hand_sum(self):
         eff = effects_from({(3, 1): (0.2, 5, 5), (3, 2): (-0.1, 5, 5),
                             (3, 3): (1.0, 5, 5)})
-        rep = pretrend_test(eff, self.fake_inference([-2, -1, 0], se=0.1))
+        rep = self.pretrend(eff, [-2, -1, 0], se=0.1)
         assert_allclose(rep.statistic, (0.2 / 0.1) ** 2 + (0.1 / 0.1) ** 2,
                         rtol=1e-12)
 
     def test_anticipation_excludes_window(self):
         eff = effects_from({(4, 1): (0.3, 5, 5), (4, 3): (0.4, 5, 5),
                             (4, 4): (1.0, 5, 5)}, anticipation=1)
-        rep = pretrend_test(eff, self.fake_inference([-3, -1, 0]))
+        rep = self.pretrend(eff, [-3, -1, 0])
         # e = -1 lies inside the anticipation window; only e = -3 is tested
         assert rep.dof == 1
         assert [p.e for p in rep.per_e] == [-3]
@@ -231,16 +233,15 @@ class TestPretrend:
     def test_no_pre_cells(self):
         eff = effects_from({(2, 2): (1.0, 5, 5)})
         with pytest.raises(NoPreCellsError):
-            pretrend_test(eff, self.fake_inference([0]))
+            self.pretrend(eff, [0])
 
     def test_relabeling_cohorts_preserves_statistic(self):
         eff1 = effects_from({(3, 1): (0.2, 5, 5), (3, 2): (-0.1, 5, 5),
                              (3, 3): (1.0, 5, 5)})
         eff2 = effects_from({(7, 5): (0.2, 5, 5), (7, 6): (-0.1, 5, 5),
                              (7, 7): (1.0, 5, 5)})
-        inf = self.fake_inference([-2, -1, 0], se=0.3)
-        assert pretrend_test(eff1, inf).statistic == \
-               pytest.approx(pretrend_test(eff2, inf).statistic, rel=1e-12)
+        assert self.pretrend(eff1, [-2, -1, 0], se=0.3).statistic == \
+               pytest.approx(self.pretrend(eff2, [-2, -1, 0], se=0.3).statistic, rel=1e-12)
 
 
 class TestPlacebo:

@@ -35,6 +35,7 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"anticipation": None},
     {"allow_no_crossfit": "false", "K": 1},
     {"aggregation": "overall"},
+    {"aggregation": ["overall", "event_time"]},
     {"threads": True},
     {"threads": 2},
     {"estimator": "contrast"},
@@ -42,14 +43,15 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"g_learner": {"kind": "gbt", "n_trees": 2.5}},
     {"g_learner": {"kind": "ridge", "lambda": True}},
     {"g_learner": {"kind": "gbt", "max_depth": 2.0}},
+    {"g_learner": {"kind": "gradient_boosted_trees"}},
     {"m_learner": {"kind": "logistic", "tol": True}},
     {"placebo_shift": 0},
     {"placebo_shift": -1},
 ], ids=["K_string", "B_string", "seed_string", "seed_float", "anticipation_null",
-        "allow_no_crossfit_string", "aggregation_string", "threads_bool",
-        "threads_int", "estimator", "dotted_key", "learner_n_trees_float", "learner_lambda_bool",
-        "learner_max_depth_float", "learner_tol_bool", "placebo_shift_zero",
-        "placebo_shift_negative"])
+        "allow_no_crossfit_string", "aggregation_string", "aggregation_list",
+        "threads_bool", "threads_int", "estimator", "dotted_key", "learner_n_trees_float",
+        "learner_lambda_bool", "learner_max_depth_float", "learner_long_gbt_name",
+        "learner_tol_bool", "placebo_shift_zero", "placebo_shift_negative"])
 def test_malformed_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -164,7 +166,6 @@ def test_run_config_round_trips_every_key():
          "g_learner": {"kind": "lasso", "lambda": 0.05, "max_iter": 500, "tol": 1e-6},
          "m_learner": {"kind": "logistic", "lambda": 0.5, "max_iter": 100, "tol": 1e-8},
          "K": 4, "clip_eps": 0.02, "control_rule": "not_yet_treated", "anticipation": 1,
-         "aggregation": ["overall", "by_group"],
          "bootstrap": {"B": 7, "mode": "fixed_nuisance"}, "ci_level": 0.9, "seed": 11,
          "placebo_shift": 2, "allow_no_crossfit": True}
     cfg = cli.RunConfig.from_dict(d)

@@ -41,7 +41,8 @@ class TestAssignFolds:
     def test_balanced_split(self):
         panel = toy_panel(treated_units=(0, 1))
         folds = assign_folds(panel, 5, seed=1)
-        assert folds.fold_sizes() == [2, 2, 2, 2, 2]
+        sizes = np.bincount(list(folds.fold_of_unit.values()), minlength=5)
+        assert sizes.tolist() == [2, 2, 2, 2, 2]
 
     def test_deterministic(self):
         panel = toy_panel(treated_units=(0,))

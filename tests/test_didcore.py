@@ -1,21 +1,30 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from sdidml.aggregate import aggregate_schemes, subgroup_effects
 from sdidml.crossfit import assign_folds, crossfit_nuisance
 from sdidml.didcore import (
+    CONTROL_RULES,
     demean_two_way,
     estimate_group_time,
-    subgroup_effects,
     twfe_baseline,
 )
 from sdidml.errors import (
     DegenerateDesignError,
+    EmptyControlPoolError,
     EmptyResultError,
     NonConvergenceError,
 )
 from sdidml.learners import LearnerSpec
-from sdidml.panel import build_panel, to_records
+from sdidml.panel import PanelDataset, build_panel, subset_units, to_records, unit_rows
+from sdidml.pipeline import PipelineConfig, estimate_effects
+from sdidml.simulate import EffectSpec, generate, scenario
 
 
 def panel_from_layout(cohorts, periods, y_fn, p=1, x_fn=None):
@@ -216,6 +225,70 @@ class TestResidualSlopeFwl:
         assert abs(slope - beta[1]) / abs(beta[1]) < 1e-8
 
 
+def summary_atts(results):
+    """Overall, event-time and per-cohort ATTs and the weights of a summary."""
+    return {"overall": {0: results.overall_att},
+            "event": {e: p.att for e, p in results.event_curve.items()},
+            "group": {g: p.att for g, p in results.group_atts.items()},
+            "weights": dict(results.weights_used)}
+
+
+def assert_summaries_close(got, expected, atol):
+    got, expected = summary_atts(got), summary_atts(expected)
+    for part in expected:
+        assert got[part].keys() == expected[part].keys(), part
+        for k in expected[part]:
+            assert abs(got[part][k] - expected[part][k]) <= atol, (part, k)
+
+
+def per_label_reference(panel, y_tilde, labels, control_rule, anticipation):
+    """{label: summaries, or None when unestimable}, one sub-panel per label."""
+    out = {}
+    for label in sorted({labels[u] for u in panel.units}):
+        members = [k for k, u in enumerate(panel.units) if labels[u] == label]
+        try:
+            sub_panel = subset_units(panel, members)
+            effects = estimate_group_time(sub_panel, y_tilde[unit_rows(panel, members)],
+                                          control_rule, anticipation)
+            out[label] = aggregate_schemes(effects)
+        except (EmptyControlPoolError, EmptyResultError):
+            out[label] = None
+    return out
+
+
+def assert_label_rows_match_reference(panel, y_tilde, labels, control_rule,
+                                      anticipation, atol):
+    result = subgroup_effects(panel, y_tilde, labels, control_rule, anticipation)
+    reference = per_label_reference(panel, y_tilde, labels, control_rule, anticipation)
+    assert set(result.failures) == {k for k, v in reference.items() if v is None}
+    assert result.effects.keys() == {k for k, v in reference.items() if v is not None}
+    for label, results in result.effects.items():
+        assert_summaries_close(results, reference[label], atol)
+
+
+@st.composite
+def labelled_panels(draw):
+    """Unbalanced panels with a random label per unit; some labels lack controls."""
+    n_units = draw(st.integers(3, 12))
+    periods = list(range(1, draw(st.integers(2, 5)) + 1))
+    adoption = draw(st.lists(st.sampled_from([math.inf, math.inf, *periods]),
+                             min_size=n_units, max_size=n_units))
+    observed = st.sampled_from([True, True, True, False])
+    rows = [(i, t) for i in range(n_units) for t in periods if draw(observed)]
+    assume(rows)
+    units = [f"u{i}" for i, _ in rows]
+    times = [t for _, t in rows]
+    treated = [float(t >= adoption[i]) for i, t in rows]
+    y = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                      min_size=len(rows), max_size=len(rows)))
+    try:
+        panel = PanelDataset(units, times, y, treated, np.zeros((len(rows), 0)), ())
+    except EmptyControlPoolError:
+        assume(False)
+    labels = {u: draw(st.sampled_from("ab")) for u in panel.units}
+    return panel, labels
+
+
 class TestSubgroups:
     def test_identical_halves_give_identical_effects(self):
         cohorts_half = {"t1": 2, "t2": 2, "c1": None, "c2": None}
@@ -233,11 +306,7 @@ class TestSubgroups:
         labels = {u: u.split(".")[0] for u in panel.units}
         result = subgroup_effects(panel, panel.outcomes, labels)
         assert not result.failures
-        cells_a = {k: v[0] for k, v in cell_table(result.effects["A"]).items()}
-        cells_b = {k: v[0] for k, v in cell_table(result.effects["B"]).items()}
-        assert cells_a.keys() == cells_b.keys()
-        for k in cells_a:
-            assert_allclose(cells_a[k], cells_b[k], rtol=1e-12)
+        assert_summaries_close(result.effects["A"], result.effects["B"], atol=1e-12)
 
     def test_subgroup_without_controls_records_failure(self):
         cohorts = {"t1": 2, "t2": 2, "c1": None, "c2": None}
@@ -254,3 +323,22 @@ class TestSubgroups:
         panel = panel_from_layout(cohorts, (1, 2), lambda u, t: 0.0)
         with pytest.raises(ValueError):
             subgroup_effects(panel, panel.outcomes, {"t1": "x"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=labelled_panels(), control_rule=st.sampled_from(CONTROL_RULES),
+           anticipation=st.sampled_from([0, 1]))
+    def test_label_rows_match_per_label_sub_panels(self, inputs, control_rule,
+                                                   anticipation):
+        panel, labels = inputs
+        assert_label_rows_match_reference(panel, panel.outcomes, labels, control_rule,
+                                          anticipation, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
+    def test_subgroup_scenarios_match_per_label_sub_panels(self, name):
+        cfg = replace(scenario(name), effect=EffectSpec.subgroup(0.5, 2.0), seed=21)
+        oracle = generate(cfg)
+        y_tilde = estimate_effects(oracle.panel,
+                                   PipelineConfig(bootstrap_reps=0, seed=3)).y_tilde
+        for control_rule in CONTROL_RULES:
+            assert_label_rows_match_reference(oracle.panel, y_tilde, oracle.subgroup_of_unit,
+                                              control_rule, 0, atol=1e-12)

@@ -7,7 +7,6 @@ bootstrap reproduces a plain per-replicate resampling loop, and that it
 makes one cell call and rebuilds no panel.
 """
 
-import importlib
 import math
 from dataclasses import replace
 
@@ -17,15 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from sdidml import aggregate
+from sdidml import panel as panel_module
 from sdidml.aggregate import bootstrap
 from sdidml.didcore import CONTROL_RULES, group_time_cells
 from sdidml.panel import PanelDataset, build_panel, pivot_unit_time
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import generate, scenario
-
-# The package attribute ``sdidml.aggregate`` is the aggregate() function.
-aggregate = importlib.import_module("sdidml.aggregate")
-panel_module = importlib.import_module("sdidml.panel")
 
 
 # -- weight k equals k copies ---------------------------------------------------------

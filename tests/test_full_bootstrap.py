@@ -10,13 +10,13 @@ fresh id and ran the whole of ``estimate_effects`` (both nuisances) on that
 panel, kept here as the reference, and that no refit fits m.
 """
 
-import importlib
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sdidml import aggregate, learners
 from sdidml.aggregate import bootstrap, placebo_test
 from sdidml.crossfit import FoldAssignment, assign_folds
 from sdidml.errors import DataError, EstimationError, LearnerError
@@ -24,10 +24,6 @@ from sdidml.learners import LearnerSpec
 from sdidml.panel import PanelDataset, build_panel, unit_rows
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import generate, scenario
-
-# The package attribute ``sdidml.aggregate`` is the aggregate() function.
-aggregate = importlib.import_module("sdidml.aggregate")
-learners = importlib.import_module("sdidml.learners")
 
 # A unit drawn k times enters the fits and the cell sums once with weight k,
 # not as k copies, so sums run in another order: tau, SEs (relative) and CI

@@ -2,11 +2,14 @@
 
 No ``sdidml`` import sits inside a function, and every module-level import
 of a sibling module goes to a lower layer of ``LAYERS``. Every name that a
-package or test module imports is read in that module. Importing the
-package does not load ``scipy.stats``, which takes most of a second.
+package or test module imports is read in that module, and every function,
+method and class the package defines is named somewhere else in it or
+exported. Importing the package does not load ``scipy.stats``, which takes
+most of a second.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +115,31 @@ def test_every_imported_name_is_read():
     unread = {f"{path.parent.name}/{path.name}": names
               for path in files if (names := unread_imports(path))}
     assert unread == {}
+
+
+def unused_definitions() -> list:
+    """Functions, methods and classes defined in the package (dunders
+    excluded) that no other line of the package names and that the
+    package does not export."""
+    lines = [(path, i, line) for path in package_files()
+             for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)]
+    unused = []
+    for path in package_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if (name.startswith("__") and name.endswith("__")) or name in sdidml.__all__:
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line) for p, i, line in lines
+                       if (p, i) != (path, node.lineno)):
+                unused.append(f"{path.stem}.{name}")
+    return sorted(unused)
+
+
+def test_every_definition_is_used_or_exported():
+    assert unused_definitions() == []
 
 
 def test_import_does_not_load_scipy_stats():

@@ -46,8 +46,9 @@ class TestSpecValidation:
             assert LearnerSpec.from_dict(spec.to_dict()) == spec
 
     def test_alias_kind(self):
-        assert LearnerSpec.from_dict(
-            {"kind": "gradient_boosted_trees", "n_trees": 3}).kind == "gbt"
+        # Each kind has one spelling; the long name of gbt is not another.
+        with pytest.raises(ConfigError, match="unknown learner kind"):
+            LearnerSpec.from_dict({"kind": "gradient_boosted_trees", "n_trees": 3})
 
 
 class TestMean:

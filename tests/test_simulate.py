@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sdidml.aggregate import overall_att
-from sdidml.didcore import subgroup_effects, twfe_baseline
+from sdidml.aggregate import subgroup_effects
+from sdidml.didcore import twfe_baseline
 from sdidml.errors import InvalidConfigError
 from sdidml.learners import LearnerSpec
 from sdidml.panel import to_records, write_panel_csv
@@ -175,10 +175,8 @@ class TestSubgroupDgp:
         art = estimate_effects(oracle.panel, PipelineConfig(bootstrap_reps=0, seed=5))
         result = subgroup_effects(oracle.panel, art.y_tilde, oracle.subgroup_of_unit)
         assert not result.failures
-        att_a, _ = overall_att(result.effects["a"])
-        att_b, _ = overall_att(result.effects["b"])
-        assert abs(att_a - 1.0) < 0.35
-        assert abs(att_b - 3.0) < 0.35
+        assert abs(result.effects["a"].overall_att - 1.0) < 0.35
+        assert abs(result.effects["b"].overall_att - 3.0) < 0.35
 
 
 class TestMonteCarlo:
