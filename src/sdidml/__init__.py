@@ -34,7 +34,6 @@ from .didcore import GroupTimeEffects, TwfeResult, estimate_group_time, twfe_bas
 from .aggregate import (
     AggregatedResults,
     BootstrapInference,
-    DiagnosticsReport,
     OverlapReport,
     PlaceboReport,
     PretrendReport,

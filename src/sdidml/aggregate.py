@@ -298,8 +298,8 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
     no estimable post-treatment cell are counted as failures; more than 20%
     failures aborts.
     """
-    if B < 1:
-        raise ConfigError("bootstrap B must be >= 1")
+    if B < 2:
+        raise ConfigError("bootstrap B must be >= 2: one replicate gives no spread")
     if mode not in BOOTSTRAP_MODES:
         raise ConfigError(f"unknown bootstrap mode {mode!r}")
     n_units = panel.n_units
@@ -471,7 +471,7 @@ def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
                                   config.anticipation)
     att = aggregate_schemes(effects, config.ci_level).overall_att
     ci_low = ci_high = None
-    if config.bootstrap_reps >= 1:
+    if config.bootstrap_reps >= 2:
         inference = bootstrap(config, pseudo_panel, config.bootstrap_reps,
                               config.seed, config.bootstrap_mode,
                               y_tilde=y_tilde)
@@ -486,18 +486,18 @@ class OverlapReport:
 
     histogram: tuple[int, ...]
     bin_edges: tuple[float, ...]
-    minimum: float
-    maximum: float
+    min: float
+    max: float
     n_clipped: int
     n_obs: int
-    share_outside: float
+    share_outside_05_95: float
     weak_overlap: bool
 
 
 def overlap_report(fits: NuisanceFits) -> OverlapReport:
     """20-bin histogram of m_hat on [0, 1] with common-support diagnostics.
 
-    ``share_outside`` is the fraction of propensities outside [0.05, 0.95];
+    ``share_outside_05_95`` is the fraction of propensities outside [0.05, 0.95];
     the weak-overlap flag trips when clipping moved more than 10% of them.
     """
     m = np.asarray(fits.m_hat, dtype=np.float64)
@@ -506,47 +506,6 @@ def overlap_report(fits: NuisanceFits) -> OverlapReport:
     weak = fits.n_clipped > WEAK_OVERLAP_CLIP_SHARE * m.size
     return OverlapReport(histogram=tuple(int(c) for c in counts),
                          bin_edges=tuple(float(x) for x in edges),
-                         minimum=float(m.min()), maximum=float(m.max()),
+                         min=float(m.min()), max=float(m.max()),
                          n_clipped=fits.n_clipped, n_obs=int(m.size),
-                         share_outside=share_outside, weak_overlap=bool(weak))
-
-
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    pretrend: Optional[PretrendReport]
-    placebo: Optional[PlaceboReport]
-    overlap: OverlapReport
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"overlap": {
-            "histogram": list(self.overlap.histogram),
-            "bin_edges": list(self.overlap.bin_edges),
-            "min": self.overlap.minimum,
-            "max": self.overlap.maximum,
-            "n_clipped": self.overlap.n_clipped,
-            "n_obs": self.overlap.n_obs,
-            "share_outside_05_95": self.overlap.share_outside,
-            "weak_overlap": self.overlap.weak_overlap,
-        }}
-        if self.pretrend is not None:
-            out["pretrend"] = {
-                "statistic": self.pretrend.statistic,
-                "dof": self.pretrend.dof,
-                "p_value": self.pretrend.p_value,
-                "approximate": True,
-                "per_e": [{"e": p.e, "att": p.att, "se": p.se, "z": p.z}
-                          for p in self.pretrend.per_e],
-            }
-        else:
-            out["pretrend"] = None
-        if self.placebo is not None:
-            out["placebo"] = {
-                "shift": self.placebo.shift,
-                "pseudo_att": self.placebo.pseudo_att,
-                "ci_low": self.placebo.ci_low,
-                "ci_high": self.placebo.ci_high,
-                "ci_level": self.placebo.ci_level,
-            }
-        else:
-            out["placebo"] = None
-        return out
+                         share_outside_05_95=share_outside, weak_overlap=bool(weak))

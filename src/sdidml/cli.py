@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .aggregate import BOOTSTRAP_MODES, DiagnosticsReport, write_event_curve_csv
+from .aggregate import BOOTSTRAP_MODES, write_event_curve_csv
 from .errors import (
     ConfigError,
     DataError,
@@ -33,6 +33,8 @@ from .errors import (
     LearnerError,
     MissingArtifactsError,
     SdidmlError,
+    json_fields,
+    json_object,
 )
 from .learners import LearnerSpec
 from .panel import read_panel_csv, write_panel_csv
@@ -44,13 +46,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_ESTIMATION = 4
 
-# JSON key -> (field, JSON type, null allowed). Fields named "pipeline.x" are
-# PipelineConfig fields; keys "bootstrap.x" sit inside the "bootstrap" object.
+# JSON key -> (field, type, null allowed), read by errors.json_fields. Fields
+# named "pipeline.x" are PipelineConfig fields; keys "bootstrap.x" sit inside
+# the "bootstrap" object.
 _CONFIG_KEYS = {
     "input_path": ("input_path", str, True),
     "output_dir": ("output_dir", str, True),
-    "g_learner": ("pipeline.g_learner", LearnerSpec, False),
-    "m_learner": ("pipeline.m_learner", LearnerSpec, False),
+    "g_learner": ("pipeline.g_learner", LearnerSpec.from_dict, False),
+    "m_learner": ("pipeline.m_learner", LearnerSpec.from_dict, False),
     "K": ("pipeline.n_folds", int, False),
     "clip_eps": ("pipeline.clip_eps", float, False),
     "control_rule": ("pipeline.control_rule", str, False),
@@ -62,24 +65,6 @@ _CONFIG_KEYS = {
     "placebo_shift": ("placebo_shift", int, True),
     "allow_no_crossfit": ("allow_no_crossfit", bool, False),
 }
-_JSON_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
-                    bool: "true or false", LearnerSpec: "a learner object"}
-
-
-def _from_json(key: str, value, kind: type, nullable: bool):
-    """Check one config value's JSON type and convert it to the field's type."""
-    if value is None and nullable:
-        return None
-    # bool subclasses int, but only a bool field takes true/false.
-    if isinstance(value, bool) == (kind is bool):
-        if kind is LearnerSpec and isinstance(value, dict):
-            return LearnerSpec.from_dict(value)
-        if kind is float and isinstance(value, (int, float)):
-            return float(value)
-        if kind in (str, int, bool) and isinstance(value, kind):
-            return value
-    raise ConfigError(f"config key {key!r} must be {_JSON_TYPE_NAMES[kind]}"
-                      f"{' or null' if nullable else ''}, got {json.dumps(value)}")
 
 
 @dataclass(frozen=True)
@@ -87,17 +72,11 @@ class RunConfig:
     """Resolved ``run`` settings; echoed into every results file.
 
     ``pipeline`` holds the estimation settings, the other fields I/O and
-    run-level ones. The config JSON is an object; every key is optional:
-    ``input_path``, ``output_dir`` (string or null); ``g_learner``,
-    ``m_learner`` (learner object, e.g. ``{"kind": "ridge", "lambda": 1.0}``,
-    whose ``n_trees``, ``max_depth``, ``min_leaf``, ``max_iter`` are integers
-    and ``lambda``, ``tol``, ``learning_rate`` numbers);
-    ``K``, ``anticipation``, ``seed`` (integer); ``clip_eps``, ``ci_level``
-    (number); ``control_rule`` (string); ``bootstrap`` (``{"B": integer,
-    "mode": string}``); ``placebo_shift`` (integer or null);
-    ``allow_no_crossfit`` (true or false). Any other key, or a value of
-    another JSON type, raises :class:`ConfigError`: true/false is not an
-    integer, nor is 2.0.
+    run-level ones. The config JSON is an object whose keys, all optional,
+    and their types are those of ``_CONFIG_KEYS``; a learner is an object
+    whose ``kind`` selects the parameters it reads (``learners._KIND_KEYS``).
+    Any other key, or a value of another JSON type, raises
+    :class:`ConfigError` (see :func:`sdidml.errors.json_value`).
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
@@ -116,16 +95,14 @@ class RunConfig:
         boot = flat.pop("bootstrap", {})
         if not isinstance(boot, dict):
             raise ConfigError("'bootstrap' must be an object like {\"B\": 199, \"mode\": \"full\"}")
+        dotted = sorted(key for key in flat if "." in key)
+        if dotted:
+            raise ConfigError(f"unknown config key(s): {dotted}")
         flat.update({f"bootstrap.{k}": v for k, v in boot.items()})
-        top_level = {key.partition(".")[0] for key in _CONFIG_KEYS}
-        unknown = sorted((set(d) - top_level) | (set(flat) - set(_CONFIG_KEYS)))
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {unknown}")
         run, pipeline = {}, {}
-        for key, value in flat.items():
-            name, kind, nullable = _CONFIG_KEYS[key]
+        for name, value in json_fields(flat, _CONFIG_KEYS, "config key").items():
             owner, _, name = name.rpartition(".")
-            (pipeline if owner else run)[name] = _from_json(key, value, kind, nullable)
+            (pipeline if owner else run)[name] = value
         return cls(pipeline=PipelineConfig(**pipeline), **run)
 
     @classmethod
@@ -143,11 +120,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for key, (name, _, _) in _CONFIG_KEYS.items():
-            owner, _, name = name.rpartition(".")
-            value = getattr(self.pipeline if owner else self, name)
-            if isinstance(value, LearnerSpec):
-                value = value.to_dict()
+        for key, value in json_object(self, _CONFIG_KEYS).items():
             group, _, sub = key.rpartition(".")
             (out.setdefault(group, {}) if group else out)[sub] = value
         return out
@@ -226,9 +199,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     panel = read_panel_csv(cfg.input_path)
     result = run_pipeline(panel, cfg.pipeline, placebo_shift=cfg.placebo_shift)
     res = result.results
-    diagnostics = DiagnosticsReport(pretrend=result.pretrend,
-                                    placebo=result.placebo,
-                                    overlap=result.overlap)
+    diagnostics = {"overlap": asdict(result.overlap), "pretrend": None, "placebo": None}
+    if result.pretrend is not None:
+        diagnostics["pretrend"] = dict(asdict(result.pretrend), approximate=True)
+    if result.placebo is not None:
+        diagnostics["placebo"] = asdict(result.placebo)
     payload = {
         "overall": {"att": res.overall_att, "se": _json_safe(res.overall_se),
                     "ci_low": _json_safe(res.overall_ci_low),
@@ -245,7 +220,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "approximate": result.inference.mode == "fixed_nuisance",
             "n_failed": result.inference.n_failed,
             "seed": result.inference.seed},
-        "diagnostics": diagnostics.to_json_dict(),
+        "diagnostics": diagnostics,
         "folds": dict(sorted(result.artifacts.fits.folds.fold_of_unit.items())),
         "n_clipped": result.artifacts.fits.n_clipped,
         "config_echo": cfg.to_dict(),
@@ -254,7 +229,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_json(outdir / "results.json", payload)
     result.artifacts.effects.write_csv(outdir / "group_time.csv")
     write_event_curve_csv(res, outdir / "event_curve.csv")
-    _write_json(outdir / "diagnostics.json", diagnostics.to_json_dict())
+    _write_json(outdir / "diagnostics.json", diagnostics)
 
     ci = ""
     if res.overall_ci_low is not None:
@@ -311,7 +286,7 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "bootstrap": {"B": args.bootstrap_reps, "mode": args.bootstrap_mode,
                       "approximate": args.bootstrap_mode == "fixed_nuisance"},
-        "methods": {m: r.to_json_dict() for m, r in results.items()},
+        "methods": {m: asdict(r) for m, r in results.items()},
         "versions": _versions(),
     }
     _write_json(outdir / "comparison.json", payload)

@@ -1,9 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one JSON reader.
 
 Three broad families mirror the CLI exit codes: configuration problems,
-data/panel problems, and estimation problems. ``json_number`` checks the
-type of a numeric learner or DGP parameter read from JSON.
+data/panel problems, and estimation problems. Every config object (run
+config, learner, DGP, effect) is read from JSON through a key table
+``{json key: (field, kind, nullable)}``, one table per kind for objects
+with a ``kind`` key: :func:`json_fields` rejects any key outside the table
+and :func:`json_value` checks each value's JSON type; :func:`json_object`
+writes the object back under the same keys.
 """
+
+from operator import attrgetter
 
 
 class SdidmlError(Exception):
@@ -20,17 +26,63 @@ class InvalidConfigError(ConfigError):
     """A simulation DGP configuration violates its invariants."""
 
 
-def json_number(value, kind: type, what: str, error: type = ConfigError):
-    """A JSON config value as ``kind`` (int or float), or ``error`` naming ``what``.
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false"}
 
-    An int field takes a JSON integer and a float field any JSON number; a
-    bool is neither, and 2.0 is not an integer.
+
+def json_value(value, kind, what: str, error: type = ConfigError, nullable: bool = False):
+    """A JSON value as ``kind``, or ``error`` naming ``what``.
+
+    ``kind`` is str, int, float or bool, or a converter that takes the JSON
+    value and raises its own error. true/false is not a number, 2.0 is not
+    an integer, and a float field takes any JSON number. null is taken only
+    when ``nullable``.
     """
-    allowed = (int, float) if kind is float else int
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        raise error(f"{what} must be {'a number' if kind is float else 'an integer'}, "
+    if value is None and nullable:
+        return None
+    if kind not in _TYPE_NAMES:
+        return kind(value)
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise error(f"{what} must be {_TYPE_NAMES[kind]}{' or null' if nullable else ''}, "
                     f"got {value!r}")
     return kind(value)
+
+
+def json_fields(d, keys, what: str, error: type = ConfigError) -> dict:
+    """``{field: value}`` of the JSON object ``d`` read against the table
+    ``keys`` = ``{json key: (field, kind, nullable)}``; any other key raises."""
+    if not isinstance(d, dict):
+        raise error(f"expected a JSON object of {what}s, got {d!r}")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise error(f"unknown {what}(s): {unknown}")
+    return {keys[k][0]: json_value(v, keys[k][1], f"{what} {k!r}", error, keys[k][2])
+            for k, v in d.items()}
+
+
+def json_kind_fields(d, tables, what: str, error: type = ConfigError) -> tuple:
+    """The ``kind`` of the JSON object ``d`` and its other fields, read
+    by :func:`json_fields` against ``tables[kind]``."""
+    kinds = tuple(tables)
+    if not isinstance(d, dict) or d.get("kind") not in kinds:
+        raise error(f"unknown {what} kind in {d!r}: expected an object whose 'kind' "
+                    f"is one of {kinds}")
+    kind = d["kind"]
+    params = {k: v for k, v in d.items() if k != "kind"}
+    return kind, json_fields(params, tables[kind], f"{kind} {what} parameter", error)
+
+
+def json_object(obj, keys) -> dict:
+    """The JSON object of ``obj`` that :func:`json_fields` reads with ``keys``:
+    a dotted field is an attribute path, a tuple is written as a list and an
+    object with a ``to_dict`` as that dict."""
+    def plain(value):
+        if isinstance(value, tuple):
+            return [plain(v) for v in value]
+        return value.to_dict() if hasattr(value, "to_dict") else value
+
+    return {key: plain(attrgetter(field)(obj)) for key, (field, _, _) in keys.items()}
 
 
 # --- data / panel -----------------------------------------------------------

@@ -25,13 +25,22 @@ from .errors import (
     LearnerError,
     NonFiniteInputError,
     SingularSystemError,
-    json_number,
+    json_kind_fields,
+    json_object,
 )
 
-KINDS = ("mean", "ridge", "lasso", "gbt", "logistic")
-# JSON learner parameter -> field type, checked by errors.json_number.
-_PARAM_TYPES = {"lambda": float, "tol": float, "learning_rate": float,
-                "max_iter": int, "n_trees": int, "max_depth": int, "min_leaf": int}
+# JSON learner parameter -> (LearnerSpec field, type, null allowed).
+_PARAM_KEYS = {"lambda": ("lam", float, False), "max_iter": ("max_iter", int, False),
+               "tol": ("tol", float, False), "n_trees": ("n_trees", int, False),
+               "max_depth": ("max_depth", int, False),
+               "learning_rate": ("learning_rate", float, False),
+               "min_leaf": ("min_leaf", int, False)}
+# Learner kind -> the rows of _PARAM_KEYS it reads; a learner object has no other key.
+_KIND_KEYS = {kind: {key: _PARAM_KEYS[key] for key in keys} for kind, keys in (
+    ("mean", ()), ("ridge", ("lambda",)), ("lasso", ("lambda", "max_iter", "tol")),
+    ("gbt", ("n_trees", "max_depth", "learning_rate", "min_leaf")),
+    ("logistic", ("lambda", "max_iter", "tol")))}
+KINDS = tuple(_KIND_KEYS)
 
 
 @dataclass(frozen=True)
@@ -85,32 +94,12 @@ class LearnerSpec:
         return cls("logistic", lam=lam, max_iter=max_iter, tol=tol)
 
     def to_dict(self) -> dict:
-        if self.kind == "mean":
-            return {"kind": "mean"}
-        if self.kind in ("ridge", "lasso", "logistic"):
-            d = {"kind": self.kind, "lambda": self.lam}
-            if self.kind != "ridge":
-                d.update(max_iter=self.max_iter, tol=self.tol)
-            return d
-        return {"kind": "gbt", "n_trees": self.n_trees, "max_depth": self.max_depth,
-                "learning_rate": self.learning_rate, "min_leaf": self.min_leaf}
+        return {"kind": self.kind, **json_object(self, _KIND_KEYS[self.kind])}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "LearnerSpec":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ConfigError(f"learner spec must be an object with a 'kind': {d!r}")
-        kw = dict(d)
-        kind = kw.pop("kind")
-        for key, value in kw.items():
-            if key in _PARAM_TYPES:  # an unknown parameter fails in the constructor
-                kw[key] = json_number(value, _PARAM_TYPES[key],
-                                      f"learner parameter {key!r}")
-        if "lambda" in kw:
-            kw["lam"] = kw.pop("lambda")
-        try:
-            return cls(kind, **kw)
-        except TypeError as exc:
-            raise ConfigError(f"bad learner parameters for {kind!r}: {exc}") from None
+    def from_dict(cls, d) -> "LearnerSpec":
+        kind, fields = json_kind_fields(d, _KIND_KEYS, "learner")
+        return cls(kind, **fields)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,9 @@ class PipelineConfig:
             raise ConfigError(f"control_rule must be one of {CONTROL_RULES}")
         if self.anticipation < 0:
             raise ConfigError("anticipation must be >= 0")
-        if self.bootstrap_reps < 0:
-            raise ConfigError("bootstrap B must be >= 0 (0 disables inference)")
+        if self.bootstrap_reps < 0 or self.bootstrap_reps == 1:
+            raise ConfigError("bootstrap B must be 0 (no inference) or >= 2; "
+                              "one replicate gives no spread")
         if self.bootstrap_mode not in BOOTSTRAP_MODES:
             raise ConfigError(f"bootstrap mode must be one of {BOOTSTRAP_MODES}")
         if not 0 < self.ci_level < 1:
@@ -131,16 +132,15 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     results = aggregate_schemes(artifacts.effects, config.ci_level)
     inference = None
     pretrend = None
-    if config.bootstrap_reps >= 1:
+    if config.bootstrap_reps >= 2:
         inference = bootstrap(config, panel, config.bootstrap_reps,
                               config.seed, config.bootstrap_mode,
                               y_tilde=artifacts.y_tilde)
         results = merge_inference(results, inference)
-        if inference.overall.se is not None:
-            try:
-                pretrend = pretrend_test(results, config.anticipation)
-            except NoPreCellsError:
-                pretrend = None
+        try:
+            pretrend = pretrend_test(results, config.anticipation)
+        except NoPreCellsError:
+            pretrend = None
     overlap = overlap_report(artifacts.fits)
     placebo = None
     if placebo_shift is not None:

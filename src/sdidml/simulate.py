@@ -27,7 +27,7 @@ from scipy.special import ndtri
 
 from .aggregate import aggregate_schemes, bootstrap
 from .didcore import estimate_group_time, twfe_baseline
-from .errors import InvalidConfigError, json_number
+from .errors import InvalidConfigError, json_fields, json_kind_fields, json_object, json_value
 from .panel import PanelDataset
 from .pipeline import PipelineConfig, estimate_effects
 
@@ -41,20 +41,24 @@ SCENARIO_NAMES = (
     "S5_pretrend_violation",
 )
 
-EFFECT_KINDS = ("null", "homogeneous", "dynamic", "subgroup")
 CONFOUNDING_KINDS = ("none", "linear", "sparse_nonlinear")
 
-# JSON key -> field type, checked by errors.json_number.
-_EFFECT_TYPES = {"tau": float, "tau_a": float, "tau_b": float}
-_DGP_TYPES = {"n_units": int, "n_periods": int, "n_covariates": int, "seed": int,
-              "n_time_varying": int, "never_share": float, "selection_strength": float,
-              "noise_sd": float, "trend_violation": float, "ar1_rho": float}
+
+def _by_event_time(values) -> tuple[float, ...]:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(values, list):
+        raise InvalidConfigError(f"effect 'by_event_time' must be a list of numbers, "
+                                 f"got {values!r}")
+    return tuple(json_value(v, float, "effect 'by_event_time' value", InvalidConfigError)
+                 for v in values)
 
 
-def _json_fields(kw: dict, types: Mapping, what: str) -> dict:
-    """``kw`` with every typed key checked and converted to its field type."""
-    return {key: json_number(value, types[key], f"{what} {key!r}", InvalidConfigError)
-            if key in types else value for key, value in kw.items()}
+# Effect kind -> {JSON key: (EffectSpec field, type, null allowed)} it reads.
+_EFFECT_KEYS = {"null": {}, "homogeneous": {"tau": ("tau", float, False)},
+                "dynamic": {"by_event_time": ("by_event_time", _by_event_time, False)},
+                "subgroup": {"tau_a": ("tau_a", float, False),
+                             "tau_b": ("tau_b", float, False)}}
+EFFECT_KINDS = tuple(_EFFECT_KEYS)
 
 
 @dataclass(frozen=True)
@@ -106,30 +110,32 @@ class EffectSpec:
         return self.tau_a if subgroup == "a" else self.tau_b
 
     def to_dict(self) -> dict:
-        if self.kind == "null":
-            return {"kind": "null"}
-        if self.kind == "homogeneous":
-            return {"kind": "homogeneous", "tau": self.tau}
-        if self.kind == "dynamic":
-            return {"kind": "dynamic", "by_event_time": list(self.by_event_time)}
-        return {"kind": "subgroup", "tau_a": self.tau_a, "tau_b": self.tau_b}
+        return {"kind": self.kind, **json_object(self, _EFFECT_KEYS[self.kind])}
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "EffectSpec":
-        kw = _json_fields(d, _EFFECT_TYPES, "effect parameter")
-        kind = kw.pop("kind", None)
-        if kind is None:
-            raise InvalidConfigError("effect spec needs a 'kind'")
-        values = kw.get("by_event_time", ())
-        if not isinstance(values, (list, tuple)):
-            raise InvalidConfigError("effect by_event_time must be a list of numbers")
-        kw["by_event_time"] = tuple(
-            json_number(v, float, "effect by_event_time value", InvalidConfigError)
-            for v in values)
-        try:
-            return cls(kind, **kw)
-        except TypeError as exc:
-            raise InvalidConfigError(f"bad effect parameters: {exc}") from None
+    def from_dict(cls, d) -> "EffectSpec":
+        kind, fields = json_kind_fields(d, _EFFECT_KEYS, "effect", InvalidConfigError)
+        return cls(kind, **fields)
+
+
+def _cohort_shares(pairs) -> tuple[tuple[int, float], ...]:
+    """A JSON list of [cohort time, share] pairs as a tuple of (int, float)."""
+    if not (isinstance(pairs, list)
+            and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        raise InvalidConfigError(f"cohort_shares must be a list of [cohort time, share] "
+                                 f"pairs, got {pairs!r}")
+    return tuple((json_value(g, int, "cohort time", InvalidConfigError),
+                  json_value(s, float, "cohort share", InvalidConfigError))
+                 for g, s in pairs)
+
+
+# JSON key -> (DGPConfig field, type, null allowed).
+_DGP_KEYS = {key: (key, kind, False) for key, kind in (
+    ("n_units", int), ("n_periods", int), ("n_covariates", int),
+    ("cohort_shares", _cohort_shares), ("never_share", float),
+    ("selection_strength", float), ("confounding", str),
+    ("effect", EffectSpec.from_dict), ("noise_sd", float), ("trend_violation", float),
+    ("seed", int), ("n_time_varying", int), ("ar1_rho", float))}
 
 
 @dataclass(frozen=True)
@@ -180,47 +186,14 @@ class DGPConfig:
             raise InvalidConfigError("ar1_rho must lie in (-1, 1)")
 
     def to_dict(self) -> dict:
-        return {
-            "n_units": self.n_units,
-            "n_periods": self.n_periods,
-            "n_covariates": self.n_covariates,
-            "cohort_shares": [[g, s] for g, s in self.cohort_shares],
-            "never_share": self.never_share,
-            "selection_strength": self.selection_strength,
-            "confounding": self.confounding,
-            "effect": self.effect.to_dict(),
-            "noise_sd": self.noise_sd,
-            "trend_violation": self.trend_violation,
-            "seed": self.seed,
-            "n_time_varying": self.n_time_varying,
-            "ar1_rho": self.ar1_rho,
-        }
+        return json_object(self, _DGP_KEYS)
 
     @classmethod
-    def from_dict(cls, d: Mapping) -> "DGPConfig":
-        if not isinstance(d, Mapping):
-            raise InvalidConfigError("DGP config must be a JSON object")
-        kw = _json_fields(d, _DGP_TYPES, "DGP parameter")
-        shares = kw.pop("cohort_shares", None)
-        if shares is None:
-            raise InvalidConfigError("config needs cohort_shares")
-        if isinstance(shares, Mapping):  # JSON object keys are strings
-            shares = [(int(g) if isinstance(g, str) and g.isdigit() else g, s)
-                      for g, s in shares.items()]
+    def from_dict(cls, d) -> "DGPConfig":
+        fields = json_fields(d, _DGP_KEYS, "DGP parameter", InvalidConfigError)
         try:
-            pairs = tuple(
-                (json_number(g, int, "cohort time", InvalidConfigError),
-                 json_number(s, float, "cohort share", InvalidConfigError))
-                for g, s in shares)
-        except (TypeError, ValueError):
-            raise InvalidConfigError(
-                "cohort_shares must be a list of [cohort time, share] pairs") from None
-        effect = kw.pop("effect", None)
-        if not isinstance(effect, Mapping):
-            raise InvalidConfigError("config needs an effect object")
-        try:
-            return cls(cohort_shares=pairs, effect=EffectSpec.from_dict(effect), **kw)
-        except TypeError as exc:
+            return cls(**fields)
+        except TypeError as exc:  # a required key is missing
             raise InvalidConfigError(f"bad DGP parameters: {exc}") from None
 
 
@@ -404,14 +377,6 @@ class MonteCarloResult:
     rmse: float
     coverage: Optional[float]
     records: tuple[MonteCarloRecord, ...]
-
-    def to_json_dict(self) -> dict:
-        return {"method": self.method, "n_reps": self.n_reps, "bias": self.bias,
-                "rmse": self.rmse, "coverage": self.coverage,
-                "records": [{"rep": r.rep, "estimate": r.estimate,
-                             "truth": r.truth, "ci_low": r.ci_low,
-                             "ci_high": r.ci_high, "covered": r.covered}
-                            for r in self.records]}
 
 
 def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):

@@ -100,11 +100,19 @@ class TestBootstrap:
         defaults.update(kw)
         return PipelineConfig(**defaults)
 
-    def test_single_replicate_has_no_se(self):
+    def test_single_replicate_is_rejected(self):
+        # One replicate has no spread: its "CI" is a point that need not
+        # contain the estimate. B is 0 (no inference) or at least 2.
         panel = small_null_panel()
-        inf = bootstrap(self.pipe(), panel, B=1, seed=0, mode="fixed_nuisance")
-        assert inf.overall.se is None
-        assert inf.overall.ci_low == inf.overall.ci_high
+        for B in (-1, 0, 1):
+            with pytest.raises(ConfigError):
+                bootstrap(self.pipe(), panel, B=B, seed=0, mode="fixed_nuisance")
+        for B in (-1, 1):
+            with pytest.raises(ConfigError):
+                self.pipe(bootstrap_reps=B)
+        assert self.pipe(bootstrap_reps=0).bootstrap_reps == 0
+        assert bootstrap(self.pipe(), panel, B=2, seed=0,
+                         mode="fixed_nuisance").overall.se is not None
 
     def test_deterministic_given_seed(self):
         panel = small_null_panel()
@@ -277,7 +285,7 @@ class TestOverlap:
     def test_degenerate_point_mass(self):
         rep = overlap_report(fits_with_m(np.full(100, 0.5)))
         assert sum(1 for c in rep.histogram if c > 0) == 1
-        assert rep.share_outside == 0.0
+        assert rep.share_outside_05_95 == 0.0
         assert not rep.weak_overlap
 
     def test_uniform_tail_mass_matches_analytic_value(self):
@@ -289,7 +297,7 @@ class TestOverlap:
         rep = overlap_report(fits_with_m(m))
         expected = 2 * (0.05 - eps) / (1 - 2 * eps)
         mc_se = math.sqrt(expected * (1 - expected) / m.size)
-        assert abs(rep.share_outside - expected) < 4 * mc_se
+        assert abs(rep.share_outside_05_95 - expected) < 4 * mc_se
 
     def test_weak_overlap_flag(self):
         m = np.full(100, 0.5)

@@ -19,12 +19,24 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     assert read_panel_csv(sim / "panel.csv") == generate(replace(scenario("S1"), seed=3)).panel
 
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"bootstrap": {"B": 5, "mode": "full"}}))
+    config.write_text(json.dumps({"bootstrap": {"B": 5, "mode": "full"}, "placebo_shift": 1}))
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(config), "--input", str(sim / "panel.csv"),
                      "--output", str(out)]) == 0
     assert cli.main(["diagnose", str(out)]) == 0
     assert "error" not in capsys.readouterr().err
+
+    # The report schema that diagnose and downstream readers depend on.
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    assert diagnostics == json.loads((out / "results.json").read_text())["diagnostics"]
+    assert set(diagnostics) == {"overlap", "pretrend", "placebo"}
+    assert set(diagnostics["overlap"]) == {"histogram", "bin_edges", "min", "max", "n_clipped",
+                                           "n_obs", "share_outside_05_95", "weak_overlap"}
+    assert set(diagnostics["pretrend"]) == {"statistic", "dof", "p_value", "approximate",
+                                            "per_e"}
+    assert all(set(p) == {"e", "att", "se", "z"} for p in diagnostics["pretrend"]["per_e"])
+    assert set(diagnostics["placebo"]) == {"shift", "pseudo_att", "ci_low", "ci_high",
+                                           "ci_level"}
 
 
 @pytest.mark.parametrize("config", [
@@ -47,11 +59,16 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"m_learner": {"kind": "logistic", "tol": True}},
     {"placebo_shift": 0},
     {"placebo_shift": -1},
+    {"bootstrap": {"B": 1}},
+    {"g_learner": {"kind": "ridge", "lambda": 1.0, "n_trees": 5}},
+    {"g_learner": {"kind": "mean", "lambda": 3}},
+    {"m_learner": {"kind": "logistic", "min_leaf": 2}},
 ], ids=["K_string", "B_string", "seed_string", "seed_float", "anticipation_null",
         "allow_no_crossfit_string", "aggregation_string", "aggregation_list",
         "threads_bool", "threads_int", "estimator", "dotted_key", "learner_n_trees_float",
         "learner_lambda_bool", "learner_max_depth_float", "learner_long_gbt_name",
-        "learner_tol_bool", "placebo_shift_zero", "placebo_shift_negative"])
+        "learner_tol_bool", "placebo_shift_zero", "placebo_shift_negative", "B_one",
+        "ridge_n_trees", "mean_lambda", "logistic_min_leaf"])
 def test_malformed_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -70,8 +87,10 @@ def test_malformed_config_exits_2(tmp_path, capsys, config):
     {"n_time_varying": True},
     {"effect": {"kind": "homogeneous", "tau": "1"}},
     {"cohort_shares": [[4.5, 0.5]]},
+    {"effect": {"kind": "homogeneous", "tau": 1.0, "tau_a": 2.0}},
+    {"cohort_shares": {"4": 0.25, "6": 0.25}},
 ], ids=["n_units_float", "seed_float", "seed_bool", "n_time_varying_bool",
-        "tau_string", "cohort_time_float"])
+        "tau_string", "cohort_time_float", "homogeneous_tau_a", "cohort_shares_object"])
 def test_malformed_dgp_config_exits_2(tmp_path, capsys, change):
     path = tmp_path / "dgp.json"
     path.write_text(json.dumps(dict(scenario("S1").to_dict(), **change)))

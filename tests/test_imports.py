@@ -3,9 +3,9 @@
 No ``sdidml`` import sits inside a function, and every module-level import
 of a sibling module goes to a lower layer of ``LAYERS``. Every name that a
 package or test module imports is read in that module, and every function,
-method and class the package defines is named somewhere else in it or
-exported. Importing the package does not load ``scipy.stats``, which takes
-most of a second.
+method and class the package defines, and every name a module-level
+assignment binds, is named somewhere else in it or exported. Importing the
+package does not load ``scipy.stats``, which takes most of a second.
 """
 
 import ast
@@ -117,23 +117,35 @@ def test_every_imported_name_is_read():
     assert unread == {}
 
 
+def definitions(tree: ast.Module):
+    """(name, line) of every function, method and class in ``tree``, and of
+    every name a module-level assignment binds (key tables, constants)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
 def unused_definitions() -> list:
-    """Functions, methods and classes defined in the package (dunders
-    excluded) that no other line of the package names and that the
-    package does not export."""
+    """Functions, methods, classes and module-level assigned names of the
+    package (dunders excluded) that no other line of the package names and
+    that the package does not export."""
     lines = [(path, i, line) for path in package_files()
              for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)]
     unused = []
     for path in package_files():
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
+        for name, lineno in definitions(ast.parse(path.read_text(encoding="utf-8"))):
             if (name.startswith("__") and name.endswith("__")) or name in sdidml.__all__:
                 continue
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(line) for p, i, line in lines
-                       if (p, i) != (path, node.lineno)):
+                       if (p, i) != (path, lineno)):
                 unused.append(f"{path.stem}.{name}")
     return sorted(unused)
 

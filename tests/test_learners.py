@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from sdidml.errors import (
     NonFiniteInputError,
     SingularSystemError,
 )
-from sdidml.learners import _PROB_EPS, LearnerSpec, fit, predict
+from sdidml.learners import _PROB_EPS, KINDS, LearnerSpec, fit, predict
 
 
 def linear_data(n=50, p=5, seed=3, noise=0.0):
@@ -40,10 +42,12 @@ class TestSpecValidation:
             LearnerSpec.gbt(learning_rate=0.0)
 
     def test_dict_round_trip(self):
-        for spec in (LearnerSpec.mean(), LearnerSpec.ridge(2.0),
-                     LearnerSpec.lasso(0.1), LearnerSpec.gbt(7, 2, 0.3, 4),
-                     LearnerSpec.logistic(0.5)):
-            assert LearnerSpec.from_dict(spec.to_dict()) == spec
+        # Through JSON text, which has lists but no tuples, for every kind.
+        specs = (LearnerSpec.mean(), LearnerSpec.ridge(2.0), LearnerSpec.lasso(0.1),
+                 LearnerSpec.gbt(7, 2, 0.3, 4), LearnerSpec.logistic(0.5))
+        assert {spec.kind for spec in specs} == set(KINDS)
+        for spec in specs:
+            assert LearnerSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_alias_kind(self):
         # Each kind has one spelling; the long name of gbt is not another.

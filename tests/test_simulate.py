@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from sdidml.panel import to_records, write_panel_csv
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import (
     DGPConfig,
+    EFFECT_KINDS,
     EffectSpec,
     SCENARIO_NAMES,
     generate,
@@ -47,8 +49,15 @@ class TestConfigValidation:
             small_config(confounding="sparse_nonlinear", n_covariates=4)
 
     def test_dict_round_trip(self):
-        cfg = small_config(effect=EffectSpec.dynamic((0.5, 1.0)))
-        assert DGPConfig.from_dict(cfg.to_dict()) == cfg
+        # Through JSON text, which has lists but no tuples: every scenario
+        # and every effect kind.
+        effects = (EffectSpec.null(), EffectSpec.homogeneous(2.0),
+                   EffectSpec.dynamic((0.5, 1.0)), EffectSpec.subgroup(0.5, 2.0))
+        assert {effect.kind for effect in effects} == set(EFFECT_KINDS)
+        configs = [scenario(name) for name in SCENARIO_NAMES]
+        configs += [small_config(effect=effect) for effect in effects]
+        for cfg in configs:
+            assert DGPConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestGenerate:
