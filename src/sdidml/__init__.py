@@ -2,7 +2,8 @@
 
 The pipeline runs in five stages: panel structuring and cohort encoding,
 cross-fitted nuisance estimation, the outcome residual y_tilde = Y - g_hat
-(the treatment model's m_hat feeds only the overlap report), structural
+(the treatment model, one cohort propensity per adoption cohort fit on one
+row per unit, feeds only the overlap report), structural
 group-time effect estimation on y_tilde, and aggregation with bootstrap
 inference and robustness diagnostics. Every summary (the overall,
 event-time and per-cohort ATTs of the point estimate, of each bootstrap
@@ -24,6 +25,7 @@ from .panel import (
 )
 from .learners import FittedModel, LearnerSpec, fit, predict
 from .crossfit import (
+    CohortPropensity,
     FoldAssignment,
     NuisanceFits,
     assign_folds,

@@ -23,7 +23,11 @@ replicate is one weighted cell call over the point estimate's cells.
 Every refit here (a full-mode replicate, the placebo test, and the
 fixed-nuisance bootstrap without point residuals) cross-fits g alone: the
 contrast estimator reads only y_tilde = Y - g_hat, so the treatment model
-m is fit once, for the point estimate, in :mod:`sdidml.pipeline`.
+m is fit only for the point estimate, in :mod:`sdidml.pipeline`, once per
+adoption cohort on one row per unit. The overlap report reads those cohort
+propensities (Callaway and Sant'Anna 2021), one row per cohort, and judges
+common support by the share of units clipped (Crump, Hotz, Imbens and
+Mitnik 2009).
 """
 
 from __future__ import annotations
@@ -482,30 +486,35 @@ def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
 
 @dataclass(frozen=True)
 class OverlapReport:
-    """Distribution of the estimated treatment propensities m_hat."""
+    """Distribution of one cohort's estimated propensities P(G = g | X at b)
+    over the units of its fit sample."""
 
+    g: int
     histogram: tuple[int, ...]
-    bin_edges: tuple[float, ...]
     min: float
     max: float
-    n_clipped: int
-    n_obs: int
+    n_units: int
     share_outside_05_95: float
+    n_clipped: int
     weak_overlap: bool
 
 
-def overlap_report(fits: NuisanceFits) -> OverlapReport:
-    """20-bin histogram of m_hat on [0, 1] with common-support diagnostics.
+def overlap_report(fits: NuisanceFits) -> tuple[OverlapReport, ...]:
+    """One row per cohort propensity: a 20-bin histogram on [0, 1] and
+    common-support diagnostics.
 
-    ``share_outside_05_95`` is the fraction of propensities outside [0.05, 0.95];
-    the weak-overlap flag trips when clipping moved more than 10% of them.
+    ``share_outside_05_95`` is the fraction of the cohort's propensities
+    outside [0.05, 0.95]; the weak-overlap flag trips when clipping moved
+    more than 10% of them.
     """
-    m = np.asarray(fits.m_hat, dtype=np.float64)
-    counts, edges = np.histogram(m, bins=20, range=(0.0, 1.0))
-    share_outside = float(np.mean((m < 0.05) | (m > 0.95)))
-    weak = fits.n_clipped > WEAK_OVERLAP_CLIP_SHARE * m.size
-    return OverlapReport(histogram=tuple(int(c) for c in counts),
-                         bin_edges=tuple(float(x) for x in edges),
-                         min=float(m.min()), max=float(m.max()),
-                         n_clipped=fits.n_clipped, n_obs=int(m.size),
-                         share_outside_05_95=share_outside, weak_overlap=bool(weak))
+    rows = []
+    for cohort in fits.propensities:
+        p = cohort.propensity
+        counts, _ = np.histogram(p, bins=20, range=(0.0, 1.0))
+        rows.append(OverlapReport(
+            g=cohort.g, histogram=tuple(int(c) for c in counts),
+            min=float(p.min()), max=float(p.max()), n_units=int(p.size),
+            share_outside_05_95=float(np.mean((p < 0.05) | (p > 0.95))),
+            n_clipped=cohort.n_clipped,
+            weak_overlap=bool(cohort.n_clipped > WEAK_OVERLAP_CLIP_SHARE * p.size)))
+    return tuple(rows)

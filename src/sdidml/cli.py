@@ -199,7 +199,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     panel = read_panel_csv(cfg.input_path)
     result = run_pipeline(panel, cfg.pipeline, placebo_shift=cfg.placebo_shift)
     res = result.results
-    diagnostics = {"overlap": asdict(result.overlap), "pretrend": None, "placebo": None}
+    overlap = [asdict(row) for row in result.overlap]
+    diagnostics = {"overlap": overlap, "pretrend": None, "placebo": None}
     if result.pretrend is not None:
         diagnostics["pretrend"] = dict(asdict(result.pretrend), approximate=True)
     if result.placebo is not None:
@@ -222,7 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "seed": result.inference.seed},
         "diagnostics": diagnostics,
         "folds": dict(sorted(result.artifacts.fits.folds.fold_of_unit.items())),
-        "n_clipped": result.artifacts.fits.n_clipped,
+        "n_clipped": sum(row["n_clipped"] for row in overlap),
         "config_echo": cfg.to_dict(),
         "versions": _versions(),
     }
@@ -334,6 +335,9 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
 
 
 def _print_diagnosis(res: dict, diag: dict) -> None:
+    overlap = diag["overlap"]
+    if not isinstance(overlap, list):
+        raise ValueError("'overlap' must be a list of per-cohort rows")
     overall = res.get("overall", {})
     att = overall.get("att")
     lo, hi = overall.get("ci_low"), overall.get("ci_high")
@@ -360,10 +364,12 @@ def _print_diagnosis(res: dict, diag: dict) -> None:
             print(f"placebo:   {flag} (pseudo ATT={plc['pseudo_att']:+.4f}, "
                   f"CI [{lo:.4f}, {hi:.4f}])")
 
-    ov = diag["overlap"]
-    flag = "WARN" if ov["weak_overlap"] else "PASS"
-    print(f"overlap:   {flag} (share outside [0.05,0.95]={ov['share_outside_05_95']:.3f}, "
-          f"clipped={ov['n_clipped']}/{ov['n_obs']})")
+    if not overlap:
+        print("overlap:   SKIPPED (no cohort observed at its base period)")
+    for ov in overlap:
+        flag = "WARN" if ov["weak_overlap"] else "PASS"
+        print(f"overlap:   g={ov['g']} {flag} (share outside [0.05,0.95]="
+              f"{ov['share_outside_05_95']:.3f}, clipped={ov['n_clipped']}/{ov['n_units']})")
 
 
 # -- entry point ------------------------------------------------------------------

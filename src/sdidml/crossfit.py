@@ -2,19 +2,22 @@
 
 Folds are assigned at the unit level so every observation's prediction
 comes from models trained without any observation of its own unit. The
-nuisance feature set is the standardized covariate matrix augmented with
-one-hot period indicators (first period omitted as the reference);
-adoption-cohort information is deliberately excluded so the treatment
-contrast survives into the structural stage.
+outcome model's feature set is the standardized covariate matrix
+augmented with one-hot period indicators (first period omitted as the
+reference); adoption-cohort information is deliberately excluded so the
+treatment contrast survives into the structural stage.
 
-:func:`crossfit_predictions` cross-fits one learner for one target.
-:func:`crossfit_nuisance` calls it for the outcome model g and then the
-treatment model m. The contrast estimator reads only the outcome
-residual y_tilde = Y - g_hat, an array in observation order; m_hat feeds
-the overlap report alone, so the bootstrap and placebo refits cross-fit
-only g. Both functions take optional per-observation weights, which
-weight the feature standardization and every fit; a full-mode bootstrap
-replicate passes how many times each of its distinct units was drawn.
+:func:`crossfit_predictions` cross-fits one learner for one
+per-observation target. :func:`crossfit_nuisance` calls it for the outcome
+model g and then fits the treatment model m once per adoption cohort, on
+one row per unit: the cohort propensity P(G = g | X at the base period)
+among the cohort and its controls (Callaway and Sant'Anna 2021), which
+feeds the overlap report alone. The contrast estimator reads only the
+outcome residual y_tilde = Y - g_hat, an array in observation order, so
+the bootstrap and placebo refits cross-fit only g. Outcome cross-fits take
+optional per-observation weights, which weight the feature
+standardization and every fit; a full-mode bootstrap replicate passes how
+many times each of its distinct units was drawn.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     TooManyFoldsError,
 )
 from .learners import LearnerSpec
-from .panel import PanelDataset, feature_matrix
+from .panel import PanelDataset, control_pool, feature_matrix
 
 
 @dataclass(frozen=True)
@@ -78,13 +81,39 @@ def nuisance_features(panel: PanelDataset, sample_weight: Optional[np.ndarray] =
 
 
 @dataclass(frozen=True)
+class CohortPropensity:
+    """Out-of-fold propensity P(G = g | X at b) of cohort g's fit sample.
+
+    ``units`` holds the codes (into ``panel.units``) of the sample: the
+    units of cohort g and of its control pool at cell (g, g), each observed
+    at the base period b = g - 1 - anticipation. ``propensity`` holds their
+    clipped predictions, in the same order; ``n_clipped`` counts the
+    entries the clip moved. Both arrays are read-only.
+    """
+
+    g: int
+    units: np.ndarray
+    propensity: np.ndarray
+    n_clipped: int
+
+
+@dataclass(frozen=True)
 class NuisanceFits:
-    """Out-of-fold predictions g_hat ~ E[Y|X,t] and m_hat ~ E[D|X,t]."""
+    """Out-of-fold g_hat ~ E[Y|X,t] per observation, and one propensity per
+    cohort with a unit observed at its base period, in cohort order."""
 
     g_hat: np.ndarray
-    m_hat: np.ndarray
+    propensities: tuple[CohortPropensity, ...]
     folds: FoldAssignment
-    n_clipped: int
+
+
+def _unit_folds(panel: PanelDataset, folds: FoldAssignment) -> np.ndarray:
+    """The fold of each of ``panel``'s units, in ``panel.units`` order."""
+    missing = [u for u in panel.units if u not in folds.fold_of_unit]
+    if missing:
+        raise AlignmentMismatchError(
+            f"fold assignment lacks {len(missing)} panel unit(s), e.g. {missing[0]!r}")
+    return np.array([folds.fold_of_unit[u] for u in panel.units], dtype=np.intp)
 
 
 def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndarray,
@@ -103,14 +132,9 @@ def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndar
     integer weights c give the predictions of the panel whose units are
     repeated c times, every copy in its unit's fold.
     """
-    missing = [u for u in panel.units if u not in folds.fold_of_unit]
-    if missing:
-        raise AlignmentMismatchError(
-            f"fold assignment lacks {len(missing)} panel unit(s), e.g. {missing[0]!r}")
+    fold_of_obs = _unit_folds(panel, folds)[panel.unit_codes]
     w = learners.check_sample_weight(sample_weight, panel.n_obs)
     features, _ = nuisance_features(panel, w)
-    fold_of_obs = np.array([folds.fold_of_unit[u] for u in panel.units],
-                           dtype=np.intp)[panel.unit_codes]
     predictions = np.empty(panel.n_obs)
     for k in range(folds.n_folds):
         test = fold_of_obs == k
@@ -124,12 +148,77 @@ def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndar
     return predictions
 
 
-def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerSpec,
-                      folds: FoldAssignment, clip_eps: float = 0.01) -> NuisanceFits:
-    """Out-of-fold g_hat and then m_hat, each by :func:`crossfit_predictions`.
+def _cohort_propensities(panel: PanelDataset, spec: LearnerSpec, folds: FoldAssignment,
+                         clip_eps: float, control_rule: str,
+                         anticipation: int) -> tuple[CohortPropensity, ...]:
+    """One cross-fit of ``spec`` per cohort g with a unit observed at its
+    base period b, on one row per unit of the fit sample (see
+    :class:`CohortPropensity`).
 
-    Raw treatment predictions are clipped into [clip_eps, 1 - clip_eps];
-    ``n_clipped`` counts entries the clip moved.
+    The target is 1{G = g} and the folds are the unit folds. The features
+    are the unit's covariates at b, centered and scaled by the mean and
+    population SD of each fold's training units (a zero SD scales by 1),
+    so no unit's own covariates reach its prediction. A fold without a unit
+    of the sample to predict, or without one to train on, is not fit, and
+    its units are left out; a cohort left with no unit gets no propensity.
+    Predictions are clipped into [clip_eps, 1 - clip_eps].
+    """
+    fold_of_unit = _unit_folds(panel, folds)
+    row = np.full((panel.n_units, panel.n_periods), -1)
+    row[panel.unit_codes, panel.time_codes] = np.arange(panel.n_obs)
+    period_code = {t: i for i, t in enumerate(panel.periods)}
+    cohort_times = panel.cohort_times
+    out = []
+    for g in sorted({int(v) for v in cohort_times[np.isfinite(cohort_times)]}):
+        bi = period_code.get(g - 1 - anticipation)
+        if bi is None:
+            continue
+        in_cohort = cohort_times == g
+        pool = control_pool(cohort_times, g, g, control_rule, anticipation)
+        units = np.flatnonzero((in_cohort | pool) & (row[:, bi] >= 0))
+        if not in_cohort[units].any():  # no unit of g observed at b: no cell either
+            continue
+        X = panel.covariates[row[units, bi]]
+        target = in_cohort[units].astype(np.float64)
+        fold = fold_of_unit[units]
+        raw = np.empty(units.size)
+        fitted = np.zeros(units.size, dtype=bool)
+        for k in range(folds.n_folds):
+            test = fold == k
+            train = ~test if folds.n_folds > 1 else np.ones(units.size, dtype=bool)
+            if not (test.any() and train.any()):
+                continue
+            X_train = X[train]
+            means = X_train.mean(axis=0)
+            scales = X_train.std(axis=0)
+            scales[scales == 0.0] = 1.0
+            try:
+                model = learners.fit(spec, (X_train - means) / scales, target[train])
+            except LearnerError as exc:
+                raise type(exc)(f"cohort {g} propensity, fold {k}: {exc}") from exc
+            raw[test] = learners.predict(model, (X[test] - means) / scales)
+            fitted |= test
+        if not fitted.any():
+            continue
+        units, raw = units[fitted], raw[fitted]
+        propensity = np.clip(raw, clip_eps, 1.0 - clip_eps)
+        n_clipped = int(np.sum((raw < clip_eps) | (raw > 1.0 - clip_eps)))
+        units.setflags(write=False)
+        propensity.setflags(write=False)
+        out.append(CohortPropensity(g, units, propensity, n_clipped))
+    return tuple(out)
+
+
+def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerSpec,
+                      folds: FoldAssignment, clip_eps: float = 0.01,
+                      control_rule: str = "never_treated",
+                      anticipation: int = 0) -> NuisanceFits:
+    """Out-of-fold g_hat by :func:`crossfit_predictions`, then each cohort's
+    propensity by ``m_spec``.
+
+    A cohort's propensity sample follows ``control_rule`` and
+    ``anticipation`` as the cells do; its predictions are clipped into
+    [clip_eps, 1 - clip_eps].
     """
     if not 0 <= clip_eps < 0.5:
         raise ConfigError("clip_eps must lie in [0, 0.5)")
@@ -137,9 +226,6 @@ def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerS
         raise ConfigError("logistic is a treatment-model learner; "
                           "the outcome nuisance needs a regression learner")
     g_hat = crossfit_predictions(panel, g_spec, panel.outcomes, folds)
-    m_raw = crossfit_predictions(panel, m_spec, panel.treatments, folds)
-    m_hat = np.clip(m_raw, clip_eps, 1.0 - clip_eps)
-    n_clipped = int(np.sum((m_raw < clip_eps) | (m_raw > 1.0 - clip_eps)))
     g_hat.setflags(write=False)
-    m_hat.setflags(write=False)
-    return NuisanceFits(g_hat=g_hat, m_hat=m_hat, folds=folds, n_clipped=n_clipped)
+    return NuisanceFits(g_hat=g_hat, folds=folds, propensities=_cohort_propensities(
+        panel, m_spec, folds, clip_eps, control_rule, anticipation))

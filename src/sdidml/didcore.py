@@ -30,9 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateDesignError, EmptyResultError, NonConvergenceError
-from .panel import PanelDataset, pivot_unit_time
-
-CONTROL_RULES = ("never_treated", "not_yet_treated")
+from .panel import CONTROL_RULES, PanelDataset, control_pool, pivot_unit_time
 
 DEMEAN_TOL = 1e-10
 DEMEAN_MAX_SWEEPS = 10_000
@@ -140,11 +138,7 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
             if not treated.any():
                 omitted.append(OmittedCell(g, t, "no treated unit observed at t and base"))
                 continue
-            if control_rule == "never_treated":
-                pool = never
-            else:
-                pool = cohort_times > max(t, g) + anticipation
-            controls = pool & both
+            controls = control_pool(cohort_times, g, t, control_rule, anticipation) & both
             if not controls.any():
                 omitted.append(OmittedCell(g, t, "no control pool"))
                 continue

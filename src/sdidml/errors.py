@@ -9,6 +9,7 @@ and :func:`json_value` checks each value's JSON type; :func:`json_object`
 writes the object back under the same keys.
 """
 
+import math
 from operator import attrgetter
 
 
@@ -35,8 +36,9 @@ def json_value(value, kind, what: str, error: type = ConfigError, nullable: bool
 
     ``kind`` is str, int, float or bool, or a converter that takes the JSON
     value and raises its own error. true/false is not a number, 2.0 is not
-    an integer, and a float field takes any JSON number. null is taken only
-    when ``nullable``.
+    an integer, and a float field takes any finite JSON number: not the
+    ``NaN`` and ``Infinity`` that Python's ``json`` reads, nor an integer
+    beyond float range. null is taken only when ``nullable``.
     """
     if value is None and nullable:
         return None
@@ -46,7 +48,13 @@ def json_value(value, kind, what: str, error: type = ConfigError, nullable: bool
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
         raise error(f"{what} must be {_TYPE_NAMES[kind]}{' or null' if nullable else ''}, "
                     f"got {value!r}")
-    return kind(value)
+    try:
+        converted = kind(value)
+    except OverflowError:  # an integer beyond float range
+        converted = math.inf
+    if kind is float and not math.isfinite(converted):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return converted
 
 
 def json_fields(d, keys, what: str, error: type = ConfigError) -> dict:

@@ -33,6 +33,7 @@ from .errors import (
 )
 
 REQUIRED_COLUMNS = ("unit", "time", "outcome", "treatment")
+CONTROL_RULES = ("never_treated", "not_yet_treated")
 
 
 class PanelDataset:
@@ -162,6 +163,20 @@ class PanelDataset:
         return (f"PanelDataset(n_obs={self.n_obs}, units={self.n_units}, "
                 f"periods={self.n_periods}, p={self.n_covariates}, "
                 f"never_treated={n_never})")
+
+
+def control_pool(cohort_times: np.ndarray, g: int, t: int, control_rule: str,
+                 anticipation: int) -> np.ndarray:
+    """Units that may serve as controls of cohort g at period t.
+
+    ``cohort_times`` is per-unit adoption time (np.inf when never treated).
+    ``never_treated`` admits the never-treated units; ``not_yet_treated``
+    admits those adopting after max(t, g) + ``anticipation``, so that no
+    control is already anticipating its own treatment.
+    """
+    if control_rule == "never_treated":
+        return np.isinf(cohort_times)
+    return cohort_times > max(t, g) + anticipation
 
 
 def unit_rows(panel: PanelDataset, codes) -> np.ndarray:

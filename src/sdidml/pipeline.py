@@ -8,9 +8,10 @@ effects) for a validated panel; :func:`run_pipeline` adds stage 5 from
 :mod:`sdidml.aggregate`: the overall, event-time and per-cohort ATTs
 (always all three), bootstrap inference merged into them, and the
 diagnostics, whose pre-trend test reads the merged event curve. Only this
-point estimate fits the treatment model m, whose predictions feed the
-overlap report; the bootstrap and the placebo test refit the outcome model
-alone, inside ``aggregate``. Imports run one way, from this module into
+point estimate fits the treatment model m, once per adoption cohort on one
+row per unit, and its cohort propensities feed the overlap report alone;
+the bootstrap and the placebo test refit the outcome model alone, inside
+``aggregate``. Imports run one way, from this module into
 ``aggregate``.
 """
 
@@ -93,14 +94,15 @@ class EstimationArtifacts:
 
 def estimate_effects(panel: PanelDataset, config: PipelineConfig,
                      folds: Optional[FoldAssignment] = None) -> EstimationArtifacts:
-    """Cross-fit both nuisances and estimate contrast cells on Y - g_hat.
+    """Cross-fit g_hat and the cohort propensities, and estimate contrast
+    cells on Y - g_hat.
 
     ``folds`` defaults to ``assign_folds(panel, config.n_folds, config.seed)``.
     """
     if folds is None:
         folds = assign_folds(panel, config.n_folds, config.seed)
     fits = crossfit_nuisance(panel, config.g_learner, config.m_learner, folds,
-                             clip_eps=config.clip_eps)
+                             config.clip_eps, config.control_rule, config.anticipation)
     y_tilde = panel.outcomes - fits.g_hat
     y_tilde.setflags(write=False)
     effects = estimate_group_time(panel, y_tilde, config.control_rule, config.anticipation)
@@ -115,7 +117,7 @@ class PipelineResult:
     artifacts: EstimationArtifacts
     results: AggregatedResults
     inference: Optional[BootstrapInference]
-    overlap: OverlapReport
+    overlap: tuple[OverlapReport, ...]
     pretrend: Optional[PretrendReport]
     placebo: Optional[PlaceboReport]
 

@@ -16,7 +16,7 @@ from sdidml.aggregate import (
     placebo_test,
     pretrend_test,
 )
-from sdidml.crossfit import FoldAssignment, NuisanceFits, assign_folds
+from sdidml.crossfit import CohortPropensity, FoldAssignment, NuisanceFits, assign_folds
 from sdidml.didcore import GroupTimeEffects
 from sdidml.errors import (
     BootstrapFailureError,
@@ -275,15 +275,18 @@ class TestPlacebo:
             placebo_test(panel, PipelineConfig(seed=0), shift=0)
 
 
-def fits_with_m(m_hat, n_clipped=0):
-    m = np.asarray(m_hat, dtype=np.float64)
-    return NuisanceFits(g_hat=np.zeros(m.size), m_hat=m,
-                        folds=FoldAssignment(1, {"a": 0, "b": 0}), n_clipped=n_clipped)
+def fits_with_propensities(*cohorts):
+    """Fits carrying one cohort propensity per ``(g, propensity, n_clipped)``."""
+    rows = tuple(CohortPropensity(g, np.arange(len(p)), np.asarray(p, dtype=np.float64),
+                                  n_clipped) for g, p, n_clipped in cohorts)
+    return NuisanceFits(g_hat=np.zeros(1), propensities=rows,
+                        folds=FoldAssignment(1, {"a": 0}))
 
 
 class TestOverlap:
     def test_degenerate_point_mass(self):
-        rep = overlap_report(fits_with_m(np.full(100, 0.5)))
+        rep, = overlap_report(fits_with_propensities((4, np.full(100, 0.5), 0)))
+        assert (rep.g, rep.n_units, rep.min, rep.max) == (4, 100, 0.5, 0.5)
         assert sum(1 for c in rep.histogram if c > 0) == 1
         assert rep.share_outside_05_95 == 0.0
         assert not rep.weak_overlap
@@ -294,12 +297,14 @@ class TestOverlap:
         rng = np.random.default_rng(44)
         eps = 0.01
         m = rng.uniform(eps, 1 - eps, size=200_000)
-        rep = overlap_report(fits_with_m(m))
+        rep, = overlap_report(fits_with_propensities((4, m, 0)))
         expected = 2 * (0.05 - eps) / (1 - 2 * eps)
         mc_se = math.sqrt(expected * (1 - expected) / m.size)
         assert abs(rep.share_outside_05_95 - expected) < 4 * mc_se
 
     def test_weak_overlap_flag(self):
+        # One row per cohort, in cohort order; each flag reads its own cohort.
         m = np.full(100, 0.5)
-        assert overlap_report(fits_with_m(m, n_clipped=11)).weak_overlap
-        assert not overlap_report(fits_with_m(m, n_clipped=10)).weak_overlap
+        weak, fine = overlap_report(fits_with_propensities((3, m, 11), (5, m, 10)))
+        assert (weak.g, weak.n_clipped, weak.weak_overlap) == (3, 11, True)
+        assert (fine.g, fine.n_clipped, fine.weak_overlap) == (5, 10, False)

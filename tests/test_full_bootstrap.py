@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from sdidml import aggregate, learners
-from sdidml.aggregate import bootstrap, placebo_test
+from sdidml.aggregate import BOOTSTRAP_MODES, bootstrap, placebo_test
 from sdidml.crossfit import FoldAssignment, assign_folds
 from sdidml.errors import DataError, EstimationError, LearnerError
 from sdidml.learners import LearnerSpec
@@ -176,3 +176,31 @@ def test_refits_never_fit_the_treatment_model(monkeypatch):
     kinds.clear()
     placebo_test(panel, replace(config, bootstrap_mode="fixed_nuisance"), shift=1)
     assert kinds == {"ridge": config.n_folds}
+
+
+def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
+    # The point estimate fits m once per fold for each cohort with a base
+    # period, on one row per unit of the cohort's sample; no refit fits it.
+    panel = generate(replace(scenario("S3"), seed=2)).panel
+    config = PipelineConfig(bootstrap_reps=2, seed=3)
+    m_rows = []
+    fit = learners.fit
+
+    def counting(spec, features, *args, **kwargs):
+        if spec == config.m_learner:
+            m_rows.append(features.shape[0])
+        return fit(spec, features, *args, **kwargs)
+
+    monkeypatch.setattr(learners, "fit", counting)
+    estimate_effects(panel, config)
+    cohorts = {g for g in panel.cohort_times
+               if g - 1 - config.anticipation in panel.periods}
+    assert len(cohorts) == 1
+    assert len(m_rows) == len(cohorts) * config.n_folds
+    assert max(m_rows) < panel.n_units
+
+    m_rows.clear()
+    for mode in BOOTSTRAP_MODES:
+        bootstrap(config, panel, B=2, seed=3, mode=mode)
+    placebo_test(panel, config, shift=1)
+    assert m_rows == []
