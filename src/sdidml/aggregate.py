@@ -17,8 +17,9 @@ the row of how many times each original unit was drawn.
 residuals, so all B rows are one matrix product. ``full``
 mode cross-fits the outcome model g again on each replicate's distinct
 drawn units, with the weight row as sample weights in place of repeated
-copies, and writes the residuals back onto the original units, so each
-replicate is one weighted cell call over the point estimate's cells.
+copies, and writes the residuals back onto the original units; the B
+residual matrices go to one cell call as a stack, each weighted by its
+own row. Either way one cell call gives all B replicates.
 
 Every refit here (a full-mode replicate, the placebo test, and the
 fixed-nuisance bootstrap without point residuals) cross-fits g alone: the
@@ -285,14 +286,14 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
 
     Replicate r draws ``n_units`` units with replacement using seed
     ``seed + r``; its weight row counts how many times each original unit
-    was drawn, and :func:`group_time_cells` turns that row and a residual
-    vector on ``panel``'s observations into the replicate's cells.
+    was drawn, and one :func:`group_time_cells` call turns the B rows and
+    the residuals on ``panel``'s observations into every replicate's cells.
     ``fixed_nuisance`` uses ``y_tilde``, the point estimate's outcome
     residuals in ``panel``'s observation order, for every replicate (when
     None, they come from an outcome-only cross-fit on
-    ``assign_folds(panel, K, config.seed)``), so one call computes all B
-    rows. ``full`` mode cross-fits the outcome model g on each replicate's
-    distinct drawn units, with folds assigned over the original units by
+    ``assign_folds(panel, K, config.seed)``). ``full`` mode gives each
+    replicate its own residuals: it cross-fits the outcome model g on the
+    replicate's distinct drawn units, with folds assigned over the units by
     seed ``seed + r`` and the weight row as sample weights: a unit drawn c
     times counts as c copies in the standardization and in every fit, and
     all of them sit in its fold. The replicate's residuals are written back
@@ -310,11 +311,6 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
     weights = np.array([np.bincount(_resample(seed, r, n_units), minlength=n_units)
                         for r in range(B)], dtype=np.float64)
 
-    def cells(y: np.ndarray, rows: np.ndarray):
-        ymat, present = pivot_unit_time(panel, y)
-        return group_time_cells(panel.cohort_times, ymat, present, panel.periods,
-                                config.control_rule, config.anticipation, rows)
-
     def replicate_y_tilde(r: int) -> np.ndarray:
         c = weights[r]
         drawn = np.flatnonzero(c)
@@ -329,15 +325,15 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
             y[:] = np.nan
         return y
 
-    if mode == "fixed_nuisance":
-        if y_tilde is None:
-            folds = assign_folds(panel, config.n_folds, config.seed)
-            y_tilde = _outcome_residuals(panel, config, folds)
-        keys, tau, counts, _, _ = cells(y_tilde, weights)
-    else:
-        rows = [cells(replicate_y_tilde(r), weights[r:r + 1]) for r in range(B)]
-        keys = rows[0][0]
-        tau, counts = (np.vstack([row[k] for row in rows]) for k in (1, 2))
+    if mode == "full":  # one residual vector per replicate
+        y_tilde = np.array([replicate_y_tilde(r) for r in range(B)])
+    elif y_tilde is None:
+        folds = assign_folds(panel, config.n_folds, config.seed)
+        y_tilde = _outcome_residuals(panel, config, folds)
+    ymat, present = pivot_unit_time(panel, y_tilde)
+    keys, tau, counts, _, _ = group_time_cells(panel.cohort_times, ymat, present,
+                                               panel.periods, config.control_rule,
+                                               config.anticipation, weights)
 
     failed = np.zeros(B, dtype=bool)
     overall, _, event, group = _summaries(keys, tau, counts, failed)

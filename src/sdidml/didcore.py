@@ -15,9 +15,11 @@ whose staggered-adoption bias the pipeline is designed to avoid.
 matrix of unit multiplicities: the point estimate is one row of ones, and
 each bootstrap replicate, in either mode, is the row of how many times each
 original unit was drawn, and each subgroup label is the 0/1 row of the
-units it labels (:func:`sdidml.aggregate.subgroup_effects`).
-:class:`GroupTimeEffects` holds the point estimate's row of the table it
-returns.
+units it labels (:func:`sdidml.aggregate.subgroup_effects`). The residuals
+are one (units, periods) matrix shared by every row, or an (R, units,
+periods) stack whose matrix r goes with row r, as in a full-mode bootstrap,
+where each replicate refits g. :class:`GroupTimeEffects` holds the point
+estimate's row of the table it returns.
 """
 
 from __future__ import annotations
@@ -96,12 +98,15 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
     """Contrast tau(g, t) of every cell under one or more unit weightings.
 
     ``cohort_times`` is per-unit adoption time (np.inf when never treated),
-    ``ymat``/``present`` are (units x periods) outcome residuals and the
-    observation mask. ``weights`` is an (R, units) matrix of non-negative
-    unit multiplicities, one weighting per row; the default is one row of
-    ones. A unit of weight k counts as k copies of itself, so row r of a
-    cluster bootstrap is ``np.bincount`` of replicate r's drawn unit codes,
-    and all rows come from one matrix product.
+    ``present`` is the (units x periods) observation mask. ``weights`` is
+    an (R, units) matrix of non-negative unit multiplicities, one weighting
+    per row; the default is one row of ones. A unit of weight k counts as k
+    copies of itself, so row r of a cluster bootstrap is ``np.bincount`` of
+    replicate r's drawn unit codes. ``ymat`` holds the outcome residuals:
+    one (units x periods) matrix that every row weights, whose rows all
+    come from one matrix product, or an (R, units, periods) stack whose
+    matrix r only row r weights, in one batched product per cell; row r
+    then equals a call with matrix r and weight row r alone.
 
     Returns ``(keys, tau, n_treated, n_control, omitted)``. ``keys`` lists
     the (g, t) cells with a treated and a control unit observed at t and at
@@ -121,7 +126,8 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
     never = np.isinf(cohort_times)
     keys: list[tuple[int, int]] = []
     omitted: list[OmittedCell] = []
-    columns: list[np.ndarray] = []  # per cell: treated, treated diffs, controls, control diffs
+    # per cell: treated, treated diffs, controls, control diffs (their sums for a stack)
+    columns: list[np.ndarray] = []
     for g in sorted({int(v) for v in cohort_times[~never]}):
         b = g - 1 - anticipation
         bi = period_code.get(b)
@@ -142,11 +148,19 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
             if not controls.any():
                 omitted.append(OmittedCell(g, t, "no control pool"))
                 continue
-            diff = ymat[:, ti] - ymat[:, bi]
+            diff = ymat[..., ti] - ymat[..., bi]
             keys.append((g, t))
-            columns += [treated, np.where(treated, diff, 0.0),
-                        controls, np.where(controls, diff, 0.0)]
-    sums = weights @ (np.column_stack(columns) if columns else np.zeros((n_units, 0)))
+            cell = [treated, np.where(treated, diff, 0.0),
+                    controls, np.where(controls, diff, 0.0)]
+            if ymat.ndim == 2:
+                columns += cell
+            else:  # one cell's (R, units, 4) block at a time bounds the memory
+                block = np.stack(np.broadcast_arrays(*cell), axis=-1)
+                columns.append(np.matmul(weights[:, None, :], block)[:, 0])
+    if ymat.ndim == 2:
+        sums = weights @ (np.column_stack(columns) if columns else np.zeros((n_units, 0)))
+    else:
+        sums = np.hstack(columns) if columns else np.zeros((len(weights), 0))
     n_treated, y_treated, n_control, y_control = (sums[:, k::4] for k in range(4))
     with np.errstate(invalid="ignore"):  # 0/0: the cell is absent from that row
         tau = y_treated / n_treated - y_control / n_control

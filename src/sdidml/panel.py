@@ -71,16 +71,16 @@ class PanelDataset:
     def __init__(self, unit_ids: Sequence[str], times: Sequence[int],
                  outcomes: Sequence[float], treatments: Sequence[float],
                  covariates, covariate_names: Sequence[str]):
-        self.covariate_names = tuple(covariate_names)
+        covariate_names = tuple(covariate_names)
         n = len(unit_ids)
         if not n:
             raise MissingFieldError("no observations supplied")
         outcomes = np.asarray(outcomes, dtype=np.float64)
         treatments = np.asarray(treatments, dtype=np.float64)
         covariates = np.asarray(covariates, dtype=np.float64)
-        if covariates.shape != (n, self.n_covariates):
+        if covariates.shape != (n, len(covariate_names)):
             raise FieldTypeError(
-                f"expected {self.n_covariates} covariates per observation, "
+                f"expected {len(covariate_names)} covariates per observation, "
                 f"got an array of shape {covariates.shape}")
 
         units, unit_codes = np.unique(np.asarray(unit_ids, dtype=str),
@@ -88,16 +88,15 @@ class PanelDataset:
         periods, time_codes = np.unique(np.asarray(times), return_inverse=True)
         order = np.lexsort((time_codes, unit_codes))
         unit_codes, time_codes = unit_codes[order], time_codes[order]
-        self.units = tuple(units.tolist())
-        self.periods = tuple(periods.tolist())
+        unit_names, period_values = tuple(units.tolist()), tuple(periods.tolist())
 
         same_unit = unit_codes[1:] == unit_codes[:-1]
         duplicate = np.flatnonzero(same_unit & (time_codes[1:] == time_codes[:-1]))
         if duplicate.size:
             k = duplicate[0]
             raise DuplicateIndexError(
-                f"duplicate (unit, time) pair ({self.units[unit_codes[k]]!r}, "
-                f"{self.periods[time_codes[k]]})")
+                f"duplicate (unit, time) pair ({unit_names[unit_codes[k]]!r}, "
+                f"{period_values[time_codes[k]]})")
 
         treatments = treatments[order]
         cohort_times = np.full(len(units), np.inf)
@@ -108,25 +107,12 @@ class PanelDataset:
         if revert.size:
             k = revert[0] + 1
             raise NonAbsorbingTreatmentError(
-                f"unit {self.units[unit_codes[k]]!r}: treatment reverts to 0 at "
-                f"t={self.periods[time_codes[k]]} after first treatment at "
+                f"unit {unit_names[unit_codes[k]]!r}: treatment reverts to 0 at "
+                f"t={period_values[time_codes[k]]} after first treatment at "
                 f"t={int(cohort_times[unit_codes[k]])}")
-        if not np.isinf(cohort_times).any() and np.unique(cohort_times).size < 2:
-            raise EmptyControlPoolError(
-                "every unit is treated in the same cohort; no never-treated or "
-                "later-treated unit can serve as a control")
-
-        self.unit_codes = unit_codes
-        self.time_codes = time_codes
-        self.outcomes = outcomes[order]
-        self.treatments = treatments
-        self.covariates = covariates[order]
-        self.cohort_times = cohort_times
-        self.unit_starts = np.searchsorted(unit_codes, np.arange(len(units) + 1))
-        for arr in (self.unit_codes, self.time_codes, self.outcomes,
-                    self.treatments, self.covariates, self.cohort_times,
-                    self.unit_starts):
-            arr.setflags(write=False)
+        _check_control_pool(cohort_times)
+        _fill(self, unit_names, period_values, covariate_names, unit_codes, time_codes,
+              outcomes[order], treatments, covariates[order], cohort_times)
 
     # -- basic introspection --------------------------------------------------
 
@@ -163,6 +149,30 @@ class PanelDataset:
         return (f"PanelDataset(n_obs={self.n_obs}, units={self.n_units}, "
                 f"periods={self.n_periods}, p={self.n_covariates}, "
                 f"never_treated={n_never})")
+
+
+def _check_control_pool(cohort_times: np.ndarray) -> None:
+    """Reject a panel in which no unit can serve as a control."""
+    if not np.isinf(cohort_times).any() and np.unique(cohort_times).size < 2:
+        raise EmptyControlPoolError(
+            "every unit is treated in the same cohort; no never-treated or "
+            "later-treated unit can serve as a control")
+
+
+def _fill(panel: PanelDataset, units: tuple, periods: tuple, covariate_names: tuple,
+          unit_codes, time_codes, outcomes, treatments, covariates,
+          cohort_times) -> PanelDataset:
+    """Store sorted, validated columns in ``panel``'s slots, read-only, with
+    each unit's row offsets derived from ``unit_codes``."""
+    panel.units, panel.periods, panel.covariate_names = units, periods, covariate_names
+    columns = {"unit_codes": unit_codes, "time_codes": time_codes, "outcomes": outcomes,
+               "treatments": treatments, "covariates": covariates,
+               "cohort_times": cohort_times,
+               "unit_starts": np.searchsorted(unit_codes, np.arange(len(units) + 1))}
+    for name, arr in columns.items():
+        arr.setflags(write=False)
+        setattr(panel, name, arr)
+    return panel
 
 
 def control_pool(cohort_times: np.ndarray, g: int, t: int, control_rule: str,
@@ -339,31 +349,54 @@ def feature_matrix(panel: PanelDataset, standardize: bool = True,
 def pivot_unit_time(panel: PanelDataset, values: np.ndarray):
     """Arrange an observation-aligned vector into a (units x periods) matrix.
 
-    Missing (unit, period) cells are NaN; also returns the presence mask.
+    An (R, n_obs) stack of vectors gives an (R, units, periods) stack of
+    matrices. Missing (unit, period) cells are NaN; also returns the
+    (units x periods) presence mask.
     """
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != (panel.n_obs,):
-        raise ValueError(f"expected vector of length {panel.n_obs}")
-    mat = np.full((panel.n_units, panel.n_periods), np.nan)
-    mat[panel.unit_codes, panel.time_codes] = values
+    if values.ndim not in (1, 2) or values.shape[-1] != panel.n_obs:
+        raise ValueError(f"expected vectors of length {panel.n_obs}")
+    mat = np.full((*values.shape[:-1], panel.n_units, panel.n_periods), np.nan)
+    mat[..., panel.unit_codes, panel.time_codes] = values
     present = np.zeros((panel.n_units, panel.n_periods), dtype=bool)
     present[panel.unit_codes, panel.time_codes] = True
     return mat, present
 
 
 def subset_units(panel: PanelDataset, codes) -> PanelDataset:
-    """Panel of the units with the given codes.
+    """Panel of the units with the given codes, sliced from ``panel``'s columns.
 
-    ``codes`` index ``panel.units``. Used for the full-mode bootstrap
-    refits; the result passes full validation, so an invalid subset (e.g.
-    one with no control pool, or a repeated unit) raises the corresponding
-    panel error.
+    ``codes`` index ``panel.units`` in any order; the subset lists its units
+    in sorted order, as the constructor would. Its rows are ``panel``'s
+    rows of those units, which are already sorted, unique per (unit, time)
+    and absorbing, and each unit keeps its cohort, so only the checks a
+    subset can fail run again: no codes (:class:`MissingFieldError`), a
+    repeated code (:class:`DuplicateIndexError`, as a duplicated unit's
+    rows would raise) and no control pool (:class:`EmptyControlPoolError`).
+    Periods that no chosen unit observes are dropped. The full-mode
+    bootstrap refits one subset per replicate.
     """
+    codes = np.sort(np.asarray(codes, dtype=np.intp))
+    if not codes.size:
+        raise MissingFieldError("no observations supplied")
+    repeated = np.flatnonzero(codes[1:] == codes[:-1])
+    if repeated.size:
+        k = codes[repeated[0]]
+        raise DuplicateIndexError(
+            f"duplicate (unit, time) pair ({panel.units[k]!r}, "
+            f"{panel.periods[panel.time_codes[panel.unit_starts[k]]]})")
+    cohort_times = panel.cohort_times[codes]
+    _check_control_pool(cohort_times)
     rows = unit_rows(panel, codes)
-    return PanelDataset(np.asarray(panel.units)[panel.unit_codes[rows]],
-                        np.asarray(panel.periods)[panel.time_codes[rows]],
-                        panel.outcomes[rows], panel.treatments[rows],
-                        panel.covariates[rows], panel.covariate_names)
+    observed = np.zeros(panel.n_periods, dtype=bool)
+    observed[panel.time_codes[rows]] = True
+    period_code = np.cumsum(observed) - 1
+    return _fill(PanelDataset.__new__(PanelDataset),
+                 tuple(panel.units[c] for c in codes.tolist()),
+                 tuple(t for t, seen in zip(panel.periods, observed.tolist()) if seen),
+                 panel.covariate_names, np.searchsorted(codes, panel.unit_codes[rows]),
+                 period_code[panel.time_codes[rows]], panel.outcomes[rows],
+                 panel.treatments[rows], panel.covariates[rows], cohort_times)
 
 
 # -- CSV interface -------------------------------------------------------------

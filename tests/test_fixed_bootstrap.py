@@ -2,9 +2,10 @@
 
 A replicate is a multiplicity-weight vector over the original units, and
 all replicates' cells come from one ``group_time_cells`` call. These tests
-pin that a weight k counts as k copies of a unit, that the weighted
-bootstrap reproduces a plain per-replicate resampling loop, and that it
-makes one cell call and rebuilds no panel.
+pin that a weight k counts as k copies of a unit, that a stack of residual
+matrices gives what one call per matrix gives, that the weighted bootstrap
+reproduces a plain per-replicate resampling loop, and that it makes one
+cell call and, in either mode, builds no panel through the constructor.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from sdidml import aggregate
 from sdidml import panel as panel_module
@@ -73,6 +74,57 @@ def test_weight_k_equals_k_copies(inputs, control_rule, anticipation):
             t_got, n_tr_got, n_c_got = got[key]
             assert (n_tr_got, n_c_got) == (n_tr_exp, n_c_exp)
             assert abs(t_got - t_exp) <= 1e-12
+
+
+def assert_stack_matches_one_call_per_matrix(cohort_times, stack, present, periods,
+                                             control_rule, anticipation, weights):
+    """Matrix r of the stack with weight row r gives the cells of its own call:
+    the same keys and omissions, NaN where it has NaN, ``==`` elsewhere."""
+    keys, *arrays, omitted = group_time_cells(cohort_times, stack, present, periods,
+                                              control_rule, anticipation, weights)
+    for r in range(len(stack)):
+        want_keys, *want, want_omitted = group_time_cells(
+            cohort_times, stack[r], present, periods, control_rule, anticipation,
+            weights[r:r + 1])
+        assert (keys, omitted) == (want_keys, want_omitted)
+        for got_array, want_array in zip(arrays, want):
+            assert_array_equal(got_array[r], want_array[0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=cell_inputs(), data=st.data(), control_rule=st.sampled_from(CONTROL_RULES),
+       anticipation=st.sampled_from([0, 1]))
+def test_a_residual_stack_equals_one_call_per_matrix(inputs, data, control_rule,
+                                                     anticipation):
+    cohort_times, ymat, present, periods, multiplicity = inputs
+    n_units = len(cohort_times)
+    R = data.draw(st.integers(1, 4))
+    values = st.floats(-10.0, 10.0, allow_nan=False)
+    stack = np.array(data.draw(st.lists(values, min_size=R * ymat.size,
+                                        max_size=R * ymat.size))).reshape(R, *ymat.shape)
+    stack[0] = ymat
+    stack[:, ~present] = np.nan
+    if data.draw(st.booleans()):  # a replicate whose refit failed
+        stack[data.draw(st.integers(0, R - 1))] = np.nan
+    weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=R * n_units,
+                                          max_size=R * n_units)), dtype=np.float64)
+    weights = weights.reshape(R, n_units)
+    weights[0] = multiplicity
+    assert_stack_matches_one_call_per_matrix(cohort_times, stack, present, periods,
+                                             control_rule, anticipation, weights)
+
+
+@pytest.mark.parametrize("control_rule", CONTROL_RULES)
+def test_a_large_residual_stack_equals_one_call_per_matrix(control_rule):
+    # Sizes where matrix products run through their blocked, vectorized kernels.
+    rng = np.random.default_rng(5)
+    n_units, periods, R = 301, tuple(range(1, 13)), 9
+    cohort_times = rng.choice([np.inf, 4.0, 6.0, 9.0], size=n_units)
+    present = rng.random((n_units, len(periods))) < 0.95
+    stack = np.where(present, rng.standard_normal((R, n_units, len(periods))), np.nan)
+    weights = rng.poisson(1.0, size=(R, n_units)).astype(np.float64)
+    assert_stack_matches_one_call_per_matrix(cohort_times, stack, present, periods,
+                                             control_rule, 1, weights)
 
 
 # -- the per-replicate loop as the reference ------------------------------------------
@@ -191,10 +243,13 @@ def test_matches_per_replicate_loop(make_panel, control_rule, anticipation,
 
 
 def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
+    # Either mode makes one cell call for all B replicates. A full-mode
+    # replicate refits on a subset sliced from the panel's validated
+    # columns, not rebuilt through the constructor.
     panel = small_null_panel()
-    config = PipelineConfig(bootstrap_reps=29, bootstrap_mode="fixed_nuisance", seed=5)
+    config = PipelineConfig(bootstrap_reps=29, seed=5)
     y_tilde = estimate_effects(panel, config).y_tilde
-    calls = {"group_time_cells": 0, "subset_units": 0, "PanelDataset": 0}
+    calls = {}
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
@@ -209,5 +264,7 @@ def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
                             counting("subset_units", module.subset_units))
     monkeypatch.setattr(PanelDataset, "__init__",
                         counting("PanelDataset", PanelDataset.__init__))
-    bootstrap(config, panel, B=29, seed=4, mode="fixed_nuisance", y_tilde=y_tilde)
-    assert calls == {"group_time_cells": 1, "subset_units": 0, "PanelDataset": 0}
+    for mode, subsets in (("fixed_nuisance", 0), ("full", 29)):
+        calls.update(group_time_cells=0, subset_units=0, PanelDataset=0)
+        bootstrap(config, panel, B=29, seed=4, mode=mode, y_tilde=y_tilde)
+        assert calls == {"group_time_cells": 1, "subset_units": subsets, "PanelDataset": 0}

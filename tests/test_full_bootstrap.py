@@ -3,11 +3,12 @@
 The contrast cells read y_tilde = Y - g_hat alone, so a replicate cross-fits
 g and never fits the treatment model m. It fits the distinct drawn units
 once each, weighted by how many times each was drawn; its residuals go back
-onto the original units and its cells come from one weighted
-``group_time_cells`` call. These tests pin that this reproduces, for every
-outcome learner kind, the replicate that copied each drawn unit under a
-fresh id and ran the whole of ``estimate_effects`` (both nuisances) on that
-panel, kept here as the reference, and that no refit fits m.
+onto the original units, and one ``group_time_cells`` call takes every
+replicate's residuals and weight row. These tests pin that this
+reproduces, for every outcome learner kind, the replicate that copied each
+drawn unit under a fresh id and ran the whole of ``estimate_effects`` (both
+nuisances) on that panel, kept here as the reference, and that no refit
+fits m.
 """
 
 from collections import Counter
@@ -126,28 +127,25 @@ def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel,
     monkeypatch.setattr(aggregate, "estimate_group_time", None)  # never called
     inference = bootstrap(config, panel, B, seed=9, mode="full")
 
-    # One weighted call per replicate, all over the point estimate's cells;
-    # the present cells and their counts match the reference's exactly.
-    assert len(calls) == B
-    keys = calls[0][0]
+    # One weighted call over the point estimate's cells gives every
+    # replicate; row r's present cells and their counts match replicate r
+    # of the reference exactly.
+    (keys, tau, n_treated, n_control, _), = calls
+    assert len(tau) == B
     ref_tau = np.full((B, len(keys)), np.nan)
     ref_treated = np.zeros((B, len(keys)))
-    for r, ((row_keys, tau, n_treated, n_control, _), table) in enumerate(zip(calls, reference)):
-        assert row_keys == keys
-        present = np.flatnonzero(~np.isnan(tau[0]))
-        assert ({keys[j]: (n_treated[0, j], n_control[0, j]) for j in present}
+    for r, table in enumerate(reference):
+        present = np.flatnonzero(~np.isnan(tau[r]))
+        assert ({keys[j]: (n_treated[r, j], n_control[r, j]) for j in present}
                 == {key: cell[1:] for key, cell in (table or {}).items()})
         for j in present:
-            assert abs(tau[0, j] - table[keys[j]][0]) <= TOL
+            assert abs(tau[r, j] - table[keys[j]][0]) <= TOL
             ref_tau[r, j], ref_treated[r, j] = table[keys[j]][:2]
 
     # The same aggregation tail on the reference cells gives the same
     # n_failed, and every SE and CI bound within TOL.
-    rows = iter(range(B))
-
     def reference_cells(*args):
-        r = next(rows)
-        return keys, ref_tau[r:r + 1], ref_treated[r:r + 1], None, ()
+        return keys, ref_tau, ref_treated, None, ()
 
     monkeypatch.setattr(aggregate, "group_time_cells", reference_cells)
     want = bootstrap(config, panel, B, seed=9, mode="full")

@@ -88,7 +88,9 @@ def reference_panel(recs, names):
         return EmptyControlPoolError
     units = sorted(cohort)
     periods = sorted({row[1] for row in rows})
+    unit_of_row = [row[0] for row in rows]
     return {
+        "unit_starts": [unit_of_row.index(unit) for unit in units] + [len(rows)],
         "units": tuple(units), "periods": tuple(periods),
         "cohort_times": [cohort[unit] for unit in units],
         "unit_codes": [units.index(row[0]) for row in rows],
@@ -100,11 +102,13 @@ def reference_panel(recs, names):
 
 
 def assert_matches(panel, expected):
+    """Every attribute equals the reference's, and every array is read-only."""
     assert panel.units == expected["units"]
     assert panel.periods == expected["periods"]
     for name in ("unit_codes", "time_codes", "outcomes", "treatments", "covariates",
-                 "cohort_times"):
+                 "cohort_times", "unit_starts"):
         assert_array_equal(getattr(panel, name), expected[name])
+        assert not getattr(panel, name).flags.writeable
 
 
 @settings(max_examples=300, deadline=None)
