@@ -21,19 +21,20 @@ copies, and writes the residuals back onto the original units; the B
 residual matrices go to one cell call as a stack, each weighted by its
 own row. Either way one cell call gives all B replicates.
 
-Every refit here (a full-mode replicate, the placebo test, and the
-fixed-nuisance bootstrap without point residuals) cross-fits g alone: the
-contrast estimator reads only y_tilde = Y - g_hat, so the treatment model
-m is fit only for the point estimate, in :mod:`sdidml.pipeline`, once per
-adoption cohort on one row per unit. The overlap report reads those cohort
-propensities (Callaway and Sant'Anna 2021), one row per cohort, and judges
-common support by the share of units clipped (Crump, Hotz, Imbens and
-Mitnik 2009).
+Every refit here (a full-mode replicate and the placebo test) cross-fits g
+alone: the contrast estimator reads only y_tilde = Y - g_hat, so the
+treatment model m is fit only for the point estimate, in
+:mod:`sdidml.pipeline`, once per adoption cohort on one row per unit. The
+overlap report reads those cohort propensities (Callaway and Sant'Anna
+2021), one row per cohort, and judges common support by the share of
+units clipped (Crump, Hotz, Imbens and Mitnik 2009).
+
+Results hold estimates, not copies of the settings that produced them;
+:mod:`sdidml.cli` echoes those from its config and alone writes files.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
@@ -41,7 +42,7 @@ from typing import Mapping, Optional
 import numpy as np
 from scipy.special import chdtrc
 
-from .crossfit import FoldAssignment, NuisanceFits, assign_folds, crossfit_predictions
+from .crossfit import NuisanceFits, assign_folds, crossfit_predictions
 from .didcore import GroupTimeEffects, estimate_group_time, group_time_cells
 from .errors import (
     BootstrapFailureError,
@@ -80,7 +81,6 @@ class AggregatedResults:
 
     overall_att: float
     weights_used: Mapping[tuple[int, int], float]
-    ci_level: float
     overall_se: Optional[float] = None
     overall_ci_low: Optional[float] = None
     overall_ci_high: Optional[float] = None
@@ -146,8 +146,7 @@ def _summaries(keys, tau: np.ndarray, counts: np.ndarray,
             event, group)
 
 
-def _results(keys, tau: np.ndarray, counts: np.ndarray,
-             ci_level: float = 0.95) -> list[AggregatedResults]:
+def _results(keys, tau: np.ndarray, counts: np.ndarray) -> list[AggregatedResults]:
     """:func:`_summaries` of (R, C) cell arrays, one point summary per row.
 
     A row keeps the cells and summaries it estimates: a cell absent from
@@ -160,23 +159,20 @@ def _results(keys, tau: np.ndarray, counts: np.ndarray,
                 if not np.isnan(v[r])}
 
     return [AggregatedResults(
-        overall_att=float(overall[r]), ci_level=ci_level,
+        overall_att=float(overall[r]),
         weights_used={k: float(w[r]) for k, w in weights.items() if w[r] > 0},
         event_curve=points(event, r), group_atts=points(group, r))
         for r in range(len(tau))]
 
 
-def aggregate_schemes(effects: GroupTimeEffects,
-                      ci_level: float = 0.95) -> AggregatedResults:
+def aggregate_schemes(effects: GroupTimeEffects) -> AggregatedResults:
     """Overall, event-time and per-cohort summaries of the point estimate.
 
     The event curve includes the pre-treatment event times that the
     pre-trend test reads; the overall ATT and the cohort summaries use
     post-treatment cells only.
     """
-    if not 0 < ci_level < 1:
-        raise ConfigError("ci_level must lie in (0, 1)")
-    results, = _results(effects.keys, effects.tau[None], effects.n_treated[None], ci_level)
+    results, = _results(effects.keys, effects.tau[None], effects.n_treated[None])
     if not results.weights_used:
         raise EmptyResultError("no post-treatment cell to aggregate")
     return results
@@ -225,17 +221,6 @@ def subgroup_effects(panel: PanelDataset, y_tilde: np.ndarray,
     return SubgroupEffects(effects=effects, failures=failures)
 
 
-def write_event_curve_csv(results: AggregatedResults, path) -> None:
-    """Plot-ready event curve: columns e, att, ci_low, ci_high."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["e", "att", "ci_low", "ci_high"])
-        for e, point in sorted(results.event_curve.items()):
-            writer.writerow([e, repr(point.att),
-                             "" if point.ci_low is None else repr(point.ci_low),
-                             "" if point.ci_high is None else repr(point.ci_high)])
-
-
 # -- bootstrap inference -----------------------------------------------------------
 
 
@@ -256,9 +241,6 @@ class BootstrapInference:
     group: Mapping[int, InferencePoint]
     n_reps: int
     n_failed: int
-    mode: str
-    ci_level: float
-    seed: int
 
 
 def _summarize(values: np.ndarray, ci_level: float) -> InferencePoint:
@@ -274,35 +256,31 @@ def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
     return np.random.default_rng(seed + r).integers(0, n_units, size=n_units)
 
 
-def _outcome_residuals(panel: PanelDataset, config, folds: FoldAssignment) -> np.ndarray:
-    """y_tilde from an outcome-only cross-fit; the treatment model is not fit."""
-    return panel.outcomes - crossfit_predictions(panel, config.g_learner,
-                                                 panel.outcomes, folds)
-
-
-def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full",
-              y_tilde: Optional[np.ndarray] = None) -> BootstrapInference:
+def bootstrap(config, panel: PanelDataset, mode: str,
+              y_tilde: Optional[np.ndarray]) -> BootstrapInference:
     """Unit-level bootstrap of the overall, event-time, and cohort summaries.
 
-    Replicate r draws ``n_units`` units with replacement using seed
-    ``seed + r``; its weight row counts how many times each original unit
-    was drawn, and one :func:`group_time_cells` call turns the B rows and
-    the residuals on ``panel``'s observations into every replicate's cells.
+    B is ``config.bootstrap_reps``. Replicate r draws ``n_units`` units with
+    replacement using seed ``config.seed + r``; its weight row counts how
+    many times each original unit was drawn, and one
+    :func:`group_time_cells` call turns the B rows and the residuals on
+    ``panel``'s observations into every replicate's cells.
     ``fixed_nuisance`` uses ``y_tilde``, the point estimate's outcome
-    residuals in ``panel``'s observation order, for every replicate (when
-    None, they come from an outcome-only cross-fit on
-    ``assign_folds(panel, K, config.seed)``). ``full`` mode gives each
-    replicate its own residuals: it cross-fits the outcome model g on the
-    replicate's distinct drawn units, with folds assigned over the units by
-    seed ``seed + r`` and the weight row as sample weights: a unit drawn c
-    times counts as c copies in the standardization and in every fit, and
-    all of them sit in its fold. The replicate's residuals are written back
-    onto the original rows of each drawn unit; undrawn units get 0 (their
-    weight is 0), and a replicate whose refit fails gets NaN.
+    residuals in ``panel``'s observation order, for every replicate.
+    ``full`` mode ignores ``y_tilde`` and gives each replicate its own
+    residuals: it cross-fits the outcome model g on the replicate's distinct
+    drawn units, with the folds that seed ``config.seed + r`` assigns to
+    ``panel``'s units indexed by the drawn codes, and the weight row as
+    sample weights: a unit drawn c times counts as c copies in the
+    standardization and in every fit, and all of them sit in its fold. The
+    replicate's residuals are written back onto the original rows of each
+    drawn unit; undrawn units get 0 (their weight is 0), and a replicate
+    whose refit fails gets NaN.
     Neither mode fits the treatment model. Replicates whose resample admits
     no estimable post-treatment cell are counted as failures; more than 20%
     failures aborts.
     """
+    B, seed = config.bootstrap_reps, config.seed
     if B < 2:
         raise ConfigError("bootstrap B must be >= 2: one replicate gives no spread")
     if mode not in BOOTSTRAP_MODES:
@@ -318,6 +296,7 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
         try:
             bpanel = subset_units(panel, drawn)
             folds = assign_folds(panel, config.n_folds, seed + r)
+            folds = replace(folds, fold=folds.fold[drawn])
             y[unit_rows(panel, drawn)] = bpanel.outcomes - crossfit_predictions(
                 bpanel, config.g_learner, bpanel.outcomes, folds,
                 c[drawn][bpanel.unit_codes])
@@ -327,9 +306,6 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
 
     if mode == "full":  # one residual vector per replicate
         y_tilde = np.array([replicate_y_tilde(r) for r in range(B)])
-    elif y_tilde is None:
-        folds = assign_folds(panel, config.n_folds, config.seed)
-        y_tilde = _outcome_residuals(panel, config, folds)
     ymat, present = pivot_unit_time(panel, y_tilde)
     keys, tau, counts, _, _ = group_time_cells(panel.cohort_times, ymat, present,
                                                panel.periods, config.control_rule,
@@ -350,8 +326,7 @@ def bootstrap(config, panel: PanelDataset, B: int, seed: int, mode: str = "full"
 
     return BootstrapInference(overall=_summarize(overall[ok], config.ci_level),
                               event=summarize(event), group=summarize(group),
-                              n_reps=B, n_failed=n_failed, mode=mode,
-                              ci_level=config.ci_level, seed=seed)
+                              n_reps=B, n_failed=n_failed)
 
 
 def merge_inference(results: AggregatedResults,
@@ -429,11 +404,9 @@ def pretrend_test(results: AggregatedResults, anticipation: int = 0) -> Pretrend
 class PlaceboReport:
     """Pseudo-ATT from shifting every cohort's adoption into its pre-period."""
 
-    shift: int
     pseudo_att: float
     ci_low: Optional[float]
     ci_high: Optional[float]
-    ci_level: float
 
 
 def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
@@ -465,19 +438,17 @@ def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
                                 t_obs[rows] >= g_obs[rows] - shift,
                                 panel.covariates[rows], panel.covariate_names)
 
-    y_tilde = _outcome_residuals(pseudo_panel, config,
-                                 assign_folds(pseudo_panel, config.n_folds, config.seed))
+    folds = assign_folds(pseudo_panel, config.n_folds, config.seed)
+    y_tilde = pseudo_panel.outcomes - crossfit_predictions(
+        pseudo_panel, config.g_learner, pseudo_panel.outcomes, folds)
     effects = estimate_group_time(pseudo_panel, y_tilde, config.control_rule,
                                   config.anticipation)
-    att = aggregate_schemes(effects, config.ci_level).overall_att
+    att = aggregate_schemes(effects).overall_att
     ci_low = ci_high = None
     if config.bootstrap_reps >= 2:
-        inference = bootstrap(config, pseudo_panel, config.bootstrap_reps,
-                              config.seed, config.bootstrap_mode,
-                              y_tilde=y_tilde)
+        inference = bootstrap(config, pseudo_panel, config.bootstrap_mode, y_tilde)
         ci_low, ci_high = inference.overall.ci_low, inference.overall.ci_high
-    return PlaceboReport(shift=shift, pseudo_att=att, ci_low=ci_low,
-                         ci_high=ci_high, ci_level=config.ci_level)
+    return PlaceboReport(pseudo_att=att, ci_low=ci_low, ci_high=ci_high)
 
 
 @dataclass(frozen=True)

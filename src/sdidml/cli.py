@@ -6,6 +6,9 @@ Subcommands: ``run`` (full five-stage estimation on a panel CSV),
 the TWFE baseline), and ``diagnose`` (human-readable summary of a prior
 run's robustness reports).
 
+Only this module formats output: it maps unit codes (such as the fold
+array's) to unit ids, echoes settings from its config, and writes files.
+
 Exit codes are stable: 0 success, 2 configuration error, 3 data error,
 4 estimation error. Failures also emit a machine-readable JSON error line
 on stderr.
@@ -14,6 +17,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -25,12 +29,10 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .aggregate import BOOTSTRAP_MODES, write_event_curve_csv
+from .aggregate import BOOTSTRAP_MODES
 from .errors import (
     ConfigError,
     DataError,
-    EstimationError,
-    LearnerError,
     MissingArtifactsError,
     SdidmlError,
     json_fields,
@@ -144,6 +146,14 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
+def _write_csv(path, rows: list, columns: list) -> None:
+    """One CSV row per dict in ``rows``, its values under ``columns``; None is empty."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([row[c] for c in columns] for row in rows)
+
+
 def _versions() -> dict:
     return {"sdidml": __version__, "numpy": np.__version__,
             "scipy": scipy.__version__, "rng": "pcg64"}
@@ -197,44 +207,56 @@ def cmd_run(args: argparse.Namespace) -> int:
     outdir = _output_dir(cfg.output_dir)
 
     panel = read_panel_csv(cfg.input_path)
-    result = run_pipeline(panel, cfg.pipeline, placebo_shift=cfg.placebo_shift)
-    res = result.results
+    pipe = cfg.pipeline
+    result = run_pipeline(panel, pipe, placebo_shift=cfg.placebo_shift)
+    res, effects, inference = result.results, result.artifacts.effects, result.inference
     overlap = [asdict(row) for row in result.overlap]
     diagnostics = {"overlap": overlap, "pretrend": None, "placebo": None}
     if result.pretrend is not None:
         diagnostics["pretrend"] = dict(asdict(result.pretrend), approximate=True)
     if result.placebo is not None:
-        diagnostics["placebo"] = asdict(result.placebo)
+        diagnostics["placebo"] = dict(asdict(result.placebo), shift=cfg.placebo_shift,
+                                      ci_level=pipe.ci_level)
+    cells = [{"g": g, "t": t, "event_time": t - g, "tau": tau,
+              "n_treated": int(n_tr), "n_control": int(n_c)}
+             for (g, t), tau, n_tr, n_c in zip(effects.keys, effects.tau.tolist(),
+                                               effects.n_treated, effects.n_control)]
+    event_curve = _points_json("e", res.event_curve)
     payload = {
         "overall": {"att": res.overall_att, "se": _json_safe(res.overall_se),
                     "ci_low": _json_safe(res.overall_ci_low),
                     "ci_high": _json_safe(res.overall_ci_high),
-                    "ci_level": res.ci_level},
-        "event_curve": _points_json("e", res.event_curve),
+                    "ci_level": pipe.ci_level},
+        "event_curve": event_curve,
         "groups": _points_json("g", res.group_atts),
-        "group_time": result.artifacts.effects.to_json_dict(),
+        "group_time": {"control_rule": pipe.control_rule,
+                       "anticipation": pipe.anticipation,
+                       "base_period_rule": f"g-1-{pipe.anticipation}",
+                       "cells": cells,
+                       "omitted": [asdict(cell) for cell in effects.omitted]},
         "weights": {f"{g},{t}": w
                     for (g, t), w in sorted(res.weights_used.items())},
-        "bootstrap": None if result.inference is None else {
-            "B": result.inference.n_reps,
-            "mode": result.inference.mode,
-            "approximate": result.inference.mode == "fixed_nuisance",
-            "n_failed": result.inference.n_failed,
-            "seed": result.inference.seed},
+        "bootstrap": None if inference is None else {
+            "B": inference.n_reps,
+            "mode": pipe.bootstrap_mode,
+            "approximate": pipe.bootstrap_mode == "fixed_nuisance",
+            "n_failed": inference.n_failed,
+            "seed": pipe.seed},
         "diagnostics": diagnostics,
-        "folds": dict(sorted(result.artifacts.fits.folds.fold_of_unit.items())),
+        "folds": dict(zip(panel.units, result.artifacts.fits.folds.fold.tolist())),
         "n_clipped": sum(row["n_clipped"] for row in overlap),
         "config_echo": cfg.to_dict(),
         "versions": _versions(),
     }
     _write_json(outdir / "results.json", payload)
-    result.artifacts.effects.write_csv(outdir / "group_time.csv")
-    write_event_curve_csv(res, outdir / "event_curve.csv")
+    _write_csv(outdir / "group_time.csv", cells,
+               ["g", "t", "event_time", "tau", "n_treated", "n_control"])
+    _write_csv(outdir / "event_curve.csv", event_curve, ["e", "att", "ci_low", "ci_high"])
     _write_json(outdir / "diagnostics.json", diagnostics)
 
     ci = ""
     if res.overall_ci_low is not None:
-        ci = f"  [{res.overall_ci_low:.4f}, {res.overall_ci_high:.4f}] at {res.ci_level:.0%}"
+        ci = f"  [{res.overall_ci_low:.4f}, {res.overall_ci_high:.4f}] at {pipe.ci_level:.0%}"
     print(f"overall ATT = {res.overall_att:.6f}{ci}")
     print(f"wrote results to {outdir}")
     return EXIT_OK
@@ -434,7 +456,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, type(exc).__name__, exc)
     except DataError as exc:
         return _fail(EXIT_DATA, type(exc).__name__, exc)
-    except (EstimationError, LearnerError, SdidmlError) as exc:
+    except SdidmlError as exc:
         return _fail(EXIT_ESTIMATION, type(exc).__name__, exc)
 
 

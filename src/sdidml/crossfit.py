@@ -17,14 +17,14 @@ outcome residual y_tilde = Y - g_hat, an array in observation order, so
 the bootstrap and placebo refits cross-fit only g. Outcome cross-fits take
 optional per-observation weights, which weight the feature
 standardization and every fit; a full-mode bootstrap replicate passes how
-many times each of its distinct units was drawn.
+many times each of its distinct units was drawn. Folds are one array over
+unit codes; a replicate indexes its parent's by the drawn codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -41,28 +41,30 @@ from .panel import PanelDataset, control_pool, feature_matrix
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Unit-level fold labels; a deterministic function of (seed, sorted ids)."""
+    """Unit-level fold labels: ``fold[c]`` is the fold of unit code c."""
 
     n_folds: int
-    fold_of_unit: Mapping[str, int]
+    fold: np.ndarray
 
 
 def assign_folds(panel: PanelDataset, n_folds: int, seed: int) -> FoldAssignment:
-    """Shuffle the sorted unit ids by ``seed`` and deal them round-robin.
+    """Shuffle the unit codes by ``seed`` and deal them round-robin.
 
-    Fold sizes differ by at most one unit. ``n_folds=1`` is the degenerate
-    no-crossfit diagnostic mode (all units in fold 0).
+    ``fold`` is a read-only intp array, a deterministic function of the
+    seed and the number of units. Fold sizes differ by at most one unit.
+    ``n_folds=1`` is the degenerate no-crossfit diagnostic mode (all units
+    in fold 0).
     """
     if n_folds < 1:
         raise ConfigError("n_folds must be >= 1")
     if n_folds > panel.n_units:
         raise TooManyFoldsError(
             f"{n_folds} folds requested for {panel.n_units} units")
-    units = panel.units
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(units))
-    fold_of_unit = {units[j]: i % n_folds for i, j in enumerate(order)}
-    return FoldAssignment(n_folds, MappingProxyType(fold_of_unit))
+    fold = np.empty(panel.n_units, dtype=np.intp)
+    fold[np.random.default_rng(seed).permutation(panel.n_units)] = (
+        np.arange(panel.n_units) % n_folds)
+    fold.setflags(write=False)
+    return FoldAssignment(n_folds, fold)
 
 
 def nuisance_features(panel: PanelDataset, sample_weight: Optional[np.ndarray] = None):
@@ -109,11 +111,10 @@ class NuisanceFits:
 
 def _unit_folds(panel: PanelDataset, folds: FoldAssignment) -> np.ndarray:
     """The fold of each of ``panel``'s units, in ``panel.units`` order."""
-    missing = [u for u in panel.units if u not in folds.fold_of_unit]
-    if missing:
-        raise AlignmentMismatchError(
-            f"fold assignment lacks {len(missing)} panel unit(s), e.g. {missing[0]!r}")
-    return np.array([folds.fold_of_unit[u] for u in panel.units], dtype=np.intp)
+    if folds.fold.shape != (panel.n_units,):
+        raise AlignmentMismatchError(f"fold assignment covers {folds.fold.size} "
+                                     f"units; the panel has {panel.n_units}")
+    return folds.fold
 
 
 def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndarray,
@@ -124,8 +125,7 @@ def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndar
     For each fold k the learner is trained on all observations of units
     outside fold k and evaluated on fold k's observations. With one fold it
     is trained and evaluated on the full sample, which is a diagnostic mode
-    only. A learner failure is re-raised with its fold number. ``folds``
-    may also cover units that are not in ``panel``.
+    only. A learner failure is re-raised with its fold number.
 
     ``sample_weight`` gives each observation a weight in the standardization
     (:func:`nuisance_features`) and in every fit (:func:`learners.fit`);
@@ -163,7 +163,7 @@ def _cohort_propensities(panel: PanelDataset, spec: LearnerSpec, folds: FoldAssi
     its units are left out; a cohort left with no unit gets no propensity.
     Predictions are clipped into [clip_eps, 1 - clip_eps].
     """
-    fold_of_unit = _unit_folds(panel, folds)
+    unit_fold = _unit_folds(panel, folds)
     row = np.full((panel.n_units, panel.n_periods), -1)
     row[panel.unit_codes, panel.time_codes] = np.arange(panel.n_obs)
     period_code = {t: i for i, t in enumerate(panel.periods)}
@@ -180,7 +180,7 @@ def _cohort_propensities(panel: PanelDataset, spec: LearnerSpec, folds: FoldAssi
             continue
         X = panel.covariates[row[units, bi]]
         target = in_cohort[units].astype(np.float64)
-        fold = fold_of_unit[units]
+        fold = unit_fold[units]
         raw = np.empty(units.size)
         fitted = np.zeros(units.size, dtype=bool)
         for k in range(folds.n_folds):

@@ -19,12 +19,13 @@ units it labels (:func:`sdidml.aggregate.subgroup_effects`). The residuals
 are one (units, periods) matrix shared by every row, or an (R, units,
 periods) stack whose matrix r goes with row r, as in a full-mode bootstrap,
 where each replicate refits g. :class:`GroupTimeEffects` holds the point
-estimate's row of the table it returns.
+estimate's row of the table it returns: estimates only, no copy of the
+settings that produced them and no output format, which :mod:`sdidml.cli`
+alone writes.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -53,43 +54,13 @@ class GroupTimeEffects:
     and ``n_control`` are the matching read-only 1-D arrays, row 0 of the
     :func:`group_time_cells` table. Pre-treatment cells (t < g) are placebo
     contrasts kept for pre-trend testing; post cells have t >= g.
-    ``base_period_rule`` documents the comparison period convention.
     """
 
     keys: tuple[tuple[int, int], ...]
     tau: np.ndarray
     n_treated: np.ndarray
     n_control: np.ndarray
-    control_rule: str
-    anticipation: int = 0
     omitted: tuple[OmittedCell, ...] = ()
-
-    @property
-    def base_period_rule(self) -> str:
-        return f"g-1-{self.anticipation}"
-
-    def to_rows(self) -> list[tuple]:
-        return [(g, t, t - g, tau, int(n_tr), int(n_c)) for (g, t), tau, n_tr, n_c
-                in zip(self.keys, self.tau.tolist(), self.n_treated, self.n_control)]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["g", "t", "event_time", "tau", "n_treated", "n_control"])
-            for g, t, e, tau, n_tr, n_c in self.to_rows():
-                writer.writerow([g, t, e, repr(tau), n_tr, n_c])
-
-    def to_json_dict(self) -> dict:
-        return {
-            "control_rule": self.control_rule,
-            "anticipation": self.anticipation,
-            "base_period_rule": self.base_period_rule,
-            "cells": [{"g": g, "t": t, "event_time": e, "tau": tau,
-                       "n_treated": n_tr, "n_control": n_c}
-                      for g, t, e, tau, n_tr, n_c in self.to_rows()],
-            "omitted": [{"g": o.g, "t": o.t, "reason": o.reason}
-                        for o in self.omitted],
-        }
 
 
 def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
@@ -180,8 +151,7 @@ def estimate_group_time(panel: PanelDataset, y_tilde: np.ndarray,
     columns = (tau[0], n_treated[0], n_control[0])
     for column in columns:
         column.setflags(write=False)
-    return GroupTimeEffects(tuple(keys), *columns, control_rule=control_rule,
-                            anticipation=anticipation, omitted=omitted)
+    return GroupTimeEffects(tuple(keys), *columns, omitted=omitted)
 
 
 # -- alternating-projection demeaning -------------------------------------------

@@ -111,9 +111,8 @@ def estimate_effects(panel: PanelDataset, config: PipelineConfig,
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Everything a full run produces, ready for serialization."""
+    """Everything a full run estimates; the caller holds the config."""
 
-    config: PipelineConfig
     artifacts: EstimationArtifacts
     results: AggregatedResults
     inference: Optional[BootstrapInference]
@@ -131,13 +130,11 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     the placebo report unless ``placebo_shift`` is given.
     """
     artifacts = estimate_effects(panel, config)
-    results = aggregate_schemes(artifacts.effects, config.ci_level)
+    results = aggregate_schemes(artifacts.effects)
     inference = None
     pretrend = None
     if config.bootstrap_reps >= 2:
-        inference = bootstrap(config, panel, config.bootstrap_reps,
-                              config.seed, config.bootstrap_mode,
-                              y_tilde=artifacts.y_tilde)
+        inference = bootstrap(config, panel, config.bootstrap_mode, artifacts.y_tilde)
         results = merge_inference(results, inference)
         try:
             pretrend = pretrend_test(results, config.anticipation)
@@ -147,6 +144,6 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig,
     placebo = None
     if placebo_shift is not None:
         placebo = placebo_test(panel, config, placebo_shift)
-    return PipelineResult(config=config, artifacts=artifacts, results=results,
+    return PipelineResult(artifacts=artifacts, results=results,
                           inference=inference, overlap=overlap,
                           pretrend=pretrend, placebo=placebo)

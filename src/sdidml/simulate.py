@@ -385,9 +385,8 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
         artifacts = estimate_effects(panel, pipeline)
         att = aggregate_schemes(artifacts.effects).overall_att
         if pipeline.bootstrap_reps >= 2:
-            inference = bootstrap(pipeline, panel, pipeline.bootstrap_reps,
-                                  pipeline.seed, pipeline.bootstrap_mode,
-                                  y_tilde=artifacts.y_tilde)
+            inference = bootstrap(pipeline, panel, pipeline.bootstrap_mode,
+                                  artifacts.y_tilde)
             return att, inference.overall.ci_low, inference.overall.ci_high
         return att, None, None
     if method == "twfe":

@@ -16,7 +16,13 @@ from sdidml.aggregate import (
     placebo_test,
     pretrend_test,
 )
-from sdidml.crossfit import CohortPropensity, FoldAssignment, NuisanceFits, assign_folds
+from sdidml.crossfit import (
+    CohortPropensity,
+    FoldAssignment,
+    NuisanceFits,
+    assign_folds,
+    crossfit_predictions,
+)
 from sdidml.didcore import GroupTimeEffects
 from sdidml.errors import (
     BootstrapFailureError,
@@ -27,16 +33,15 @@ from sdidml.errors import (
 )
 from sdidml.learners import LearnerSpec
 from sdidml.panel import build_panel
-from sdidml.pipeline import PipelineConfig
+from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import EffectSpec, generate, scenario
 
 
-def effects_from(cells, anticipation=0):
+def effects_from(cells):
     keys = sorted(cells)
     tau, n_treated, n_control = (np.array([cells[k][j] for k in keys], dtype=np.float64)
                                  for j in range(3))
-    return GroupTimeEffects(tuple(keys), tau, n_treated, n_control,
-                            control_rule="never_treated", anticipation=anticipation)
+    return GroupTimeEffects(tuple(keys), tau, n_treated, n_control)
 
 
 class TestAggregate:
@@ -94,11 +99,24 @@ def small_null_panel(n_units=60, seed=11):
     return generate(cfg).panel
 
 
+def outcome_residuals(panel, config):
+    """y_tilde of an outcome-only cross-fit on the folds of ``config.seed``."""
+    folds = assign_folds(panel, config.n_folds, config.seed)
+    return panel.outcomes - crossfit_predictions(panel, config.g_learner,
+                                                 panel.outcomes, folds)
+
+
 class TestBootstrap:
     def pipe(self, **kw):
         defaults = dict(bootstrap_reps=29, bootstrap_mode="fixed_nuisance", seed=5)
         defaults.update(kw)
         return PipelineConfig(**defaults)
+
+    def fixed(self, panel, B, seed):
+        """Fixed-nuisance bootstrap, B replicates from ``seed``, of the
+        outcome residuals on the folds of ``self.pipe()``."""
+        return bootstrap(replace(self.pipe(), bootstrap_reps=B, seed=seed), panel,
+                         "fixed_nuisance", outcome_residuals(panel, self.pipe()))
 
     def test_single_replicate_is_rejected(self):
         # One replicate has no spread: its "CI" is a point that need not
@@ -106,18 +124,17 @@ class TestBootstrap:
         panel = small_null_panel()
         for B in (-1, 0, 1):
             with pytest.raises(ConfigError):
-                bootstrap(self.pipe(), panel, B=B, seed=0, mode="fixed_nuisance")
+                self.fixed(panel, B=B, seed=0)
         for B in (-1, 1):
             with pytest.raises(ConfigError):
                 self.pipe(bootstrap_reps=B)
         assert self.pipe(bootstrap_reps=0).bootstrap_reps == 0
-        assert bootstrap(self.pipe(), panel, B=2, seed=0,
-                         mode="fixed_nuisance").overall.se is not None
+        assert self.fixed(panel, B=2, seed=0).overall.se is not None
 
     def test_deterministic_given_seed(self):
         panel = small_null_panel()
-        a = bootstrap(self.pipe(), panel, B=29, seed=4, mode="fixed_nuisance")
-        b = bootstrap(self.pipe(), panel, B=29, seed=4, mode="fixed_nuisance")
+        a = self.fixed(panel, B=29, seed=4)
+        b = self.fixed(panel, B=29, seed=4)
         assert (a.overall.se, a.overall.ci_low, a.overall.ci_high) == \
                (b.overall.se, b.overall.ci_low, b.overall.ci_high)
         assert a.event.keys() == b.event.keys()
@@ -132,14 +149,14 @@ class TestBootstrap:
                               m_learner=LearnerSpec.ridge(1e-8),
                               n_folds=1, clip_eps=0.0, bootstrap_reps=19, seed=2)
         for mode in ("fixed_nuisance", "full"):
-            inf = bootstrap(pipe, panel, B=19, seed=2, mode=mode)
+            inf = bootstrap(pipe, panel, mode, outcome_residuals(panel, pipe))
             assert inf.overall.se < 1e-10
 
     def test_modes_agree_on_point_structure(self):
         panel = small_null_panel()
-        full = bootstrap(self.pipe(bootstrap_mode="full"), panel, B=9, seed=7,
-                         mode="full")
-        fixed = bootstrap(self.pipe(), panel, B=9, seed=7, mode="fixed_nuisance")
+        full = bootstrap(self.pipe(bootstrap_mode="full", bootstrap_reps=9, seed=7), panel,
+                         "full", None)
+        fixed = self.fixed(panel, B=9, seed=7)
         assert full.event.keys() == fixed.event.keys()
 
     def test_full_mode_refits_drawn_units_in_their_folds_with_their_counts(self, monkeypatch):
@@ -155,15 +172,15 @@ class TestBootstrap:
         monkeypatch.setattr(aggregate_module, "crossfit_predictions", recording)
         panel = small_null_panel()
         config = self.pipe(bootstrap_mode="full")
-        bootstrap(config, panel, B=4, seed=3, mode="full")
+        bootstrap(replace(config, bootstrap_reps=4, seed=3), panel, "full", None)
         assert len(calls) == 4
         for r, (bpanel, folds, sample_weight) in enumerate(calls):
             draw = np.random.default_rng(3 + r).integers(0, panel.n_units, size=panel.n_units)
             counts = np.bincount(draw, minlength=panel.n_units)
             drawn = np.flatnonzero(counts)
             assert bpanel.units == tuple(panel.units[i] for i in drawn)
-            fold_of = assign_folds(panel, config.n_folds, 3 + r).fold_of_unit
-            assert all(folds.fold_of_unit[u] == fold_of[u] for u in bpanel.units)
+            assert np.array_equal(folds.fold,
+                                  assign_folds(panel, config.n_folds, 3 + r).fold[drawn])
             assert np.array_equal(sample_weight, counts[drawn][bpanel.unit_codes])
             assert sample_weight.max() > 1  # some unit was drawn twice
 
@@ -179,21 +196,19 @@ class TestBootstrap:
                              "x0": float(i)})
         panel = build_panel(recs)
         with pytest.raises(BootstrapFailureError):
-            bootstrap(self.pipe(), panel, B=60, seed=1, mode="fixed_nuisance")
+            self.fixed(panel, B=60, seed=1)
 
     def test_invalid_b(self):
         panel = small_null_panel()
         with pytest.raises(ConfigError):
-            bootstrap(self.pipe(), panel, B=0, seed=0, mode="fixed_nuisance")
+            self.fixed(panel, B=0, seed=0)
 
     def test_merge_inference_fills_cis(self):
         panel = small_null_panel()
         pipe = self.pipe()
-        from sdidml.pipeline import estimate_effects
         art = estimate_effects(panel, pipe)
         res = aggregate_schemes(art.effects)
-        inf = bootstrap(pipe, panel, B=29, seed=5, mode="fixed_nuisance",
-                        y_tilde=art.y_tilde)
+        inf = bootstrap(pipe, panel, "fixed_nuisance", art.y_tilde)
         merged = merge_inference(res, inf)
         assert merged.overall_att == res.overall_att  # point estimate unchanged
         assert merged.overall_se is not None
@@ -207,13 +222,12 @@ class TestPretrend:
                  for e in es}
         point = InferencePoint(se=se, ci_low=-1, ci_high=1, n_reps=10)
         return BootstrapInference(overall=point, event=event, group={},
-                                  n_reps=10, n_failed=0, mode="fixed_nuisance",
-                                  ci_level=0.95, seed=0)
+                                  n_reps=10, n_failed=0)
 
-    def pretrend(self, eff, es, se=0.5):
+    def pretrend(self, eff, es, se=0.5, anticipation=0):
         """The test on ``eff``'s summaries with SE ``se`` at event times ``es``."""
         results = merge_inference(aggregate_schemes(eff), self.fake_inference(es, se))
-        return pretrend_test(results, eff.anticipation)
+        return pretrend_test(results, anticipation)
 
     def test_all_zero_pre_cells_give_p_one(self):
         eff = effects_from({(3, 1): (0.0, 5, 5), (3, 2): (0.0, 5, 5),
@@ -232,8 +246,8 @@ class TestPretrend:
 
     def test_anticipation_excludes_window(self):
         eff = effects_from({(4, 1): (0.3, 5, 5), (4, 3): (0.4, 5, 5),
-                            (4, 4): (1.0, 5, 5)}, anticipation=1)
-        rep = self.pretrend(eff, [-3, -1, 0])
+                            (4, 4): (1.0, 5, 5)})
+        rep = self.pretrend(eff, [-3, -1, 0], anticipation=1)
         # e = -1 lies inside the anticipation window; only e = -3 is tested
         assert rep.dof == 1
         assert [p.e for p in rep.per_e] == [-3]
@@ -280,7 +294,7 @@ def fits_with_propensities(*cohorts):
     rows = tuple(CohortPropensity(g, np.arange(len(p)), np.asarray(p, dtype=np.float64),
                                   n_clipped) for g, p, n_clipped in cohorts)
     return NuisanceFits(g_hat=np.zeros(1), propensities=rows,
-                        folds=FoldAssignment(1, {"a": 0}))
+                        folds=FoldAssignment(1, np.zeros(1, dtype=np.intp)))
 
 
 class TestOverlap:

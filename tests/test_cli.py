@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from sdidml import cli
+from sdidml.crossfit import assign_folds
 from sdidml.panel import read_panel_csv, write_panel_csv
+from sdidml.pipeline import PipelineConfig
 from sdidml.simulate import generate, scenario
 
 
@@ -273,3 +276,30 @@ def test_config_echo_reproduces_results(tmp_path):
     config.write_text(json.dumps(echo))
     assert cli.main(["run", "--config", str(config)]) == 0
     assert (out / "results.json").read_bytes() == first
+
+
+def test_csv_files_hold_the_rows_of_results_json(tmp_path):
+    # group_time.csv and event_curve.csv are written from the rows that
+    # results.json holds, and its folds are the run seed's fold array keyed
+    # by unit id.
+    panel = generate(replace(scenario("S2"), n_units=60, seed=4)).panel
+    write_panel_csv(panel, tmp_path / "panel.csv")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"control_rule": "not_yet_treated", "seed": 8,
+                                  "bootstrap": {"B": 5, "mode": "fixed_nuisance"}}))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(config), "--input", str(tmp_path / "panel.csv"),
+                     "--output", str(out)]) == 0
+    res = json.loads((out / "results.json").read_text())
+
+    def rows(name, floats):
+        with open(out / name, newline="", encoding="utf-8") as fh:
+            return [{k: (None if v == "" else float(v) if k in floats else int(v))
+                     for k, v in row.items()} for row in csv.DictReader(fh)]
+
+    cells = res["group_time"]["cells"]
+    assert cells and rows("group_time.csv", {"tau"}) == cells
+    curve = [{k: v for k, v in point.items() if k != "se"} for point in res["event_curve"]]
+    assert curve and rows("event_curve.csv", {"att", "ci_low", "ci_high"}) == curve
+    folds = assign_folds(panel, PipelineConfig().n_folds, 8)
+    assert res["folds"] == dict(zip(panel.units, folds.fold.tolist()))

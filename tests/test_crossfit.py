@@ -6,9 +6,11 @@ from sdidml.crossfit import (
     FoldAssignment,
     assign_folds,
     crossfit_nuisance,
+    crossfit_predictions,
     nuisance_features,
 )
 from sdidml.errors import (
+    AlignmentMismatchError,
     ConfigError,
     TooManyFoldsError,
 )
@@ -37,32 +39,44 @@ class TestAssignFolds:
     def test_single_fold_diagnostic_mode(self):
         panel = toy_panel(treated_units=(0,))
         folds = assign_folds(panel, 1, seed=0)
-        assert set(folds.fold_of_unit.values()) == {0}
+        assert set(folds.fold.tolist()) == {0}
 
     def test_balanced_split(self):
         panel = toy_panel(treated_units=(0, 1))
         folds = assign_folds(panel, 5, seed=1)
-        sizes = np.bincount(list(folds.fold_of_unit.values()), minlength=5)
+        sizes = np.bincount(folds.fold, minlength=5)
         assert sizes.tolist() == [2, 2, 2, 2, 2]
 
     def test_deterministic(self):
         panel = toy_panel(treated_units=(0,))
         a = assign_folds(panel, 3, seed=9)
         b = assign_folds(panel, 3, seed=9)
-        assert dict(a.fold_of_unit) == dict(b.fold_of_unit)
+        assert np.array_equal(a.fold, b.fold)
         c = assign_folds(panel, 3, seed=10)
-        assert dict(a.fold_of_unit) != dict(c.fold_of_unit)
+        assert not np.array_equal(a.fold, c.fold)
 
     def test_too_many_folds(self):
         panel = toy_panel(treated_units=(0,))
         with pytest.raises(TooManyFoldsError):
             assign_folds(panel, 11, seed=0)
 
+    @pytest.mark.parametrize("n_units, n_folds, seed", [
+        (2, 1, 0), (7, 2, 3), (10, 3, 9), (12, 5, 1), (13, 13, 44)])
+    def test_code_array_deals_the_shuffled_units_round_robin(self, n_units, n_folds, seed):
+        # The assignment made as a {unit id: fold} map: the unit at
+        # position i of the shuffled order gets fold i mod K.
+        panel = toy_panel(n_units=n_units)
+        units = panel.units
+        order = np.random.default_rng(seed).permutation(len(units))
+        by_id = {units[j]: i % n_folds for i, j in enumerate(order)}
+        folds = assign_folds(panel, n_folds, seed)
+        assert folds.n_folds == n_folds
+        assert folds.fold.dtype == np.intp and not folds.fold.flags.writeable
+        assert folds.fold.tolist() == [by_id[u] for u in units]
+
 
 def explicit_folds(panel, split=5):
-    fold_of_unit = {u: (0 if i < split else 1)
-                    for i, u in enumerate(panel.units)}
-    return FoldAssignment(2, fold_of_unit)
+    return FoldAssignment(2, (np.arange(panel.n_units) >= split).astype(np.intp))
 
 
 class TestCrossfitNuisance:
@@ -71,8 +85,7 @@ class TestCrossfitNuisance:
         folds = explicit_folds(panel)
         fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
                                  folds, clip_eps=0.01)
-        fold_of_obs = np.array([folds.fold_of_unit[panel.units[c]]
-                                for c in panel.unit_codes])
+        fold_of_obs = folds.fold[panel.unit_codes]
         y = panel.outcomes
         # fold-0 predictions equal the fold-1 outcome mean, and vice versa
         assert_allclose(fits.g_hat[fold_of_obs == 0], y[fold_of_obs == 1].mean(),
@@ -126,6 +139,15 @@ class TestCrossfitNuisance:
             crossfit_nuisance(panel, LearnerSpec.logistic(1.0),
                               LearnerSpec.logistic(1.0), folds)
 
+    @pytest.mark.parametrize("n_codes", [9, 11])
+    def test_a_fold_array_of_another_length_is_rejected(self, n_codes):
+        panel = toy_panel(treated_units=(0,))
+        folds = FoldAssignment(2, np.arange(n_codes) % 2)
+        with pytest.raises(AlignmentMismatchError):
+            crossfit_predictions(panel, LearnerSpec.mean(), panel.outcomes, folds)
+        with pytest.raises(AlignmentMismatchError):
+            crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(), folds)
+
     def test_out_of_fold_purity_under_perturbation(self):
         panel = toy_panel(n_units=12, n_periods=3, treated_units=(0, 1),
                           treat_from=2, seed=6)
@@ -140,9 +162,8 @@ class TestCrossfitNuisance:
                                  for o in records])
         fits2 = crossfit_nuisance(perturbed, spec, LearnerSpec.mean(), folds)
 
-        fold_of_obs = np.array([folds.fold_of_unit[panel.units[c]]
-                                for c in panel.unit_codes])
-        own = folds.fold_of_unit[victim["unit"]]
+        fold_of_obs = folds.fold[panel.unit_codes]
+        own = folds.fold[panel.units.index(victim["unit"])]
         assert_array_equal(fits.g_hat[fold_of_obs == own],
                            fits2.g_hat[fold_of_obs == own])
         assert not np.array_equal(fits.g_hat[fold_of_obs != own],
@@ -274,13 +295,14 @@ class TestCohortPropensity:
             crossfit_nuisance(perturbed, LearnerSpec.ridge(1.0), spec, folds), perturbed)
 
         assert before.keys() == after.keys() == {3, 4}
-        own = folds.fold_of_unit[victim]
+        fold_of_unit = dict(zip(panel.units, folds.fold.tolist()))
+        own = fold_of_unit[victim]
         changed = 0
         for g in (3, 4):
             others = (before[g].keys() & after[g].keys()) - {victim}
             assert others
             for unit in others:
-                if folds.fold_of_unit[unit] == own:
+                if fold_of_unit[unit] == own:
                     assert before[g][unit] == after[g][unit], (g, unit)
                 else:
                     changed += before[g][unit] != after[g][unit]

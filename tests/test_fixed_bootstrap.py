@@ -226,7 +226,8 @@ def test_matches_per_replicate_loop(make_panel, control_rule, anticipation,
                             bootstrap_mode="fixed_nuisance", seed=3)
     y_tilde = estimate_effects(panel, config).y_tilde
     B, seed = 60, 9
-    inference = bootstrap(config, panel, B, seed, mode="fixed_nuisance", y_tilde=y_tilde)
+    inference = bootstrap(replace(config, bootstrap_reps=B, seed=seed), panel,
+                          "fixed_nuisance", y_tilde)
     overall, event, group, n_failed = loop_bootstrap(config, panel, y_tilde, B, seed)
     assert inference.n_failed == n_failed
     assert (0 < n_failed <= 0.2 * B) == expect_failures
@@ -266,5 +267,5 @@ def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
                         counting("PanelDataset", PanelDataset.__init__))
     for mode, subsets in (("fixed_nuisance", 0), ("full", 29)):
         calls.update(group_time_cells=0, subset_units=0, PanelDataset=0)
-        bootstrap(config, panel, B=29, seed=4, mode=mode, y_tilde=y_tilde)
+        bootstrap(replace(config, bootstrap_reps=29, seed=4), panel, mode, y_tilde)
         assert calls == {"group_time_cells": 1, "subset_units": subsets, "PanelDataset": 0}

@@ -72,10 +72,9 @@ def both_nuisance_replicates(config, panel, B, seed):
     tables = []
     for r in range(B):
         idx = np.random.default_rng(seed + r).integers(0, panel.n_units, size=panel.n_units)
-        fresh = [f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)]
-        fold_of = assign_folds(panel, config.n_folds, seed + r).fold_of_unit
+        # zero-padded fresh ids sort in draw order: copy k is unit code k
         folds = FoldAssignment(config.n_folds,
-                               {f: fold_of[panel.units[i]] for f, i in zip(fresh, idx)})
+                               assign_folds(panel, config.n_folds, seed + r).fold[idx])
         try:
             effects = estimate_effects(fresh_id_panel(panel, idx), config, folds).effects
         except (DataError, EstimationError, LearnerError):
@@ -87,7 +86,7 @@ def both_nuisance_replicates(config, panel, B, seed):
 
 
 def assert_inference_close(got, want):
-    assert (got.n_reps, got.n_failed, got.mode) == (want.n_reps, want.n_failed, want.mode)
+    assert (got.n_reps, got.n_failed) == (want.n_reps, want.n_failed)
     assert got.event.keys() == want.event.keys()
     assert got.group.keys() == want.group.keys()
     pairs = [(got.overall, want.overall),
@@ -125,7 +124,7 @@ def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel,
     monkeypatch.setattr(aggregate, "group_time_cells",
                         lambda *args: calls.append(group_time_cells(*args)) or calls[-1])
     monkeypatch.setattr(aggregate, "estimate_group_time", None)  # never called
-    inference = bootstrap(config, panel, B, seed=9, mode="full")
+    inference = bootstrap(replace(config, seed=9), panel, "full", None)
 
     # One weighted call over the point estimate's cells gives every
     # replicate; row r's present cells and their counts match replicate r
@@ -148,7 +147,7 @@ def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel,
         return keys, ref_tau, ref_treated, None, ()
 
     monkeypatch.setattr(aggregate, "group_time_cells", reference_cells)
-    want = bootstrap(config, panel, B, seed=9, mode="full")
+    want = bootstrap(replace(config, seed=9), panel, "full", None)
     assert (0 < want.n_failed <= 0.2 * B) == expect_failures
     assert_inference_close(inference, want)
 
@@ -163,13 +162,14 @@ def test_refits_never_fit_the_treatment_model(monkeypatch):
         kinds[spec.kind] += 1
         return fit(spec, *args, **kwargs)
 
+    y_tilde = estimate_effects(panel, config).y_tilde
     monkeypatch.setattr(learners, "fit", counting)
-    bootstrap(config, panel, B=4, seed=3, mode="full")
+    bootstrap(config, panel, "full", None)
     assert kinds == {"ridge": 4 * config.n_folds}
 
     kinds.clear()
-    bootstrap(config, panel, B=4, seed=3, mode="fixed_nuisance")
-    assert kinds == {"ridge": config.n_folds}
+    bootstrap(config, panel, "fixed_nuisance", y_tilde)  # reuses the point residuals
+    assert kinds == {}
 
     kinds.clear()
     placebo_test(panel, replace(config, bootstrap_mode="fixed_nuisance"), shift=1)
@@ -190,7 +190,7 @@ def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
         return fit(spec, features, *args, **kwargs)
 
     monkeypatch.setattr(learners, "fit", counting)
-    estimate_effects(panel, config)
+    y_tilde = estimate_effects(panel, config).y_tilde
     cohorts = {g for g in panel.cohort_times
                if g - 1 - config.anticipation in panel.periods}
     assert len(cohorts) == 1
@@ -199,6 +199,6 @@ def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
 
     m_rows.clear()
     for mode in BOOTSTRAP_MODES:
-        bootstrap(config, panel, B=2, seed=3, mode=mode)
+        bootstrap(config, panel, mode, y_tilde)
     placebo_test(panel, config, shift=1)
     assert m_rows == []
