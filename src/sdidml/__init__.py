@@ -17,10 +17,8 @@ __version__ = "0.1.0"
 from . import errors
 from .panel import (
     PanelDataset,
-    build_panel,
     feature_matrix,
     read_panel_csv,
-    to_records,
     write_panel_csv,
 )
 from .learners import FittedModel, LearnerSpec, fit, predict

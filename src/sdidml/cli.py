@@ -1,13 +1,14 @@
 """Command-line interface wiring configuration, data, pipeline, and outputs.
 
-Subcommands: ``run`` (full five-stage estimation on a panel CSV),
-``simulate`` (write a synthetic panel plus its oracle sidecar),
-``benchmark`` (Monte Carlo comparison of the cross-fitted estimator against
-the TWFE baseline), and ``diagnose`` (human-readable summary of a prior
-run's robustness reports).
+Subcommands: ``run`` (full five-stage estimation on a panel CSV, its
+nuisances cross-fit over K >= 2 unit folds), ``simulate`` (write a
+synthetic panel plus its oracle sidecar), ``benchmark`` (Monte Carlo
+comparison of the cross-fitted estimator against the TWFE baseline), and
+``diagnose`` (human-readable summary of a prior run's robustness reports).
 
 Only this module formats output: it maps unit codes (such as the fold
-array's) to unit ids, echoes settings from its config, and writes files.
+array's) to unit ids, echoes settings from its config, and writes every
+file through one JSON writer and one CSV writer.
 
 Exit codes are stable: 0 success, 2 configuration error, 3 data error,
 4 estimation error. Failures also emit a machine-readable JSON error line
@@ -65,7 +66,6 @@ _CONFIG_KEYS = {
     "ci_level": ("pipeline.ci_level", float, False),
     "seed": ("pipeline.seed", int, False),
     "placebo_shift": ("placebo_shift", int, True),
-    "allow_no_crossfit": ("allow_no_crossfit", bool, False),
 }
 
 
@@ -85,7 +85,6 @@ class RunConfig:
     input_path: Optional[str] = None
     output_dir: Optional[str] = None
     placebo_shift: Optional[int] = None
-    allow_no_crossfit: bool = False
 
     def __post_init__(self):
         if self.placebo_shift is not None and self.placebo_shift < 1:
@@ -190,8 +189,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         ("input_path", args.input), ("output_dir", args.output)) if value is not None}
     if args.seed is not None:
         overrides["pipeline"] = replace(cfg.pipeline, seed=args.seed)
-    if args.allow_no_crossfit:
-        overrides["allow_no_crossfit"] = True
     cfg = replace(cfg, **overrides)
     if cfg.input_path is None:
         raise ConfigError("no input CSV given; set input_path in the config "
@@ -199,11 +196,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if cfg.output_dir is None:
         raise ConfigError("no output directory given; set output_dir in the "
                           "config or pass --output")
-    if cfg.pipeline.n_folds == 1 and not cfg.allow_no_crossfit:
-        raise ConfigError(
-            "K=1 trains and predicts on the same sample, which defeats "
-            "cross-fitting and is meant for diagnostics only; pass "
-            "--allow-no-crossfit to run it anyway")
     outdir = _output_dir(cfg.output_dir)
 
     panel = read_panel_csv(cfg.input_path)
@@ -303,21 +295,20 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
         method: monte_carlo(dgp, pipe, args.reps, args.seed, method=method)
         for method in ("sdidml", "twfe")
     }
+    methods = {m: asdict(r) for m, r in results.items()}
     payload = {
         "scenario": args.scenario,
         "reps": args.reps,
         "seed": args.seed,
         "bootstrap": {"B": args.bootstrap_reps, "mode": args.bootstrap_mode,
                       "approximate": args.bootstrap_mode == "fixed_nuisance"},
-        "methods": {m: asdict(r) for m, r in results.items()},
+        "methods": methods,
         "versions": _versions(),
     }
     _write_json(outdir / "comparison.json", payload)
-    with open(outdir / "comparison.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write("method,bias,rmse,coverage\n")
-        for m, r in results.items():
-            cov = "" if r.coverage is None else repr(r.coverage)
-            fh.write(f"{m},{r.bias!r},{r.rmse!r},{cov}\n")
+    _write_csv(outdir / "comparison.csv",
+               [dict(row, method=m) for m, row in methods.items()],
+               ["method", "bias", "rmse", "coverage"])
     for m, r in results.items():
         cov = "n/a" if r.coverage is None else f"{r.coverage:.3f}"
         print(f"{m:8s} bias={r.bias:+.4f}  rmse={r.rmse:.4f}  coverage={cov}")
@@ -409,8 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--input", help="panel CSV path (overrides config)")
     run.add_argument("--output", help="output directory (overrides config)")
     run.add_argument("--seed", type=int, help="override the config seed")
-    run.add_argument("--allow-no-crossfit", action="store_true",
-                     help="permit the K=1 diagnostic mode")
     run.set_defaults(func=cmd_run)
 
     sim = sub.add_parser("simulate", help="write a synthetic panel + oracle")

@@ -1,11 +1,11 @@
 """Cross-fitted nuisance estimation.
 
-Folds are assigned at the unit level so every observation's prediction
-comes from models trained without any observation of its own unit. The
-outcome model's feature set is the standardized covariate matrix
-augmented with one-hot period indicators (first period omitted as the
-reference); adoption-cohort information is deliberately excluded so the
-treatment contrast survives into the structural stage.
+Folds are assigned at the unit level, at least two of them, so every
+observation's prediction comes from models trained without any observation
+of its own unit. The outcome model's feature set is the standardized
+covariate matrix augmented with one-hot period indicators (first period
+omitted as the reference); adoption-cohort information is deliberately
+excluded so the treatment contrast survives into the structural stage.
 
 :func:`crossfit_predictions` cross-fits one learner for one
 per-observation target. :func:`crossfit_nuisance` calls it for the outcome
@@ -52,11 +52,10 @@ def assign_folds(panel: PanelDataset, n_folds: int, seed: int) -> FoldAssignment
 
     ``fold`` is a read-only intp array, a deterministic function of the
     seed and the number of units. Fold sizes differ by at most one unit.
-    ``n_folds=1`` is the degenerate no-crossfit diagnostic mode (all units
-    in fold 0).
+    Fewer than two folds would leave no unit to hold out.
     """
-    if n_folds < 1:
-        raise ConfigError("n_folds must be >= 1")
+    if n_folds < 2:
+        raise ConfigError("n_folds must be >= 2")
     if n_folds > panel.n_units:
         raise TooManyFoldsError(
             f"{n_folds} folds requested for {panel.n_units} units")
@@ -123,9 +122,8 @@ def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndar
     """Out-of-fold predictions of one learner for one per-observation target.
 
     For each fold k the learner is trained on all observations of units
-    outside fold k and evaluated on fold k's observations. With one fold it
-    is trained and evaluated on the full sample, which is a diagnostic mode
-    only. A learner failure is re-raised with its fold number.
+    outside fold k and evaluated on fold k's observations. A learner
+    failure is re-raised with its fold number.
 
     ``sample_weight`` gives each observation a weight in the standardization
     (:func:`nuisance_features`) and in every fit (:func:`learners.fit`);
@@ -138,7 +136,7 @@ def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndar
     predictions = np.empty(panel.n_obs)
     for k in range(folds.n_folds):
         test = fold_of_obs == k
-        train = ~test if folds.n_folds > 1 else np.ones(panel.n_obs, dtype=bool)
+        train = ~test
         try:
             model = learners.fit(spec, features[train], target[train],
                                  None if w is None else w[train])
@@ -185,7 +183,7 @@ def _cohort_propensities(panel: PanelDataset, spec: LearnerSpec, folds: FoldAssi
         fitted = np.zeros(units.size, dtype=bool)
         for k in range(folds.n_folds):
             test = fold == k
-            train = ~test if folds.n_folds > 1 else np.ones(units.size, dtype=bool)
+            train = ~test
             if not (test.any() and train.any()):
                 continue
             X_train = X[train]

@@ -7,9 +7,9 @@ never-treated units as the comparison pool, or not-yet-treated units:
 those adopting after max(t, g) + anticipation, so that no control is
 already anticipating its own treatment (Callaway and Sant'Anna 2021).
 Cohorts come from ``panel.cohort_times``; no treatment residual is read.
-A raw two-way fixed-effects regression, with its effects absorbed by
-alternating projections, is included purely as the diagnostic comparator
-whose staggered-adoption bias the pipeline is designed to avoid.
+A raw two-way fixed-effects regression, with its effects absorbed in
+closed form (Frisch-Waugh-Lovell), is included purely as the diagnostic
+comparator whose staggered-adoption bias the pipeline is designed to avoid.
 
 :func:`group_time_cells` is the one cell routine. It takes an (R, units)
 matrix of unit multiplicities: the point estimate is one row of ones, and
@@ -32,11 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateDesignError, EmptyResultError, NonConvergenceError
+from .errors import DegenerateDesignError, EmptyResultError
 from .panel import CONTROL_RULES, PanelDataset, control_pool, pivot_unit_time
-
-DEMEAN_TOL = 1e-10
-DEMEAN_MAX_SWEEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -154,45 +151,6 @@ def estimate_group_time(panel: PanelDataset, y_tilde: np.ndarray,
     return GroupTimeEffects(tuple(keys), *columns, omitted=omitted)
 
 
-# -- alternating-projection demeaning -------------------------------------------
-
-
-def demean_two_way(values: np.ndarray, codes_a: np.ndarray, n_a: int,
-                   codes_b: np.ndarray, n_b: int, tol: float = DEMEAN_TOL,
-                   max_sweeps: int = DEMEAN_MAX_SWEEPS):
-    """Remove group means along two factors by alternating projections.
-
-    Columns of ``values`` are processed simultaneously. Iterates until the
-    largest group-mean adjustment in a sweep falls below ``tol``; raises
-    :class:`NonConvergenceError` after ``max_sweeps``.
-
-    Returns ``(demeaned, sweeps_used, final_adjustment)``.
-    """
-    M = np.array(values, dtype=np.float64)
-    squeeze = M.ndim == 1
-    if squeeze:
-        M = M[:, None]
-    counts_a = np.bincount(codes_a, minlength=n_a).astype(np.float64)
-    counts_b = np.bincount(codes_b, minlength=n_b).astype(np.float64)
-    counts_a[counts_a == 0] = 1.0
-    counts_b[counts_b == 0] = 1.0
-    last = math.inf
-    for sweep in range(1, max_sweeps + 1):
-        last = 0.0
-        for codes, counts, size in ((codes_a, counts_a, n_a), (codes_b, counts_b, n_b)):
-            sums = np.zeros((size, M.shape[1]))
-            np.add.at(sums, codes, M)
-            means = sums / counts[:, None]
-            M -= means[codes]
-            adj = float(np.abs(means).max()) if means.size else 0.0
-            if adj > last:
-                last = adj
-        if last < tol:
-            return (M[:, 0] if squeeze else M), sweep, last
-    raise NonConvergenceError(
-        f"two-way demeaning still adjusting by {last:.3e} after {max_sweeps} sweeps")
-
-
 @dataclass(frozen=True)
 class TwfeResult:
     tau: float
@@ -206,12 +164,19 @@ def twfe_baseline(panel: PanelDataset) -> TwfeResult:
     small-sample correction. Under staggered adoption with heterogeneous
     dynamic effects this estimator is biased; it exists as the comparator
     the validation suite contrasts against the cross-fitted pipeline.
+
+    Y and D are demeaned within units, then regressed on the within-unit
+    demeaned period dummies (the first period omitted); by
+    Frisch-Waugh-Lovell the residuals are those on unit and period dummies,
+    exactly and also on an unbalanced panel.
     """
-    stacked = np.column_stack([panel.outcomes, panel.treatments])
-    demeaned, _, _ = demean_two_way(
-        stacked, panel.unit_codes, panel.n_units, panel.time_codes, panel.n_periods)
-    yd = demeaned[:, 0]
-    dd = demeaned[:, 1]
+    stacked = np.column_stack([panel.outcomes, panel.treatments,
+                               np.eye(panel.n_periods)[panel.time_codes, 1:]])
+    starts = panel.unit_starts
+    unit_means = np.add.reduceat(stacked, starts[:-1]) / np.diff(starts)[:, None]
+    within = stacked - unit_means[panel.unit_codes]
+    yd_dd, periods = within[:, :2], within[:, 2:]
+    yd, dd = (yd_dd - periods @ np.linalg.lstsq(periods, yd_dd, rcond=None)[0]).T
     ssd = float(dd @ dd)
     n = panel.n_obs
     if ssd <= 1e-12 * max(1, n):

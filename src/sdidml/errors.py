@@ -169,10 +169,6 @@ class EmptyResultError(EstimationError):
     """No (g, t) cell was estimable."""
 
 
-class NonConvergenceError(EstimationError):
-    """Alternating-projection demeaning did not reach tolerance."""
-
-
 class DegenerateDesignError(EstimationError):
     """Fixed effects absorb all regressor variation."""
 

@@ -4,11 +4,11 @@ A :class:`PanelDataset` is a set of aligned numpy columns with one entry
 per (unit, time) observation, in canonical (unit, time) order: unit and
 period codes into the sorted ``units`` and ``periods``, the outcome Y, the
 binary absorbing treatment D and a fixed-width covariate matrix X. Adoption
-cohorts g(i) = min{t : D_it = 1} are derived per unit. Records
-(:func:`build_panel`) go through a per-cell column parser. A CSV file
-(:func:`read_panel_csv`) is parsed by one ``np.loadtxt`` call and checked
-in arrays; a text that parse declines goes through the csv module and the
-same per-cell parser, which accepts the same inputs and raises the errors.
+cohorts g(i) = min{t : D_it = 1} are derived per unit. Columns go to the
+constructor, and a CSV file (:func:`read_panel_csv`) is parsed by one
+``np.loadtxt`` call and checked in arrays; a text that parse declines goes
+through the csv module and a per-cell column parser, which accepts the
+same inputs and raises the errors that name the bad cell.
 Panels are sliced by row index (:func:`unit_rows`, :func:`subset_units`),
 never rebuilt row by row.
 """
@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -60,7 +60,8 @@ class PanelDataset:
     unit_starts : ndarray of intp, length n_units + 1
         Row offsets: unit k owns rows ``unit_starts[k]:unit_starts[k + 1]``.
 
-    All arrays are read-only; :func:`to_records` gives the rows.
+    All arrays are read-only. Panels compare equal when their columns do,
+    and are not hashable.
     """
 
     __slots__ = (
@@ -140,9 +141,6 @@ class PanelDataset:
                 and all(np.array_equal(getattr(self, name), getattr(other, name))
                         for name in ("unit_codes", "time_codes", "outcomes",
                                      "treatments", "covariates")))
-
-    def __hash__(self):  # identity hash; datasets are mutable-free but large
-        return id(self)
 
     def __repr__(self) -> str:
         n_never = int(np.isinf(self.cohort_times).sum())
@@ -276,35 +274,6 @@ def _panel_from_columns(columns: Mapping[str, Sequence],
                         covariate_names)
 
 
-def build_panel(records: Iterable[Mapping],
-                covariate_names: Optional[Sequence[str]] = None) -> PanelDataset:
-    """Validate raw rows and assemble a :class:`PanelDataset`.
-
-    Parameters
-    ----------
-    records : iterable of mappings
-        Each row must supply ``unit``, ``time``, ``outcome``, ``treatment``
-        and one value per covariate column.
-    covariate_names : sequence of str, optional
-        Covariate column names. Defaults to all non-required keys of the
-        first row, in insertion order.
-
-    Raises
-    ------
-    MissingFieldError, FieldTypeError, NonFiniteValueError,
-    DuplicateIndexError, NonAbsorbingTreatmentError, EmptyControlPoolError
-    """
-    records = list(records)
-    if not records:
-        raise MissingFieldError("no input rows")
-    if covariate_names is None:
-        covariate_names = [k for k in records[0].keys() if k not in REQUIRED_COLUMNS]
-    covariate_names = list(covariate_names)
-    columns = {name: [rec.get(name) for rec in records]
-               for name in (*REQUIRED_COLUMNS, *covariate_names)}
-    return _panel_from_columns(columns, covariate_names)
-
-
 def _rows(panel: PanelDataset):
     """Rows ``[unit, time, outcome, treatment, *covariates]`` of Python scalars."""
     units = [panel.units[c] for c in panel.unit_codes.tolist()]
@@ -312,12 +281,6 @@ def _rows(panel: PanelDataset):
     return [[u, t, y, d, *x] for u, t, y, d, x in zip(
         units, times, panel.outcomes.tolist(),
         panel.treatments.astype(int).tolist(), panel.covariates.tolist())]
-
-
-def to_records(panel: PanelDataset) -> list[dict]:
-    """Serialize back to raw rows (inverse of :func:`build_panel`)."""
-    header = (*REQUIRED_COLUMNS, *panel.covariate_names)
-    return [dict(zip(header, row)) for row in _rows(panel)]
 
 
 def feature_matrix(panel: PanelDataset, standardize: bool = True,

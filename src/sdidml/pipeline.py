@@ -62,8 +62,8 @@ class PipelineConfig:
         if self.g_learner.kind == "logistic":
             raise ConfigError("logistic is a treatment-model learner; "
                               "the outcome nuisance needs a regression learner")
-        if self.n_folds < 1:
-            raise ConfigError("K (n_folds) must be >= 1")
+        if self.n_folds < 2:
+            raise ConfigError("K (n_folds) must be >= 2: cross-fitting holds out a fold")
         if not 0 <= self.clip_eps < 0.5:
             raise ConfigError("clip_eps must lie in [0, 0.5)")
         if self.control_rule not in CONTROL_RULES:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from panels import panel_of
 from sdidml import aggregate as aggregate_module
 from sdidml.aggregate import (
     BootstrapInference,
@@ -32,7 +33,6 @@ from sdidml.errors import (
     NoPreCellsError,
 )
 from sdidml.learners import LearnerSpec
-from sdidml.panel import build_panel
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import EffectSpec, generate, scenario
 
@@ -142,12 +142,13 @@ class TestBootstrap:
             assert a.event[e].ci_low == b.event[e].ci_low
 
     def test_zero_noise_dgp_has_zero_se(self):
+        # A mean outcome model is constant within a fold, and a unit's rows
+        # share its fold, so g_hat cancels in every double difference.
         cfg = replace(scenario("S1"), n_units=60, noise_sd=0.0,
                       effect=EffectSpec.homogeneous(1.5), seed=31)
         panel = generate(cfg).panel
-        pipe = PipelineConfig(g_learner=LearnerSpec.ridge(1e-8),
-                              m_learner=LearnerSpec.ridge(1e-8),
-                              n_folds=1, clip_eps=0.0, bootstrap_reps=19, seed=2)
+        pipe = PipelineConfig(g_learner=LearnerSpec.mean(), m_learner=LearnerSpec.mean(),
+                              n_folds=2, clip_eps=0.0, bootstrap_reps=19, seed=2)
         for mode in ("fixed_nuisance", "full"):
             inf = bootstrap(pipe, panel, mode, outcome_residuals(panel, pipe))
             assert inf.overall.se < 1e-10
@@ -186,15 +187,8 @@ class TestBootstrap:
 
     def test_failure_share_aborts(self):
         # one never-treated unit among 8: ~1/3 of resamples miss all controls
-        recs = []
-        for i in range(8):
-            g = None if i == 0 else 3
-            for t in (1, 2, 3, 4):
-                recs.append({"unit": f"u{i}", "time": t,
-                             "outcome": float(i + t),
-                             "treatment": 1 if (g and t >= g) else 0,
-                             "x0": float(i)})
-        panel = build_panel(recs)
+        panel = panel_of([(f"u{i}", t, i + t, int(i > 0 and t >= 3), i)
+                          for i in range(8) for t in (1, 2, 3, 4)])
         with pytest.raises(BootstrapFailureError):
             self.fixed(panel, B=60, seed=1)
 

@@ -101,6 +101,8 @@ def test_diagnose_rejects_the_per_row_overlap_block(tmp_path, capsys):
 
 @pytest.mark.parametrize("config", [
     {"K": "five"},
+    {"K": 1},
+    {"allow_no_crossfit": True},
     {"bootstrap": {"B": "many"}},
     {"seed": "x"},
     {"seed": 2.7},
@@ -127,9 +129,9 @@ def test_diagnose_rejects_the_per_row_overlap_block(tmp_path, capsys):
     {"g_learner": {"kind": "ridge", "lambda": math.nan}},
     {"clip_eps": math.inf},
     {"m_learner": {"kind": "logistic", "tol": -math.inf}},
-], ids=["K_string", "B_string", "seed_string", "seed_float", "anticipation_null",
-        "allow_no_crossfit_string", "aggregation_string", "aggregation_list",
-        "threads_bool", "threads_int", "estimator", "dotted_key", "learner_n_trees_float",
+], ids=["K_string", "K_one", "allow_no_crossfit", "B_string", "seed_string", "seed_float",
+        "anticipation_null", "allow_no_crossfit_string", "aggregation_string",
+        "aggregation_list", "threads_bool", "threads_int", "estimator", "dotted_key", "learner_n_trees_float",
         "learner_lambda_bool", "learner_max_depth_float", "learner_long_gbt_name",
         "learner_tol_bool", "placebo_shift_zero", "placebo_shift_negative", "B_one",
         "ridge_n_trees", "mean_lambda", "logistic_min_leaf", "ci_level_overflow",
@@ -180,6 +182,29 @@ def test_dgp_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     error = last_error(capsys)
     assert (error["code"], error["type"]) == (2, "InvalidConfigError")
     assert not out.exists()
+
+
+def test_run_has_no_no_crossfit_flag(tmp_path, capsys):
+    # cross-fitting always holds out a fold, so no flag lets K=1 run
+    assert cli.main(["run", "--allow-no-crossfit", "--input", str(tmp_path / "x.csv"),
+                     "--output", str(tmp_path / "run")]) == 2
+    assert "unrecognized arguments: --allow-no-crossfit" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_benchmark_csv_holds_the_rows_of_comparison_json(tmp_path):
+    out = tmp_path / "bench"
+    assert cli.main(["benchmark", "S1", "--reps", "2", "--bootstrap-reps", "0",
+                     "--out", str(out)]) == 0
+    methods = json.loads((out / "comparison.json").read_text())["methods"]
+    assert methods["sdidml"]["coverage"] is None  # no bootstrap, no interval
+    with open(out / "comparison.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["method", "bias", "rmse", "coverage"]
+    assert rows[1:] == [[m, repr(r["bias"]), repr(r["rmse"]),
+                         "" if r["coverage"] is None else repr(r["coverage"])]
+                        for m, r in methods.items()]
+    assert (out / "comparison.csv").read_bytes().endswith(b"\r\n")
 
 
 def test_unreadable_input_csv_exits_3(tmp_path, capsys):
@@ -256,7 +281,7 @@ def test_run_config_round_trips_every_key():
          "m_learner": {"kind": "logistic", "lambda": 0.5, "max_iter": 100, "tol": 1e-8},
          "K": 4, "clip_eps": 0.02, "control_rule": "not_yet_treated", "anticipation": 1,
          "bootstrap": {"B": 7, "mode": "fixed_nuisance"}, "ci_level": 0.9, "seed": 11,
-         "placebo_shift": 2, "allow_no_crossfit": True}
+         "placebo_shift": 2}
     cfg = cli.RunConfig.from_dict(d)
     assert cfg.to_dict() == d
     assert cli.RunConfig.from_dict(cfg.to_dict()) == cfg

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from panels import panel_of
 from sdidml.crossfit import (
     FoldAssignment,
     assign_folds,
@@ -15,31 +16,41 @@ from sdidml.errors import (
     TooManyFoldsError,
 )
 from sdidml.didcore import estimate_group_time
-from sdidml.learners import LearnerSpec
-from sdidml.panel import build_panel, to_records
+from sdidml.learners import LearnerSpec, fit, predict
+from sdidml.panel import PanelDataset
 from sdidml.pipeline import PipelineConfig, estimate_effects
 
 
 def toy_panel(n_units=10, n_periods=2, treated_units=(), treat_from=2, seed=0):
     """Small panel with deterministic outcomes and optional treated units."""
     rng = np.random.default_rng(seed)
-    recs = []
+    rows = []
     for i in range(n_units):
-        unit = f"u{i}"
         for t in range(1, n_periods + 1):
             d = 1 if (i in treated_units and t >= treat_from) else 0
-            recs.append({"unit": unit, "time": t,
-                         "outcome": float(i + 10 * t + 0.1 * rng.standard_normal()),
-                         "treatment": d, "x0": float(rng.standard_normal()),
-                         "x1": float(rng.standard_normal())})
-    return build_panel(recs)
+            rows.append((f"u{i}", t, i + 10 * t + 0.1 * rng.standard_normal(), d,
+                         rng.standard_normal(), rng.standard_normal()))
+    return panel_of(rows)
+
+
+def with_columns(panel, **columns):
+    """``panel`` rebuilt with some of its outcomes, treatments or covariates replaced."""
+    get = {"outcomes": panel.outcomes, "treatments": panel.treatments,
+           "covariates": panel.covariates, **columns}
+    return PanelDataset(np.asarray(panel.units)[panel.unit_codes],
+                        np.asarray(panel.periods)[panel.time_codes], get["outcomes"],
+                        get["treatments"], get["covariates"], panel.covariate_names)
 
 
 class TestAssignFolds:
-    def test_single_fold_diagnostic_mode(self):
+    def test_fewer_than_two_folds_rejected(self):
+        # one fold would train and predict on the same units
         panel = toy_panel(treated_units=(0,))
-        folds = assign_folds(panel, 1, seed=0)
-        assert set(folds.fold.tolist()) == {0}
+        for n_folds in (1, 0, -1):
+            with pytest.raises(ConfigError):
+                assign_folds(panel, n_folds, seed=0)
+            with pytest.raises(ConfigError):
+                PipelineConfig(n_folds=n_folds)
 
     def test_balanced_split(self):
         panel = toy_panel(treated_units=(0, 1))
@@ -61,7 +72,7 @@ class TestAssignFolds:
             assign_folds(panel, 11, seed=0)
 
     @pytest.mark.parametrize("n_units, n_folds, seed", [
-        (2, 1, 0), (7, 2, 3), (10, 3, 9), (12, 5, 1), (13, 13, 44)])
+        (2, 2, 0), (7, 2, 3), (10, 3, 9), (12, 5, 1), (13, 13, 44)])
     def test_code_array_deals_the_shuffled_units_round_robin(self, n_units, n_folds, seed):
         # The assignment made as a {unit id: fold} map: the unit at
         # position i of the shuffled order gets fold i mod K.
@@ -156,14 +167,13 @@ class TestCrossfitNuisance:
         fits = crossfit_nuisance(panel, spec, LearnerSpec.mean(), folds)
 
         # perturb one observation's outcome and refit with the same folds
-        records = to_records(panel)
-        victim = records[0]
-        perturbed = build_panel([dict(o, outcome=o["outcome"] + (100.0 if o is victim else 0.0))
-                                 for o in records])
-        fits2 = crossfit_nuisance(perturbed, spec, LearnerSpec.mean(), folds)
+        outcomes = panel.outcomes.copy()
+        outcomes[0] += 100.0
+        fits2 = crossfit_nuisance(with_columns(panel, outcomes=outcomes), spec,
+                                  LearnerSpec.mean(), folds)
 
         fold_of_obs = folds.fold[panel.unit_codes]
-        own = folds.fold[panel.units.index(victim["unit"])]
+        own = fold_of_obs[0]
         assert_array_equal(fits.g_hat[fold_of_obs == own],
                            fits2.g_hat[fold_of_obs == own])
         assert not np.array_equal(fits.g_hat[fold_of_obs != own],
@@ -175,96 +185,80 @@ class TestResidualize:
         # the pipeline's y_tilde is Y - g_hat, in observation order, read-only
         panel = toy_panel(n_units=2, treated_units=(0,), treat_from=2)
         config = PipelineConfig(g_learner=LearnerSpec.mean(), m_learner=LearnerSpec.mean(),
-                                n_folds=1, clip_eps=0.0)
+                                n_folds=2, clip_eps=0.0)
         art = estimate_effects(panel, config)
         assert_array_equal(art.y_tilde, panel.outcomes - art.fits.g_hat)
         assert not art.y_tilde.flags.writeable
 
     def test_perfect_fit_gives_zero_residual(self):
-        # Y exactly linear in covariates, K=1 OLS -> y_tilde ~ 0
-        recs = []
+        # Y exactly linear in covariates: an OLS fit on either fold predicts
+        # the other exactly, so y_tilde ~ 0
+        rows = []
         rng = np.random.default_rng(3)
         for i in range(8):
             for t in (1, 2):
                 x = rng.standard_normal()
-                recs.append({"unit": f"u{i}", "time": t, "outcome": 2.0 * x + 1.0,
-                             "treatment": 1 if (i == 0 and t == 2) else 0, "x0": x})
-        panel = build_panel(recs)
-        folds = assign_folds(panel, 1, seed=0)
+                rows.append((f"u{i}", t, 2.0 * x + 1.0, int(i == 0 and t == 2), x))
+        panel = panel_of(rows)
+        folds = assign_folds(panel, 2, seed=0)
         fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0), LearnerSpec.mean(),
                                  folds, clip_eps=0.0)
         assert np.max(np.abs(panel.outcomes - fits.g_hat)) < 1e-8
 
 
 class TestOrthogonality:
+    """In-sample fits of the learners the cross-fit calls, on the features it builds."""
+
     def make_two_period_panel(self, n=120, p=4, seed=13):
         """Half the units adopt at t=2 (cohort 2, base period 1)."""
         rng = np.random.default_rng(seed)
-        recs = []
+        rows = []
         for i in range(n):
             treated = rng.random() < 0.5
             for t in (1, 2):
                 x = rng.standard_normal(p)
                 d = int(treated and t == 2)
                 y = 1.0 + x @ np.linspace(1, 2, p) + 0.5 * t + 0.7 * d + rng.standard_normal()
-                rec = {"unit": f"u{i:04d}", "time": t, "outcome": float(y),
-                       "treatment": d}
-                rec.update({f"x{j}": float(x[j]) for j in range(p)})
-                recs.append(rec)
-        return build_panel(recs)
+                rows.append((f"u{i:04d}", t, y, d, *x))
+        return panel_of(rows)
 
-    def test_k1_ols_residuals_orthogonal_to_features(self):
+    def test_ols_residuals_orthogonal_to_features(self):
         panel = self.make_two_period_panel()
-        folds = assign_folds(panel, 1, seed=0)
-        fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0),
-                                 LearnerSpec.ridge(0.0), folds, clip_eps=0.0)
-        y_tilde = panel.outcomes - fits.g_hat
         F, _ = nuisance_features(panel)
+        ols = fit(LearnerSpec.ridge(0.0), F, panel.outcomes)
+        y_tilde = panel.outcomes - predict(ols, F)
         n = panel.n_obs
         assert abs(y_tilde.mean()) < 1e-8
         for j in range(F.shape[1]):
             assert abs(F[:, j] @ y_tilde) / n < 1e-8
-        # The cohort indicator's residual is orthogonal to the covariates at
-        # the base period, over the fit sample (every unit: the rest are
-        # never treated).
-        cohort, = fits.propensities
-        assert cohort.n_clipped == 0
-        assert_array_equal(cohort.units, np.arange(panel.n_units))
-        residual = (panel.cohort_times == 2.0) - cohort.propensity
+        # The cohort indicator's residual on the covariates at the base
+        # period is orthogonal to them, over every unit.
         X_base = panel.covariates[panel.time_codes == 0]
+        in_cohort = (panel.cohort_times == 2.0).astype(np.float64)
+        residual = in_cohort - predict(fit(LearnerSpec.ridge(0.0), X_base, in_cohort), X_base)
         assert abs(residual.mean()) < 1e-8
         for j in range(X_base.shape[1]):
             assert abs(X_base[:, j] @ residual) / panel.n_units < 1e-8
 
-    def test_k1_mean_learner_zero_mean_treatment_residual(self):
-        # 8 units x 2 periods, 2 units adopting at t=2: shares exactly representable
-        recs = []
-        for i in range(8):
-            for t in (1, 2):
-                d = 1 if (i < 2 and t >= 2) else 0
-                recs.append({"unit": f"u{i}", "time": t, "outcome": float(i),
-                             "treatment": d, "x0": float(t)})
-        panel = build_panel(recs)
-        folds = assign_folds(panel, 1, seed=0)
-        fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
-                                 folds, clip_eps=0.0)
-        cohort, = fits.propensities
-        assert_array_equal(cohort.propensity, 0.25)
-        assert ((panel.cohort_times[cohort.units] == 2.0) - cohort.propensity).mean() == 0.0
+    def test_mean_learner_zero_mean_treatment_residual(self):
+        # 8 units, 2 of them in cohort 2: the share is exactly representable
+        X = np.arange(8.0)[:, None]
+        in_cohort = (np.arange(8) < 2).astype(np.float64)
+        propensity = predict(fit(LearnerSpec.mean(), X, in_cohort), X)
+        assert_array_equal(propensity, 0.25)
+        assert (in_cohort - propensity).mean() == 0.0
 
 
 def cohort_panel(cohort_of, n_periods=6, p=3, seed=0):
     """One unit per entry of ``cohort_of`` (its adoption period, or None for
     never treated), with random outcomes and covariates."""
     rng = np.random.default_rng(seed)
-    recs = []
+    rows = []
     for i, g in enumerate(cohort_of):
         for t in range(1, n_periods + 1):
-            rec = {"unit": f"u{i:02d}", "time": t, "outcome": float(rng.standard_normal()),
-                   "treatment": int(g is not None and t >= g)}
-            rec.update({f"x{j}": float(rng.standard_normal()) for j in range(p)})
-            recs.append(rec)
-    return build_panel(recs)
+            rows.append((f"u{i:02d}", t, rng.standard_normal(), int(g is not None and t >= g),
+                         *rng.standard_normal(p)))
+    return panel_of(rows)
 
 
 def propensity_of_unit(fits, panel):
@@ -286,10 +280,10 @@ class TestCohortPropensity:
             crossfit_nuisance(panel, LearnerSpec.ridge(1.0), spec, folds), panel)
 
         victim = panel.units[0]
-        perturbed = build_panel([
-            dict(rec, treatment=int(rec["time"] >= 4),
-                 **{k: rec[k] + 5.0 for k in panel.covariate_names})
-            if rec["unit"] == victim else rec for rec in to_records(panel)])
+        own_rows = panel.unit_codes == 0
+        times = np.asarray(panel.periods)[panel.time_codes]
+        perturbed = with_columns(panel, treatments=np.where(own_rows, times >= 4, panel.treatments),
+                                 covariates=panel.covariates + 5.0 * own_rows[:, None])
         assert perturbed.cohort_times[0] == 4.0
         after = propensity_of_unit(
             crossfit_nuisance(perturbed, LearnerSpec.ridge(1.0), spec, folds), perturbed)

@@ -7,22 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from panels import panel_of
 from sdidml.aggregate import aggregate_schemes, subgroup_effects
-from sdidml.crossfit import assign_folds, crossfit_nuisance, nuisance_features
-from sdidml.didcore import (
-    CONTROL_RULES,
-    demean_two_way,
-    estimate_group_time,
-    twfe_baseline,
-)
-from sdidml.errors import (
-    DegenerateDesignError,
-    EmptyControlPoolError,
-    EmptyResultError,
-    NonConvergenceError,
-)
+from sdidml.crossfit import nuisance_features
+from sdidml.didcore import CONTROL_RULES, estimate_group_time, twfe_baseline
+from sdidml.errors import DegenerateDesignError, EmptyControlPoolError, EmptyResultError
 from sdidml.learners import LearnerSpec, fit, predict
-from sdidml.panel import PanelDataset, build_panel, subset_units, to_records, unit_rows
+from sdidml.panel import PanelDataset, subset_units, unit_rows
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import EffectSpec, generate, scenario
 
@@ -30,16 +21,9 @@ from sdidml.simulate import EffectSpec, generate, scenario
 def panel_from_layout(cohorts, periods, y_fn, p=1, x_fn=None):
     """cohorts: dict unit -> adoption period or None. y only matters when the
     test reads panel.outcomes; residual tests overwrite y_tilde anyway."""
-    recs = []
-    for unit, g in cohorts.items():
-        for t in periods:
-            d = 1 if (g is not None and t >= g) else 0
-            rec = {"unit": unit, "time": t, "outcome": float(y_fn(unit, t)),
-                   "treatment": d}
-            for j in range(p):
-                rec[f"x{j}"] = float(x_fn(unit, t, j)) if x_fn else 0.5
-            recs.append(rec)
-    return build_panel(recs)
+    return panel_of([(unit, t, float(y_fn(unit, t)), int(g is not None and t >= g),
+                      *(float(x_fn(unit, t, j)) if x_fn else 0.5 for j in range(p)))
+                     for unit, g in cohorts.items() for t in periods])
 
 
 def cell_table(effects):
@@ -53,8 +37,8 @@ class TestGroupTimeContrast:
         cohorts = {"t1": 3, "t2": 3, "c1": None, "c2": None}
         panel = panel_from_layout(cohorts, (1, 2, 3, 4), lambda u, t: 0.0)
         base_pattern = {1: 0.3, 2: -0.2, 3: 0.5, 4: 1.1}  # common to all units
-        y = np.array([base_pattern[o["time"]] + (1.0 if o["treatment"] else 0.0)
-                      for o in to_records(panel)])
+        y = np.array([base_pattern[t] for t in panel.periods])[panel.time_codes]
+        y += panel.treatments
         effects = estimate_group_time(panel, y)
         for (g, t), (tau, _, _) in cell_table(effects).items():
             expected = 1.0 if t >= g else 0.0
@@ -68,7 +52,8 @@ class TestGroupTimeContrast:
         panel = panel_from_layout(cohorts, (1, 2), lambda u, t: 0.0)
         values = {("t1", 1): 0.3, ("t1", 2): 1.7, ("t2", 1): -0.1, ("t2", 2): 2.1,
                   ("c1", 1): 0.2, ("c1", 2): 0.5, ("c2", 1): 0.0, ("c2", 2): 0.1}
-        y = np.array([values[(o["unit"], o["time"])] for o in to_records(panel)])
+        y = np.array([values[(panel.units[u], panel.periods[t])]
+                      for u, t in zip(panel.unit_codes, panel.time_codes)])
         cells = cell_table(estimate_group_time(panel, y))
         assert set(cells) == {(2, 2)}
         tau, n_treated, n_control = cells[(2, 2)]
@@ -111,7 +96,7 @@ class TestGroupTimeContrast:
         cohorts = {"a": 3, "b": 3, "c": None, "d": None}
         panel = panel_from_layout(cohorts, (1, 2, 3, 4), lambda u, t: 0.0)
         treated = np.isfinite(panel.cohort_times)[panel.unit_codes]
-        y = np.array([float(o["time"] >= 2) for o in to_records(panel)]) * treated
+        y = (np.asarray(panel.periods)[panel.time_codes] >= 2) * treated.astype(float)
         # anticipation=1: base period is g-2=1, so the "effect" visible from t=2 on
         cells = cell_table(estimate_group_time(panel, y, anticipation=1))
         assert_allclose(cells[(3, 3)][0], 1.0, atol=1e-12)
@@ -152,50 +137,79 @@ class TestGroupTimeContrast:
         assert abs(atts.mean()) < 3 * mc_se + 1e-12
 
 
-class TestDemeaning:
-    def test_two_way_means_removed(self):
-        rng = np.random.default_rng(4)
-        codes_a = rng.integers(0, 7, 200)
-        codes_b = rng.integers(0, 5, 200)
-        v = rng.standard_normal(200) + 3 * codes_a - 2 * codes_b
-        out, sweeps, final = demean_two_way(v, codes_a, 7, codes_b, 5)
-        for g in range(7):
-            assert abs(out[codes_a == g].mean()) < 1e-9
-        for g in range(5):
-            assert abs(out[codes_b == g].mean()) < 1e-9
-        assert final < 1e-10
+@st.composite
+def labelled_panels(draw):
+    """Unbalanced panels with a random label per unit; some labels lack controls."""
+    n_units = draw(st.integers(3, 12))
+    periods = list(range(1, draw(st.integers(2, 5)) + 1))
+    adoption = draw(st.lists(st.sampled_from([math.inf, math.inf, *periods]),
+                             min_size=n_units, max_size=n_units))
+    observed = st.sampled_from([True, True, True, False])
+    rows = [(i, t) for i in range(n_units) for t in periods if draw(observed)]
+    assume(rows)
+    units = [f"u{i}" for i, _ in rows]
+    times = [t for _, t in rows]
+    treated = [float(t >= adoption[i]) for i, t in rows]
+    y = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
+                      min_size=len(rows), max_size=len(rows)))
+    try:
+        panel = PanelDataset(units, times, y, treated, np.zeros((len(rows), 0)), ())
+    except EmptyControlPoolError:
+        assume(False)
+    labels = {u: draw(st.sampled_from("ab")) for u in panel.units}
+    return panel, labels
 
-    def test_non_convergence_raises(self):
-        rng = np.random.default_rng(4)
-        codes_a = rng.integers(0, 7, 100)
-        codes_b = rng.integers(0, 5, 100)
-        v = rng.standard_normal(100) + codes_a.astype(float)
-        with pytest.raises(NonConvergenceError):
-            demean_two_way(v, codes_a, 7, codes_b, 5, max_sweeps=1)
+
+def dense_twfe(panel):
+    """tau and SE of OLS of Y on D plus explicit unit and period dummies, or
+    None when the dummies span D."""
+    dummies = np.hstack([np.eye(panel.n_units)[panel.unit_codes],
+                         np.eye(panel.n_periods)[panel.time_codes, 1:]])
+    design = np.column_stack([panel.treatments, dummies])
+    if np.linalg.matrix_rank(design) == np.linalg.matrix_rank(dummies):
+        return None
+    beta = np.linalg.lstsq(design, panel.outcomes, rcond=None)[0]
+    e = panel.outcomes - design @ beta
+    dd = panel.treatments - dummies @ np.linalg.lstsq(dummies, panel.treatments,
+                                                      rcond=None)[0]
+    scores = np.bincount(panel.unit_codes, weights=dd * e, minlength=panel.n_units)
+    n, g, k = panel.n_obs, panel.n_units, panel.n_units + panel.n_periods
+    correction = g / (g - 1) * (n - 1) / (n - k) if g > 1 and n > k else 1.0
+    return beta[0], math.sqrt(correction * (scores @ scores)) / (dd @ dd)
 
 
 class TestTwfe:
     def test_recovers_homogeneous_effect(self):
         rng = np.random.default_rng(10)
-        recs = []
+        rows = []
         for i in range(60):
             a_i = rng.standard_normal()
             g = 3 if i < 30 else None
             for t in (1, 2, 3, 4):
                 d = 1 if (g is not None and t >= g) else 0
                 y = a_i + 0.5 * t + 2.0 * d + 0.1 * rng.standard_normal()
-                recs.append({"unit": f"u{i:02d}", "time": t, "outcome": float(y),
-                             "treatment": d, "x0": 0.0})
-        panel = build_panel(recs)
-        result = twfe_baseline(panel)
+                rows.append((f"u{i:02d}", t, y, d, 0.0))
+        result = twfe_baseline(panel_of(rows))
         assert abs(result.tau - 2.0) < 0.1
         assert result.se > 0
 
     def test_single_unit_is_degenerate(self):
-        panel = build_panel([{"unit": "a", "time": t, "outcome": float(t),
-                              "treatment": 0, "x0": 0.0} for t in (1, 2, 3)])
+        panel = panel_of([("a", t, float(t), 0, 0.0) for t in (1, 2, 3)])
         with pytest.raises(DegenerateDesignError):
             twfe_baseline(panel)
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_panels())
+    def test_matches_dense_dummy_regression_on_unbalanced_panels(self, case):
+        panel, _ = case
+        expected = dense_twfe(panel)
+        if expected is None:
+            with pytest.raises(DegenerateDesignError):
+                twfe_baseline(panel)
+            return
+        result = twfe_baseline(panel)
+        assert abs(result.tau - expected[0]) <= 1e-10
+        assert abs(result.se - expected[1]) <= 1e-10 * max(1.0, expected[1])
 
 
 class TestResidualSlopeFwl:
@@ -205,19 +219,11 @@ class TestResidualSlopeFwl:
         X = rng.standard_normal((n, p))
         d = (rng.random(n) < 0.5).astype(float)
         y = 1.0 + X @ np.linspace(0.5, 1.5, p) + 0.8 * d + rng.standard_normal(n)
-        recs = []
-        for i in range(n):
-            rec = {"unit": f"u{i:04d}", "time": 1, "outcome": float(y[i]),
-                   "treatment": int(d[i])}
-            rec.update({f"x{j:02d}": float(X[i, j]) for j in range(p)})
-            recs.append(rec)
-        panel = build_panel(recs)
-        folds = assign_folds(panel, 1, seed=0)
-        fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0),
-                                 LearnerSpec.ridge(0.0), folds, clip_eps=0.0)
-        y_tilde = panel.outcomes - fits.g_hat
-        # D's residual on the same features, by the same OLS fit
+        panel = panel_of([(f"u{i:04d}", 1, y[i], d[i], *X[i]) for i in range(n)])
+        # Y's and D's residuals on the same features, by the same OLS fit
         features, _ = nuisance_features(panel)
+        y_tilde = panel.outcomes - predict(fit(LearnerSpec.ridge(0.0), features,
+                                               panel.outcomes), features)
         ols = fit(LearnerSpec.ridge(0.0), features, panel.treatments)
         d_tilde = panel.treatments - predict(ols, features)
         dc = d_tilde - d_tilde.mean()
@@ -268,43 +274,14 @@ def assert_label_rows_match_reference(panel, y_tilde, labels, control_rule,
         assert_summaries_close(results, reference[label], atol)
 
 
-@st.composite
-def labelled_panels(draw):
-    """Unbalanced panels with a random label per unit; some labels lack controls."""
-    n_units = draw(st.integers(3, 12))
-    periods = list(range(1, draw(st.integers(2, 5)) + 1))
-    adoption = draw(st.lists(st.sampled_from([math.inf, math.inf, *periods]),
-                             min_size=n_units, max_size=n_units))
-    observed = st.sampled_from([True, True, True, False])
-    rows = [(i, t) for i in range(n_units) for t in periods if draw(observed)]
-    assume(rows)
-    units = [f"u{i}" for i, _ in rows]
-    times = [t for _, t in rows]
-    treated = [float(t >= adoption[i]) for i, t in rows]
-    y = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False),
-                      min_size=len(rows), max_size=len(rows)))
-    try:
-        panel = PanelDataset(units, times, y, treated, np.zeros((len(rows), 0)), ())
-    except EmptyControlPoolError:
-        assume(False)
-    labels = {u: draw(st.sampled_from("ab")) for u in panel.units}
-    return panel, labels
-
-
 class TestSubgroups:
     def test_identical_halves_give_identical_effects(self):
         cohorts_half = {"t1": 2, "t2": 2, "c1": None, "c2": None}
         rng = np.random.default_rng(14)
         vals = {(u, t): rng.standard_normal() for u in cohorts_half for t in (1, 2, 3)}
-        recs = []
-        for label in ("A", "B"):
-            for u, g in cohorts_half.items():
-                for t in (1, 2, 3):
-                    recs.append({"unit": f"{label}.{u}", "time": t,
-                                 "outcome": vals[(u, t)],
-                                 "treatment": 1 if (g and t >= g) else 0,
-                                 "x0": 0.0})
-        panel = build_panel(recs)
+        panel = panel_of([(f"{label}.{u}", t, vals[(u, t)], int(bool(g) and t >= g), 0.0)
+                          for label in ("A", "B") for u, g in cohorts_half.items()
+                          for t in (1, 2, 3)])
         labels = {u: u.split(".")[0] for u in panel.units}
         result = subgroup_effects(panel, panel.outcomes, labels)
         assert not result.failures

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from panels import panel_of
 from sdidml import aggregate
 from sdidml import panel as panel_module
 from sdidml.aggregate import bootstrap
 from sdidml.didcore import CONTROL_RULES, group_time_cells
-from sdidml.panel import PanelDataset, build_panel, pivot_unit_time
+from sdidml.panel import PanelDataset, pivot_unit_time
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import generate, scenario
 
@@ -202,15 +203,13 @@ def small_null_panel(n_units=60, seed=11):
 def two_control_panel():
     """Eight units, two never treated: about 10% of resamples draw no control."""
     rng = np.random.default_rng(17)
-    recs = []
+    rows = []
     for i in range(8):
         g = None if i < 2 else (3 if i < 5 else 4)
         for t in (1, 2, 3, 4, 5):
-            recs.append({"unit": f"u{i}", "time": t,
-                         "outcome": float(rng.standard_normal() + (g is not None and t >= g)),
-                         "treatment": int(g is not None and t >= g),
-                         "x0": float(rng.standard_normal())})
-    return build_panel(recs)
+            d = int(g is not None and t >= g)
+            rows.append((f"u{i}", t, rng.standard_normal() + d, d, rng.standard_normal()))
+    return panel_of(rows)
 
 
 @pytest.mark.parametrize("make_panel,control_rule,anticipation,expect_failures", [

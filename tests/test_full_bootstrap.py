@@ -17,12 +17,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from panels import panel_of
 from sdidml import aggregate, learners
 from sdidml.aggregate import BOOTSTRAP_MODES, bootstrap, placebo_test
 from sdidml.crossfit import FoldAssignment, assign_folds
 from sdidml.errors import DataError, EstimationError, LearnerError
 from sdidml.learners import LearnerSpec
-from sdidml.panel import PanelDataset, build_panel, unit_rows
+from sdidml.panel import PanelDataset, unit_rows
 from sdidml.pipeline import PipelineConfig, estimate_effects
 from sdidml.simulate import generate, scenario
 
@@ -39,15 +40,13 @@ def small_null_panel(n_units=60, seed=11):
 def two_control_panel():
     """Eight units, two never treated: about 10% of resamples draw no control."""
     rng = np.random.default_rng(17)
-    recs = []
+    rows = []
     for i in range(8):
         g = None if i < 2 else (3 if i < 5 else 4)
         for t in (1, 2, 3, 4, 5):
-            recs.append({"unit": f"u{i}", "time": t,
-                         "outcome": float(rng.standard_normal() + (g is not None and t >= g)),
-                         "treatment": int(g is not None and t >= g),
-                         "x0": float(rng.standard_normal())})
-    return build_panel(recs)
+            d = int(g is not None and t >= g)
+            rows.append((f"u{i}", t, rng.standard_normal() + d, d, rng.standard_normal()))
+    return panel_of(rows)
 
 
 def fresh_id_panel(panel, idx):

@@ -11,33 +11,31 @@ from sdidml.errors import (
     NonAbsorbingTreatmentError,
     NonFiniteValueError,
 )
+from panels import panel_of
 from sdidml.panel import (
     _panel_from_text,
-    build_panel,
     feature_matrix,
     read_panel_csv,
-    to_records,
     write_panel_csv,
 )
 from sdidml.simulate import generate, scenario
 
 
-def rows(*tuples, p=1):
-    """(unit, time, outcome, treatment, x0, x1, ...) tuples -> record dicts."""
-    out = []
-    for tup in tuples:
-        unit, time, y, d, *covs = tup
-        rec = {"unit": unit, "time": time, "outcome": y, "treatment": d}
-        rec.update({f"x{j}": covs[j] if j < len(covs) else 0.0 for j in range(p)})
-        out.append(rec)
-    return out
-
-
 def two_unit_panel():
-    return build_panel(rows(
+    return panel_of([
         ("A", 1, 1.0, 0, 0.1), ("A", 2, 2.0, 1, 0.2), ("A", 3, 3.0, 1, 0.3),
         ("B", 1, 0.5, 0, -0.1), ("B", 2, 0.6, 0, -0.2), ("B", 3, 0.7, 0, -0.3),
-    ))
+    ])
+
+
+def read_text(tmp_path, text):
+    """``read_panel_csv`` of a file holding ``text``."""
+    path = tmp_path / "panel.csv"
+    path.write_text(text, encoding="utf-8")
+    return read_panel_csv(path)
+
+
+HEADER = "unit,time,outcome,treatment,x0\n"
 
 
 class TestBuildPanel:
@@ -47,67 +45,68 @@ class TestBuildPanel:
         assert panel.units == ("A", "B")
         assert panel.periods == (1, 2, 3)
 
-    def test_non_absorbing_treatment_rejected(self):
+    def test_non_absorbing_treatment_rejected(self, tmp_path):
         with pytest.raises(NonAbsorbingTreatmentError):
-            build_panel(rows(("A", 1, 0.0, 0, 0.0), ("A", 2, 0.0, 1, 0.0),
-                             ("A", 3, 0.0, 0, 0.0), ("B", 1, 0.0, 0, 0.0)))
+            read_text(tmp_path, HEADER + "A,1,0.0,0,0.0\nA,2,0.0,1,0.0\n"
+                                         "A,3,0.0,0,0.0\nB,1,0.0,0,0.0\n")
 
-    def test_everyone_treated_at_once_has_no_controls(self):
+    def test_everyone_treated_at_once_has_no_controls(self, tmp_path):
         with pytest.raises(EmptyControlPoolError):
-            build_panel(rows(("A", 1, 0.0, 1, 0.0), ("B", 1, 0.0, 1, 0.0)))
+            read_text(tmp_path, HEADER + "A,1,0.0,1,0.0\nB,1,0.0,1,0.0\n")
 
     def test_two_cohorts_without_never_treated_is_valid(self):
-        panel = build_panel(rows(
+        panel = panel_of([
             ("A", 1, 0.0, 0, 0.0), ("A", 2, 0.0, 1, 0.0), ("A", 3, 0.0, 1, 0.0),
-            ("B", 1, 0.0, 0, 0.0), ("B", 2, 0.0, 0, 0.0), ("B", 3, 0.0, 1, 0.0)))
+            ("B", 1, 0.0, 0, 0.0), ("B", 2, 0.0, 0, 0.0), ("B", 3, 0.0, 1, 0.0)])
         assert_array_equal(panel.cohort_times, [2.0, 3.0])
 
-    def test_duplicate_index(self):
+    def test_duplicate_index(self, tmp_path):
         with pytest.raises(DuplicateIndexError):
-            build_panel(rows(("A", 1, 0.0, 0, 0.0), ("A", 1, 1.0, 0, 0.0),
-                             ("B", 1, 0.0, 0, 0.0)))
+            read_text(tmp_path, HEADER + "A,1,0.0,0,0.0\nA,1,1.0,0,0.0\nB,1,0.0,0,0.0\n")
 
-    def test_missing_field(self):
-        recs = rows(("A", 1, 0.0, 0, 0.0), ("B", 1, 0.0, 0, 0.0))
-        del recs[1]["outcome"]
+    def test_missing_field(self, tmp_path):
         with pytest.raises(MissingFieldError, match="outcome"):
-            build_panel(recs)
+            read_text(tmp_path, HEADER + "A,1,0.0,0,0.0\nB,1,,0,0.0\n")
 
-    def test_non_finite_outcome(self):
+    def test_non_finite_outcome(self, tmp_path):
         with pytest.raises(NonFiniteValueError):
-            build_panel(rows(("A", 1, float("nan"), 0, 0.0), ("B", 1, 0.0, 0, 0.0)))
+            read_text(tmp_path, HEADER + "A,1,nan,0,0.0\nB,1,0.0,0,0.0\n")
 
-    def test_non_finite_covariate(self):
+    def test_non_finite_covariate(self, tmp_path):
         with pytest.raises(NonFiniteValueError):
-            build_panel(rows(("A", 1, 0.0, 0, float("inf")), ("B", 1, 0.0, 0, 0.0)))
+            read_text(tmp_path, HEADER + "A,1,0.0,0,inf\nB,1,0.0,0,0.0\n")
 
-    def test_non_binary_treatment(self):
+    def test_non_binary_treatment(self, tmp_path):
         with pytest.raises(FieldTypeError):
-            build_panel(rows(("A", 1, 0.0, 0.5, 0.0), ("B", 1, 0.0, 0, 0.0)))
+            read_text(tmp_path, HEADER + "A,1,0.0,0.5,0.0\nB,1,0.0,0,0.0\n")
 
     def test_unbalanced_panel_accepted(self):
-        panel = build_panel(rows(
+        panel = panel_of([
             ("A", 1, 0.0, 0, 0.0), ("A", 3, 1.0, 1, 0.0),
-            ("B", 1, 0.0, 0, 0.0), ("B", 2, 0.0, 0, 0.0), ("B", 3, 0.0, 0, 0.0)))
+            ("B", 1, 0.0, 0, 0.0), ("B", 2, 0.0, 0, 0.0), ("B", 3, 0.0, 0, 0.0)])
         assert panel.n_obs == 5
         assert_array_equal(panel.cohort_times, [3.0, np.inf])
 
     def test_row_order_invariance(self):
-        recs = rows(
-            ("A", 1, 1.0, 0, 0.1), ("A", 2, 2.0, 1, 0.2), ("A", 3, 3.0, 1, 0.3),
-            ("B", 1, 0.5, 0, -0.1), ("B", 2, 0.6, 0, -0.2), ("B", 3, 0.7, 0, -0.3))
-        reference = build_panel(recs)
+        rows = [("A", 1, 1.0, 0, 0.1), ("A", 2, 2.0, 1, 0.2), ("A", 3, 3.0, 1, 0.3),
+                ("B", 1, 0.5, 0, -0.1), ("B", 2, 0.6, 0, -0.2), ("B", 3, 0.7, 0, -0.3)]
+        reference = panel_of(rows)
         rng = np.random.default_rng(5)
         for _ in range(5):
-            shuffled = [recs[i] for i in rng.permutation(len(recs))]
-            assert build_panel(shuffled) == reference
+            assert panel_of([rows[i] for i in rng.permutation(len(rows))]) == reference
+
+    def test_equal_panels_are_not_hashable(self):
+        # equality compares contents, so no hash can agree with it cheaply
+        assert two_unit_panel() == two_unit_panel()
+        with pytest.raises(TypeError):
+            hash(two_unit_panel())
 
 
 class TestFeatureMatrix:
     def test_standardized_column_hand_values(self):
         # population SD of (1, 2, 3) is sqrt(2/3)
-        panel = build_panel(rows(("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
-                                 ("B", 1, 0.0, 0, 3.0)))
+        panel = panel_of([("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
+                          ("B", 1, 0.0, 0, 3.0)])
         X, means, scales = feature_matrix(panel, standardize=True)
         assert_allclose(X[:, 0], [-1.224744871391589, 0.0, 1.224744871391589],
                         atol=1e-12)
@@ -115,15 +114,15 @@ class TestFeatureMatrix:
         assert_allclose(scales, [np.sqrt(2.0 / 3.0)])
 
     def test_constant_column_centered_with_unit_scale(self):
-        panel = build_panel(rows(("A", 1, 0.0, 0, 7.0), ("B", 1, 0.0, 0, 7.0)))
+        panel = panel_of([("A", 1, 0.0, 0, 7.0), ("B", 1, 0.0, 0, 7.0)])
         X, means, scales = feature_matrix(panel, standardize=True)
         assert_array_equal(X[:, 0], [0.0, 0.0])
         assert scales[0] == 1.0
 
     def test_weighted_standardization_hand_values(self):
         # weights (1, 3, 0) on (1, 2, 3): mean 7/4, population SD sqrt(3)/4
-        panel = build_panel(rows(("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
-                                 ("B", 1, 0.0, 0, 3.0)))
+        panel = panel_of([("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
+                          ("B", 1, 0.0, 0, 3.0)])
         X, means, scales = feature_matrix(panel, sample_weight=np.array([1.0, 3.0, 0.0]))
         assert_allclose(means, [1.75], rtol=1e-15)
         assert_allclose(scales, [np.sqrt(3.0) / 4.0], rtol=1e-15)
@@ -136,16 +135,12 @@ class TestFeatureMatrix:
 
 
 class TestSerialization:
-    def test_record_round_trip(self):
-        panel = two_unit_panel()
-        assert build_panel(to_records(panel)) == panel
-
     def test_csv_round_trip_lossless(self, tmp_path):
         # awkward doubles must survive the text round trip bit-for-bit
         vals = [0.1, 1 / 3, 1e-17, -2.5000000000000004, 123456789.123456789]
-        recs = rows(*[("A", t + 1, vals[t], 0, vals[-1 - t]) for t in range(5)],
-                    *[("B", t + 1, -vals[t], 1 if t >= 2 else 0, vals[t]) for t in range(5)])
-        panel = build_panel(recs)
+        panel = panel_of([*[("A", t + 1, vals[t], 0, vals[-1 - t]) for t in range(5)],
+                          *[("B", t + 1, -vals[t], 1 if t >= 2 else 0, vals[t])
+                            for t in range(5)]])
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
         assert read_panel_csv(path) == panel

@@ -1,7 +1,7 @@
 """Property tests: the columnar panel against plain-Python references.
 
-Panels built from records are checked against a row-by-row construction,
-and ``read_panel_csv`` against the csv-module reader it falls back to,
+Panels parsed from cell columns are checked against a row-by-row
+construction, and ``read_panel_csv`` against the csv-module reader it falls back to,
 kept here in its earlier form as the reference.
 """
 
@@ -27,10 +27,8 @@ from sdidml.errors import (
 from sdidml.panel import (
     REQUIRED_COLUMNS,
     _panel_from_columns,
-    build_panel,
     read_panel_csv,
     subset_units,
-    to_records,
     unit_rows,
 )
 
@@ -101,6 +99,12 @@ def reference_panel(recs, names):
     }
 
 
+def panel_from_records(recs, names):
+    """The per-cell column parser on the columns of row dicts."""
+    return _panel_from_columns({name: [rec.get(name) for rec in recs]
+                                for name in (*REQUIRED_COLUMNS, *names)}, names)
+
+
 def assert_matches(panel, expected):
     """Every attribute equals the reference's, and every array is read-only."""
     assert panel.units == expected["units"]
@@ -113,14 +117,14 @@ def assert_matches(panel, expected):
 
 @settings(max_examples=300, deadline=None)
 @given(record_sets())
-def test_build_panel_matches_row_reference(case):
+def test_panel_from_columns_matches_row_reference(case):
     recs, names = case
     expected = reference_panel(recs, names)
     if isinstance(expected, type):
         with pytest.raises(expected):
-            build_panel(recs, names)
+            panel_from_records(recs, names)
     else:
-        assert_matches(build_panel(recs, names), expected)
+        assert_matches(panel_from_records(recs, names), expected)
 
 
 @st.composite
@@ -128,15 +132,15 @@ def panels_and_codes(draw):
     recs, names = draw(record_sets())
     if isinstance(reference_panel(recs, names), type):
         recs, names = [{"unit": "a", "time": 1, "outcome": 0.0, "treatment": 0}], []
-    panel = build_panel(recs, names)
+    panel = panel_from_records(recs, names)
     codes = draw(st.lists(st.integers(0, panel.n_units - 1), max_size=6))
-    return panel, codes
+    return panel, codes, recs
 
 
 @settings(max_examples=200, deadline=None)
 @given(panels_and_codes())
 def test_unit_rows_concatenates_each_units_rows(case):
-    panel, codes = case
+    panel, codes, _ = case
     expected = [np.flatnonzero(panel.unit_codes == c) for c in codes]
     assert_array_equal(unit_rows(panel, codes),
                        np.concatenate([np.empty(0, dtype=np.intp), *expected]))
@@ -145,7 +149,7 @@ def test_unit_rows_concatenates_each_units_rows(case):
 @settings(max_examples=200, deadline=None)
 @given(panels_and_codes())
 def test_subset_units_rejects_repeats_and_matches_row_reference(case):
-    panel, codes = case
+    panel, codes, recs = case
     if len(set(codes)) != len(codes):
         with pytest.raises(DuplicateIndexError):
             subset_units(panel, codes)
@@ -155,7 +159,7 @@ def test_subset_units_rejects_repeats_and_matches_row_reference(case):
             subset_units(panel, codes)
         return
     chosen = {panel.units[c] for c in codes}
-    expected = reference_panel([rec for rec in to_records(panel) if rec["unit"] in chosen],
+    expected = reference_panel([rec for rec in recs if str(rec["unit"]) in chosen],
                                panel.covariate_names)
     if isinstance(expected, type):
         with pytest.raises(expected):
