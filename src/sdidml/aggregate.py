@@ -40,7 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .crossfit import NuisanceFits, assign_folds, crossfit_predictions
 from .didcore import GroupTimeEffects, estimate_group_time, group_time_cells
@@ -373,6 +372,27 @@ class PretrendReport:
     per_e: tuple[PretrendPoint, ...]
 
 
+def chi2_sf(dof: int, x: float) -> float:
+    """P(X > x) for X ~ chi2 with integer ``dof`` >= 1 and finite ``x``.
+
+    This is the regularized upper incomplete gamma function Q(dof/2, x/2),
+    which at integer and half-integer order has a finite closed form: with
+    y = x/2, Q(m, y) = e^-y sum_{j<m} y^j / j! and
+    Q(m + 1/2, y) = erfc(sqrt y) + e^-y sum_{j<m} y^(j+1/2) / Gamma(j + 3/2).
+    Every term is positive and is taken from its logarithm, so none
+    overflows before the factor e^-y scales it down.
+    """
+    if x <= 0.0:
+        return 1.0
+    y = 0.5 * x
+    log_y = math.log(y)
+    half = 0.5 * (dof % 2)
+    head = math.erfc(math.sqrt(y)) if half else 0.0
+    terms = (math.exp((j + half) * log_y - y - math.lgamma(j + half + 1.0))
+             for j in range(dof // 2))
+    return min(1.0, head + math.fsum(terms))
+
+
 def pretrend_test(results: AggregatedResults, anticipation: int = 0) -> PretrendReport:
     """Sum of squared z-scores over the pre-treatment points of the event
     curve, chi2 reference.
@@ -395,7 +415,7 @@ def pretrend_test(results: AggregatedResults, anticipation: int = 0) -> Pretrend
         points.append(PretrendPoint(e=e, att=p.att, se=p.se, z=z))
     statistic = math.fsum(p.z ** 2 for p in points)
     dof = len(points)
-    p_value = float(chdtrc(dof, statistic)) if math.isfinite(statistic) else 0.0
+    p_value = chi2_sf(dof, statistic) if math.isfinite(statistic) else 0.0
     return PretrendReport(statistic=statistic, dof=dof, p_value=p_value,
                           per_e=tuple(points))
 

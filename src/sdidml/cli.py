@@ -10,9 +10,9 @@ Only this module formats output: it maps unit codes (such as the fold
 array's) to unit ids, echoes settings from its config, and writes every
 file through one JSON writer and one CSV writer.
 
-Exit codes are stable: 0 success, 2 configuration error, 3 data error,
-4 estimation error. Failures also emit a machine-readable JSON error line
-on stderr.
+Exit codes are stable: 0 success, 2 configuration or usage error, 3 data
+error, 4 estimation error. Every failure, an argparse usage error too,
+ends stderr with a machine-readable JSON error line; ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .aggregate import BOOTSTRAP_MODES
@@ -154,8 +153,7 @@ def _write_csv(path, rows: list, columns: list) -> None:
 
 
 def _versions() -> dict:
-    return {"sdidml": __version__, "numpy": np.__version__,
-            "scipy": scipy.__version__, "rng": "pcg64"}
+    return {"sdidml": __version__, "numpy": np.__version__, "rng": "pcg64"}
 
 
 def _output_dir(path) -> Path:
@@ -388,8 +386,17 @@ def _print_diagnosis(res: dict, diag: dict) -> None:
 # -- entry point ------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise :class:`ConfigError`, so that
+    :func:`main` reports them like every other failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sdidml",
         description="Staggered DID estimation with machine-learned "
                     "residualization, plus synthetic-panel validation tools.")
@@ -434,13 +441,11 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits 0 after printing --help
+        return int(exc.code or 0)
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, type(exc).__name__, exc)
     except DataError as exc:

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dposv
-from scipy.special import expit
 
 from .errors import (
     ConfigError,
@@ -263,13 +261,19 @@ def _fit_lasso(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: flo
     return intercept, beta, TrainingDiagnostics(sweeps, obj, converged)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic link 1 / (1 + e^-z), written so that no z overflows."""
+    return np.exp(-np.logaddexp(0.0, -z))
+
+
 def _fit_logistic(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: float):
     """Damped Newton on sum[log(1+e^z) - y z] + (lam/2)||b||^2, intercept unpenalized.
 
-    Each step solves H s = g by Cholesky, with the Hessian H = Xs'Xs + diag(pen)
-    built as one symmetric product from the design rows scaled by
-    sqrt(p(1-p)); a Hessian that is not positive definite falls back to
-    least squares. The step is halved until the objective does not rise, and
+    Each step solves H s = g by one LU solve, with the Hessian
+    H = Xs'Xs + diag(pen) built as one symmetric product from the design rows
+    scaled by sqrt(p(1-p)); an exactly singular Hessian (such as an all-zero
+    feature at lam=0) falls back to the least-squares step, which leaves that
+    direction unchanged. The step is halved until the objective does not rise, and
     the accepted point's linear predictor z = Xb is kept for the next step.
     A constant target has its infimum at an infinite intercept with zero
     slopes, which is returned at once, with no Newton step.
@@ -294,13 +298,14 @@ def _fit_logistic(X: np.ndarray, y: np.ndarray, lam: float, max_iter: int, tol: 
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        prob = expit(z)
+        prob = _sigmoid(z)
         grad = Xa.T @ (prob - y) + pen * beta
         Xs = Xa * np.sqrt(prob * (1.0 - prob))[:, None]
         hess = Xs.T @ Xs
         hess.flat[::p + 2] += pen
-        _, step, info = dposv(hess, grad)  # LAPACK Cholesky factor and solve
-        if info:  # not positive definite
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
             step = np.linalg.lstsq(hess, grad, rcond=None)[0]
         scale = 1.0
         new_beta = beta - step
@@ -506,5 +511,5 @@ def predict(model: FittedModel, features: np.ndarray) -> np.ndarray:
                                  model.spec.learning_rate, X)
     z = model.intercept + X @ model.coef
     if model.spec.kind == "logistic":
-        return np.clip(expit(z), _PROB_EPS, 1.0 - _PROB_EPS)
+        return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS)
     return z

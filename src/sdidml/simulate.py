@@ -19,11 +19,11 @@ effect specification share every draw.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .aggregate import aggregate_schemes, bootstrap
 from .didcore import estimate_group_time, twfe_baseline
@@ -391,7 +391,7 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
         return att, None, None
     if method == "twfe":
         res = twfe_baseline(panel)
-        zq = float(ndtri(0.5 + pipeline.ci_level / 2.0))
+        zq = statistics.NormalDist().inv_cdf(0.5 + pipeline.ci_level / 2.0)
         return res.tau, res.tau - zq * res.se, res.tau + zq * res.se
     if method == "raw_did":
         effects = estimate_group_time(panel, panel.outcomes, pipeline.control_rule,

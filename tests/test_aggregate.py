@@ -12,6 +12,7 @@ from sdidml.aggregate import (
     InferencePoint,
     aggregate_schemes,
     bootstrap,
+    chi2_sf,
     merge_inference,
     overlap_report,
     placebo_test,
@@ -245,6 +246,16 @@ class TestPretrend:
         # e = -1 lies inside the anticipation window; only e = -3 is tested
         assert rep.dof == 1
         assert [p.e for p in rep.per_e] == [-3]
+
+    def test_chi2_survival_matches_scipy_chdtrc(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.r_[0.0, np.geomspace(1e-8, 1e4, 300), np.linspace(0.25, 150.0, 600)]
+        for dof in range(1, 61):
+            got = np.array([chi2_sf(dof, x) for x in xs])
+            ref = special.chdtrc(dof, xs)
+            shown = ref >= 1e-300
+            assert_allclose(got[shown], ref[shown], rtol=1e-12, atol=0, err_msg=f"dof={dof}")
+            assert (got[~shown] < 1e-299).all()
 
     def test_no_pre_cells(self):
         eff = effects_from({(2, 2): (1.0, 5, 5)})

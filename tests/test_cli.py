@@ -188,8 +188,23 @@ def test_run_has_no_no_crossfit_flag(tmp_path, capsys):
     # cross-fitting always holds out a fold, so no flag lets K=1 run
     assert cli.main(["run", "--allow-no-crossfit", "--input", str(tmp_path / "x.csv"),
                      "--output", str(tmp_path / "run")]) == 2
-    assert "unrecognized arguments: --allow-no-crossfit" in capsys.readouterr().err
+    error = last_error(capsys)
+    assert error["code"] == 2
+    assert "unrecognized arguments: --allow-no-crossfit" in error["message"]
     assert not (tmp_path / "run").exists()
+
+
+def test_usage_error_ends_stderr_with_the_json_error_line(tmp_path, capsys):
+    assert cli.main(["benchmark", "S1", "--reps", "1", "--bootstrap-mode", "bogus",
+                     "--out", str(tmp_path / "bench")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sdidml benchmark")
+    error = json.loads(err.splitlines()[-1])["error"]
+    assert error["code"] == 2
+    assert "invalid choice: 'bogus'" in error["message"]
+    assert not (tmp_path / "bench").exists()
+    assert cli.main(["benchmark", "--help"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_benchmark_csv_holds_the_rows_of_comparison_json(tmp_path):

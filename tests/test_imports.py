@@ -4,8 +4,12 @@ No ``sdidml`` import sits inside a function, and every module-level import
 of a sibling module goes to a lower layer of ``LAYERS``. Every name that a
 package or test module imports is read in that module, and every function,
 method and class the package defines, and every name a module-level
-assignment binds, is named somewhere else in it or exported. Importing the
-package does not load ``scipy.stats``, which takes most of a second.
+assignment binds, is named somewhere else in it or exported. The package
+runs on numpy and the standard library alone: those are the only imports
+it makes, numpy is the only dependency ``pyproject.toml`` declares, and
+importing the package or its command line loads no ``scipy`` module,
+whose import time every command would pay. scipy is a test dependency,
+for reference values.
 """
 
 import ast
@@ -13,6 +17,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import sdidml
 
@@ -154,8 +160,38 @@ def test_every_definition_is_used_or_exported():
     assert unused_definitions() == []
 
 
-def test_import_does_not_load_scipy_stats():
-    code = "import sys, sdidml; print('scipy.stats' in sys.modules)"
+def test_import_loads_no_scipy():
+    code = ("import sys, sdidml, sdidml.cli; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=Path(sdidml.__file__).parent.parent)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def third_party_imports() -> set:
+    """Top-level names of the modules that the package's files import from
+    outside the package and the standard library."""
+    found = set()
+    for path in package_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                found.add(node.module.partition(".")[0])
+    return found - set(sys.stdlib_module_names) - {"sdidml"}
+
+
+def requirement_names(requirements) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower() for req in requirements}
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(sdidml.__file__).parents[2] / "pyproject.toml"
+    if not pyproject.exists():
+        pytest.skip("the package is not imported from a source checkout")
+    project = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]
+    assert third_party_imports() == requirement_names(project["dependencies"]) == {"numpy"}
+    extras = {name: requirement_names(reqs)
+              for name, reqs in project["optional-dependencies"].items()}
+    assert [name for name, reqs in extras.items() if "scipy" in reqs] == ["test"]

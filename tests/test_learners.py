@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.special import expit
 
 from sdidml.errors import (
     ConfigError,
@@ -15,7 +14,7 @@ from sdidml.errors import (
     NonFiniteInputError,
     SingularSystemError,
 )
-from sdidml.learners import _PROB_EPS, KINDS, LearnerSpec, fit, predict
+from sdidml.learners import _PROB_EPS, KINDS, LearnerSpec, _sigmoid, fit, predict
 
 
 def linear_data(n=50, p=5, seed=3, noise=0.0):
@@ -171,7 +170,8 @@ class TestGradientBoostedTrees:
 
 
 def reference_logistic(X, y, lam, max_iter, tol):
-    """Damped Newton with the Hessian as a general product and an LU solve."""
+    """Damped Newton with the Hessian as a general weighted product plus an
+    explicit penalty diagonal."""
     n, p = X.shape
     Xa = np.column_stack([np.ones(n), X])
     pen = np.r_[0.0, np.full(p, lam)]
@@ -183,7 +183,7 @@ def reference_logistic(X, y, lam, max_iter, tol):
 
     obj = objective(beta)
     for iterations in range(1, max_iter + 1):
-        prob = expit(Xa @ beta)
+        prob = _sigmoid(Xa @ beta)
         grad = Xa.T @ (prob - y) + pen * beta
         hess = (Xa * (prob * (1.0 - prob))[:, None]).T @ Xa + np.diag(pen)
         step = np.linalg.solve(hess, grad)
@@ -237,16 +237,47 @@ class TestLogistic:
         with pytest.raises(DimensionMismatchError):
             fit(LearnerSpec.logistic(1.0), X, np.array([0.0, 1.0, 2.0, 0.0]))
 
+    def test_link_matches_scipy_expit(self):
+        special = pytest.importorskip("scipy.special")
+        # Below z = -708 the link is subnormal, where expit rounds to 0: atol
+        # covers that. It must not overflow (a RuntimeWarning is an error
+        # under the pytest settings).
+        z = np.r_[np.linspace(-800.0, 800.0, 160_001), 0.0, -0.0, 1e-300, -1e-300]
+        assert_allclose(_sigmoid(z), special.expit(z), rtol=1e-14, atol=1e-300)
+
+    def test_singular_hessian_takes_the_least_squares_step(self, monkeypatch):
+        # An all-zero feature at lambda=0 makes every Hessian exactly singular.
+        # The least-squares step is the Newton step of the fit without that
+        # column, so the fits agree; no ConvergenceWarning (an error here).
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((300, 3))
+        y = (rng.random(300) < _sigmoid(X @ np.array([0.8, -0.5, 0.3]))).astype(float)
+        with_zero = np.column_stack([X[:, :1], np.zeros(300), X[:, 1:]])
+        lstsq, steps = np.linalg.lstsq, []
+
+        def counting_lstsq(*args, **kwargs):
+            steps.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        model = fit(LearnerSpec.logistic(0.0), with_zero, y)
+        monkeypatch.undo()
+        assert model.diagnostics.converged
+        assert len(steps) == model.diagnostics.iterations > 1
+        without = fit(LearnerSpec.logistic(0.0), X, y)
+        assert_allclose(predict(model, with_zero), predict(without, X), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("n, p", [(1280, 27), (1440, 205)], ids=["S1_fold", "S3_fold"])
     def test_newton_steps_match_the_general_solve(self, n, p):
-        # The fit builds the Hessian as one symmetric product and solves it by
-        # Cholesky; the reference takes the same damped Newton steps with a
-        # general product and LU solve. Their iterates agree to rounding, so
-        # the stop comes at the same step unless the last step's size lies
-        # within rounding of tol (2 of seeds 0-9 for the S3-shaped design).
+        # The fit builds the Hessian as one symmetric product of the scaled
+        # rows; the reference takes the same damped Newton steps with a
+        # general weighted product. Both solve by LU. Their iterates agree to
+        # rounding, so the stop comes at the same step unless the last step's
+        # size lies within rounding of tol (2 of seeds 0-9 for the S3-shaped
+        # design).
         rng = np.random.default_rng(0)
         X = rng.standard_normal((n, p))
-        y = (rng.random(n) < expit(X @ rng.normal(0.0, 0.3, p))).astype(float)
+        y = (rng.random(n) < _sigmoid(X @ rng.normal(0.0, 0.3, p))).astype(float)
         model = fit(LearnerSpec.logistic(1.0), X, y)
         beta, iterations, converged = reference_logistic(X, y, lam=1.0, max_iter=200, tol=1e-8)
         assert (model.diagnostics.iterations, model.diagnostics.converged) == (iterations,

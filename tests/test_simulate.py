@@ -221,6 +221,15 @@ class TestMonteCarlo:
         with pytest.raises(Exception, match="rep 0"):
             monte_carlo(cfg, pipe, reps=1, seed=777, method="sdidml")
 
+    def test_twfe_interval_uses_the_normal_quantile(self):
+        special = pytest.importorskip("scipy.special")
+        se = twfe_baseline(generate(replace(small_config(), seed=50)).panel).se
+        for ci_level in (0.5, 0.8, 0.9, 0.95, 0.99):
+            pipe = PipelineConfig(bootstrap_reps=0, ci_level=ci_level, seed=0)
+            rec = monte_carlo(small_config(), pipe, reps=1, seed=50, method="twfe").records[0]
+            assert_allclose((rec.ci_high - rec.ci_low) / (2.0 * se),
+                            special.ndtri(0.5 + ci_level / 2.0), rtol=1e-12)
+
     def test_invalid_reps(self):
         with pytest.raises(InvalidConfigError):
             monte_carlo(small_config(), PipelineConfig(seed=0), reps=0, seed=0)
