@@ -8,7 +8,8 @@ group-time effect estimation on y_tilde, and aggregation with bootstrap
 inference and robustness diagnostics. Every summary (the overall,
 event-time and per-cohort ATTs of the point estimate, of each bootstrap
 replicate and of each subgroup) comes from one table of group-time cells,
-one row per unit weighting. A synthetic-panel generator with known oracle
+one row per unit weighting. Every stage reads its settings from one
+:class:`PipelineConfig`. A synthetic-panel generator with known oracle
 effects backs the validation suite.
 """
 
@@ -22,6 +23,7 @@ from .panel import (
     write_panel_csv,
 )
 from .learners import FittedModel, LearnerSpec, fit, predict
+from .config import PipelineConfig
 from .crossfit import (
     CohortPropensity,
     FoldAssignment,
@@ -45,7 +47,7 @@ from .aggregate import (
     pretrend_test,
     subgroup_effects,
 )
-from .pipeline import PipelineConfig, PipelineResult, estimate_effects, run_pipeline
+from .pipeline import PipelineResult, estimate_effects, run_pipeline
 from .simulate import (
     DGPConfig,
     EffectSpec,

@@ -41,6 +41,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
+from .config import BOOTSTRAP_MODES, PipelineConfig
 from .crossfit import NuisanceFits, assign_folds, crossfit_predictions
 from .didcore import GroupTimeEffects, estimate_group_time, group_time_cells
 from .errors import (
@@ -53,9 +54,7 @@ from .errors import (
     LearnerError,
     NoPreCellsError,
 )
-from .panel import PanelDataset, pivot_unit_time, subset_units, unit_rows
-
-BOOTSTRAP_MODES = ("full", "fixed_nuisance")
+from .panel import PanelDataset, subset_units, unit_rows
 
 WEIGHT_SUM_TOL = 1e-12
 WEAK_OVERLAP_CLIP_SHARE = 0.10
@@ -187,29 +186,26 @@ class SubgroupEffects:
 
 def subgroup_effects(panel: PanelDataset, y_tilde: np.ndarray,
                      subgroup_of_unit: Mapping[str, object],
-                     control_rule: str = "never_treated",
-                     anticipation: int = 0) -> SubgroupEffects:
+                     config: PipelineConfig) -> SubgroupEffects:
     """Overall, event-time and per-cohort summaries within each subgroup.
 
     ``y_tilde`` holds the outcome residuals of ``panel``'s observations;
-    every unit must carry a label. Label l is the 0/1 weight row of the
-    units it labels, so one :func:`group_time_cells` call gives every
-    subgroup's cells, each as if the subgroup were estimated alone. A label
-    without a post-treatment cell that has both a treated and a control
-    unit is recorded under ``failures``.
+    every unit must carry a label, or :class:`DataError` is raised. Label l
+    is the 0/1 weight row of the units it labels, so one
+    :func:`group_time_cells` call gives every subgroup's cells, each as if
+    the subgroup were estimated alone. A label without a post-treatment cell
+    that has both a treated and a control unit is recorded under
+    ``failures``.
     """
     unlabeled = [u for u in panel.units if u not in subgroup_of_unit]
     if unlabeled:
-        raise ValueError(f"{len(unlabeled)} unit(s) lack a subgroup label, "
-                         f"e.g. {unlabeled[0]!r}")
+        raise DataError(f"{len(unlabeled)} unit(s) lack a subgroup label, "
+                        f"e.g. {unlabeled[0]!r}")
     labels = sorted({subgroup_of_unit[u] for u in panel.units}, key=str)
     code = {label: j for j, label in enumerate(labels)}
     label_code = np.array([code[subgroup_of_unit[u]] for u in panel.units])
     member = (label_code == np.arange(len(labels))[:, None]).astype(np.float64)
-    ymat, present = pivot_unit_time(panel, y_tilde)
-    keys, tau, counts, _, _ = group_time_cells(panel.cohort_times, ymat, present,
-                                               panel.periods, control_rule,
-                                               anticipation, member)
+    keys, tau, counts, _, _ = group_time_cells(panel, y_tilde, config, member)
     effects: dict = {}
     failures: dict = {}
     for label, results in zip(labels, _results(keys, tau, counts)):
@@ -228,7 +224,6 @@ class InferencePoint:
     se: Optional[float]
     ci_low: float
     ci_high: float
-    n_reps: int
 
 
 @dataclass(frozen=True)
@@ -246,8 +241,7 @@ def _summarize(values: np.ndarray, ci_level: float) -> InferencePoint:
     se = float(values.std(ddof=1)) if values.size >= 2 else None
     alpha = 1.0 - ci_level
     lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return InferencePoint(se=se, ci_low=float(lo), ci_high=float(hi),
-                          n_reps=int(values.size))
+    return InferencePoint(se=se, ci_low=float(lo), ci_high=float(hi))
 
 
 def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
@@ -255,7 +249,7 @@ def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
     return np.random.default_rng(seed + r).integers(0, n_units, size=n_units)
 
 
-def bootstrap(config, panel: PanelDataset, mode: str,
+def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
               y_tilde: Optional[np.ndarray]) -> BootstrapInference:
     """Unit-level bootstrap of the overall, event-time, and cohort summaries.
 
@@ -305,10 +299,7 @@ def bootstrap(config, panel: PanelDataset, mode: str,
 
     if mode == "full":  # one residual vector per replicate
         y_tilde = np.array([replicate_y_tilde(r) for r in range(B)])
-    ymat, present = pivot_unit_time(panel, y_tilde)
-    keys, tau, counts, _, _ = group_time_cells(panel.cohort_times, ymat, present,
-                                               panel.periods, config.control_rule,
-                                               config.anticipation, weights)
+    keys, tau, counts, _, _ = group_time_cells(panel, y_tilde, config, weights)
 
     failed = np.zeros(B, dtype=bool)
     overall, _, event, group = _summaries(keys, tau, counts, failed)
@@ -393,14 +384,15 @@ def chi2_sf(dof: int, x: float) -> float:
     return min(1.0, head + math.fsum(terms))
 
 
-def pretrend_test(results: AggregatedResults, anticipation: int = 0) -> PretrendReport:
+def pretrend_test(results: AggregatedResults, config: PipelineConfig) -> PretrendReport:
     """Sum of squared z-scores over the pre-treatment points of the event
     curve, chi2 reference.
 
     ``results`` carries the bootstrap SEs (see :func:`merge_inference`);
-    event times e >= -``anticipation`` are not tested.
+    event times e >= -``config.anticipation`` are not tested.
     """
-    pre = [(e, p) for e, p in sorted(results.event_curve.items()) if e < -anticipation]
+    pre = [(e, p) for e, p in sorted(results.event_curve.items())
+           if e < -config.anticipation]
     if not pre:
         raise NoPreCellsError("no pre-treatment event times available")
     points = []
@@ -429,17 +421,19 @@ class PlaceboReport:
     ci_high: Optional[float]
 
 
-def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
+def placebo_test(panel: PanelDataset, config: PipelineConfig) -> PlaceboReport:
     """Re-estimate on pre-treatment data with adoption moved back.
 
     Only observations strictly before each cohort's true adoption survive;
-    cohort g is reassigned to g - shift. The outcome model is cross-fit
-    again on this subsample (folds by ``config.seed``), the contrast cells
-    are aggregated and bootstrapped as in a run, so the pseudo-ATT should be
-    indistinguishable from zero under a valid design.
+    cohort g is reassigned to g - ``config.placebo_shift``, which must be
+    set. The outcome model is cross-fit again on this subsample (folds by
+    ``config.seed``), the contrast cells are aggregated and bootstrapped as
+    in a run, so the pseudo-ATT should be indistinguishable from zero under
+    a valid design.
     """
-    if shift < 1:
-        raise ConfigError("placebo shift must be >= 1")
+    shift = config.placebo_shift
+    if shift is None:
+        raise ConfigError("the placebo test needs a placebo_shift")
     adoption = panel.cohort_times
     cohorts = sorted({int(g) for g in adoption[np.isfinite(adoption)]})
     if not cohorts:
@@ -461,8 +455,7 @@ def placebo_test(panel: PanelDataset, config, shift: int) -> PlaceboReport:
     folds = assign_folds(pseudo_panel, config.n_folds, config.seed)
     y_tilde = pseudo_panel.outcomes - crossfit_predictions(
         pseudo_panel, config.g_learner, pseudo_panel.outcomes, folds)
-    effects = estimate_group_time(pseudo_panel, y_tilde, config.control_rule,
-                                  config.anticipation)
+    effects = estimate_group_time(pseudo_panel, y_tilde, config)
     att = aggregate_schemes(effects).overall_att
     ci_low = ci_high = None
     if config.bootstrap_reps >= 2:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .aggregate import BOOTSTRAP_MODES
+from .config import BOOTSTRAP_MODES, PipelineConfig
 from .errors import (
     ConfigError,
     DataError,
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .learners import LearnerSpec
 from .panel import read_panel_csv, write_panel_csv
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import run_pipeline
 from .simulate import DGPConfig, SCENARIO_NAMES, generate, monte_carlo, scenario
 
 EXIT_OK = 0
@@ -64,7 +64,7 @@ _CONFIG_KEYS = {
     "bootstrap.mode": ("pipeline.bootstrap_mode", str, False),
     "ci_level": ("pipeline.ci_level", float, False),
     "seed": ("pipeline.seed", int, False),
-    "placebo_shift": ("placebo_shift", int, True),
+    "placebo_shift": ("pipeline.placebo_shift", int, True),
 }
 
 
@@ -72,22 +72,18 @@ _CONFIG_KEYS = {
 class RunConfig:
     """Resolved ``run`` settings; echoed into every results file.
 
-    ``pipeline`` holds the estimation settings, the other fields I/O and
-    run-level ones. The config JSON is an object whose keys, all optional,
-    and their types are those of ``_CONFIG_KEYS``; a learner is an object
-    whose ``kind`` selects the parameters it reads (``learners._KIND_KEYS``).
-    Any other key, or a value of another JSON type, raises
-    :class:`ConfigError` (see :func:`sdidml.errors.json_value`).
+    ``pipeline`` holds every estimation setting, each checked once when it
+    is built; the other fields are the input and output paths. The config
+    JSON is an object whose keys, all optional, and their types are those
+    of ``_CONFIG_KEYS``; a learner is an object whose ``kind`` selects the
+    parameters it reads (``learners._KIND_KEYS``). Any other key, or a
+    value of another JSON type, raises :class:`ConfigError` (see
+    :func:`sdidml.errors.json_value`).
     """
 
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     input_path: Optional[str] = None
     output_dir: Optional[str] = None
-    placebo_shift: Optional[int] = None
-
-    def __post_init__(self):
-        if self.placebo_shift is not None and self.placebo_shift < 1:
-            raise ConfigError("placebo_shift must be >= 1 (or null to skip the placebo)")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -198,14 +194,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     panel = read_panel_csv(cfg.input_path)
     pipe = cfg.pipeline
-    result = run_pipeline(panel, pipe, placebo_shift=cfg.placebo_shift)
+    result = run_pipeline(panel, pipe)
     res, effects, inference = result.results, result.artifacts.effects, result.inference
     overlap = [asdict(row) for row in result.overlap]
     diagnostics = {"overlap": overlap, "pretrend": None, "placebo": None}
     if result.pretrend is not None:
         diagnostics["pretrend"] = dict(asdict(result.pretrend), approximate=True)
     if result.placebo is not None:
-        diagnostics["placebo"] = dict(asdict(result.placebo), shift=cfg.placebo_shift,
+        diagnostics["placebo"] = dict(asdict(result.placebo), shift=pipe.placebo_shift,
                                       ci_level=pipe.ci_level)
     cells = [{"g": g, "t": t, "event_time": t - g, "tau": tau,
               "n_treated": int(n_tr), "n_control": int(n_c)}

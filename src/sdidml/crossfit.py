@@ -8,9 +8,11 @@ omitted as the reference); adoption-cohort information is deliberately
 excluded so the treatment contrast survives into the structural stage.
 
 :func:`crossfit_predictions` cross-fits one learner for one
-per-observation target. :func:`crossfit_nuisance` calls it for the outcome
-model g and then fits the treatment model m once per adoption cohort, on
-one row per unit: the cohort propensity P(G = g | X at the base period)
+per-observation target. :func:`crossfit_nuisance` reads both learners, the
+propensity clip and the cohorts' control pools from the run's
+:class:`~sdidml.config.PipelineConfig`; it calls :func:`crossfit_predictions`
+for the outcome model g and then fits the treatment model m once per
+adoption cohort, on one row per unit: the cohort propensity P(G = g | X at the base period)
 among the cohort and its controls (Callaway and Sant'Anna 2021), which
 feeds the overlap report alone. The contrast estimator reads only the
 outcome residual y_tilde = Y - g_hat, an array in observation order, so
@@ -29,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import learners
+from .config import PipelineConfig
 from .errors import (
     AlignmentMismatchError,
     ConfigError,
@@ -66,19 +69,19 @@ def assign_folds(panel: PanelDataset, n_folds: int, seed: int) -> FoldAssignment
     return FoldAssignment(n_folds, fold)
 
 
-def nuisance_features(panel: PanelDataset, sample_weight: Optional[np.ndarray] = None):
+def nuisance_features(panel: PanelDataset,
+                      sample_weight: Optional[np.ndarray] = None) -> np.ndarray:
     """Feature matrix for the nuisance models: standardized X + period dummies.
 
-    Returns ``(matrix, names)``. The earliest period is the omitted
-    reference so the dummies stay linearly independent of an intercept.
-    With ``sample_weight`` (one weight per observation) the covariates are
-    standardized by their weighted mean and weighted population SD.
+    The columns are the covariates, then one dummy per period after the
+    earliest, which is the omitted reference so the dummies stay linearly
+    independent of an intercept. With ``sample_weight`` (one weight per
+    observation) the covariates are standardized by their weighted mean and
+    weighted population SD.
     """
     w = learners.check_sample_weight(sample_weight, panel.n_obs)
-    X, _, _ = feature_matrix(panel, standardize=True, sample_weight=w)
-    dummies = np.eye(panel.n_periods)[panel.time_codes, 1:]
-    names = [*panel.covariate_names, *(f"t={t}" for t in panel.periods[1:])]
-    return np.hstack([X, dummies]), names
+    X, _, _ = feature_matrix(panel, sample_weight=w)
+    return np.hstack([X, np.eye(panel.n_periods)[panel.time_codes, 1:]])
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndar
     """
     fold_of_obs = _unit_folds(panel, folds)[panel.unit_codes]
     w = learners.check_sample_weight(sample_weight, panel.n_obs)
-    features, _ = nuisance_features(panel, w)
+    features = nuisance_features(panel, w)
     predictions = np.empty(panel.n_obs)
     for k in range(folds.n_folds):
         test = fold_of_obs == k
@@ -146,12 +149,12 @@ def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndar
     return predictions
 
 
-def _cohort_propensities(panel: PanelDataset, spec: LearnerSpec, folds: FoldAssignment,
-                         clip_eps: float, control_rule: str,
-                         anticipation: int) -> tuple[CohortPropensity, ...]:
-    """One cross-fit of ``spec`` per cohort g with a unit observed at its
-    base period b, on one row per unit of the fit sample (see
-    :class:`CohortPropensity`).
+def _cohort_propensities(panel: PanelDataset, config: PipelineConfig,
+                         folds: FoldAssignment) -> tuple[CohortPropensity, ...]:
+    """One cross-fit of ``config.m_learner`` per cohort g with a unit
+    observed at its base period b, on one row per unit of the fit sample
+    (see :class:`CohortPropensity`), which follows ``config.control_rule``
+    and ``config.anticipation`` as the cells do.
 
     The target is 1{G = g} and the folds are the unit folds. The features
     are the unit's covariates at b, centered and scaled by the mean and
@@ -159,8 +162,10 @@ def _cohort_propensities(panel: PanelDataset, spec: LearnerSpec, folds: FoldAssi
     so no unit's own covariates reach its prediction. A fold without a unit
     of the sample to predict, or without one to train on, is not fit, and
     its units are left out; a cohort left with no unit gets no propensity.
-    Predictions are clipped into [clip_eps, 1 - clip_eps].
+    Predictions are clipped into [clip_eps, 1 - clip_eps] by
+    ``config.clip_eps``.
     """
+    spec, clip_eps = config.m_learner, config.clip_eps
     unit_fold = _unit_folds(panel, folds)
     row = np.full((panel.n_units, panel.n_periods), -1)
     row[panel.unit_codes, panel.time_codes] = np.arange(panel.n_obs)
@@ -168,11 +173,11 @@ def _cohort_propensities(panel: PanelDataset, spec: LearnerSpec, folds: FoldAssi
     cohort_times = panel.cohort_times
     out = []
     for g in sorted({int(v) for v in cohort_times[np.isfinite(cohort_times)]}):
-        bi = period_code.get(g - 1 - anticipation)
+        bi = period_code.get(g - 1 - config.anticipation)
         if bi is None:
             continue
         in_cohort = cohort_times == g
-        pool = control_pool(cohort_times, g, g, control_rule, anticipation)
+        pool = control_pool(cohort_times, g, g, config.control_rule, config.anticipation)
         units = np.flatnonzero((in_cohort | pool) & (row[:, bi] >= 0))
         if not in_cohort[units].any():  # no unit of g observed at b: no cell either
             continue
@@ -207,23 +212,12 @@ def _cohort_propensities(panel: PanelDataset, spec: LearnerSpec, folds: FoldAssi
     return tuple(out)
 
 
-def crossfit_nuisance(panel: PanelDataset, g_spec: LearnerSpec, m_spec: LearnerSpec,
-                      folds: FoldAssignment, clip_eps: float = 0.01,
-                      control_rule: str = "never_treated",
-                      anticipation: int = 0) -> NuisanceFits:
-    """Out-of-fold g_hat by :func:`crossfit_predictions`, then each cohort's
-    propensity by ``m_spec``.
-
-    A cohort's propensity sample follows ``control_rule`` and
-    ``anticipation`` as the cells do; its predictions are clipped into
-    [clip_eps, 1 - clip_eps].
-    """
-    if not 0 <= clip_eps < 0.5:
-        raise ConfigError("clip_eps must lie in [0, 0.5)")
-    if g_spec.kind == "logistic":
-        raise ConfigError("logistic is a treatment-model learner; "
-                          "the outcome nuisance needs a regression learner")
-    g_hat = crossfit_predictions(panel, g_spec, panel.outcomes, folds)
+def crossfit_nuisance(panel: PanelDataset, config: PipelineConfig,
+                      folds: FoldAssignment) -> NuisanceFits:
+    """Out-of-fold g_hat of ``config.g_learner`` by
+    :func:`crossfit_predictions`, then each cohort's propensity by
+    :func:`_cohort_propensities`."""
+    g_hat = crossfit_predictions(panel, config.g_learner, panel.outcomes, folds)
     g_hat.setflags(write=False)
-    return NuisanceFits(g_hat=g_hat, folds=folds, propensities=_cohort_propensities(
-        panel, m_spec, folds, clip_eps, control_rule, anticipation))
+    return NuisanceFits(g_hat=g_hat, folds=folds,
+                        propensities=_cohort_propensities(panel, config, folds))

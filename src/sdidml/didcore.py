@@ -11,14 +11,16 @@ A raw two-way fixed-effects regression, with its effects absorbed in
 closed form (Frisch-Waugh-Lovell), is included purely as the diagnostic
 comparator whose staggered-adoption bias the pipeline is designed to avoid.
 
-:func:`group_time_cells` is the one cell routine. It takes an (R, units)
-matrix of unit multiplicities: the point estimate is one row of ones, and
-each bootstrap replicate, in either mode, is the row of how many times each
+:func:`group_time_cells` is the one cell routine. It reads the control
+rule and the anticipation window from the run's
+:class:`~sdidml.config.PipelineConfig` and takes an (R, units) matrix of
+unit multiplicities: the point estimate is one row of ones, and each
+bootstrap replicate, in either mode, is the row of how many times each
 original unit was drawn, and each subgroup label is the 0/1 row of the
 units it labels (:func:`sdidml.aggregate.subgroup_effects`). The residuals
-are one (units, periods) matrix shared by every row, or an (R, units,
-periods) stack whose matrix r goes with row r, as in a full-mode bootstrap,
-where each replicate refits g. :class:`GroupTimeEffects` holds the point
+are one vector in observation order shared by every row, or an (R, n_obs)
+stack whose vector r goes with row r, as in a full-mode bootstrap, where
+each replicate refits g. :class:`GroupTimeEffects` holds the point
 estimate's row of the table it returns: estimates only, no copy of the
 settings that produced them and no output format, which :mod:`sdidml.cli`
 alone writes.
@@ -32,8 +34,9 @@ from typing import Optional
 
 import numpy as np
 
+from .config import PipelineConfig
 from .errors import DegenerateDesignError, EmptyResultError
-from .panel import CONTROL_RULES, PanelDataset, control_pool, pivot_unit_time
+from .panel import PanelDataset, control_pool, pivot_unit_time
 
 
 @dataclass(frozen=True)
@@ -60,21 +63,21 @@ class GroupTimeEffects:
     omitted: tuple[OmittedCell, ...] = ()
 
 
-def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
-                     present: np.ndarray, periods, control_rule: str,
-                     anticipation: int, weights: Optional[np.ndarray] = None):
-    """Contrast tau(g, t) of every cell under one or more unit weightings.
+def group_time_cells(panel: PanelDataset, y: np.ndarray, config: PipelineConfig,
+                     weights: Optional[np.ndarray] = None):
+    """Contrast tau(g, t) of every cell of ``panel`` under one or more unit
+    weightings, with the control pool of ``config.control_rule`` and the
+    base period g - 1 - ``config.anticipation``.
 
-    ``cohort_times`` is per-unit adoption time (np.inf when never treated),
-    ``present`` is the (units x periods) observation mask. ``weights`` is
-    an (R, units) matrix of non-negative unit multiplicities, one weighting
-    per row; the default is one row of ones. A unit of weight k counts as k
-    copies of itself, so row r of a cluster bootstrap is ``np.bincount`` of
-    replicate r's drawn unit codes. ``ymat`` holds the outcome residuals:
-    one (units x periods) matrix that every row weights, whose rows all
-    come from one matrix product, or an (R, units, periods) stack whose
-    matrix r only row r weights, in one batched product per cell; row r
-    then equals a call with matrix r and weight row r alone.
+    ``weights`` is an (R, units) matrix of non-negative unit multiplicities,
+    one weighting per row; the default is one row of ones. A unit of weight
+    k counts as k copies of itself, so row r of a cluster bootstrap is
+    ``np.bincount`` of replicate r's drawn unit codes. ``y`` holds the
+    outcome residuals in observation order: one (n_obs,) vector that every
+    row weights, whose rows all come from one matrix product, or an
+    (R, n_obs) stack whose vector r only row r weights, in one batched
+    product per cell; row r then equals a call with vector r and weight row
+    r alone.
 
     Returns ``(keys, tau, n_treated, n_control, omitted)``. ``keys`` lists
     the (g, t) cells with a treated and a control unit observed at t and at
@@ -83,11 +86,9 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
     weighted treated or control count is 0 in a row is absent from that row,
     and its tau there is NaN.
     """
-    if control_rule not in CONTROL_RULES:
-        raise ValueError(f"control_rule must be one of {CONTROL_RULES}")
-    if anticipation < 0:
-        raise ValueError("anticipation must be >= 0")
-    n_units = len(cohort_times)
+    control_rule, anticipation = config.control_rule, config.anticipation
+    ymat, present = pivot_unit_time(panel, y)
+    cohort_times, periods, n_units = panel.cohort_times, panel.periods, panel.n_units
     if weights is None:
         weights = np.ones((1, n_units))
     period_code = {t: i for i, t in enumerate(periods)}
@@ -136,13 +137,10 @@ def group_time_cells(cohort_times: np.ndarray, ymat: np.ndarray,
 
 
 def estimate_group_time(panel: PanelDataset, y_tilde: np.ndarray,
-                        control_rule: str = "never_treated",
-                        anticipation: int = 0) -> GroupTimeEffects:
+                        config: PipelineConfig) -> GroupTimeEffects:
     """Contrast-form ATT(g, t) on ``y_tilde``, the outcome residuals of
     ``panel``'s observations (the default estimator)."""
-    ymat, present = pivot_unit_time(panel, y_tilde)
-    keys, tau, n_treated, n_control, omitted = group_time_cells(
-        panel.cohort_times, ymat, present, panel.periods, control_rule, anticipation)
+    keys, tau, n_treated, n_control, omitted = group_time_cells(panel, y_tilde, config)
     if not keys:
         raise EmptyResultError("no (g, t) cell was estimable")
     columns = (tau[0], n_treated[0], n_control[0])

@@ -33,7 +33,6 @@ from .errors import (
 )
 
 REQUIRED_COLUMNS = ("unit", "time", "outcome", "treatment")
-CONTROL_RULES = ("never_treated", "not_yet_treated")
 
 
 class PanelDataset:
@@ -283,20 +282,17 @@ def _rows(panel: PanelDataset):
         panel.treatments.astype(int).tolist(), panel.covariates.tolist())]
 
 
-def feature_matrix(panel: PanelDataset, standardize: bool = True,
-                   sample_weight: Optional[np.ndarray] = None):
-    """Covariate matrix in canonical observation order.
+def feature_matrix(panel: PanelDataset, sample_weight: Optional[np.ndarray] = None):
+    """Standardized covariate matrix in canonical observation order.
 
-    With ``standardize`` each column is centered and scaled to unit
-    population standard deviation; zero-variance columns are centered only
-    and their scale is reported as 1. ``sample_weight`` (one non-negative
-    weight per observation, positive sum) weights the mean and the standard
-    deviation, so integer weights c standardize as the rows repeated c
-    times would. Returns ``(matrix, means, scales)``.
+    Each column is centered and scaled to unit population standard
+    deviation; zero-variance columns are centered only and their scale is
+    reported as 1. ``sample_weight`` (one non-negative weight per
+    observation, positive sum) weights the mean and the standard deviation,
+    so integer weights c standardize as the rows repeated c times would.
+    Returns ``(matrix, means, scales)``.
     """
     X = np.array(panel.covariates, dtype=np.float64)
-    if not standardize:
-        return X, np.zeros(X.shape[1]), np.ones(X.shape[1])
     if sample_weight is None:
         means = X.mean(axis=0) if X.shape[0] else np.zeros(X.shape[1])
         scales = X.std(axis=0, ddof=0) if X.shape[0] else np.ones(X.shape[1])

@@ -26,10 +26,11 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .aggregate import aggregate_schemes, bootstrap
+from .config import PipelineConfig
 from .didcore import estimate_group_time, twfe_baseline
 from .errors import InvalidConfigError, json_fields, json_kind_fields, json_object, json_value
 from .panel import PanelDataset
-from .pipeline import PipelineConfig, estimate_effects
+from .pipeline import estimate_effects
 
 GENERATOR_NAME = "pcg64"
 
@@ -394,8 +395,7 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
         zq = statistics.NormalDist().inv_cdf(0.5 + pipeline.ci_level / 2.0)
         return res.tau, res.tau - zq * res.se, res.tau + zq * res.se
     if method == "raw_did":
-        effects = estimate_group_time(panel, panel.outcomes, pipeline.control_rule,
-                                      pipeline.anticipation)
+        effects = estimate_group_time(panel, panel.outcomes, pipeline)
         att = aggregate_schemes(effects).overall_att
         return att, None, None
     raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")

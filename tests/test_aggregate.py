@@ -18,6 +18,7 @@ from sdidml.aggregate import (
     placebo_test,
     pretrend_test,
 )
+from sdidml.config import PipelineConfig
 from sdidml.crossfit import (
     CohortPropensity,
     FoldAssignment,
@@ -34,7 +35,7 @@ from sdidml.errors import (
     NoPreCellsError,
 )
 from sdidml.learners import LearnerSpec
-from sdidml.pipeline import PipelineConfig, estimate_effects
+from sdidml.pipeline import estimate_effects
 from sdidml.simulate import EffectSpec, generate, scenario
 
 
@@ -213,16 +214,15 @@ class TestBootstrap:
 
 class TestPretrend:
     def fake_inference(self, es, se=0.5):
-        event = {e: InferencePoint(se=se, ci_low=-1, ci_high=1, n_reps=10)
-                 for e in es}
-        point = InferencePoint(se=se, ci_low=-1, ci_high=1, n_reps=10)
+        event = {e: InferencePoint(se=se, ci_low=-1, ci_high=1) for e in es}
+        point = InferencePoint(se=se, ci_low=-1, ci_high=1)
         return BootstrapInference(overall=point, event=event, group={},
                                   n_reps=10, n_failed=0)
 
     def pretrend(self, eff, es, se=0.5, anticipation=0):
         """The test on ``eff``'s summaries with SE ``se`` at event times ``es``."""
         results = merge_inference(aggregate_schemes(eff), self.fake_inference(es, se))
-        return pretrend_test(results, anticipation)
+        return pretrend_test(results, PipelineConfig(anticipation=anticipation))
 
     def test_all_zero_pre_cells_give_p_one(self):
         eff = effects_from({(3, 1): (0.0, 5, 5), (3, 2): (0.0, 5, 5),
@@ -276,22 +276,25 @@ class TestPlacebo:
         cfg = replace(scenario("S4"), n_units=80, seed=901)
         panel = generate(cfg).panel
         pipe = PipelineConfig(bootstrap_reps=49, bootstrap_mode="fixed_nuisance",
-                              seed=3)
-        rep = placebo_test(panel, pipe, shift=1)
+                              seed=3, placebo_shift=1)
+        rep = placebo_test(panel, pipe)
         assert rep.ci_low <= 0.0 <= rep.ci_high
         assert abs(rep.pseudo_att) < 0.6
 
     def test_insufficient_pre_periods(self):
         panel = generate(replace(scenario("S4"), n_units=50, seed=2)).panel
-        pipe = PipelineConfig(bootstrap_reps=0, seed=0)
+        pipe = PipelineConfig(bootstrap_reps=0, seed=0, placebo_shift=3)
         # earliest cohort adopts at t=4: three pre-periods, so shift <= 2
         with pytest.raises(InsufficientPrePeriodsError):
-            placebo_test(panel, pipe, shift=3)
+            placebo_test(panel, pipe)
 
     def test_invalid_shift(self):
-        panel = small_null_panel()
-        with pytest.raises(ConfigError):
-            placebo_test(panel, PipelineConfig(seed=0), shift=0)
+        for shift in (0, -1):
+            with pytest.raises(ConfigError, match="placebo_shift must be >= 1"):
+                PipelineConfig(seed=0, placebo_shift=shift)
+        # a config without a shift runs no placebo
+        with pytest.raises(ConfigError, match="needs a placebo_shift"):
+            placebo_test(small_null_panel(), PipelineConfig(seed=0))
 
 
 def fits_with_propensities(*cohorts):

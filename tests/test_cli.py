@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from sdidml import cli
+from sdidml.config import PipelineConfig
 from sdidml.crossfit import assign_folds
 from sdidml.panel import read_panel_csv, write_panel_csv
-from sdidml.pipeline import PipelineConfig
 from sdidml.simulate import generate, scenario
 
 

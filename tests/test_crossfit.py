@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from panels import panel_of
+from sdidml.config import PipelineConfig
 from sdidml.crossfit import (
     FoldAssignment,
     assign_folds,
@@ -18,7 +19,7 @@ from sdidml.errors import (
 from sdidml.didcore import estimate_group_time
 from sdidml.learners import LearnerSpec, fit, predict
 from sdidml.panel import PanelDataset
-from sdidml.pipeline import PipelineConfig, estimate_effects
+from sdidml.pipeline import estimate_effects
 
 
 def toy_panel(n_units=10, n_periods=2, treated_units=(), treat_from=2, seed=0):
@@ -90,12 +91,16 @@ def explicit_folds(panel, split=5):
     return FoldAssignment(2, (np.arange(panel.n_units) >= split).astype(np.intp))
 
 
+def learners_config(g_learner=LearnerSpec.mean(), m_learner=LearnerSpec.mean(), **settings):
+    """A config with the given nuisance learners, both the mean learner by default."""
+    return PipelineConfig(g_learner=g_learner, m_learner=m_learner, **settings)
+
+
 class TestCrossfitNuisance:
     def test_mean_learner_uses_complement_fold(self):
         panel = toy_panel(treated_units=(0, 1, 2), treat_from=1, seed=4)
         folds = explicit_folds(panel)
-        fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
-                                 folds, clip_eps=0.01)
+        fits = crossfit_nuisance(panel, learners_config(clip_eps=0.01), folds)
         fold_of_obs = folds.fold[panel.unit_codes]
         y = panel.outcomes
         # fold-0 predictions equal the fold-1 outcome mean, and vice versa
@@ -110,8 +115,7 @@ class TestCrossfitNuisance:
         # u0..u4 in fold 0, u5..u9 in fold 1.
         panel = toy_panel(treated_units=(0, 1, 2), treat_from=2, seed=4)
         folds = explicit_folds(panel)
-        fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
-                                 folds, clip_eps=0.01)
+        fits = crossfit_nuisance(panel, learners_config(clip_eps=0.01), folds)
         cohort, = fits.propensities
         assert cohort.g == 2
         assert_array_equal(cohort.units, np.arange(10))
@@ -127,8 +131,7 @@ class TestCrossfitNuisance:
         folds = assign_folds(panel, 2, seed=0)
         n_clipped = []
         for eps in (0.2, 0.1, 0.05, 0.0):
-            fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
-                                     folds, clip_eps=eps)
+            fits = crossfit_nuisance(panel, learners_config(clip_eps=eps), folds)
             cohort, = fits.propensities
             assert cohort.propensity.min() >= eps
             assert cohort.propensity.max() <= 1 - eps
@@ -137,18 +140,15 @@ class TestCrossfitNuisance:
         assert n_clipped[-1] == 0  # eps=0 moves nothing here (shares within [0,1])
 
     def test_invalid_clip_eps(self):
-        panel = toy_panel(treated_units=(0,))
-        folds = assign_folds(panel, 2, seed=0)
-        with pytest.raises(ConfigError):
-            crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
-                              folds, clip_eps=0.5)
+        # the config that crossfit_nuisance reads checks its clip once
+        for eps in (0.5, -0.01):
+            with pytest.raises(ConfigError):
+                learners_config(clip_eps=eps)
 
     def test_logistic_rejected_for_outcome(self):
-        panel = toy_panel(treated_units=(0,))
-        folds = assign_folds(panel, 2, seed=0)
         with pytest.raises(ConfigError):
-            crossfit_nuisance(panel, LearnerSpec.logistic(1.0),
-                              LearnerSpec.logistic(1.0), folds)
+            learners_config(g_learner=LearnerSpec.logistic(1.0),
+                            m_learner=LearnerSpec.logistic(1.0))
 
     @pytest.mark.parametrize("n_codes", [9, 11])
     def test_a_fold_array_of_another_length_is_rejected(self, n_codes):
@@ -157,20 +157,19 @@ class TestCrossfitNuisance:
         with pytest.raises(AlignmentMismatchError):
             crossfit_predictions(panel, LearnerSpec.mean(), panel.outcomes, folds)
         with pytest.raises(AlignmentMismatchError):
-            crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(), folds)
+            crossfit_nuisance(panel, learners_config(), folds)
 
     def test_out_of_fold_purity_under_perturbation(self):
         panel = toy_panel(n_units=12, n_periods=3, treated_units=(0, 1),
                           treat_from=2, seed=6)
         folds = assign_folds(panel, 3, seed=2)
-        spec = LearnerSpec.ridge(0.1)
-        fits = crossfit_nuisance(panel, spec, LearnerSpec.mean(), folds)
+        config = learners_config(g_learner=LearnerSpec.ridge(0.1))
+        fits = crossfit_nuisance(panel, config, folds)
 
         # perturb one observation's outcome and refit with the same folds
         outcomes = panel.outcomes.copy()
         outcomes[0] += 100.0
-        fits2 = crossfit_nuisance(with_columns(panel, outcomes=outcomes), spec,
-                                  LearnerSpec.mean(), folds)
+        fits2 = crossfit_nuisance(with_columns(panel, outcomes=outcomes), config, folds)
 
         fold_of_obs = folds.fold[panel.unit_codes]
         own = fold_of_obs[0]
@@ -201,8 +200,8 @@ class TestResidualize:
                 rows.append((f"u{i}", t, 2.0 * x + 1.0, int(i == 0 and t == 2), x))
         panel = panel_of(rows)
         folds = assign_folds(panel, 2, seed=0)
-        fits = crossfit_nuisance(panel, LearnerSpec.ridge(0.0), LearnerSpec.mean(),
-                                 folds, clip_eps=0.0)
+        fits = crossfit_nuisance(panel, learners_config(g_learner=LearnerSpec.ridge(0.0),
+                                                        clip_eps=0.0), folds)
         assert np.max(np.abs(panel.outcomes - fits.g_hat)) < 1e-8
 
 
@@ -224,7 +223,7 @@ class TestOrthogonality:
 
     def test_ols_residuals_orthogonal_to_features(self):
         panel = self.make_two_period_panel()
-        F, _ = nuisance_features(panel)
+        F = nuisance_features(panel)
         ols = fit(LearnerSpec.ridge(0.0), F, panel.outcomes)
         y_tilde = panel.outcomes - predict(ols, F)
         n = panel.n_obs
@@ -275,9 +274,9 @@ class TestCohortPropensity:
         cohort_of = [3] * 8 + [4] * 8 + [None] * 14
         panel = cohort_panel(cohort_of, seed=5)
         folds = assign_folds(panel, 3, seed=1)
-        spec = LearnerSpec.logistic(1.0)
-        before = propensity_of_unit(
-            crossfit_nuisance(panel, LearnerSpec.ridge(1.0), spec, folds), panel)
+        config = learners_config(g_learner=LearnerSpec.ridge(1.0),
+                                 m_learner=LearnerSpec.logistic(1.0))
+        before = propensity_of_unit(crossfit_nuisance(panel, config, folds), panel)
 
         victim = panel.units[0]
         own_rows = panel.unit_codes == 0
@@ -285,8 +284,7 @@ class TestCohortPropensity:
         perturbed = with_columns(panel, treatments=np.where(own_rows, times >= 4, panel.treatments),
                                  covariates=panel.covariates + 5.0 * own_rows[:, None])
         assert perturbed.cohort_times[0] == 4.0
-        after = propensity_of_unit(
-            crossfit_nuisance(perturbed, LearnerSpec.ridge(1.0), spec, folds), perturbed)
+        after = propensity_of_unit(crossfit_nuisance(perturbed, config, folds), perturbed)
 
         assert before.keys() == after.keys() == {3, 4}
         fold_of_unit = dict(zip(panel.units, folds.fold.tolist()))
@@ -313,14 +311,13 @@ class TestCohortPropensity:
                                                               anticipation, expected):
         cohort_of = [3, 3, 4, 4, 5, 5, None, None, None]
         panel = cohort_panel(cohort_of, n_periods=6)
-        fits = crossfit_nuisance(panel, LearnerSpec.mean(), LearnerSpec.mean(),
-                                 assign_folds(panel, 3, seed=0),
-                                 control_rule=control_rule, anticipation=anticipation)
+        config = learners_config(control_rule=control_rule, anticipation=anticipation)
+        fits = crossfit_nuisance(panel, config, assign_folds(panel, 3, seed=0))
         samples = {c.g: {cohort_of[u] for u in c.units} for c in fits.propensities}
         assert samples == expected
         # The sample's controls are the controls of the cohort's cell (g, g).
         y_tilde = panel.outcomes - fits.g_hat
-        effects = estimate_group_time(panel, y_tilde, control_rule, anticipation)
+        effects = estimate_group_time(panel, y_tilde, config)
         n_control = dict(zip(effects.keys, effects.n_control))
         for c in fits.propensities:
             controls = sum(cohort_of[u] != c.g for u in c.units)

@@ -9,12 +9,21 @@ from numpy.testing import assert_allclose
 
 from panels import panel_of
 from sdidml.aggregate import aggregate_schemes, subgroup_effects
+from sdidml.config import CONTROL_RULES, PipelineConfig
 from sdidml.crossfit import nuisance_features
-from sdidml.didcore import CONTROL_RULES, estimate_group_time, twfe_baseline
-from sdidml.errors import DegenerateDesignError, EmptyControlPoolError, EmptyResultError
+from sdidml.didcore import estimate_group_time, twfe_baseline
+from sdidml.errors import (
+    DataError,
+    DegenerateDesignError,
+    EmptyControlPoolError,
+    EmptyResultError,
+)
 from sdidml.learners import LearnerSpec, fit, predict
 from sdidml.panel import PanelDataset, subset_units, unit_rows
-from sdidml.pipeline import PipelineConfig, estimate_effects
+from sdidml.pipeline import estimate_effects
+
+DEFAULTS = PipelineConfig()
+NOT_YET_TREATED = PipelineConfig(control_rule="not_yet_treated")
 from sdidml.simulate import EffectSpec, generate, scenario
 
 
@@ -39,7 +48,7 @@ class TestGroupTimeContrast:
         base_pattern = {1: 0.3, 2: -0.2, 3: 0.5, 4: 1.1}  # common to all units
         y = np.array([base_pattern[t] for t in panel.periods])[panel.time_codes]
         y += panel.treatments
-        effects = estimate_group_time(panel, y)
+        effects = estimate_group_time(panel, y, DEFAULTS)
         for (g, t), (tau, _, _) in cell_table(effects).items():
             expected = 1.0 if t >= g else 0.0
             assert_allclose(tau, expected, atol=1e-12)
@@ -54,7 +63,7 @@ class TestGroupTimeContrast:
                   ("c1", 1): 0.2, ("c1", 2): 0.5, ("c2", 1): 0.0, ("c2", 2): 0.1}
         y = np.array([values[(panel.units[u], panel.periods[t])]
                       for u, t in zip(panel.unit_codes, panel.time_codes)])
-        cells = cell_table(estimate_group_time(panel, y))
+        cells = cell_table(estimate_group_time(panel, y, DEFAULTS))
         assert set(cells) == {(2, 2)}
         tau, n_treated, n_control = cells[(2, 2)]
         assert_allclose(tau, 1.6, rtol=1e-12)
@@ -64,8 +73,7 @@ class TestGroupTimeContrast:
         # cohorts 2 and 3, nobody never-treated: cell (2,3) has no controls
         cohorts = {"a": 2, "b": 2, "c": 3, "d": 3}
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: u == "a")
-        effects = estimate_group_time(panel, panel.outcomes,
-                                      control_rule="not_yet_treated")
+        effects = estimate_group_time(panel, panel.outcomes, NOT_YET_TREATED)
         cells = cell_table(effects)
         assert (2, 2) in cells
         assert cells[(2, 2)][2] == 2  # n_control: cohort-3 units not yet treated
@@ -80,8 +88,7 @@ class TestGroupTimeContrast:
         panel = panel_from_layout(cohorts, (1, 2, 3, 4, 5),
                                   lambda u, t: float(u == "e" and t >= 3))
         effects = estimate_group_time(panel, panel.outcomes,
-                                      control_rule="not_yet_treated",
-                                      anticipation=1)
+                                      replace(NOT_YET_TREATED, anticipation=1))
         tau, n_treated, n_control = cell_table(effects)[(3, 3)]
         assert (n_treated, n_control) == (2, 2)  # c and n, not e
         assert tau == 0.0
@@ -89,7 +96,7 @@ class TestGroupTimeContrast:
     def test_never_treated_rule_counts(self):
         cohorts = {"a": 2, "b": None, "c": None, "d": 3}
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: 0.0)
-        effects = estimate_group_time(panel, panel.outcomes)
+        effects = estimate_group_time(panel, panel.outcomes, DEFAULTS)
         assert cell_table(effects)[(2, 2)][2] == 2  # n_control: only the two never-treated
 
     def test_anticipation_moves_base_period(self):
@@ -98,7 +105,7 @@ class TestGroupTimeContrast:
         treated = np.isfinite(panel.cohort_times)[panel.unit_codes]
         y = (np.asarray(panel.periods)[panel.time_codes] >= 2) * treated.astype(float)
         # anticipation=1: base period is g-2=1, so the "effect" visible from t=2 on
-        cells = cell_table(estimate_group_time(panel, y, anticipation=1))
+        cells = cell_table(estimate_group_time(panel, y, PipelineConfig(anticipation=1)))
         assert_allclose(cells[(3, 3)][0], 1.0, atol=1e-12)
         assert_allclose(cells[(3, 2)][0], 1.0, atol=1e-12)  # anticipation window
         assert (3, 1) not in cells  # base period itself
@@ -107,15 +114,15 @@ class TestGroupTimeContrast:
         cohorts = {"a": 2, "b": None}
         panel = panel_from_layout(cohorts, (2, 3), lambda u, t: 0.0)
         with pytest.raises(EmptyResultError):
-            estimate_group_time(panel, panel.outcomes)
+            estimate_group_time(panel, panel.outcomes, DEFAULTS)
 
     def test_location_invariance_at_fixed_residuals(self):
         cohorts = {"a": 2, "b": 2, "c": None, "d": None}
         panel = panel_from_layout(cohorts, (1, 2, 3), lambda u, t: 0.0)
         rng = np.random.default_rng(8)
         y = rng.standard_normal(panel.n_obs)
-        e1 = cell_table(estimate_group_time(panel, y))
-        e2 = cell_table(estimate_group_time(panel, y + 123.456))
+        e1 = cell_table(estimate_group_time(panel, y, DEFAULTS))
+        e2 = cell_table(estimate_group_time(panel, y + 123.456, DEFAULTS))
         for key in e1:
             assert abs(e1[key][0] - e2[key][0]) < 1e-12
 
@@ -129,7 +136,7 @@ class TestGroupTimeContrast:
             perm = rng.permutation(n_units)
             cohorts = {f"u{i:02d}": labels[perm[i]] for i in range(n_units)}
             panel = panel_from_layout(cohorts, periods, lambda u, t: 0.0)
-            effects = estimate_group_time(panel, y)
+            effects = estimate_group_time(panel, y, DEFAULTS)
             atts.append(np.mean([c[0] for (g, t), c in cell_table(effects).items()
                                  if t >= g]))
         atts = np.array(atts)
@@ -221,7 +228,7 @@ class TestResidualSlopeFwl:
         y = 1.0 + X @ np.linspace(0.5, 1.5, p) + 0.8 * d + rng.standard_normal(n)
         panel = panel_of([(f"u{i:04d}", 1, y[i], d[i], *X[i]) for i in range(n)])
         # Y's and D's residuals on the same features, by the same OLS fit
-        features, _ = nuisance_features(panel)
+        features = nuisance_features(panel)
         y_tilde = panel.outcomes - predict(fit(LearnerSpec.ridge(0.0), features,
                                                panel.outcomes), features)
         ols = fit(LearnerSpec.ridge(0.0), features, panel.treatments)
@@ -249,7 +256,7 @@ def assert_summaries_close(got, expected, atol):
             assert abs(got[part][k] - expected[part][k]) <= atol, (part, k)
 
 
-def per_label_reference(panel, y_tilde, labels, control_rule, anticipation):
+def per_label_reference(panel, y_tilde, labels, config):
     """{label: summaries, or None when unestimable}, one sub-panel per label."""
     out = {}
     for label in sorted({labels[u] for u in panel.units}):
@@ -257,17 +264,16 @@ def per_label_reference(panel, y_tilde, labels, control_rule, anticipation):
         try:
             sub_panel = subset_units(panel, members)
             effects = estimate_group_time(sub_panel, y_tilde[unit_rows(panel, members)],
-                                          control_rule, anticipation)
+                                          config)
             out[label] = aggregate_schemes(effects)
         except (EmptyControlPoolError, EmptyResultError):
             out[label] = None
     return out
 
 
-def assert_label_rows_match_reference(panel, y_tilde, labels, control_rule,
-                                      anticipation, atol):
-    result = subgroup_effects(panel, y_tilde, labels, control_rule, anticipation)
-    reference = per_label_reference(panel, y_tilde, labels, control_rule, anticipation)
+def assert_label_rows_match_reference(panel, y_tilde, labels, config, atol):
+    result = subgroup_effects(panel, y_tilde, labels, config)
+    reference = per_label_reference(panel, y_tilde, labels, config)
     assert set(result.failures) == {k for k, v in reference.items() if v is None}
     assert result.effects.keys() == {k for k, v in reference.items() if v is not None}
     for label, results in result.effects.items():
@@ -283,7 +289,7 @@ class TestSubgroups:
                           for label in ("A", "B") for u, g in cohorts_half.items()
                           for t in (1, 2, 3)])
         labels = {u: u.split(".")[0] for u in panel.units}
-        result = subgroup_effects(panel, panel.outcomes, labels)
+        result = subgroup_effects(panel, panel.outcomes, labels, DEFAULTS)
         assert not result.failures
         assert_summaries_close(result.effects["A"], result.effects["B"], atol=1e-12)
 
@@ -292,7 +298,7 @@ class TestSubgroups:
         panel = panel_from_layout(cohorts, (1, 2), lambda u, t: 0.0)
         labels = {"t1": "treated_only", "t2": "treated_only",
                   "c1": "mixed", "c2": "mixed"}
-        result = subgroup_effects(panel, panel.outcomes, labels)
+        result = subgroup_effects(panel, panel.outcomes, labels, DEFAULTS)
         assert "treated_only" in result.failures
         # the mixed subgroup has no treated units at all -> also unestimable
         assert "mixed" in result.failures
@@ -300,8 +306,8 @@ class TestSubgroups:
     def test_unlabeled_unit_rejected(self):
         cohorts = {"t1": 2, "c1": None}
         panel = panel_from_layout(cohorts, (1, 2), lambda u, t: 0.0)
-        with pytest.raises(ValueError):
-            subgroup_effects(panel, panel.outcomes, {"t1": "x"})
+        with pytest.raises(DataError, match="1 unit"):
+            subgroup_effects(panel, panel.outcomes, {"t1": "x"}, DEFAULTS)
 
     @settings(max_examples=150, deadline=None)
     @given(inputs=labelled_panels(), control_rule=st.sampled_from(CONTROL_RULES),
@@ -309,8 +315,9 @@ class TestSubgroups:
     def test_label_rows_match_per_label_sub_panels(self, inputs, control_rule,
                                                    anticipation):
         panel, labels = inputs
-        assert_label_rows_match_reference(panel, panel.outcomes, labels, control_rule,
-                                          anticipation, atol=1e-12)
+        config = PipelineConfig(control_rule=control_rule, anticipation=anticipation)
+        assert_label_rows_match_reference(panel, panel.outcomes, labels, config,
+                                          atol=1e-12)
 
     @pytest.mark.parametrize("name", ["S1", "S2", "S3"])
     def test_subgroup_scenarios_match_per_label_sub_panels(self, name):
@@ -320,4 +327,5 @@ class TestSubgroups:
                                    PipelineConfig(bootstrap_reps=0, seed=3)).y_tilde
         for control_rule in CONTROL_RULES:
             assert_label_rows_match_reference(oracle.panel, y_tilde, oracle.subgroup_of_unit,
-                                              control_rule, 0, atol=1e-12)
+                                              PipelineConfig(control_rule=control_rule),
+                                              atol=1e-12)

@@ -3,7 +3,7 @@
 A replicate is a multiplicity-weight vector over the original units, and
 all replicates' cells come from one ``group_time_cells`` call. These tests
 pin that a weight k counts as k copies of a unit, that a stack of residual
-matrices gives what one call per matrix gives, that the weighted bootstrap
+vectors gives what one call per vector gives, that the weighted bootstrap
 reproduces a plain per-replicate resampling loop, and that it makes one
 cell call and, in either mode, builds no panel through the constructor.
 """
@@ -13,17 +13,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from panels import panel_of
+from panels import fresh_id_panel, panel_of
 from sdidml import aggregate
 from sdidml import panel as panel_module
 from sdidml.aggregate import bootstrap
-from sdidml.didcore import CONTROL_RULES, group_time_cells
+from sdidml.config import CONTROL_RULES, PipelineConfig
+from sdidml.didcore import group_time_cells
+from sdidml.errors import EmptyControlPoolError, MissingFieldError
 from sdidml.panel import PanelDataset, pivot_unit_time
-from sdidml.pipeline import PipelineConfig, estimate_effects
+from sdidml.pipeline import estimate_effects
 from sdidml.simulate import generate, scenario
 
 
@@ -32,22 +34,24 @@ from sdidml.simulate import generate, scenario
 
 @st.composite
 def cell_inputs(draw):
-    """Unbalanced (units x periods) arrays plus one multiplicity per unit."""
+    """An unbalanced panel without covariates, plus one multiplicity per unit."""
     n_units = draw(st.integers(1, 8))
     periods = tuple(range(1, draw(st.integers(2, 5)) + 1))
-    adoption = st.sampled_from([math.inf, *periods])
-    cohort_times = np.array(draw(st.lists(adoption, min_size=n_units, max_size=n_units)))
-    present = np.array(draw(st.lists(
-        st.lists(st.booleans(), min_size=len(periods), max_size=len(periods)),
-        min_size=n_units, max_size=n_units)))
-    values = st.floats(-10.0, 10.0, allow_nan=False)
-    ymat = np.array(draw(st.lists(
-        st.lists(values, min_size=len(periods), max_size=len(periods)),
-        min_size=n_units, max_size=n_units)))
-    ymat[~present] = np.nan
-    multiplicity = np.array(draw(st.lists(st.integers(0, 3), min_size=n_units,
-                                          max_size=n_units)))
-    return cohort_times, ymat, present, periods, multiplicity
+    adoption = draw(st.lists(st.sampled_from([math.inf, *periods]), min_size=n_units,
+                             max_size=n_units))
+    rows = [(i, t) for i in range(n_units) for t in periods if draw(st.booleans())]
+    assume(rows)
+    y = draw(st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=len(rows),
+                      max_size=len(rows)))
+    try:
+        panel = PanelDataset([f"u{i}" for i, _ in rows], [t for _, t in rows], y,
+                             [float(t >= adoption[i]) for i, t in rows],
+                             np.zeros((len(rows), 0)), ())
+    except EmptyControlPoolError:
+        assume(False)
+    multiplicity = np.array(draw(st.lists(st.integers(0, 3), min_size=panel.n_units,
+                                          max_size=panel.n_units)))
+    return panel, multiplicity
 
 
 def present_cells(keys, tau, n_treated, n_control, row):
@@ -59,16 +63,19 @@ def present_cells(keys, tau, n_treated, n_control, row):
 @given(inputs=cell_inputs(), control_rule=st.sampled_from(CONTROL_RULES),
        anticipation=st.sampled_from([0, 1]))
 def test_weight_k_equals_k_copies(inputs, control_rule, anticipation):
-    cohort_times, ymat, present, periods, multiplicity = inputs
+    panel, multiplicity = inputs
+    config = PipelineConfig(control_rule=control_rule, anticipation=anticipation)
     weights = np.vstack([multiplicity, np.ones_like(multiplicity)])
-    keys, tau, n_tr, n_c, _ = group_time_cells(cohort_times, ymat, present, periods,
-                                               control_rule, anticipation, weights)
-    copies = np.repeat(np.arange(len(multiplicity)), multiplicity)
-    rows = [(cohort_times[copies], ymat[copies], present[copies]),
-            (cohort_times, ymat, present)]
-    for row, (cohorts, y, mask) in enumerate(rows):
-        expected = present_cells(*group_time_cells(cohorts, y, mask, periods,
-                                                   control_rule, anticipation)[:4], 0)
+    keys, tau, n_tr, n_c, _ = group_time_cells(panel, panel.outcomes, config, weights)
+    codes = np.arange(panel.n_units)
+    for row, idx in enumerate([np.repeat(codes, multiplicity), codes]):
+        try:
+            copies = fresh_id_panel(panel, idx)
+        except (MissingFieldError, EmptyControlPoolError):  # no copy, or none a control
+            expected = {}
+        else:
+            expected = present_cells(*group_time_cells(copies, copies.outcomes,
+                                                       config)[:4], 0)
         got = present_cells(keys, tau, n_tr, n_c, row)
         assert got.keys() == expected.keys()
         for key, (t_exp, n_tr_exp, n_c_exp) in expected.items():
@@ -77,16 +84,13 @@ def test_weight_k_equals_k_copies(inputs, control_rule, anticipation):
             assert abs(t_got - t_exp) <= 1e-12
 
 
-def assert_stack_matches_one_call_per_matrix(cohort_times, stack, present, periods,
-                                             control_rule, anticipation, weights):
-    """Matrix r of the stack with weight row r gives the cells of its own call:
+def assert_stack_matches_one_call_per_vector(panel, stack, config, weights):
+    """Vector r of the stack with weight row r gives the cells of its own call:
     the same keys and omissions, NaN where it has NaN, ``==`` elsewhere."""
-    keys, *arrays, omitted = group_time_cells(cohort_times, stack, present, periods,
-                                              control_rule, anticipation, weights)
+    keys, *arrays, omitted = group_time_cells(panel, stack, config, weights)
     for r in range(len(stack)):
-        want_keys, *want, want_omitted = group_time_cells(
-            cohort_times, stack[r], present, periods, control_rule, anticipation,
-            weights[r:r + 1])
+        want_keys, *want, want_omitted = group_time_cells(panel, stack[r], config,
+                                                          weights[r:r + 1])
         assert (keys, omitted) == (want_keys, want_omitted)
         for got_array, want_array in zip(arrays, want):
             assert_array_equal(got_array[r], want_array[0])
@@ -97,35 +101,36 @@ def assert_stack_matches_one_call_per_matrix(cohort_times, stack, present, perio
        anticipation=st.sampled_from([0, 1]))
 def test_a_residual_stack_equals_one_call_per_matrix(inputs, data, control_rule,
                                                      anticipation):
-    cohort_times, ymat, present, periods, multiplicity = inputs
-    n_units = len(cohort_times)
+    panel, multiplicity = inputs
     R = data.draw(st.integers(1, 4))
     values = st.floats(-10.0, 10.0, allow_nan=False)
-    stack = np.array(data.draw(st.lists(values, min_size=R * ymat.size,
-                                        max_size=R * ymat.size))).reshape(R, *ymat.shape)
-    stack[0] = ymat
-    stack[:, ~present] = np.nan
+    stack = np.array(data.draw(st.lists(values, min_size=R * panel.n_obs,
+                                        max_size=R * panel.n_obs))).reshape(R, panel.n_obs)
+    stack[0] = panel.outcomes
     if data.draw(st.booleans()):  # a replicate whose refit failed
         stack[data.draw(st.integers(0, R - 1))] = np.nan
-    weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=R * n_units,
-                                          max_size=R * n_units)), dtype=np.float64)
-    weights = weights.reshape(R, n_units)
+    weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=R * panel.n_units,
+                                          max_size=R * panel.n_units)), dtype=np.float64)
+    weights = weights.reshape(R, panel.n_units)
     weights[0] = multiplicity
-    assert_stack_matches_one_call_per_matrix(cohort_times, stack, present, periods,
-                                             control_rule, anticipation, weights)
+    config = PipelineConfig(control_rule=control_rule, anticipation=anticipation)
+    assert_stack_matches_one_call_per_vector(panel, stack, config, weights)
 
 
 @pytest.mark.parametrize("control_rule", CONTROL_RULES)
 def test_a_large_residual_stack_equals_one_call_per_matrix(control_rule):
     # Sizes where matrix products run through their blocked, vectorized kernels.
     rng = np.random.default_rng(5)
-    n_units, periods, R = 301, tuple(range(1, 13)), 9
+    n_units, n_periods, R = 301, 12, 9
     cohort_times = rng.choice([np.inf, 4.0, 6.0, 9.0], size=n_units)
-    present = rng.random((n_units, len(periods))) < 0.95
-    stack = np.where(present, rng.standard_normal((R, n_units, len(periods))), np.nan)
-    weights = rng.poisson(1.0, size=(R, n_units)).astype(np.float64)
-    assert_stack_matches_one_call_per_matrix(cohort_times, stack, present, periods,
-                                             control_rule, 1, weights)
+    unit, time = np.nonzero(rng.random((n_units, n_periods)) < 0.95)
+    time += 1
+    panel = PanelDataset([f"u{i:03d}" for i in unit], time, np.zeros(unit.size),
+                         time >= cohort_times[unit], np.zeros((unit.size, 0)), ())
+    stack = rng.standard_normal((R, panel.n_obs))
+    weights = rng.poisson(1.0, size=(R, panel.n_units)).astype(np.float64)
+    config = PipelineConfig(control_rule=control_rule, anticipation=1)
+    assert_stack_matches_one_call_per_vector(panel, stack, config, weights)
 
 
 # -- the per-replicate loop as the reference ------------------------------------------
@@ -193,7 +198,6 @@ def assert_matches(point, values, ci_level):
     assert_allclose(point.se, values.std(ddof=1), rtol=1e-12, atol=0.0)
     assert abs(point.ci_low - lo) <= 1e-12
     assert abs(point.ci_high - hi) <= 1e-12
-    assert point.n_reps == values.size
 
 
 def small_null_panel(n_units=60, seed=11):

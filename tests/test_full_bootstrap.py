@@ -6,9 +6,8 @@ once each, weighted by how many times each was drawn; its residuals go back
 onto the original units, and one ``group_time_cells`` call takes every
 replicate's residuals and weight row. These tests pin that this
 reproduces, for every outcome learner kind, the replicate that copied each
-drawn unit under a fresh id and ran the whole of ``estimate_effects`` (both
-nuisances) on that panel, kept here as the reference, and that no refit
-fits m.
+drawn unit under a fresh id, cross-fit both nuisances on that panel and
+estimated its cells, kept here as the reference, and that no refit fits m.
 """
 
 from collections import Counter
@@ -17,14 +16,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from panels import panel_of
+from panels import fresh_id_panel, panel_of
 from sdidml import aggregate, learners
-from sdidml.aggregate import BOOTSTRAP_MODES, bootstrap, placebo_test
-from sdidml.crossfit import FoldAssignment, assign_folds
+from sdidml.aggregate import bootstrap, placebo_test
+from sdidml.config import BOOTSTRAP_MODES, PipelineConfig
+from sdidml.crossfit import FoldAssignment, assign_folds, crossfit_nuisance
+from sdidml.didcore import estimate_group_time
 from sdidml.errors import DataError, EstimationError, LearnerError
 from sdidml.learners import LearnerSpec
-from sdidml.panel import PanelDataset, unit_rows
-from sdidml.pipeline import PipelineConfig, estimate_effects
+from sdidml.pipeline import estimate_effects
 from sdidml.simulate import generate, scenario
 
 # A unit drawn k times enters the fits and the cell sums once with weight k,
@@ -49,24 +49,13 @@ def two_control_panel():
     return panel_of(rows)
 
 
-def fresh_id_panel(panel, idx):
-    """The drawn units' rows, copy k of unit i renamed ``b<k>.<unit i>``."""
-    rows = unit_rows(panel, idx)
-    fresh = np.array([f"b{k:06d}.{panel.units[i]}" for k, i in enumerate(idx)])
-    lengths = panel.unit_starts[idx + 1] - panel.unit_starts[idx]
-    return PanelDataset(np.repeat(fresh, lengths),
-                        np.asarray(panel.periods)[panel.time_codes[rows]],
-                        panel.outcomes[rows], panel.treatments[rows],
-                        panel.covariates[rows], panel.covariate_names)
-
-
 def both_nuisance_replicates(config, panel, B, seed):
     """Cell tables ``{(g, t): (tau, n_treated, n_control)}`` of the replicate
-    that ran all of ``estimate_effects``.
+    that cross-fits both nuisances.
 
     Replicate r resamples with seed ``seed + r``, gives the copies fresh
-    ids, puts every copy in its unit's fold, and cross-fits both nuisances;
-    None marks a failed replicate.
+    ids, puts every copy in its unit's fold, cross-fits both nuisances and
+    estimates the cells on Y - g_hat; None marks a failed replicate.
     """
     tables = []
     for r in range(B):
@@ -75,7 +64,9 @@ def both_nuisance_replicates(config, panel, B, seed):
         folds = FoldAssignment(config.n_folds,
                                assign_folds(panel, config.n_folds, seed + r).fold[idx])
         try:
-            effects = estimate_effects(fresh_id_panel(panel, idx), config, folds).effects
+            copies = fresh_id_panel(panel, idx)
+            fits = crossfit_nuisance(copies, config, folds)
+            effects = estimate_group_time(copies, copies.outcomes - fits.g_hat, config)
         except (DataError, EstimationError, LearnerError):
             tables.append(None)
             continue
@@ -92,7 +83,6 @@ def assert_inference_close(got, want):
              *((got.event[e], want.event[e]) for e in want.event),
              *((got.group[g], want.group[g]) for g in want.group)]
     for a, b in pairs:
-        assert a.n_reps == b.n_reps
         assert a.se == b.se if b.se is None else a.se == pytest.approx(b.se, rel=TOL, abs=0)
         assert abs(a.ci_low - b.ci_low) <= TOL
         assert abs(a.ci_high - b.ci_high) <= TOL
@@ -171,7 +161,7 @@ def test_refits_never_fit_the_treatment_model(monkeypatch):
     assert kinds == {}
 
     kinds.clear()
-    placebo_test(panel, replace(config, bootstrap_mode="fixed_nuisance"), shift=1)
+    placebo_test(panel, replace(config, bootstrap_mode="fixed_nuisance", placebo_shift=1))
     assert kinds == {"ridge": config.n_folds}
 
 
@@ -199,5 +189,5 @@ def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
     m_rows.clear()
     for mode in BOOTSTRAP_MODES:
         bootstrap(config, panel, mode, y_tilde)
-    placebo_test(panel, config, shift=1)
+    placebo_test(panel, replace(config, placebo_shift=1))
     assert m_rows == []

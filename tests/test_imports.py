@@ -9,10 +9,14 @@ runs on numpy and the standard library alone: those are the only imports
 it makes, numpy is the only dependency ``pyproject.toml`` declares, and
 importing the package or its command line loads no ``scipy`` module,
 whose import time every command would pay. scipy is a test dependency,
-for reference values.
+for reference values. A stage function takes the settings it uses in one
+:class:`PipelineConfig`, never as parameters of its own.
 """
 
 import ast
+import dataclasses
+import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -21,8 +25,9 @@ from pathlib import Path
 import pytest
 
 import sdidml
+from sdidml.config import PipelineConfig
 
-LAYERS = ("errors", "panel", "learners", "crossfit", "didcore", "aggregate",
+LAYERS = ("errors", "panel", "learners", "config", "crossfit", "didcore", "aggregate",
           "pipeline", "simulate", "cli")
 # (module, name) pairs imported from the package itself rather than a layer.
 PACKAGE_IMPORTS = {("cli", "__version__")}
@@ -195,3 +200,26 @@ def test_declared_dependencies_are_the_imported_ones():
     extras = {name: requirement_names(reqs)
               for name, reqs in project["optional-dependencies"].items()}
     assert [name for name, reqs in extras.items() if "scipy" in reqs] == ["test"]
+
+
+STAGE_MODULES = ("crossfit", "didcore", "aggregate", "pipeline")
+# assign_folds deals a given fold count by a given seed: a full-mode
+# bootstrap replicate deals its folds with seed + r.
+SETTING_PARAMETERS_KEPT = {"crossfit.assign_folds": {"n_folds", "seed"}}
+
+
+def test_stage_functions_take_their_settings_in_the_config():
+    settings = {f.name for f in dataclasses.fields(PipelineConfig)} | {"shift"}
+    found = {}
+    for layer in STAGE_MODULES:
+        module = importlib.import_module(f"sdidml.{layer}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not inspect.isfunction(obj)
+                    or obj.__module__ != module.__name__):
+                continue
+            qualname = f"{layer}.{name}"
+            params = (set(inspect.signature(obj).parameters) & settings
+                      - SETTING_PARAMETERS_KEPT.get(qualname, set()))
+            if params:
+                found[qualname] = sorted(params)
+    assert found == {}

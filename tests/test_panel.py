@@ -107,7 +107,7 @@ class TestFeatureMatrix:
         # population SD of (1, 2, 3) is sqrt(2/3)
         panel = panel_of([("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
                           ("B", 1, 0.0, 0, 3.0)])
-        X, means, scales = feature_matrix(panel, standardize=True)
+        X, means, scales = feature_matrix(panel)
         assert_allclose(X[:, 0], [-1.224744871391589, 0.0, 1.224744871391589],
                         atol=1e-12)
         assert_allclose(means, [2.0])
@@ -115,7 +115,7 @@ class TestFeatureMatrix:
 
     def test_constant_column_centered_with_unit_scale(self):
         panel = panel_of([("A", 1, 0.0, 0, 7.0), ("B", 1, 0.0, 0, 7.0)])
-        X, means, scales = feature_matrix(panel, standardize=True)
+        X, means, scales = feature_matrix(panel)
         assert_array_equal(X[:, 0], [0.0, 0.0])
         assert scales[0] == 1.0
 
@@ -127,11 +127,6 @@ class TestFeatureMatrix:
         assert_allclose(means, [1.75], rtol=1e-15)
         assert_allclose(scales, [np.sqrt(3.0) / 4.0], rtol=1e-15)
         assert_allclose(X[:, 0], (np.array([1.0, 2.0, 3.0]) - 1.75) / scales[0], rtol=1e-15)
-
-    def test_no_standardize_is_identity(self):
-        panel = two_unit_panel()
-        X, _, _ = feature_matrix(panel, standardize=False)
-        assert_array_equal(X, panel.covariates)
 
 
 class TestSerialization:

@@ -7,11 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sdidml.aggregate import subgroup_effects
+from sdidml.config import PipelineConfig
 from sdidml.didcore import twfe_baseline
 from sdidml.errors import InvalidConfigError
 from sdidml.learners import LearnerSpec
 from sdidml.panel import write_panel_csv
-from sdidml.pipeline import PipelineConfig, estimate_effects
+from sdidml.pipeline import estimate_effects
 from sdidml.simulate import (
     DGPConfig,
     EFFECT_KINDS,
@@ -180,8 +181,9 @@ class TestSubgroupDgp:
         cfg = replace(scenario("S1"), n_units=500,
                       effect=EffectSpec.subgroup(1.0, 3.0), seed=777)
         oracle = generate(cfg)
-        art = estimate_effects(oracle.panel, PipelineConfig(bootstrap_reps=0, seed=5))
-        result = subgroup_effects(oracle.panel, art.y_tilde, oracle.subgroup_of_unit)
+        config = PipelineConfig(bootstrap_reps=0, seed=5)
+        art = estimate_effects(oracle.panel, config)
+        result = subgroup_effects(oracle.panel, art.y_tilde, oracle.subgroup_of_unit, config)
         assert not result.failures
         assert abs(result.effects["a"].overall_att - 1.0) < 0.35
         assert abs(result.effects["b"].overall_att - 3.0) < 0.35
