@@ -35,11 +35,10 @@ from .crossfit import (
 from .didcore import GroupTimeEffects, TwfeResult, estimate_group_time, twfe_baseline
 from .aggregate import (
     AggregatedResults,
-    BootstrapInference,
     OverlapReport,
-    PlaceboReport,
     PretrendReport,
     SubgroupEffects,
+    SummaryPoint,
     aggregate_schemes,
     bootstrap,
     overlap_report,

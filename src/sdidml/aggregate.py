@@ -6,20 +6,23 @@ Aggregation works on the (R, C) cell table of
 for the point estimate, one row per subgroup label (the 0/1 row of the
 units it labels) for the subgroup effects, R = B for the bootstrap. All
 three go through one summary routine, which gives every row's overall,
-event-time and per-cohort ATT at once (Callaway and Sant'Anna 2021); the
-pre-trend test reads the pre-treatment points of the event curve. Weights
-are proportional to each cell's treated count, so they are non-negative
-by construction and sum to one within machine precision; both properties
-are verified for every row. Uncertainty comes from a unit-level (cluster)
-bootstrap: whole units are resampled with replacement, and replicate r is
-the row of how many times each original unit was drawn.
-``fixed_nuisance`` mode (faster but approximate) reuses the point-estimate
-residuals, so all B rows are one matrix product. ``full``
-mode cross-fits the outcome model g again on each replicate's distinct
-drawn units, with the weight row as sample weights in place of repeated
-copies, and writes the residuals back onto the original units; the B
-residual matrices go to one cell call as a stack, each weighted by its
-own row. Either way one cell call gives all B replicates.
+event-time and per-cohort ATT at once (Callaway and Sant'Anna 2021), each
+keyed ``("overall", 0)``, ``("e", event time)`` or ``("g", cohort)``; a
+:class:`SummaryPoint` per key holds its ATT, SE and CI. The pre-trend test
+reads the pre-treatment event times. Weights are proportional to each
+cell's treated count, so they are non-negative by construction and sum to
+one within machine precision; both properties are verified for every row.
+Uncertainty comes from a unit-level (cluster) bootstrap: whole units are
+resampled with replacement, and replicate r is the row of how many times
+each original unit was drawn. ``fixed_nuisance`` mode (faster but
+approximate) reuses the point-estimate residuals, so all B rows are one
+matrix product. ``full`` mode cross-fits the outcome model g again on each
+replicate's distinct drawn units, with the weight row as sample weights in
+place of repeated copies, and writes the residuals back onto the original
+units; the B residual matrices go to one cell call as a stack, each
+weighted by its own row. Either way one cell call gives all B replicates,
+and the bootstrap sets each point summary's SE and percentile CI from the
+replicates' values under its key.
 
 Every refit here (a full-mode replicate and the placebo test) cross-fits g
 alone: the contrast estimator reads only y_tilde = Y - g_hat, so the
@@ -36,7 +39,7 @@ Results hold estimates, not copies of the settings that produced them;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional
 
 import numpy as np
@@ -63,9 +66,12 @@ WEAK_OVERLAP_CLIP_SHARE = 0.10
 # -- point aggregation -----------------------------------------------------------
 
 
+OVERALL = ("overall", 0)
+
+
 @dataclass(frozen=True)
 class SummaryPoint:
-    """One event-time or cohort summary; inference fields set by the bootstrap."""
+    """One summary's ATT; the bootstrap sets its SE and percentile CI."""
 
     att: float
     se: Optional[float] = None
@@ -75,28 +81,34 @@ class SummaryPoint:
 
 @dataclass(frozen=True)
 class AggregatedResults:
-    """Point summaries of tau(g, t); inference fields filled by the bootstrap."""
+    """Every summary of one cell weighting, keyed ``OVERALL``,
+    ``("e", event time)`` or ``("g", cohort)``, and the overall weights.
 
-    overall_att: float
+    ``n_reps`` and ``n_failed`` count the bootstrap replicates behind the
+    SEs and CIs; both are 0 without a bootstrap.
+    """
+
+    summaries: Mapping[tuple[str, int], SummaryPoint]
     weights_used: Mapping[tuple[int, int], float]
-    overall_se: Optional[float] = None
-    overall_ci_low: Optional[float] = None
-    overall_ci_high: Optional[float] = None
-    event_curve: Mapping[int, SummaryPoint] = field(default_factory=dict)
-    group_atts: Mapping[int, SummaryPoint] = field(default_factory=dict)
+    n_reps: int = 0
+    n_failed: int = 0
+
+    @property
+    def overall(self) -> SummaryPoint:
+        return self.summaries[OVERALL]
 
 
-def _weighted_att(tau: np.ndarray, counts: np.ndarray, labels: np.ndarray,
+def _weighted_att(tau: np.ndarray, counts: np.ndarray, labels: np.ndarray, kind: str,
                   context: str, failed: Optional[np.ndarray] = None):
     """Treated-count-weighted means of (R, C) cell arrays per row and label.
 
-    ``labels`` maps each column to a summary (overall, event time or cohort;
-    ``context`` formats the label into messages). A cell takes part in a row
+    ``labels`` maps each column to the summary keyed ``(kind, label)``;
+    ``context`` formats the label into messages. A cell takes part in a row
     where its tau is not NaN; a (row, label) with no such cell gives NaN.
     Each (row, label)'s weights must be non-negative and sum to 1 within
     ``WEIGHT_SUM_TOL``: a failure raises :class:`EstimationError`, or marks
     the row in the boolean (R,) array ``failed`` when one is given.
-    Returns ``{label: (R,) ATTs}`` and the (R, C) weights.
+    Returns ``{(kind, label): (R,) ATTs}`` and the (R, C) weights.
     """
     levels, code = np.unique(labels, return_inverse=True)
     member = (code[:, None] == np.arange(levels.size)).astype(np.float64)
@@ -114,7 +126,7 @@ def _weighted_att(tau: np.ndarray, counts: np.ndarray, labels: np.ndarray,
         raise EstimationError(f"aggregation weights in {context.format(label)} "
                               f"are negative or do not sum to 1")
     att = np.where(in_use, (weights * np.where(taking_part, tau, 0.0)) @ member, np.nan)
-    return {int(v): att[:, j] for j, v in enumerate(levels)}, weights
+    return {(kind, int(v)): att[:, j] for j, v in enumerate(levels)}, weights
 
 
 def _cell_labels(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -125,23 +137,24 @@ def _cell_labels(keys) -> tuple[np.ndarray, np.ndarray]:
 
 def _summaries(keys, tau: np.ndarray, counts: np.ndarray,
                failed: Optional[np.ndarray] = None):
-    """Overall, per-event-time and per-cohort ATT rows of (R, C) cell arrays.
+    """Every summary's ATTs of (R, C) cell arrays, ``{key: (R,) ATTs}``, and
+    the overall weights, ``{post (g, t): (R,) weights}``.
 
-    Also returns the overall weights as ``{post (g, t): (R,) weights}``.
     A row that fails a weight check is marked in ``failed``, or raises
     :class:`EstimationError` when ``failed`` is None. The overall ATT is
     NaN in a row without a post-treatment cell.
     """
     g, t = _cell_labels(keys)
     post = t >= g
-    overall, weights = _weighted_att(tau[:, post], counts[:, post], np.zeros(post.sum()),
-                                     "overall aggregation", failed)
-    event, _ = _weighted_att(tau, counts, t - g, "event-time {} aggregation", failed)
-    group, _ = _weighted_att(tau[:, post], counts[:, post], g[post],
-                             "cohort {} aggregation", failed)
+    rows, weights = _weighted_att(tau[:, post], counts[:, post], np.zeros(post.sum()),
+                                  "overall", "overall aggregation", failed)
+    rows.setdefault(OVERALL, np.full(len(tau), np.nan))
+    rows.update(_weighted_att(tau, counts, t - g, "e", "event-time {} aggregation",
+                              failed)[0])
+    rows.update(_weighted_att(tau[:, post], counts[:, post], g[post], "g",
+                              "cohort {} aggregation", failed)[0])
     post_keys = [key for key, p in zip(keys, post) if p]
-    return (overall.get(0, np.full(len(tau), np.nan)), dict(zip(post_keys, weights.T)),
-            event, group)
+    return rows, dict(zip(post_keys, weights.T))
 
 
 def _results(keys, tau: np.ndarray, counts: np.ndarray) -> list[AggregatedResults]:
@@ -150,16 +163,11 @@ def _results(keys, tau: np.ndarray, counts: np.ndarray) -> list[AggregatedResult
     A row keeps the cells and summaries it estimates: a cell absent from
     the row has weight 0 and is left out, as is a NaN summary.
     """
-    overall, weights, event, group = _summaries(keys, tau, counts)
-
-    def points(rows: dict, r: int) -> dict:
-        return {k: SummaryPoint(att=float(v[r])) for k, v in rows.items()
-                if not np.isnan(v[r])}
-
+    rows, weights = _summaries(keys, tau, counts)
     return [AggregatedResults(
-        overall_att=float(overall[r]),
-        weights_used={k: float(w[r]) for k, w in weights.items() if w[r] > 0},
-        event_curve=points(event, r), group_atts=points(group, r))
+        summaries={k: SummaryPoint(att=float(v[r])) for k, v in rows.items()
+                   if not np.isnan(v[r])},
+        weights_used={k: float(w[r]) for k, w in weights.items() if w[r] > 0})
         for r in range(len(tau))]
 
 
@@ -209,39 +217,14 @@ def subgroup_effects(panel: PanelDataset, y_tilde: np.ndarray,
     effects: dict = {}
     failures: dict = {}
     for label, results in zip(labels, _results(keys, tau, counts)):
-        if np.isnan(results.overall_att):
-            failures[label] = "no post-treatment cell with a treated and a control unit"
-        else:
+        if OVERALL in results.summaries:
             effects[label] = results
+        else:
+            failures[label] = "no post-treatment cell with a treated and a control unit"
     return SubgroupEffects(effects=effects, failures=failures)
 
 
 # -- bootstrap inference -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InferencePoint:
-    se: Optional[float]
-    ci_low: float
-    ci_high: float
-
-
-@dataclass(frozen=True)
-class BootstrapInference:
-    """Cluster-bootstrap standard errors and percentile CIs."""
-
-    overall: InferencePoint
-    event: Mapping[int, InferencePoint]
-    group: Mapping[int, InferencePoint]
-    n_reps: int
-    n_failed: int
-
-
-def _summarize(values: np.ndarray, ci_level: float) -> InferencePoint:
-    se = float(values.std(ddof=1)) if values.size >= 2 else None
-    alpha = 1.0 - ci_level
-    lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return InferencePoint(se=se, ci_low=float(lo), ci_high=float(hi))
 
 
 def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
@@ -250,8 +233,14 @@ def _resample(seed: int, r: int, n_units: int) -> np.ndarray:
 
 
 def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
-              y_tilde: Optional[np.ndarray]) -> BootstrapInference:
-    """Unit-level bootstrap of the overall, event-time, and cohort summaries.
+              y_tilde: Optional[np.ndarray],
+              results: AggregatedResults) -> AggregatedResults:
+    """Unit-level bootstrap of the point summaries ``results`` of ``panel``.
+
+    Returns ``results`` with each summary's SE and percentile CI set from
+    the values its key takes in the replicates that did not fail, and with
+    ``n_reps`` and ``n_failed``; a summary with fewer than two such values
+    has no spread and keeps neither.
 
     B is ``config.bootstrap_reps``. Replicate r draws ``n_units`` units with
     replacement using seed ``config.seed + r``; its weight row counts how
@@ -302,37 +291,23 @@ def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
     keys, tau, counts, _, _ = group_time_cells(panel, y_tilde, config, weights)
 
     failed = np.zeros(B, dtype=bool)
-    overall, _, event, group = _summaries(keys, tau, counts, failed)
-    failed |= np.isnan(overall)
+    rows, _ = _summaries(keys, tau, counts, failed)
+    failed |= np.isnan(rows[OVERALL])
     n_failed = int(failed.sum())
     if n_failed > 0.2 * B:
         raise BootstrapFailureError(
             f"{n_failed} of {B} bootstrap replicates failed to estimate")
     ok = ~failed
-
-    def summarize(rows: dict) -> dict:
-        kept = {k: v[ok & ~np.isnan(v)] for k, v in rows.items()}
-        return {k: _summarize(v, config.ci_level) for k, v in kept.items() if v.size}
-
-    return BootstrapInference(overall=_summarize(overall[ok], config.ci_level),
-                              event=summarize(event), group=summarize(group),
-                              n_reps=B, n_failed=n_failed)
-
-
-def merge_inference(results: AggregatedResults,
-                    inference: BootstrapInference) -> AggregatedResults:
-    """Attach bootstrap SEs and percentile CIs to point summaries."""
-    def attach(points, inferred):
-        return {k: p if k not in inferred else replace(
-                    p, se=inferred[k].se, ci_low=inferred[k].ci_low,
-                    ci_high=inferred[k].ci_high)
-                for k, p in points.items()}
-
-    return replace(results, overall_se=inference.overall.se,
-                   overall_ci_low=inference.overall.ci_low,
-                   overall_ci_high=inference.overall.ci_high,
-                   event_curve=attach(results.event_curve, inference.event),
-                   group_atts=attach(results.group_atts, inference.group))
+    alpha = 1.0 - config.ci_level
+    summaries = {}
+    for key, point in results.summaries.items():
+        values = rows[key][ok & ~np.isnan(rows[key])]
+        inference = ()
+        if values.size >= 2:
+            lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
+            inference = (float(values.std(ddof=1)), float(lo), float(hi))
+        summaries[key] = SummaryPoint(point.att, *inference)
+    return replace(results, summaries=summaries, n_reps=B, n_failed=n_failed)
 
 
 # -- robustness battery -------------------------------------------------------------
@@ -342,7 +317,7 @@ def merge_inference(results: AggregatedResults,
 class PretrendPoint:
     e: int
     att: float
-    se: Optional[float]
+    se: float
     z: float
 
 
@@ -385,26 +360,25 @@ def chi2_sf(dof: int, x: float) -> float:
 
 
 def pretrend_test(results: AggregatedResults, config: PipelineConfig) -> PretrendReport:
-    """Sum of squared z-scores over the pre-treatment points of the event
-    curve, chi2 reference.
+    """Sum of squared z-scores over the pre-treatment event times that have
+    a bootstrap SE, chi2 reference.
 
-    ``results`` carries the bootstrap SEs (see :func:`merge_inference`);
-    event times e >= -``config.anticipation`` are not tested.
+    ``results`` comes from :func:`bootstrap`. Event times
+    e >= -``config.anticipation`` are not tested, nor is one without an SE
+    (fewer than two replicates estimated it); ``per_e`` and ``dof`` count
+    the tested ones. :class:`NoPreCellsError` means none is left.
     """
-    pre = [(e, p) for e, p in sorted(results.event_curve.items())
-           if e < -config.anticipation]
-    if not pre:
-        raise NoPreCellsError("no pre-treatment event times available")
     points = []
-    for e, p in pre:
-        if p.se is None:
-            raise EstimationError(
-                "pre-trend test needs bootstrap SEs (B >= 2) for every pre event time")
+    for (kind, e), p in sorted(results.summaries.items()):
+        if kind != "e" or e >= -config.anticipation or p.se is None:
+            continue
         if p.se > 0.0:
             z = p.att / p.se
         else:
             z = 0.0 if p.att == 0.0 else math.inf
         points.append(PretrendPoint(e=e, att=p.att, se=p.se, z=z))
+    if not points:
+        raise NoPreCellsError("no pre-treatment event time has a bootstrap SE")
     statistic = math.fsum(p.z ** 2 for p in points)
     dof = len(points)
     p_value = chi2_sf(dof, statistic) if math.isfinite(statistic) else 0.0
@@ -412,23 +386,14 @@ def pretrend_test(results: AggregatedResults, config: PipelineConfig) -> Pretren
                           per_e=tuple(points))
 
 
-@dataclass(frozen=True)
-class PlaceboReport:
-    """Pseudo-ATT from shifting every cohort's adoption into its pre-period."""
-
-    pseudo_att: float
-    ci_low: Optional[float]
-    ci_high: Optional[float]
-
-
-def placebo_test(panel: PanelDataset, config: PipelineConfig) -> PlaceboReport:
-    """Re-estimate on pre-treatment data with adoption moved back.
+def placebo_test(panel: PanelDataset, config: PipelineConfig) -> SummaryPoint:
+    """The overall summary of the pre-treatment data with adoption moved back.
 
     Only observations strictly before each cohort's true adoption survive;
     cohort g is reassigned to g - ``config.placebo_shift``, which must be
     set. The outcome model is cross-fit again on this subsample (folds by
     ``config.seed``), the contrast cells are aggregated and bootstrapped as
-    in a run, so the pseudo-ATT should be indistinguishable from zero under
+    in a run, so this pseudo-ATT should be indistinguishable from zero under
     a valid design.
     """
     shift = config.placebo_shift
@@ -455,13 +420,10 @@ def placebo_test(panel: PanelDataset, config: PipelineConfig) -> PlaceboReport:
     folds = assign_folds(pseudo_panel, config.n_folds, config.seed)
     y_tilde = pseudo_panel.outcomes - crossfit_predictions(
         pseudo_panel, config.g_learner, pseudo_panel.outcomes, folds)
-    effects = estimate_group_time(pseudo_panel, y_tilde, config)
-    att = aggregate_schemes(effects).overall_att
-    ci_low = ci_high = None
+    results = aggregate_schemes(estimate_group_time(pseudo_panel, y_tilde, config))
     if config.bootstrap_reps >= 2:
-        inference = bootstrap(config, pseudo_panel, config.bootstrap_mode, y_tilde)
-        ci_low, ci_high = inference.overall.ci_low, inference.overall.ci_high
-    return PlaceboReport(pseudo_att=att, ci_low=ci_low, ci_high=ci_high)
+        results = bootstrap(config, pseudo_panel, config.bootstrap_mode, y_tilde, results)
+    return results.overall
 
 
 @dataclass(frozen=True)

@@ -122,21 +122,27 @@ class RunConfig:
         return out
 
 
-def _json_safe(x):
-    if isinstance(x, float) and not math.isfinite(x):
-        return None
+def _points_json(kind: str, summaries) -> list:
+    """The summaries keyed ``(kind, k)``, in order, each labelled ``{kind: k}``."""
+    return [dict(asdict(p), **{kind: k})
+            for (key_kind, k), p in sorted(summaries.items()) if key_kind == kind]
+
+
+def _finite(x):
+    """``x`` with every non-finite float in it replaced by None."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
     return x
 
 
-def _points_json(label: str, points) -> list:
-    return [{label: k, "att": p.att, "se": _json_safe(p.se),
-             "ci_low": _json_safe(p.ci_low), "ci_high": _json_safe(p.ci_high)}
-            for k, p in sorted(points.items())]
-
-
 def _write_json(path, payload) -> None:
+    """Strict JSON: a NaN or an infinity is written as null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -195,26 +201,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     panel = read_panel_csv(cfg.input_path)
     pipe = cfg.pipeline
     result = run_pipeline(panel, pipe)
-    res, effects, inference = result.results, result.artifacts.effects, result.inference
+    res, effects = result.results, result.artifacts.effects
     overlap = [asdict(row) for row in result.overlap]
     diagnostics = {"overlap": overlap, "pretrend": None, "placebo": None}
     if result.pretrend is not None:
         diagnostics["pretrend"] = dict(asdict(result.pretrend), approximate=True)
     if result.placebo is not None:
-        diagnostics["placebo"] = dict(asdict(result.placebo), shift=pipe.placebo_shift,
-                                      ci_level=pipe.ci_level)
+        plc = result.placebo
+        diagnostics["placebo"] = {"pseudo_att": plc.att, "ci_low": plc.ci_low,
+                                  "ci_high": plc.ci_high, "shift": pipe.placebo_shift,
+                                  "ci_level": pipe.ci_level}
     cells = [{"g": g, "t": t, "event_time": t - g, "tau": tau,
               "n_treated": int(n_tr), "n_control": int(n_c)}
              for (g, t), tau, n_tr, n_c in zip(effects.keys, effects.tau.tolist(),
                                                effects.n_treated, effects.n_control)]
-    event_curve = _points_json("e", res.event_curve)
+    event_curve = _points_json("e", res.summaries)
     payload = {
-        "overall": {"att": res.overall_att, "se": _json_safe(res.overall_se),
-                    "ci_low": _json_safe(res.overall_ci_low),
-                    "ci_high": _json_safe(res.overall_ci_high),
-                    "ci_level": pipe.ci_level},
+        "overall": dict(asdict(res.overall), ci_level=pipe.ci_level),
         "event_curve": event_curve,
-        "groups": _points_json("g", res.group_atts),
+        "groups": _points_json("g", res.summaries),
         "group_time": {"control_rule": pipe.control_rule,
                        "anticipation": pipe.anticipation,
                        "base_period_rule": f"g-1-{pipe.anticipation}",
@@ -222,11 +227,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                        "omitted": [asdict(cell) for cell in effects.omitted]},
         "weights": {f"{g},{t}": w
                     for (g, t), w in sorted(res.weights_used.items())},
-        "bootstrap": None if inference is None else {
-            "B": inference.n_reps,
+        "bootstrap": None if not res.n_reps else {
+            "B": res.n_reps,
             "mode": pipe.bootstrap_mode,
             "approximate": pipe.bootstrap_mode == "fixed_nuisance",
-            "n_failed": inference.n_failed,
+            "n_failed": res.n_failed,
             "seed": pipe.seed},
         "diagnostics": diagnostics,
         "folds": dict(zip(panel.units, result.artifacts.fits.folds.fold.tolist())),
@@ -240,10 +245,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_csv(outdir / "event_curve.csv", event_curve, ["e", "att", "ci_low", "ci_high"])
     _write_json(outdir / "diagnostics.json", diagnostics)
 
-    ci = ""
-    if res.overall_ci_low is not None:
-        ci = f"  [{res.overall_ci_low:.4f}, {res.overall_ci_high:.4f}] at {pipe.ci_level:.0%}"
-    print(f"overall ATT = {res.overall_att:.6f}{ci}")
+    overall, ci = res.overall, ""
+    if overall.ci_low is not None:
+        ci = f"  [{overall.ci_low:.4f}, {overall.ci_high:.4f}] at {pipe.ci_level:.0%}"
+    print(f"overall ATT = {overall.att:.6f}{ci}")
     print(f"wrote results to {outdir}")
     return EXIT_OK
 
@@ -262,7 +267,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "generator": oracle.generator,
         "seed": cfg.seed,
         "config": cfg.to_dict(),
-        "true_overall_att": _json_safe(oracle.true_overall_att),
+        "true_overall_att": oracle.true_overall_att,
         "true_att": [{"g": g, "t": t, "value": v}
                      for (g, t), v in sorted(oracle.true_att.items())],
         "true_event_curve": {str(e): v
@@ -356,7 +361,8 @@ def _print_diagnosis(res: dict, diag: dict) -> None:
         print("pretrend:  SKIPPED (no pre-treatment cells or no bootstrap)")
     else:
         flag = "PASS" if pre["p_value"] >= 0.05 else "FAIL"
-        print(f"pretrend:  {flag} (statistic={pre['statistic']:.3f}, "
+        statistic = "null" if pre["statistic"] is None else f"{pre['statistic']:.3f}"
+        print(f"pretrend:  {flag} (statistic={statistic}, "
               f"dof={pre['dof']}, p={pre['p_value']:.4f})")
 
     plc = diag.get("placebo")

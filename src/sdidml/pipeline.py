@@ -6,14 +6,14 @@ input and output paths. :func:`estimate_effects` covers stages 2-4
 (cross-fitting, the outcome residual y_tilde = Y - g_hat, contrast
 estimation of the group-time effects) for a validated panel;
 :func:`run_pipeline` adds stage 5 from :mod:`sdidml.aggregate`: the
-overall, event-time and per-cohort ATTs (always all three), bootstrap
-inference merged into them, and the diagnostics, whose pre-trend test
-reads the merged event curve. Only this point estimate fits the treatment
-model m, once per adoption cohort on one row per unit, and its cohort
-propensities feed the overlap report alone; the bootstrap and the placebo
-test refit the outcome model alone, inside ``aggregate``. Modules import
-one way, down the layers ``config``, ``crossfit``, ``didcore``,
-``aggregate`` and this one.
+overall, event-time and per-cohort ATTs (always all three) in one table
+whose SEs and CIs the bootstrap fills in, and the diagnostics, whose
+pre-trend test reads that table's pre-treatment event times. Only this
+point estimate fits the treatment model m, once per adoption cohort on
+one row per unit, and its cohort propensities feed the overlap report
+alone; the bootstrap and the placebo test refit the outcome model alone,
+inside ``aggregate``. Modules import one way, down the layers ``config``,
+``crossfit``, ``didcore``, ``aggregate`` and this one.
 """
 
 from __future__ import annotations
@@ -25,13 +25,11 @@ import numpy as np
 
 from .aggregate import (
     AggregatedResults,
-    BootstrapInference,
     OverlapReport,
-    PlaceboReport,
     PretrendReport,
+    SummaryPoint,
     aggregate_schemes,
     bootstrap,
-    merge_inference,
     overlap_report,
     placebo_test,
     pretrend_test,
@@ -73,26 +71,25 @@ class PipelineResult:
 
     artifacts: EstimationArtifacts
     results: AggregatedResults
-    inference: Optional[BootstrapInference]
     overlap: tuple[OverlapReport, ...]
     pretrend: Optional[PretrendReport]
-    placebo: Optional[PlaceboReport]
+    placebo: Optional[SummaryPoint]
 
 
 def run_pipeline(panel: PanelDataset, config: PipelineConfig) -> PipelineResult:
     """Execute stages 1-5 on a validated panel and collect diagnostics.
 
     The pre-trend report needs bootstrap standard errors, so it is skipped
-    (None) when ``config.bootstrap_reps`` leaves inference disabled, as is
-    the placebo report when ``config.placebo_shift`` is None.
+    (None) when ``config.bootstrap_reps`` leaves inference disabled or no
+    pre-treatment event time has an SE, as is the placebo's overall summary
+    when ``config.placebo_shift`` is None.
     """
     artifacts = estimate_effects(panel, config)
     results = aggregate_schemes(artifacts.effects)
-    inference = None
     pretrend = None
     if config.bootstrap_reps >= 2:
-        inference = bootstrap(config, panel, config.bootstrap_mode, artifacts.y_tilde)
-        results = merge_inference(results, inference)
+        results = bootstrap(config, panel, config.bootstrap_mode, artifacts.y_tilde,
+                            results)
         try:
             pretrend = pretrend_test(results, config)
         except NoPreCellsError:
@@ -101,6 +98,5 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig) -> PipelineResult:
     placebo = None
     if config.placebo_shift is not None:
         placebo = placebo_test(panel, config)
-    return PipelineResult(artifacts=artifacts, results=results,
-                          inference=inference, overlap=overlap,
+    return PipelineResult(artifacts=artifacts, results=results, overlap=overlap,
                           pretrend=pretrend, placebo=placebo)

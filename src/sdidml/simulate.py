@@ -384,20 +384,19 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
     """One estimate (and CI when available) on one generated panel."""
     if method == "sdidml":
         artifacts = estimate_effects(panel, pipeline)
-        att = aggregate_schemes(artifacts.effects).overall_att
+        results = aggregate_schemes(artifacts.effects)
         if pipeline.bootstrap_reps >= 2:
-            inference = bootstrap(pipeline, panel, pipeline.bootstrap_mode,
-                                  artifacts.y_tilde)
-            return att, inference.overall.ci_low, inference.overall.ci_high
-        return att, None, None
+            results = bootstrap(pipeline, panel, pipeline.bootstrap_mode,
+                                artifacts.y_tilde, results)
+        overall = results.overall
+        return overall.att, overall.ci_low, overall.ci_high
     if method == "twfe":
         res = twfe_baseline(panel)
         zq = statistics.NormalDist().inv_cdf(0.5 + pipeline.ci_level / 2.0)
         return res.tau, res.tau - zq * res.se, res.tau + zq * res.se
     if method == "raw_did":
         effects = estimate_group_time(panel, panel.outcomes, pipeline)
-        att = aggregate_schemes(effects).overall_att
-        return att, None, None
+        return aggregate_schemes(effects).overall.att, None, None
     raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

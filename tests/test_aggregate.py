@@ -8,12 +8,10 @@ from numpy.testing import assert_allclose
 from panels import panel_of
 from sdidml import aggregate as aggregate_module
 from sdidml.aggregate import (
-    BootstrapInference,
-    InferencePoint,
+    SummaryPoint,
     aggregate_schemes,
     bootstrap,
     chi2_sf,
-    merge_inference,
     overlap_report,
     placebo_test,
     pretrend_test,
@@ -26,7 +24,7 @@ from sdidml.crossfit import (
     assign_folds,
     crossfit_predictions,
 )
-from sdidml.didcore import GroupTimeEffects
+from sdidml.didcore import GroupTimeEffects, estimate_group_time
 from sdidml.errors import (
     BootstrapFailureError,
     ConfigError,
@@ -51,12 +49,12 @@ class TestAggregate:
         eff = effects_from({(2, 2): (1.0, 5, 9), (2, 3): (1.0, 4, 9),
                             (3, 3): (1.0, 11, 9)})
         res = aggregate_schemes(eff)
-        assert_allclose(res.overall_att, 1.0, rtol=1e-15)
+        assert_allclose(res.overall.att, 1.0, rtol=1e-15)
 
     def test_count_weighted_mean_hand_computed(self):
         eff = effects_from({(2, 2): (1.0, 10, 3), (3, 3): (3.0, 30, 3)})
         res = aggregate_schemes(eff)
-        assert_allclose(res.overall_att, 2.5, rtol=1e-15)
+        assert_allclose(res.overall.att, 2.5, rtol=1e-15)
         assert_allclose(res.weights_used[(2, 2)], 0.25, rtol=1e-15)
         assert_allclose(res.weights_used[(3, 3)], 0.75, rtol=1e-15)
 
@@ -70,25 +68,25 @@ class TestAggregate:
     def test_overall_within_cell_range(self):
         eff = effects_from({(2, 2): (-1.0, 7, 5), (2, 3): (2.0, 13, 5)})
         res = aggregate_schemes(eff)
-        assert -1.0 <= res.overall_att <= 2.0
+        assert -1.0 <= res.overall.att <= 2.0
 
     def test_event_curve_includes_pre_cells(self):
         eff = effects_from({(3, 1): (0.05, 5, 5), (3, 2): (0.0, 5, 5),
                             (3, 3): (1.0, 5, 5), (3, 4): (1.2, 5, 5),
                             (4, 2): (-0.05, 7, 5), (4, 4): (0.9, 7, 5)})
         res = aggregate_schemes(eff)
-        assert set(res.event_curve) == {-2, -1, 0, 1}
+        assert {e for kind, e in res.summaries if kind == "e"} == {-2, -1, 0, 1}
         # e=-2: cells (3,1) n=5 and (4,2) n=7 -> (5*.05 + 7*(-.05))/12
-        assert_allclose(res.event_curve[-2].att, (5 * 0.05 - 7 * 0.05) / 12,
+        assert_allclose(res.summaries[("e", -2)].att, (5 * 0.05 - 7 * 0.05) / 12,
                         rtol=1e-12)
-        assert_allclose(res.event_curve[0].att, (5 * 1.0 + 7 * 0.9) / 12, rtol=1e-12)
+        assert_allclose(res.summaries[("e", 0)].att, (5 * 1.0 + 7 * 0.9) / 12, rtol=1e-12)
 
     def test_by_group(self):
         eff = effects_from({(2, 2): (1.0, 4, 5), (2, 3): (2.0, 4, 5),
                             (3, 3): (5.0, 6, 5)})
         res = aggregate_schemes(eff)
-        assert_allclose(res.group_atts[2].att, 1.5, rtol=1e-12)
-        assert_allclose(res.group_atts[3].att, 5.0, rtol=1e-12)
+        assert_allclose(res.summaries[("g", 2)].att, 1.5, rtol=1e-12)
+        assert_allclose(res.summaries[("g", 3)].att, 5.0, rtol=1e-12)
 
     def test_no_post_cells_is_empty_result(self):
         eff = effects_from({(4, 2): (0.1, 5, 5)})
@@ -108,6 +106,11 @@ def outcome_residuals(panel, config):
                                                  panel.outcomes, folds)
 
 
+def point_results(panel, y_tilde):
+    """The point summaries of the contrast cells of ``y_tilde``."""
+    return aggregate_schemes(estimate_group_time(panel, y_tilde, PipelineConfig()))
+
+
 class TestBootstrap:
     def pipe(self, **kw):
         defaults = dict(bootstrap_reps=29, bootstrap_mode="fixed_nuisance", seed=5)
@@ -116,9 +119,10 @@ class TestBootstrap:
 
     def fixed(self, panel, B, seed):
         """Fixed-nuisance bootstrap, B replicates from ``seed``, of the
-        outcome residuals on the folds of ``self.pipe()``."""
+        point summaries of the outcome residuals on the folds of ``self.pipe()``."""
+        y_tilde = outcome_residuals(panel, self.pipe())
         return bootstrap(replace(self.pipe(), bootstrap_reps=B, seed=seed), panel,
-                         "fixed_nuisance", outcome_residuals(panel, self.pipe()))
+                         "fixed_nuisance", y_tilde, point_results(panel, y_tilde))
 
     def test_single_replicate_is_rejected(self):
         # One replicate has no spread: its "CI" is a point that need not
@@ -137,11 +141,7 @@ class TestBootstrap:
         panel = small_null_panel()
         a = self.fixed(panel, B=29, seed=4)
         b = self.fixed(panel, B=29, seed=4)
-        assert (a.overall.se, a.overall.ci_low, a.overall.ci_high) == \
-               (b.overall.se, b.overall.ci_low, b.overall.ci_high)
-        assert a.event.keys() == b.event.keys()
-        for e in a.event:
-            assert a.event[e].ci_low == b.event[e].ci_low
+        assert a == b
 
     def test_zero_noise_dgp_has_zero_se(self):
         # A mean outcome model is constant within a fold, and a unit's rows
@@ -151,16 +151,19 @@ class TestBootstrap:
         panel = generate(cfg).panel
         pipe = PipelineConfig(g_learner=LearnerSpec.mean(), m_learner=LearnerSpec.mean(),
                               n_folds=2, clip_eps=0.0, bootstrap_reps=19, seed=2)
+        y_tilde = outcome_residuals(panel, pipe)
         for mode in ("fixed_nuisance", "full"):
-            inf = bootstrap(pipe, panel, mode, outcome_residuals(panel, pipe))
+            inf = bootstrap(pipe, panel, mode, y_tilde, point_results(panel, y_tilde))
             assert inf.overall.se < 1e-10
 
     def test_modes_agree_on_point_structure(self):
         panel = small_null_panel()
+        point = point_results(panel, outcome_residuals(panel, self.pipe()))
         full = bootstrap(self.pipe(bootstrap_mode="full", bootstrap_reps=9, seed=7), panel,
-                         "full", None)
+                         "full", None, point)
         fixed = self.fixed(panel, B=9, seed=7)
-        assert full.event.keys() == fixed.event.keys()
+        assert {k for k, p in full.summaries.items() if p.se is not None} == \
+               {k for k, p in fixed.summaries.items() if p.se is not None}
 
     def test_full_mode_refits_drawn_units_in_their_folds_with_their_counts(self, monkeypatch):
         # No observation is predicted by a model that saw its own unit: each
@@ -175,7 +178,8 @@ class TestBootstrap:
         monkeypatch.setattr(aggregate_module, "crossfit_predictions", recording)
         panel = small_null_panel()
         config = self.pipe(bootstrap_mode="full")
-        bootstrap(replace(config, bootstrap_reps=4, seed=3), panel, "full", None)
+        point = point_results(panel, outcome_residuals(panel, config))
+        bootstrap(replace(config, bootstrap_reps=4, seed=3), panel, "full", None, point)
         assert len(calls) == 4
         for r, (bpanel, folds, sample_weight) in enumerate(calls):
             draw = np.random.default_rng(3 + r).integers(0, panel.n_units, size=panel.n_units)
@@ -199,30 +203,28 @@ class TestBootstrap:
         with pytest.raises(ConfigError):
             self.fixed(panel, B=0, seed=0)
 
-    def test_merge_inference_fills_cis(self):
+    def test_bootstrap_keeps_every_att_and_sets_every_se_and_ci(self):
         panel = small_null_panel()
         pipe = self.pipe()
         art = estimate_effects(panel, pipe)
-        res = aggregate_schemes(art.effects)
-        inf = bootstrap(pipe, panel, "fixed_nuisance", art.y_tilde)
-        merged = merge_inference(res, inf)
-        assert merged.overall_att == res.overall_att  # point estimate unchanged
-        assert merged.overall_se is not None
-        assert merged.overall_ci_low <= merged.overall_ci_high
-        assert all(p.se is not None for p in merged.event_curve.values())
+        point = aggregate_schemes(art.effects)
+        res = bootstrap(pipe, panel, "fixed_nuisance", art.y_tilde, point)
+        assert (res.n_reps, res.n_failed, res.weights_used) == (29, 0, point.weights_used)
+        assert res.summaries.keys() == point.summaries.keys()
+        for key, p in res.summaries.items():
+            assert p.att == point.summaries[key].att  # point estimate unchanged
+            assert p.se is not None and p.ci_low <= p.ci_high, key
 
 
 class TestPretrend:
-    def fake_inference(self, es, se=0.5):
-        event = {e: InferencePoint(se=se, ci_low=-1, ci_high=1) for e in es}
-        point = InferencePoint(se=se, ci_low=-1, ci_high=1)
-        return BootstrapInference(overall=point, event=event, group={},
-                                  n_reps=10, n_failed=0)
-
     def pretrend(self, eff, es, se=0.5, anticipation=0):
         """The test on ``eff``'s summaries with SE ``se`` at event times ``es``."""
-        results = merge_inference(aggregate_schemes(eff), self.fake_inference(es, se))
-        return pretrend_test(results, PipelineConfig(anticipation=anticipation))
+        results = aggregate_schemes(eff)
+        summaries = {key: replace(p, se=se, ci_low=-1.0, ci_high=1.0)
+                     if key[0] == "e" and key[1] in es else p
+                     for key, p in results.summaries.items()}
+        return pretrend_test(replace(results, summaries=summaries),
+                             PipelineConfig(anticipation=anticipation))
 
     def test_all_zero_pre_cells_give_p_one(self):
         eff = effects_from({(3, 1): (0.0, 5, 5), (3, 2): (0.0, 5, 5),
@@ -262,6 +264,15 @@ class TestPretrend:
         with pytest.raises(NoPreCellsError):
             self.pretrend(eff, [0])
 
+    def test_tests_only_event_times_with_an_se(self):
+        eff = effects_from({(4, 1): (0.3, 5, 5), (4, 2): (0.2, 5, 5),
+                            (4, 4): (1.0, 5, 5)})
+        rep = self.pretrend(eff, [-2, 0], se=0.1)
+        assert (rep.dof, [p.e for p in rep.per_e]) == (1, [-2])
+        assert_allclose(rep.statistic, (0.2 / 0.1) ** 2, rtol=1e-12)
+        with pytest.raises(NoPreCellsError):
+            self.pretrend(eff, [0])
+
     def test_relabeling_cohorts_preserves_statistic(self):
         eff1 = effects_from({(3, 1): (0.2, 5, 5), (3, 2): (-0.1, 5, 5),
                              (3, 3): (1.0, 5, 5)})
@@ -278,8 +289,9 @@ class TestPlacebo:
         pipe = PipelineConfig(bootstrap_reps=49, bootstrap_mode="fixed_nuisance",
                               seed=3, placebo_shift=1)
         rep = placebo_test(panel, pipe)
+        assert isinstance(rep, SummaryPoint)
         assert rep.ci_low <= 0.0 <= rep.ci_high
-        assert abs(rep.pseudo_att) < 0.6
+        assert abs(rep.att) < 0.6
 
     def test_insufficient_pre_periods(self):
         panel = generate(replace(scenario("S4"), n_units=50, seed=2)).panel

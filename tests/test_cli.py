@@ -13,6 +13,17 @@ from sdidml.panel import read_panel_csv, write_panel_csv
 from sdidml.simulate import generate, scenario
 
 
+def strict_json(text):
+    """Parse ``text`` (str or bytes) as strict JSON: NaN and Infinity are errors."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def read_json(path):
+    return strict_json(path.read_bytes())
+
+
 def last_error(capsys) -> dict:
     """The JSON error line a failing command printed last on stderr."""
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"]
@@ -26,6 +37,7 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     sim = tmp_path / "sim"
     assert cli.main(["simulate", "S1", "--seed", "3", "--out", str(sim)]) == 0
     assert read_panel_csv(sim / "panel.csv") == generate(replace(scenario("S1"), seed=3)).panel
+    assert read_json(sim / "oracle.json")["seed"] == 3
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"bootstrap": {"B": 5, "mode": "full"}, "placebo_shift": 1}))
@@ -36,13 +48,13 @@ def test_simulate_run_diagnose_round_trip(tmp_path, capsys):
     assert "error" not in capsys.readouterr().err
 
     # The report schema that diagnose and downstream readers depend on.
-    diagnostics = json.loads((out / "diagnostics.json").read_text())
-    assert diagnostics == json.loads((out / "results.json").read_text())["diagnostics"]
+    diagnostics = read_json(out / "diagnostics.json")
+    assert diagnostics == read_json(out / "results.json")["diagnostics"]
     assert set(diagnostics) == {"overlap", "pretrend", "placebo"}
     # One overlap row per cohort with a base period: S1's cohorts 4 and 6.
     assert [row["g"] for row in diagnostics["overlap"]] == [4, 6]
     assert all(set(row) == OVERLAP_FIELDS for row in diagnostics["overlap"])
-    assert json.loads((out / "results.json").read_text())["n_clipped"] == sum(
+    assert read_json(out / "results.json")["n_clipped"] == sum(
         row["n_clipped"] for row in diagnostics["overlap"])
     assert set(diagnostics["pretrend"]) == {"statistic", "dof", "p_value", "approximate",
                                             "per_e"}
@@ -68,7 +80,7 @@ def test_not_yet_treated_with_anticipation_round_trip(tmp_path, capsys):
     # S2's cohorts 3, 5 and 7 have base periods 1, 3 and 5. Cohort g's
     # sample is g and the units adopting after g + 1: the later cohorts and
     # the never treated.
-    overlap = json.loads((out / "diagnostics.json").read_text())["overlap"]
+    overlap = read_json(out / "diagnostics.json")["overlap"]
     assert [row["g"] for row in overlap] == [3, 5, 7]
     assert all(set(row) == OVERLAP_FIELDS for row in overlap)
     panel = read_panel_csv(sim / "panel.csv")
@@ -77,6 +89,34 @@ def test_not_yet_treated_with_anticipation_round_trip(tmp_path, capsys):
         sum(size.values()), size[5] + size[7] + size[np.inf], size[7] + size[np.inf]]
     lines = [line for line in printed.out.splitlines() if line.startswith("overlap:")]
     assert [line.split()[1] for line in lines] == ["g=3", "g=5", "g=7"]
+
+
+def test_a_zero_se_is_written_as_strict_json(tmp_path, capsys):
+    # Four units over periods 1-5: cohorts 3, 4 and 5 and one never treated.
+    # Under not_yet_treated, event time -4 is cohort 5 against the never
+    # treated unit alone, so every replicate gives it the same value: its SE
+    # is 0, its z-score and the pre-trend statistic infinite.
+    lines = [f"{u},{t},{i * t % 3 + 2 * int(g is not None and t >= g)},"
+             f"{int(g is not None and t >= g)}"
+             for i, (u, g) in enumerate([("a", 3), ("b", 4), ("c", 5), ("n", None)])
+             for t in range(1, 6)]
+    panel = tmp_path / "panel.csv"
+    panel.write_text("unit,time,outcome,treatment\n" + "\n".join(lines) + "\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"control_rule": "not_yet_treated", "K": 2,
+                                  "bootstrap": {"B": 19, "mode": "fixed_nuisance"}}))
+    out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(config), "--input", str(panel),
+                     "--output", str(out)]) == 0
+    res, diagnostics = read_json(out / "results.json"), read_json(out / "diagnostics.json")
+    pretrend = diagnostics["pretrend"]
+    assert res["diagnostics"] == diagnostics
+    assert [p["se"] for p in pretrend["per_e"] if p["e"] == -4] == [0.0]
+    assert [p["z"] for p in pretrend["per_e"] if p["e"] == -4] == [None]
+    assert pretrend["statistic"] is None
+    capsys.readouterr()
+    assert cli.main(["diagnose", str(out)]) == 0
+    assert "statistic=null" in capsys.readouterr().out
 
 
 def test_diagnose_rejects_the_per_row_overlap_block(tmp_path, capsys):
@@ -88,7 +128,7 @@ def test_diagnose_rejects_the_per_row_overlap_block(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(config), "--input", str(panel),
                      "--output", str(out)]) == 0
-    diagnostics = json.loads((out / "diagnostics.json").read_text())
+    diagnostics = read_json(out / "diagnostics.json")
     diagnostics["overlap"] = {
         "histogram": [0] * 19 + [40], "bin_edges": [i / 20 for i in range(21)],
         "min": 0.01, "max": 0.99, "n_clipped": 12, "n_obs": 40,
@@ -211,7 +251,7 @@ def test_benchmark_csv_holds_the_rows_of_comparison_json(tmp_path):
     out = tmp_path / "bench"
     assert cli.main(["benchmark", "S1", "--reps", "2", "--bootstrap-reps", "0",
                      "--out", str(out)]) == 0
-    methods = json.loads((out / "comparison.json").read_text())["methods"]
+    methods = read_json(out / "comparison.json")["methods"]
     assert methods["sdidml"]["coverage"] is None  # no bootstrap, no interval
     with open(out / "comparison.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
@@ -312,7 +352,7 @@ def test_config_echo_reproduces_results(tmp_path):
     assert cli.main(["run", "--config", str(config), "--input", str(panel),
                      "--output", str(out)]) == 0
     first = (out / "results.json").read_bytes()
-    echo = json.loads(first)["config_echo"]
+    echo = strict_json(first)["config_echo"]
     config.write_text(json.dumps(echo))
     assert cli.main(["run", "--config", str(config)]) == 0
     assert (out / "results.json").read_bytes() == first
@@ -330,7 +370,7 @@ def test_csv_files_hold_the_rows_of_results_json(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["run", "--config", str(config), "--input", str(tmp_path / "panel.csv"),
                      "--output", str(out)]) == 0
-    res = json.loads((out / "results.json").read_text())
+    res = read_json(out / "results.json")
 
     def rows(name, floats):
         with open(out / name, newline="", encoding="utf-8") as fh:

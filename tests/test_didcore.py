@@ -242,9 +242,7 @@ class TestResidualSlopeFwl:
 
 def summary_atts(results):
     """Overall, event-time and per-cohort ATTs and the weights of a summary."""
-    return {"overall": {0: results.overall_att},
-            "event": {e: p.att for e, p in results.event_curve.items()},
-            "group": {g: p.att for g, p in results.group_atts.items()},
+    return {"summaries": {k: p.att for k, p in results.summaries.items()},
             "weights": dict(results.weights_used)}
 
 

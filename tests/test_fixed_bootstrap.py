@@ -20,7 +20,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from panels import fresh_id_panel, panel_of
 from sdidml import aggregate
 from sdidml import panel as panel_module
-from sdidml.aggregate import bootstrap
+from sdidml.aggregate import OVERALL, aggregate_schemes, bootstrap
 from sdidml.config import CONTROL_RULES, PipelineConfig
 from sdidml.didcore import group_time_cells
 from sdidml.errors import EmptyControlPoolError, MissingFieldError
@@ -227,20 +227,21 @@ def test_matches_per_replicate_loop(make_panel, control_rule, anticipation,
     config = PipelineConfig(n_folds=2, control_rule=control_rule,
                             anticipation=anticipation, bootstrap_reps=60,
                             bootstrap_mode="fixed_nuisance", seed=3)
-    y_tilde = estimate_effects(panel, config).y_tilde
+    artifacts = estimate_effects(panel, config)
+    y_tilde, point = artifacts.y_tilde, aggregate_schemes(artifacts.effects)
     B, seed = 60, 9
     inference = bootstrap(replace(config, bootstrap_reps=B, seed=seed), panel,
-                          "fixed_nuisance", y_tilde)
+                          "fixed_nuisance", y_tilde, point)
     overall, event, group, n_failed = loop_bootstrap(config, panel, y_tilde, B, seed)
     assert inference.n_failed == n_failed
     assert (0 < n_failed <= 0.2 * B) == expect_failures
-    assert_matches(inference.overall, overall, config.ci_level)
-    assert inference.event.keys() == event.keys()
-    assert inference.group.keys() == group.keys()
-    for e, values in event.items():
-        assert_matches(inference.event[e], values, config.ci_level)
-    for g, values in group.items():
-        assert_matches(inference.group[g], values, config.ci_level)
+    # A summary with fewer than two replicate values has no SE and no CI.
+    expected = {OVERALL: overall, **{("e", e): v for e, v in event.items()},
+                **{("g", g): v for g, v in group.items()}}
+    expected = {k: v for k, v in expected.items() if len(v) >= 2}
+    assert {k for k, p in inference.summaries.items() if p.se is not None} == expected.keys()
+    for key, values in expected.items():
+        assert_matches(inference.summaries[key], values, config.ci_level)
 
 
 # -- regression guard ---------------------------------------------------------------------
@@ -252,7 +253,8 @@ def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
     # columns, not rebuilt through the constructor.
     panel = small_null_panel()
     config = PipelineConfig(bootstrap_reps=29, seed=5)
-    y_tilde = estimate_effects(panel, config).y_tilde
+    artifacts = estimate_effects(panel, config)
+    y_tilde, point = artifacts.y_tilde, aggregate_schemes(artifacts.effects)
     calls = {}
 
     def counting(name, func):
@@ -270,5 +272,5 @@ def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
                         counting("PanelDataset", PanelDataset.__init__))
     for mode, subsets in (("fixed_nuisance", 0), ("full", 29)):
         calls.update(group_time_cells=0, subset_units=0, PanelDataset=0)
-        bootstrap(replace(config, bootstrap_reps=29, seed=4), panel, mode, y_tilde)
+        bootstrap(replace(config, bootstrap_reps=29, seed=4), panel, mode, y_tilde, point)
         assert calls == {"group_time_cells": 1, "subset_units": subsets, "PanelDataset": 0}

@@ -18,7 +18,7 @@ import pytest
 
 from panels import fresh_id_panel, panel_of
 from sdidml import aggregate, learners
-from sdidml.aggregate import bootstrap, placebo_test
+from sdidml.aggregate import aggregate_schemes, bootstrap, placebo_test
 from sdidml.config import BOOTSTRAP_MODES, PipelineConfig
 from sdidml.crossfit import FoldAssignment, assign_folds, crossfit_nuisance
 from sdidml.didcore import estimate_group_time
@@ -77,15 +77,21 @@ def both_nuisance_replicates(config, panel, B, seed):
 
 def assert_inference_close(got, want):
     assert (got.n_reps, got.n_failed) == (want.n_reps, want.n_failed)
-    assert got.event.keys() == want.event.keys()
-    assert got.group.keys() == want.group.keys()
-    pairs = [(got.overall, want.overall),
-             *((got.event[e], want.event[e]) for e in want.event),
-             *((got.group[g], want.group[g]) for g in want.group)]
-    for a, b in pairs:
-        assert a.se == b.se if b.se is None else a.se == pytest.approx(b.se, rel=TOL, abs=0)
+    assert got.summaries.keys() == want.summaries.keys()
+    for key, b in want.summaries.items():
+        a = got.summaries[key]
+        assert a.att == b.att
+        if b.se is None:
+            assert (a.se, a.ci_low, a.ci_high) == (None, None, None), key
+            continue
+        assert a.se == pytest.approx(b.se, rel=TOL, abs=0)
         assert abs(a.ci_low - b.ci_low) <= TOL
         assert abs(a.ci_high - b.ci_high) <= TOL
+
+
+def point_results(panel, config):
+    """The point summaries of ``panel`` under ``config``."""
+    return aggregate_schemes(estimate_effects(panel, config).effects)
 
 
 # Outcome learners, by id suffix; the default (ridge) has none. In the
@@ -108,12 +114,13 @@ def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel,
     panel = make_panel()
     config = PipelineConfig(g_learner=g_learner, n_folds=n_folds, bootstrap_reps=B, seed=3)
     reference = both_nuisance_replicates(config, panel, B, seed=9)
+    point = point_results(panel, config)
     group_time_cells = aggregate.group_time_cells
     calls = []
     monkeypatch.setattr(aggregate, "group_time_cells",
                         lambda *args: calls.append(group_time_cells(*args)) or calls[-1])
     monkeypatch.setattr(aggregate, "estimate_group_time", None)  # never called
-    inference = bootstrap(replace(config, seed=9), panel, "full", None)
+    inference = bootstrap(replace(config, seed=9), panel, "full", None, point)
 
     # One weighted call over the point estimate's cells gives every
     # replicate; row r's present cells and their counts match replicate r
@@ -136,7 +143,7 @@ def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel,
         return keys, ref_tau, ref_treated, None, ()
 
     monkeypatch.setattr(aggregate, "group_time_cells", reference_cells)
-    want = bootstrap(replace(config, seed=9), panel, "full", None)
+    want = bootstrap(replace(config, seed=9), panel, "full", None, point)
     assert (0 < want.n_failed <= 0.2 * B) == expect_failures
     assert_inference_close(inference, want)
 
@@ -151,13 +158,14 @@ def test_refits_never_fit_the_treatment_model(monkeypatch):
         kinds[spec.kind] += 1
         return fit(spec, *args, **kwargs)
 
-    y_tilde = estimate_effects(panel, config).y_tilde
+    artifacts = estimate_effects(panel, config)
+    y_tilde, point = artifacts.y_tilde, aggregate_schemes(artifacts.effects)
     monkeypatch.setattr(learners, "fit", counting)
-    bootstrap(config, panel, "full", None)
+    bootstrap(config, panel, "full", None, point)
     assert kinds == {"ridge": 4 * config.n_folds}
 
     kinds.clear()
-    bootstrap(config, panel, "fixed_nuisance", y_tilde)  # reuses the point residuals
+    bootstrap(config, panel, "fixed_nuisance", y_tilde, point)  # reuses the point residuals
     assert kinds == {}
 
     kinds.clear()
@@ -179,7 +187,8 @@ def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
         return fit(spec, features, *args, **kwargs)
 
     monkeypatch.setattr(learners, "fit", counting)
-    y_tilde = estimate_effects(panel, config).y_tilde
+    artifacts = estimate_effects(panel, config)
+    y_tilde, point = artifacts.y_tilde, aggregate_schemes(artifacts.effects)
     cohorts = {g for g in panel.cohort_times
                if g - 1 - config.anticipation in panel.periods}
     assert len(cohorts) == 1
@@ -188,6 +197,6 @@ def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
 
     m_rows.clear()
     for mode in BOOTSTRAP_MODES:
-        bootstrap(config, panel, mode, y_tilde)
+        bootstrap(config, panel, mode, y_tilde, point)
     placebo_test(panel, replace(config, placebo_shift=1))
     assert m_rows == []

@@ -59,6 +59,25 @@ def test_cohort_propensities_and_placebo_follow_the_config():
     folds = assign_folds(pseudo, CONFIG.n_folds, CONFIG.seed)
     y_tilde = pseudo.outcomes - crossfit_predictions(pseudo, CONFIG.g_learner,
                                                      pseudo.outcomes, folds)
-    want = aggregate_schemes(estimate_group_time(pseudo, y_tilde, CONFIG)).overall_att
-    assert result.placebo.pseudo_att == want
+    want = aggregate_schemes(estimate_group_time(pseudo, y_tilde, CONFIG)).overall.att
+    assert result.placebo.att == want
     assert result.placebo.ci_low is None  # B = 0: no bootstrap
+
+
+def test_summaries_with_fewer_than_two_replicates_get_no_se_and_no_ci():
+    # On 16 units of S1 cohort 6's early event times are estimated by at
+    # most one replicate: they get neither an SE nor a CI, the pre-trend
+    # test leaves them out, and the run completes.
+    for seed, B in ((22, 5), (7, 2)):
+        panel = generate(replace(scenario("S1"), n_units=16, seed=seed)).panel
+        config = PipelineConfig(n_folds=2, bootstrap_reps=B,
+                                bootstrap_mode="fixed_nuisance", seed=seed)
+        result = run_pipeline(panel, config)
+        summaries = result.results.summaries
+        sparse = {key for key, p in summaries.items() if p.se is None}
+        assert {("e", -5), ("e", -4)} <= sparse
+        for key, p in summaries.items():
+            assert (p.ci_low is None) == (p.ci_high is None) == (key in sparse), key
+        tested = [p.e for p in result.pretrend.per_e]
+        assert tested and result.pretrend.dof == len(tested)
+        assert not {("e", e) for e in tested} & sparse
