@@ -16,21 +16,23 @@ Uncertainty comes from a unit-level (cluster) bootstrap: whole units are
 resampled with replacement, and replicate r is the row of how many times
 each original unit was drawn. ``fixed_nuisance`` mode (faster but
 approximate) reuses the point-estimate residuals, so all B rows are one
-matrix product. ``full`` mode cross-fits the outcome model g again on each
-replicate's distinct drawn units, with the weight row as sample weights in
-place of repeated copies, and writes the residuals back onto the original
-units; the B residual matrices go to one cell call as a stack, each
-weighted by its own row. Either way one cell call gives all B replicates,
-and the bootstrap sets each point summary's SE and percentile CI from the
-replicates' values under its key.
+matrix product. ``full`` mode calls
+:func:`~sdidml.crossfit.outcome_residuals` again on each replicate's
+distinct drawn units, with the weight row as sample weights in place of
+repeated copies, and writes the residuals back onto the original units;
+the B residual matrices go to one cell call as a stack, each weighted by
+its own row. Either way one cell call gives all B replicates, and the
+bootstrap sets each point summary's SE and percentile CI from the
+replicates' values under its key; values that differ only by rounding
+give an SE of 0.
 
-Every refit here (a full-mode replicate and the placebo test) cross-fits g
-alone: the contrast estimator reads only y_tilde = Y - g_hat, so the
-treatment model m is fit only for the point estimate, in
-:mod:`sdidml.pipeline`, once per adoption cohort on one row per unit. The
-overlap report reads those cohort propensities (Callaway and Sant'Anna
-2021), one row per cohort, and judges common support by the share of
-units clipped (Crump, Hotz, Imbens and Mitnik 2009).
+Every refit here (a full-mode replicate and the placebo test) is one
+``outcome_residuals`` call: the contrast estimator reads only
+y_tilde = Y - g_hat, so the treatment model m is fit only for the point
+estimate, in :mod:`sdidml.pipeline`, once per adoption cohort on one row
+per unit. The overlap report reads those cohort propensities (Callaway
+and Sant'Anna 2021), one row per cohort, and judges common support by the
+share of units clipped (Crump, Hotz, Imbens and Mitnik 2009).
 
 Results hold estimates, not copies of the settings that produced them;
 :mod:`sdidml.cli` echoes those from its config and alone writes files.
@@ -45,7 +47,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .config import BOOTSTRAP_MODES, PipelineConfig
-from .crossfit import NuisanceFits, assign_folds, crossfit_predictions
+from .crossfit import NuisanceFits, assign_folds, outcome_residuals
 from .didcore import GroupTimeEffects, estimate_group_time, group_time_cells
 from .errors import (
     BootstrapFailureError,
@@ -60,6 +62,9 @@ from .errors import (
 from .panel import PanelDataset, subset_units, unit_rows
 
 WEIGHT_SUM_TOL = 1e-12
+# Replicate values whose range is at most this share of their largest
+# magnitude differ only by rounding: their SE is 0.
+SE_ROUNDING_TOL = 1e-12
 WEAK_OVERLAP_CLIP_SHARE = 0.10
 
 
@@ -240,7 +245,8 @@ def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
     Returns ``results`` with each summary's SE and percentile CI set from
     the values its key takes in the replicates that did not fail, and with
     ``n_reps`` and ``n_failed``; a summary with fewer than two such values
-    has no spread and keeps neither.
+    has no spread and keeps neither, and one whose values differ only by
+    rounding (see ``SE_ROUNDING_TOL``) gets SE 0.
 
     B is ``config.bootstrap_reps``. Replicate r draws ``n_units`` units with
     replacement using seed ``config.seed + r``; its weight row counts how
@@ -250,8 +256,8 @@ def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
     ``fixed_nuisance`` uses ``y_tilde``, the point estimate's outcome
     residuals in ``panel``'s observation order, for every replicate.
     ``full`` mode ignores ``y_tilde`` and gives each replicate its own
-    residuals: it cross-fits the outcome model g on the replicate's distinct
-    drawn units, with the folds that seed ``config.seed + r`` assigns to
+    residuals: :func:`outcome_residuals` of the replicate's distinct drawn
+    units, with the folds that seed ``config.seed + r`` assigns to
     ``panel``'s units indexed by the drawn codes, and the weight row as
     sample weights: a unit drawn c times counts as c copies in the
     standardization and in every fit, and all of them sit in its fold. The
@@ -277,11 +283,9 @@ def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
         y = np.zeros(panel.n_obs)
         try:
             bpanel = subset_units(panel, drawn)
-            folds = assign_folds(panel, config.n_folds, seed + r)
-            folds = replace(folds, fold=folds.fold[drawn])
-            y[unit_rows(panel, drawn)] = bpanel.outcomes - crossfit_predictions(
-                bpanel, config.g_learner, bpanel.outcomes, folds,
-                c[drawn][bpanel.unit_codes])
+            folds = assign_folds(panel, config.n_folds, seed + r)[drawn]
+            y[unit_rows(panel, drawn)] = outcome_residuals(bpanel, config, folds,
+                                                           c[drawn][bpanel.unit_codes])
         except (DataError, EstimationError, LearnerError):
             y[:] = np.nan
         return y
@@ -305,7 +309,9 @@ def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
         inference = ()
         if values.size >= 2:
             lo, hi = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
-            inference = (float(values.std(ddof=1)), float(lo), float(hi))
+            rounding = np.ptp(values) <= SE_ROUNDING_TOL * np.abs(values).max()
+            se = 0.0 if rounding else float(values.std(ddof=1))
+            inference = (se, float(lo), float(hi))
         summaries[key] = SummaryPoint(point.att, *inference)
     return replace(results, summaries=summaries, n_reps=B, n_failed=n_failed)
 
@@ -417,9 +423,8 @@ def placebo_test(panel: PanelDataset, config: PipelineConfig) -> SummaryPoint:
                                 t_obs[rows] >= g_obs[rows] - shift,
                                 panel.covariates[rows], panel.covariate_names)
 
-    folds = assign_folds(pseudo_panel, config.n_folds, config.seed)
-    y_tilde = pseudo_panel.outcomes - crossfit_predictions(
-        pseudo_panel, config.g_learner, pseudo_panel.outcomes, folds)
+    y_tilde = outcome_residuals(pseudo_panel, config,
+                                assign_folds(pseudo_panel, config.n_folds, config.seed))
     results = aggregate_schemes(estimate_group_time(pseudo_panel, y_tilde, config))
     if config.bootstrap_reps >= 2:
         results = bootstrap(config, pseudo_panel, config.bootstrap_mode, y_tilde, results)

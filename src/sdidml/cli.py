@@ -234,7 +234,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             "n_failed": res.n_failed,
             "seed": pipe.seed},
         "diagnostics": diagnostics,
-        "folds": dict(zip(panel.units, result.artifacts.fits.folds.fold.tolist())),
+        "folds": dict(zip(panel.units, result.artifacts.fits.folds.tolist())),
         "n_clipped": sum(row["n_clipped"] for row in overlap),
         "config_echo": cfg.to_dict(),
         "versions": _versions(),

@@ -2,25 +2,25 @@
 
 Folds are assigned at the unit level, at least two of them, so every
 observation's prediction comes from models trained without any observation
-of its own unit. The outcome model's feature set is the standardized
-covariate matrix augmented with one-hot period indicators (first period
-omitted as the reference); adoption-cohort information is deliberately
-excluded so the treatment contrast survives into the structural stage.
+of its own unit. The folds are one read-only intp array over unit codes,
+each label in ``range(config.n_folds)``; a bootstrap replicate indexes its
+parent's array by the drawn codes.
 
-:func:`crossfit_predictions` cross-fits one learner for one
-per-observation target. :func:`crossfit_nuisance` reads both learners, the
-propensity clip and the cohorts' control pools from the run's
-:class:`~sdidml.config.PipelineConfig`; it calls :func:`crossfit_predictions`
-for the outcome model g and then fits the treatment model m once per
-adoption cohort, on one row per unit: the cohort propensity P(G = g | X at the base period)
-among the cohort and its controls (Callaway and Sant'Anna 2021), which
-feeds the overlap report alone. The contrast estimator reads only the
-outcome residual y_tilde = Y - g_hat, an array in observation order, so
-the bootstrap and placebo refits cross-fit only g. Outcome cross-fits take
-optional per-observation weights, which weight the feature
-standardization and every fit; a full-mode bootstrap replicate passes how
-many times each of its distinct units was drawn. Folds are one array over
-unit codes; a replicate indexes its parent's by the drawn codes.
+:func:`outcome_residuals` is the one cross-fit of the outcome model g. It
+builds the features (:func:`nuisance_features`: the standardized
+covariates and one-hot period indicators, the first period omitted as the
+reference; adoption-cohort information is deliberately excluded so the
+treatment contrast survives into the structural stage), fits
+``config.g_learner`` on each fold's complement and returns the read-only
+outcome residual y_tilde = Y - g_hat in observation order. The contrast
+estimator reads only y_tilde, so the bootstrap and placebo refits call
+:func:`outcome_residuals` alone. It takes optional per-observation
+weights, which weight the feature standardization and every fit; a
+full-mode bootstrap replicate passes how many times each of its distinct
+units was drawn. :func:`crossfit_nuisance` adds the treatment model m,
+fit once per adoption cohort on one row per unit: the cohort propensity
+P(G = g | X at the base period) among the cohort and its controls
+(Callaway and Sant'Anna 2021), which feeds the overlap report alone.
 """
 
 from __future__ import annotations
@@ -38,24 +38,16 @@ from .errors import (
     LearnerError,
     TooManyFoldsError,
 )
-from .learners import LearnerSpec
-from .panel import PanelDataset, control_pool, feature_matrix
+from .panel import PanelDataset, control_pool
 
 
-@dataclass(frozen=True)
-class FoldAssignment:
-    """Unit-level fold labels: ``fold[c]`` is the fold of unit code c."""
-
-    n_folds: int
-    fold: np.ndarray
-
-
-def assign_folds(panel: PanelDataset, n_folds: int, seed: int) -> FoldAssignment:
+def assign_folds(panel: PanelDataset, n_folds: int, seed: int) -> np.ndarray:
     """Shuffle the unit codes by ``seed`` and deal them round-robin.
 
-    ``fold`` is a read-only intp array, a deterministic function of the
-    seed and the number of units. Fold sizes differ by at most one unit.
-    Fewer than two folds would leave no unit to hold out.
+    Returns the read-only intp array of each unit code's fold, a
+    deterministic function of the seed and the number of units. Fold sizes
+    differ by at most one unit. Fewer than two folds would leave no unit to
+    hold out.
     """
     if n_folds < 2:
         raise ConfigError("n_folds must be >= 2")
@@ -66,22 +58,70 @@ def assign_folds(panel: PanelDataset, n_folds: int, seed: int) -> FoldAssignment
     fold[np.random.default_rng(seed).permutation(panel.n_units)] = (
         np.arange(panel.n_units) % n_folds)
     fold.setflags(write=False)
-    return FoldAssignment(n_folds, fold)
+    return fold
 
 
 def nuisance_features(panel: PanelDataset,
                       sample_weight: Optional[np.ndarray] = None) -> np.ndarray:
     """Feature matrix for the nuisance models: standardized X + period dummies.
 
-    The columns are the covariates, then one dummy per period after the
-    earliest, which is the omitted reference so the dummies stay linearly
-    independent of an intercept. With ``sample_weight`` (one weight per
-    observation) the covariates are standardized by their weighted mean and
-    weighted population SD.
+    The columns are the covariates, each centered and scaled to unit
+    population SD (a zero-variance column is centered only), then one dummy
+    per period after the earliest, which is the omitted reference so the
+    dummies stay linearly independent of an intercept. ``sample_weight``,
+    one checked weight per observation (:func:`learners.check_sample_weight`),
+    weights the mean and the SD, so integer weights c standardize as the
+    rows repeated c times would.
     """
-    w = learners.check_sample_weight(sample_weight, panel.n_obs)
-    X, _, _ = feature_matrix(panel, sample_weight=w)
+    X = panel.covariates
+    if sample_weight is None:
+        means, scales = X.mean(axis=0), X.std(axis=0)
+    else:
+        total = sample_weight.sum()
+        means = sample_weight @ X / total
+        scales = np.sqrt(sample_weight @ (X - means) ** 2 / total)
+    X = (X - means) / np.where(scales == 0.0, 1.0, scales)
     return np.hstack([X, np.eye(panel.n_periods)[panel.time_codes, 1:]])
+
+
+def outcome_residuals(panel: PanelDataset, config: PipelineConfig, folds: np.ndarray,
+                      sample_weight: Optional[np.ndarray] = None) -> np.ndarray:
+    """The read-only outcome residual Y - g_hat in observation order, g_hat
+    the out-of-fold predictions of ``config.g_learner``.
+
+    ``folds`` gives each of ``panel``'s units, in ``panel.units`` order, a
+    fold in ``range(config.n_folds)``, or :class:`AlignmentMismatchError`
+    is raised. For each fold k the learner is trained on all observations
+    of units outside fold k and evaluated on fold k's observations. A
+    learner failure is re-raised with its fold number.
+
+    ``sample_weight`` gives each observation a weight in the standardization
+    (:func:`nuisance_features`) and in every fit (:func:`learners.fit`);
+    integer weights c give the residuals of the panel whose units are
+    repeated c times, every copy in its unit's fold.
+    """
+    if folds.shape != (panel.n_units,):
+        raise AlignmentMismatchError(f"fold assignment covers {folds.size} "
+                                     f"units; the panel has {panel.n_units}")
+    if not (0 <= folds.min() and folds.max() < config.n_folds):
+        raise AlignmentMismatchError(f"fold labels span [{folds.min()}, {folds.max()}]; "
+                                     f"K = {config.n_folds} allows [0, {config.n_folds})")
+    fold_of_obs = folds[panel.unit_codes]
+    w = learners.check_sample_weight(sample_weight, panel.n_obs)
+    features = nuisance_features(panel, w)
+    g_hat = np.empty(panel.n_obs)
+    for k in range(config.n_folds):
+        test = fold_of_obs == k
+        train = ~test
+        try:
+            model = learners.fit(config.g_learner, features[train], panel.outcomes[train],
+                                 None if w is None else w[train])
+        except LearnerError as exc:
+            raise type(exc)(f"fold {k}: {exc}") from exc
+        g_hat[test] = learners.predict(model, features[test])
+    y_tilde = panel.outcomes - g_hat
+    y_tilde.setflags(write=False)
+    return y_tilde
 
 
 @dataclass(frozen=True)
@@ -103,54 +143,17 @@ class CohortPropensity:
 
 @dataclass(frozen=True)
 class NuisanceFits:
-    """Out-of-fold g_hat ~ E[Y|X,t] per observation, and one propensity per
-    cohort with a unit observed at its base period, in cohort order."""
+    """The out-of-fold outcome residual Y - g_hat per observation
+    (:func:`outcome_residuals`), one propensity per cohort with a unit
+    observed at its base period, in cohort order, and the unit folds."""
 
-    g_hat: np.ndarray
+    y_tilde: np.ndarray
     propensities: tuple[CohortPropensity, ...]
-    folds: FoldAssignment
-
-
-def _unit_folds(panel: PanelDataset, folds: FoldAssignment) -> np.ndarray:
-    """The fold of each of ``panel``'s units, in ``panel.units`` order."""
-    if folds.fold.shape != (panel.n_units,):
-        raise AlignmentMismatchError(f"fold assignment covers {folds.fold.size} "
-                                     f"units; the panel has {panel.n_units}")
-    return folds.fold
-
-
-def crossfit_predictions(panel: PanelDataset, spec: LearnerSpec, target: np.ndarray,
-                         folds: FoldAssignment,
-                         sample_weight: Optional[np.ndarray] = None) -> np.ndarray:
-    """Out-of-fold predictions of one learner for one per-observation target.
-
-    For each fold k the learner is trained on all observations of units
-    outside fold k and evaluated on fold k's observations. A learner
-    failure is re-raised with its fold number.
-
-    ``sample_weight`` gives each observation a weight in the standardization
-    (:func:`nuisance_features`) and in every fit (:func:`learners.fit`);
-    integer weights c give the predictions of the panel whose units are
-    repeated c times, every copy in its unit's fold.
-    """
-    fold_of_obs = _unit_folds(panel, folds)[panel.unit_codes]
-    w = learners.check_sample_weight(sample_weight, panel.n_obs)
-    features = nuisance_features(panel, w)
-    predictions = np.empty(panel.n_obs)
-    for k in range(folds.n_folds):
-        test = fold_of_obs == k
-        train = ~test
-        try:
-            model = learners.fit(spec, features[train], target[train],
-                                 None if w is None else w[train])
-        except LearnerError as exc:
-            raise type(exc)(f"fold {k}: {exc}") from exc
-        predictions[test] = learners.predict(model, features[test])
-    return predictions
+    folds: np.ndarray
 
 
 def _cohort_propensities(panel: PanelDataset, config: PipelineConfig,
-                         folds: FoldAssignment) -> tuple[CohortPropensity, ...]:
+                         folds: np.ndarray) -> tuple[CohortPropensity, ...]:
     """One cross-fit of ``config.m_learner`` per cohort g with a unit
     observed at its base period b, on one row per unit of the fit sample
     (see :class:`CohortPropensity`), which follows ``config.control_rule``
@@ -166,7 +169,6 @@ def _cohort_propensities(panel: PanelDataset, config: PipelineConfig,
     ``config.clip_eps``.
     """
     spec, clip_eps = config.m_learner, config.clip_eps
-    unit_fold = _unit_folds(panel, folds)
     row = np.full((panel.n_units, panel.n_periods), -1)
     row[panel.unit_codes, panel.time_codes] = np.arange(panel.n_obs)
     period_code = {t: i for i, t in enumerate(panel.periods)}
@@ -183,10 +185,10 @@ def _cohort_propensities(panel: PanelDataset, config: PipelineConfig,
             continue
         X = panel.covariates[row[units, bi]]
         target = in_cohort[units].astype(np.float64)
-        fold = unit_fold[units]
+        fold = folds[units]
         raw = np.empty(units.size)
         fitted = np.zeros(units.size, dtype=bool)
-        for k in range(folds.n_folds):
+        for k in range(config.n_folds):
             test = fold == k
             train = ~test
             if not (test.any() and train.any()):
@@ -213,11 +215,10 @@ def _cohort_propensities(panel: PanelDataset, config: PipelineConfig,
 
 
 def crossfit_nuisance(panel: PanelDataset, config: PipelineConfig,
-                      folds: FoldAssignment) -> NuisanceFits:
-    """Out-of-fold g_hat of ``config.g_learner`` by
-    :func:`crossfit_predictions`, then each cohort's propensity by
-    :func:`_cohort_propensities`."""
-    g_hat = crossfit_predictions(panel, config.g_learner, panel.outcomes, folds)
-    g_hat.setflags(write=False)
-    return NuisanceFits(g_hat=g_hat, folds=folds,
+                      folds: np.ndarray) -> NuisanceFits:
+    """The outcome residual of :func:`outcome_residuals`, which checks the
+    unit folds ``folds``, then each cohort's propensity by
+    :func:`_cohort_propensities` on the same folds."""
+    y_tilde = outcome_residuals(panel, config, folds)
+    return NuisanceFits(y_tilde=y_tilde, folds=folds,
                         propensities=_cohort_propensities(panel, config, folds))

@@ -10,7 +10,8 @@ constructor, and a CSV file (:func:`read_panel_csv`) is parsed by one
 through the csv module and a per-cell column parser, which accepts the
 same inputs and raises the errors that name the bad cell.
 Panels are sliced by row index (:func:`unit_rows`, :func:`subset_units`),
-never rebuilt row by row.
+never rebuilt row by row. The data layer builds no model features: the
+cross-fit standardizes the covariates (:mod:`sdidml.crossfit`).
 """
 
 from __future__ import annotations
@@ -280,29 +281,6 @@ def _rows(panel: PanelDataset):
     return [[u, t, y, d, *x] for u, t, y, d, x in zip(
         units, times, panel.outcomes.tolist(),
         panel.treatments.astype(int).tolist(), panel.covariates.tolist())]
-
-
-def feature_matrix(panel: PanelDataset, sample_weight: Optional[np.ndarray] = None):
-    """Standardized covariate matrix in canonical observation order.
-
-    Each column is centered and scaled to unit population standard
-    deviation; zero-variance columns are centered only and their scale is
-    reported as 1. ``sample_weight`` (one non-negative weight per
-    observation, positive sum) weights the mean and the standard deviation,
-    so integer weights c standardize as the rows repeated c times would.
-    Returns ``(matrix, means, scales)``.
-    """
-    X = np.array(panel.covariates, dtype=np.float64)
-    if sample_weight is None:
-        means = X.mean(axis=0) if X.shape[0] else np.zeros(X.shape[1])
-        scales = X.std(axis=0, ddof=0) if X.shape[0] else np.ones(X.shape[1])
-    else:
-        total = sample_weight.sum()
-        means = sample_weight @ X / total
-        scales = np.sqrt(sample_weight @ (X - means) ** 2 / total)
-    scales = np.where(scales == 0.0, 1.0, scales)
-    X = (X - means) / scales
-    return X, means, scales
 
 
 def pivot_unit_time(panel: PanelDataset, values: np.ndarray):

@@ -3,25 +3,24 @@
 Every stage reads its settings from one :class:`PipelineConfig`
 (:mod:`sdidml.config`); the CLI's run config wraps it and adds only the
 input and output paths. :func:`estimate_effects` covers stages 2-4
-(cross-fitting, the outcome residual y_tilde = Y - g_hat, contrast
-estimation of the group-time effects) for a validated panel;
+(cross-fitting, the outcome residual y_tilde = Y - g_hat of
+:func:`~sdidml.crossfit.outcome_residuals`, contrast estimation of the
+group-time effects) for a validated panel;
 :func:`run_pipeline` adds stage 5 from :mod:`sdidml.aggregate`: the
 overall, event-time and per-cohort ATTs (always all three) in one table
 whose SEs and CIs the bootstrap fills in, and the diagnostics, whose
 pre-trend test reads that table's pre-treatment event times. Only this
 point estimate fits the treatment model m, once per adoption cohort on
 one row per unit, and its cohort propensities feed the overlap report
-alone; the bootstrap and the placebo test refit the outcome model alone,
-inside ``aggregate``. Modules import one way, down the layers ``config``,
-``crossfit``, ``didcore``, ``aggregate`` and this one.
+alone; the bootstrap and the placebo test call ``outcome_residuals``
+alone, inside ``aggregate``. Modules import one way, down the layers
+``config``, ``crossfit``, ``didcore``, ``aggregate`` and this one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from .aggregate import (
     AggregatedResults,
@@ -43,26 +42,21 @@ from .panel import PanelDataset
 
 @dataclass(frozen=True)
 class EstimationArtifacts:
-    """Stages 2-4 outputs for one panel.
-
-    ``y_tilde`` is the read-only outcome residual Y - g_hat, in the
-    panel's observation order.
-    """
+    """Stages 2-4 outputs for one panel; ``fits.y_tilde`` holds the outcome
+    residual the cells were estimated on."""
 
     fits: NuisanceFits
-    y_tilde: np.ndarray
     effects: GroupTimeEffects
 
 
 def estimate_effects(panel: PanelDataset, config: PipelineConfig) -> EstimationArtifacts:
-    """Cross-fit g_hat and the cohort propensities over the folds that
-    ``config.seed`` assigns, and estimate contrast cells on Y - g_hat."""
+    """Cross-fit the outcome residual and the cohort propensities over the
+    folds that ``config.seed`` assigns, and estimate contrast cells on the
+    residual."""
     folds = assign_folds(panel, config.n_folds, config.seed)
     fits = crossfit_nuisance(panel, config, folds)
-    y_tilde = panel.outcomes - fits.g_hat
-    y_tilde.setflags(write=False)
-    effects = estimate_group_time(panel, y_tilde, config)
-    return EstimationArtifacts(fits=fits, y_tilde=y_tilde, effects=effects)
+    return EstimationArtifacts(fits=fits,
+                               effects=estimate_group_time(panel, fits.y_tilde, config))
 
 
 @dataclass(frozen=True)
@@ -88,7 +82,7 @@ def run_pipeline(panel: PanelDataset, config: PipelineConfig) -> PipelineResult:
     results = aggregate_schemes(artifacts.effects)
     pretrend = None
     if config.bootstrap_reps >= 2:
-        results = bootstrap(config, panel, config.bootstrap_mode, artifacts.y_tilde,
+        results = bootstrap(config, panel, config.bootstrap_mode, artifacts.fits.y_tilde,
                             results)
         try:
             pretrend = pretrend_test(results, config)

@@ -387,7 +387,7 @@ def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
         results = aggregate_schemes(artifacts.effects)
         if pipeline.bootstrap_reps >= 2:
             results = bootstrap(pipeline, panel, pipeline.bootstrap_mode,
-                                artifacts.y_tilde, results)
+                                artifacts.fits.y_tilde, results)
         overall = results.overall
         return overall.att, overall.ci_low, overall.ci_high
     if method == "twfe":

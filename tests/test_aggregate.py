@@ -19,10 +19,9 @@ from sdidml.aggregate import (
 from sdidml.config import PipelineConfig
 from sdidml.crossfit import (
     CohortPropensity,
-    FoldAssignment,
     NuisanceFits,
     assign_folds,
-    crossfit_predictions,
+    outcome_residuals,
 )
 from sdidml.didcore import GroupTimeEffects, estimate_group_time
 from sdidml.errors import (
@@ -99,11 +98,10 @@ def small_null_panel(n_units=60, seed=11):
     return generate(cfg).panel
 
 
-def outcome_residuals(panel, config):
+def seed_residuals(panel, config):
     """y_tilde of an outcome-only cross-fit on the folds of ``config.seed``."""
     folds = assign_folds(panel, config.n_folds, config.seed)
-    return panel.outcomes - crossfit_predictions(panel, config.g_learner,
-                                                 panel.outcomes, folds)
+    return outcome_residuals(panel, config, folds)
 
 
 def point_results(panel, y_tilde):
@@ -120,7 +118,7 @@ class TestBootstrap:
     def fixed(self, panel, B, seed):
         """Fixed-nuisance bootstrap, B replicates from ``seed``, of the
         point summaries of the outcome residuals on the folds of ``self.pipe()``."""
-        y_tilde = outcome_residuals(panel, self.pipe())
+        y_tilde = seed_residuals(panel, self.pipe())
         return bootstrap(replace(self.pipe(), bootstrap_reps=B, seed=seed), panel,
                          "fixed_nuisance", y_tilde, point_results(panel, y_tilde))
 
@@ -151,14 +149,14 @@ class TestBootstrap:
         panel = generate(cfg).panel
         pipe = PipelineConfig(g_learner=LearnerSpec.mean(), m_learner=LearnerSpec.mean(),
                               n_folds=2, clip_eps=0.0, bootstrap_reps=19, seed=2)
-        y_tilde = outcome_residuals(panel, pipe)
+        y_tilde = seed_residuals(panel, pipe)
         for mode in ("fixed_nuisance", "full"):
             inf = bootstrap(pipe, panel, mode, y_tilde, point_results(panel, y_tilde))
             assert inf.overall.se < 1e-10
 
     def test_modes_agree_on_point_structure(self):
         panel = small_null_panel()
-        point = point_results(panel, outcome_residuals(panel, self.pipe()))
+        point = point_results(panel, seed_residuals(panel, self.pipe()))
         full = bootstrap(self.pipe(bootstrap_mode="full", bootstrap_reps=9, seed=7), panel,
                          "full", None, point)
         fixed = self.fixed(panel, B=9, seed=7)
@@ -169,16 +167,15 @@ class TestBootstrap:
         # No observation is predicted by a model that saw its own unit: each
         # drawn unit is fitted once, weighted by its draw count, in its fold.
         calls = []
-        crossfit_predictions = aggregate_module.crossfit_predictions
 
-        def recording(panel, spec, target, folds, sample_weight):
+        def recording(panel, config, folds, sample_weight):
             calls.append((panel, folds, sample_weight))
-            return crossfit_predictions(panel, spec, target, folds, sample_weight)
+            return outcome_residuals(panel, config, folds, sample_weight)
 
-        monkeypatch.setattr(aggregate_module, "crossfit_predictions", recording)
+        monkeypatch.setattr(aggregate_module, "outcome_residuals", recording)
         panel = small_null_panel()
         config = self.pipe(bootstrap_mode="full")
-        point = point_results(panel, outcome_residuals(panel, config))
+        point = point_results(panel, seed_residuals(panel, config))
         bootstrap(replace(config, bootstrap_reps=4, seed=3), panel, "full", None, point)
         assert len(calls) == 4
         for r, (bpanel, folds, sample_weight) in enumerate(calls):
@@ -186,8 +183,7 @@ class TestBootstrap:
             counts = np.bincount(draw, minlength=panel.n_units)
             drawn = np.flatnonzero(counts)
             assert bpanel.units == tuple(panel.units[i] for i in drawn)
-            assert np.array_equal(folds.fold,
-                                  assign_folds(panel, config.n_folds, 3 + r).fold[drawn])
+            assert np.array_equal(folds, assign_folds(panel, config.n_folds, 3 + r)[drawn])
             assert np.array_equal(sample_weight, counts[drawn][bpanel.unit_codes])
             assert sample_weight.max() > 1  # some unit was drawn twice
 
@@ -208,12 +204,51 @@ class TestBootstrap:
         pipe = self.pipe()
         art = estimate_effects(panel, pipe)
         point = aggregate_schemes(art.effects)
-        res = bootstrap(pipe, panel, "fixed_nuisance", art.y_tilde, point)
+        res = bootstrap(pipe, panel, "fixed_nuisance", art.fits.y_tilde, point)
         assert (res.n_reps, res.n_failed, res.weights_used) == (29, 0, point.weights_used)
         assert res.summaries.keys() == point.summaries.keys()
         for key, p in res.summaries.items():
             assert p.att == point.summaries[key].att  # point estimate unchanged
             assert p.se is not None and p.ci_low <= p.ci_high, key
+
+
+def four_unit_layout(kind):
+    """Cohorts 3, 4 and 5 and one never-treated unit over periods 1-5.
+
+    ``"integer"``: integer outcomes and no covariate. ``"normal"``:
+    standard-normal outcomes and one covariate constant within each unit.
+    """
+    rng = np.random.default_rng(0)
+    rows = []
+    for i, (unit, g) in enumerate([("a", 3), ("b", 4), ("c", 5), ("n", None)]):
+        x = rng.standard_normal()
+        for t in range(1, 6):
+            d = int(g is not None and t >= g)
+            if kind == "integer":
+                rows.append((unit, t, i * t % 3 + 2 * d, d))
+            else:
+                rows.append((unit, t, rng.standard_normal(), d, x))
+    return panel_of(rows)
+
+
+@pytest.mark.parametrize("kind", ["integer", "normal"])
+def test_replicate_values_that_differ_by_rounding_have_se_zero(kind):
+    # Under not_yet_treated, event time -4 is cohort 5 against the never
+    # treated unit alone, so every replicate that estimates it repeats the
+    # point value, up to rounding in the "normal" layout, whose replicate
+    # values have a sample SD of ~2e-16. Both layouts give SE 0, an
+    # infinite z-score and the same statistic.
+    panel = four_unit_layout(kind)
+    config = PipelineConfig(control_rule="not_yet_treated", n_folds=2, bootstrap_reps=19,
+                            bootstrap_mode="fixed_nuisance")
+    art = estimate_effects(panel, config)
+    res = bootstrap(config, panel, "fixed_nuisance", art.fits.y_tilde,
+                    aggregate_schemes(art.effects))
+    point = res.summaries[("e", -4)]
+    assert point.att != 0.0 and point.se == 0.0
+    report = pretrend_test(res, config)
+    assert [p.z for p in report.per_e if p.e == -4] == [math.inf]
+    assert (report.statistic, report.p_value) == (math.inf, 0.0)
 
 
 class TestPretrend:
@@ -313,8 +348,8 @@ def fits_with_propensities(*cohorts):
     """Fits carrying one cohort propensity per ``(g, propensity, n_clipped)``."""
     rows = tuple(CohortPropensity(g, np.arange(len(p)), np.asarray(p, dtype=np.float64),
                                   n_clipped) for g, p, n_clipped in cohorts)
-    return NuisanceFits(g_hat=np.zeros(1), propensities=rows,
-                        folds=FoldAssignment(1, np.zeros(1, dtype=np.intp)))
+    return NuisanceFits(y_tilde=np.zeros(1), propensities=rows,
+                        folds=np.zeros(1, dtype=np.intp))
 
 
 class TestOverlap:

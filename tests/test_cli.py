@@ -382,4 +382,4 @@ def test_csv_files_hold_the_rows_of_results_json(tmp_path):
     curve = [{k: v for k, v in point.items() if k != "se"} for point in res["event_curve"]]
     assert curve and rows("event_curve.csv", {"att", "ci_low", "ci_high"}) == curve
     folds = assign_folds(panel, PipelineConfig().n_folds, 8)
-    assert res["folds"] == dict(zip(panel.units, folds.fold.tolist()))
+    assert res["folds"] == dict(zip(panel.units, folds.tolist()))

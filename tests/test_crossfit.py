@@ -5,11 +5,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from panels import panel_of
 from sdidml.config import PipelineConfig
 from sdidml.crossfit import (
-    FoldAssignment,
     assign_folds,
     crossfit_nuisance,
-    crossfit_predictions,
     nuisance_features,
+    outcome_residuals,
 )
 from sdidml.errors import (
     AlignmentMismatchError,
@@ -56,16 +55,16 @@ class TestAssignFolds:
     def test_balanced_split(self):
         panel = toy_panel(treated_units=(0, 1))
         folds = assign_folds(panel, 5, seed=1)
-        sizes = np.bincount(folds.fold, minlength=5)
+        sizes = np.bincount(folds, minlength=5)
         assert sizes.tolist() == [2, 2, 2, 2, 2]
 
     def test_deterministic(self):
         panel = toy_panel(treated_units=(0,))
         a = assign_folds(panel, 3, seed=9)
         b = assign_folds(panel, 3, seed=9)
-        assert np.array_equal(a.fold, b.fold)
+        assert np.array_equal(a, b)
         c = assign_folds(panel, 3, seed=10)
-        assert not np.array_equal(a.fold, c.fold)
+        assert not np.array_equal(a, c)
 
     def test_too_many_folds(self):
         panel = toy_panel(treated_units=(0,))
@@ -82,13 +81,35 @@ class TestAssignFolds:
         order = np.random.default_rng(seed).permutation(len(units))
         by_id = {units[j]: i % n_folds for i, j in enumerate(order)}
         folds = assign_folds(panel, n_folds, seed)
-        assert folds.n_folds == n_folds
-        assert folds.fold.dtype == np.intp and not folds.fold.flags.writeable
-        assert folds.fold.tolist() == [by_id[u] for u in units]
+        assert folds.dtype == np.intp and not folds.flags.writeable
+        assert folds.tolist() == [by_id[u] for u in units]
+
+
+class TestNuisanceFeatures:
+    def test_standardized_column_hand_values(self):
+        # population SD of (1, 2, 3) is sqrt(2/3)
+        panel = panel_of([("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
+                          ("B", 1, 0.0, 0, 3.0)])
+        assert_allclose(nuisance_features(panel)[:, 0],
+                        [-1.224744871391589, 0.0, 1.224744871391589], atol=1e-12)
+
+    def test_constant_column_centered_with_unit_scale(self):
+        # scaled by its zero SD, the centered column would be 0/0
+        panel = panel_of([("A", 1, 0.0, 0, 7.0), ("B", 1, 0.0, 0, 7.0)])
+        assert_array_equal(nuisance_features(panel)[:, 0], [0.0, 0.0])
+
+    def test_weighted_standardization_hand_values(self):
+        # weights (1, 3, 0) on (1, 2, 3): mean 7/4, population SD sqrt(3)/4
+        panel = panel_of([("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
+                          ("B", 1, 0.0, 0, 3.0)])
+        features = nuisance_features(panel, sample_weight=np.array([1.0, 3.0, 0.0]))
+        assert_allclose(features[:, 0],
+                        (np.array([1.0, 2.0, 3.0]) - 1.75) / (np.sqrt(3.0) / 4.0),
+                        rtol=1e-15)
 
 
 def explicit_folds(panel, split=5):
-    return FoldAssignment(2, (np.arange(panel.n_units) >= split).astype(np.intp))
+    return (np.arange(panel.n_units) >= split).astype(np.intp)
 
 
 def learners_config(g_learner=LearnerSpec.mean(), m_learner=LearnerSpec.mean(), **settings):
@@ -100,14 +121,13 @@ class TestCrossfitNuisance:
     def test_mean_learner_uses_complement_fold(self):
         panel = toy_panel(treated_units=(0, 1, 2), treat_from=1, seed=4)
         folds = explicit_folds(panel)
-        fits = crossfit_nuisance(panel, learners_config(clip_eps=0.01), folds)
-        fold_of_obs = folds.fold[panel.unit_codes]
+        fits = crossfit_nuisance(panel, learners_config(n_folds=2, clip_eps=0.01), folds)
+        fold_of_obs = folds[panel.unit_codes]
         y = panel.outcomes
+        g_hat = y - fits.y_tilde
         # fold-0 predictions equal the fold-1 outcome mean, and vice versa
-        assert_allclose(fits.g_hat[fold_of_obs == 0], y[fold_of_obs == 1].mean(),
-                        rtol=1e-12)
-        assert_allclose(fits.g_hat[fold_of_obs == 1], y[fold_of_obs == 0].mean(),
-                        rtol=1e-12)
+        assert_allclose(g_hat[fold_of_obs == 0], y[fold_of_obs == 1].mean(), rtol=1e-12)
+        assert_allclose(g_hat[fold_of_obs == 1], y[fold_of_obs == 0].mean(), rtol=1e-12)
 
     def test_treated_share_hand_computed(self):
         # Cohort 2 is u0, u1, u2 (treated from t=2, base period 1); u3..u9 are
@@ -115,7 +135,7 @@ class TestCrossfitNuisance:
         # u0..u4 in fold 0, u5..u9 in fold 1.
         panel = toy_panel(treated_units=(0, 1, 2), treat_from=2, seed=4)
         folds = explicit_folds(panel)
-        fits = crossfit_nuisance(panel, learners_config(clip_eps=0.01), folds)
+        fits = crossfit_nuisance(panel, learners_config(n_folds=2, clip_eps=0.01), folds)
         cohort, = fits.propensities
         assert cohort.g == 2
         assert_array_equal(cohort.units, np.arange(10))
@@ -131,7 +151,7 @@ class TestCrossfitNuisance:
         folds = assign_folds(panel, 2, seed=0)
         n_clipped = []
         for eps in (0.2, 0.1, 0.05, 0.0):
-            fits = crossfit_nuisance(panel, learners_config(clip_eps=eps), folds)
+            fits = crossfit_nuisance(panel, learners_config(n_folds=2, clip_eps=eps), folds)
             cohort, = fits.propensities
             assert cohort.propensity.min() >= eps
             assert cohort.propensity.max() <= 1 - eps
@@ -150,44 +170,62 @@ class TestCrossfitNuisance:
             learners_config(g_learner=LearnerSpec.logistic(1.0),
                             m_learner=LearnerSpec.logistic(1.0))
 
-    @pytest.mark.parametrize("n_codes", [9, 11])
-    def test_a_fold_array_of_another_length_is_rejected(self, n_codes):
+    # The ten units' folds under K = 2: one code short, one too many, and
+    # one of the right length with a label K does not allow, whose units
+    # would be left unpredicted.
+    @pytest.mark.parametrize("folds", [
+        pytest.param(np.arange(9) % 2, id="9"),
+        pytest.param(np.arange(11) % 2, id="11"),
+        pytest.param(np.arange(10) % 3, id="label_out_of_range")])
+    def test_a_fold_array_of_another_length_is_rejected(self, folds):
         panel = toy_panel(treated_units=(0,))
-        folds = FoldAssignment(2, np.arange(n_codes) % 2)
+        config = learners_config(n_folds=2)
         with pytest.raises(AlignmentMismatchError):
-            crossfit_predictions(panel, LearnerSpec.mean(), panel.outcomes, folds)
+            outcome_residuals(panel, config, folds)
         with pytest.raises(AlignmentMismatchError):
-            crossfit_nuisance(panel, learners_config(), folds)
+            crossfit_nuisance(panel, config, folds)
 
-    def test_out_of_fold_purity_under_perturbation(self):
+    # Unit weights 1-3 over the observations, as a full-mode bootstrap
+    # replicate passes its draw counts; unit 0 is drawn twice.
+    @pytest.mark.parametrize("unit_weights", [
+        pytest.param(None, id="unweighted"),
+        pytest.param([2, 1, 3, 1, 2, 2, 1, 3, 1, 1, 2, 3], id="weighted")])
+    def test_out_of_fold_purity_under_perturbation(self, unit_weights):
         panel = toy_panel(n_units=12, n_periods=3, treated_units=(0, 1),
                           treat_from=2, seed=6)
+        weights = None if unit_weights is None else np.array(
+            unit_weights, dtype=np.float64)[panel.unit_codes]
         folds = assign_folds(panel, 3, seed=2)
         config = learners_config(g_learner=LearnerSpec.ridge(0.1))
-        fits = crossfit_nuisance(panel, config, folds)
+        y_tilde = outcome_residuals(panel, config, folds, weights)
 
         # perturb one observation's outcome and refit with the same folds
         outcomes = panel.outcomes.copy()
         outcomes[0] += 100.0
-        fits2 = crossfit_nuisance(with_columns(panel, outcomes=outcomes), config, folds)
+        y_tilde2 = outcome_residuals(with_columns(panel, outcomes=outcomes), config, folds,
+                                     weights)
 
-        fold_of_obs = folds.fold[panel.unit_codes]
-        own = fold_of_obs[0]
-        assert_array_equal(fits.g_hat[fold_of_obs == own],
-                           fits2.g_hat[fold_of_obs == own])
-        assert not np.array_equal(fits.g_hat[fold_of_obs != own],
-                                  fits2.g_hat[fold_of_obs != own])
+        # g_hat = Y - y_tilde: on the perturbed unit's fold only row 0's Y moved
+        fold_of_obs = folds[panel.unit_codes]
+        own = fold_of_obs == fold_of_obs[0]
+        assert y_tilde2[0] - y_tilde[0] == pytest.approx(100.0, abs=1e-9)
+        assert_array_equal(y_tilde[own][1:], y_tilde2[own][1:])
+        assert not np.array_equal(y_tilde[~own], y_tilde2[~own])
 
 
 class TestResidualize:
     def test_arithmetic(self):
-        # the pipeline's y_tilde is Y - g_hat, in observation order, read-only
+        # the pipeline's y_tilde is Y - g_hat, in observation order, read-only:
+        # with the mean learner and two one-unit folds, g_hat on one unit's
+        # rows is the other unit's mean outcome
         panel = toy_panel(n_units=2, treated_units=(0,), treat_from=2)
         config = PipelineConfig(g_learner=LearnerSpec.mean(), m_learner=LearnerSpec.mean(),
                                 n_folds=2, clip_eps=0.0)
-        art = estimate_effects(panel, config)
-        assert_array_equal(art.y_tilde, panel.outcomes - art.fits.g_hat)
-        assert not art.y_tilde.flags.writeable
+        y_tilde = estimate_effects(panel, config).fits.y_tilde
+        y = panel.outcomes.reshape(2, 2)
+        assert_allclose(y_tilde, (y - y[::-1].mean(axis=1, keepdims=True)).ravel(),
+                        rtol=1e-12)
+        assert not y_tilde.flags.writeable
 
     def test_perfect_fit_gives_zero_residual(self):
         # Y exactly linear in covariates: an OLS fit on either fold predicts
@@ -202,7 +240,7 @@ class TestResidualize:
         folds = assign_folds(panel, 2, seed=0)
         fits = crossfit_nuisance(panel, learners_config(g_learner=LearnerSpec.ridge(0.0),
                                                         clip_eps=0.0), folds)
-        assert np.max(np.abs(panel.outcomes - fits.g_hat)) < 1e-8
+        assert np.max(np.abs(fits.y_tilde)) < 1e-8
 
 
 class TestOrthogonality:
@@ -287,7 +325,7 @@ class TestCohortPropensity:
         after = propensity_of_unit(crossfit_nuisance(perturbed, config, folds), perturbed)
 
         assert before.keys() == after.keys() == {3, 4}
-        fold_of_unit = dict(zip(panel.units, folds.fold.tolist()))
+        fold_of_unit = dict(zip(panel.units, folds.tolist()))
         own = fold_of_unit[victim]
         changed = 0
         for g in (3, 4):
@@ -316,8 +354,7 @@ class TestCohortPropensity:
         samples = {c.g: {cohort_of[u] for u in c.units} for c in fits.propensities}
         assert samples == expected
         # The sample's controls are the controls of the cohort's cell (g, g).
-        y_tilde = panel.outcomes - fits.g_hat
-        effects = estimate_group_time(panel, y_tilde, config)
+        effects = estimate_group_time(panel, fits.y_tilde, config)
         n_control = dict(zip(effects.keys, effects.n_control))
         for c in fits.propensities:
             controls = sum(cohort_of[u] != c.g for u in c.units)

@@ -322,7 +322,7 @@ class TestSubgroups:
         cfg = replace(scenario(name), effect=EffectSpec.subgroup(0.5, 2.0), seed=21)
         oracle = generate(cfg)
         y_tilde = estimate_effects(oracle.panel,
-                                   PipelineConfig(bootstrap_reps=0, seed=3)).y_tilde
+                                   PipelineConfig(bootstrap_reps=0, seed=3)).fits.y_tilde
         for control_rule in CONTROL_RULES:
             assert_label_rows_match_reference(oracle.panel, y_tilde, oracle.subgroup_of_unit,
                                               PipelineConfig(control_rule=control_rule),

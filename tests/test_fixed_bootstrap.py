@@ -228,7 +228,7 @@ def test_matches_per_replicate_loop(make_panel, control_rule, anticipation,
                             anticipation=anticipation, bootstrap_reps=60,
                             bootstrap_mode="fixed_nuisance", seed=3)
     artifacts = estimate_effects(panel, config)
-    y_tilde, point = artifacts.y_tilde, aggregate_schemes(artifacts.effects)
+    y_tilde, point = artifacts.fits.y_tilde, aggregate_schemes(artifacts.effects)
     B, seed = 60, 9
     inference = bootstrap(replace(config, bootstrap_reps=B, seed=seed), panel,
                           "fixed_nuisance", y_tilde, point)
@@ -254,7 +254,7 @@ def test_one_cell_call_and_no_panel_rebuild(monkeypatch):
     panel = small_null_panel()
     config = PipelineConfig(bootstrap_reps=29, seed=5)
     artifacts = estimate_effects(panel, config)
-    y_tilde, point = artifacts.y_tilde, aggregate_schemes(artifacts.effects)
+    y_tilde, point = artifacts.fits.y_tilde, aggregate_schemes(artifacts.effects)
     calls = {}
 
     def counting(name, func):

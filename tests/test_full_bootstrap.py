@@ -20,7 +20,7 @@ from panels import fresh_id_panel, panel_of
 from sdidml import aggregate, learners
 from sdidml.aggregate import aggregate_schemes, bootstrap, placebo_test
 from sdidml.config import BOOTSTRAP_MODES, PipelineConfig
-from sdidml.crossfit import FoldAssignment, assign_folds, crossfit_nuisance
+from sdidml.crossfit import assign_folds, crossfit_nuisance
 from sdidml.didcore import estimate_group_time
 from sdidml.errors import DataError, EstimationError, LearnerError
 from sdidml.learners import LearnerSpec
@@ -61,12 +61,11 @@ def both_nuisance_replicates(config, panel, B, seed):
     for r in range(B):
         idx = np.random.default_rng(seed + r).integers(0, panel.n_units, size=panel.n_units)
         # zero-padded fresh ids sort in draw order: copy k is unit code k
-        folds = FoldAssignment(config.n_folds,
-                               assign_folds(panel, config.n_folds, seed + r).fold[idx])
+        folds = assign_folds(panel, config.n_folds, seed + r)[idx]
         try:
             copies = fresh_id_panel(panel, idx)
             fits = crossfit_nuisance(copies, config, folds)
-            effects = estimate_group_time(copies, copies.outcomes - fits.g_hat, config)
+            effects = estimate_group_time(copies, fits.y_tilde, config)
         except (DataError, EstimationError, LearnerError):
             tables.append(None)
             continue
@@ -159,7 +158,7 @@ def test_refits_never_fit_the_treatment_model(monkeypatch):
         return fit(spec, *args, **kwargs)
 
     artifacts = estimate_effects(panel, config)
-    y_tilde, point = artifacts.y_tilde, aggregate_schemes(artifacts.effects)
+    y_tilde, point = artifacts.fits.y_tilde, aggregate_schemes(artifacts.effects)
     monkeypatch.setattr(learners, "fit", counting)
     bootstrap(config, panel, "full", None, point)
     assert kinds == {"ridge": 4 * config.n_folds}
@@ -188,7 +187,7 @@ def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
 
     monkeypatch.setattr(learners, "fit", counting)
     artifacts = estimate_effects(panel, config)
-    y_tilde, point = artifacts.y_tilde, aggregate_schemes(artifacts.effects)
+    y_tilde, point = artifacts.fits.y_tilde, aggregate_schemes(artifacts.effects)
     cohorts = {g for g in panel.cohort_times
                if g - 1 - config.anticipation in panel.periods}
     assert len(cohorts) == 1

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from sdidml.errors import (
     DataError,
@@ -14,7 +14,6 @@ from sdidml.errors import (
 from panels import panel_of
 from sdidml.panel import (
     _panel_from_text,
-    feature_matrix,
     read_panel_csv,
     write_panel_csv,
 )
@@ -100,33 +99,6 @@ class TestBuildPanel:
         assert two_unit_panel() == two_unit_panel()
         with pytest.raises(TypeError):
             hash(two_unit_panel())
-
-
-class TestFeatureMatrix:
-    def test_standardized_column_hand_values(self):
-        # population SD of (1, 2, 3) is sqrt(2/3)
-        panel = panel_of([("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
-                          ("B", 1, 0.0, 0, 3.0)])
-        X, means, scales = feature_matrix(panel)
-        assert_allclose(X[:, 0], [-1.224744871391589, 0.0, 1.224744871391589],
-                        atol=1e-12)
-        assert_allclose(means, [2.0])
-        assert_allclose(scales, [np.sqrt(2.0 / 3.0)])
-
-    def test_constant_column_centered_with_unit_scale(self):
-        panel = panel_of([("A", 1, 0.0, 0, 7.0), ("B", 1, 0.0, 0, 7.0)])
-        X, means, scales = feature_matrix(panel)
-        assert_array_equal(X[:, 0], [0.0, 0.0])
-        assert scales[0] == 1.0
-
-    def test_weighted_standardization_hand_values(self):
-        # weights (1, 3, 0) on (1, 2, 3): mean 7/4, population SD sqrt(3)/4
-        panel = panel_of([("A", 1, 0.0, 0, 1.0), ("A", 2, 0.0, 0, 2.0),
-                          ("B", 1, 0.0, 0, 3.0)])
-        X, means, scales = feature_matrix(panel, sample_weight=np.array([1.0, 3.0, 0.0]))
-        assert_allclose(means, [1.75], rtol=1e-15)
-        assert_allclose(scales, [np.sqrt(3.0) / 4.0], rtol=1e-15)
-        assert_allclose(X[:, 0], (np.array([1.0, 2.0, 3.0]) - 1.75) / scales[0], rtol=1e-15)
 
 
 class TestSerialization:

@@ -95,3 +95,25 @@ def test_the_traced_command_fires_every_required_span(monkeypatch, tmp_path, nam
     fired = {span for span, stats in tracer.recorder.snapshot("op").items()
              if stats["calls"] > 0}
     assert sorted(set(workload.spans) - fired) == []
+
+
+def test_the_names_the_benchmark_looks_up_untraced_resolve():
+    # perfbench/worker.py builds its coverage gate's config from
+    # sdidml.pipeline.PipelineConfig and runs simulate.monte_carlo on
+    # simulate.scenario; workloads.py writes its inputs with
+    # simulate.generate; both call cli.main. A name that moves fails the
+    # benchmark run, not a span check.
+    pipeline = importlib.import_module("sdidml.pipeline")
+    assert pipeline.PipelineConfig is importlib.import_module("sdidml.config").PipelineConfig
+    pipeline.PipelineConfig(bootstrap_reps=99, bootstrap_mode="fixed_nuisance",
+                            ci_level=0.95, seed=2000)
+    simulate = importlib.import_module("sdidml.simulate")
+    calls = {"monte_carlo": ("scenario", "config", 60, 2000), "scenario": ("S1",),
+             "generate": ("config",)}
+    for name, args in calls.items():
+        func = getattr(simulate, name, None)
+        assert inspect.isfunction(func), name
+        inspect.signature(func).bind(*args)
+    main = getattr(importlib.import_module("sdidml.cli"), "main", None)
+    assert inspect.isfunction(main)
+    inspect.signature(main).bind(["run"])

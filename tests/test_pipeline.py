@@ -9,7 +9,7 @@ import numpy as np
 from panels import panel_of
 from sdidml.aggregate import aggregate_schemes
 from sdidml.config import PipelineConfig
-from sdidml.crossfit import assign_folds, crossfit_predictions
+from sdidml.crossfit import assign_folds, outcome_residuals
 from sdidml.didcore import estimate_group_time
 from sdidml.panel import PanelDataset, control_pool
 from sdidml.pipeline import run_pipeline
@@ -56,9 +56,8 @@ def test_cohort_propensities_and_placebo_follow_the_config():
                        for u, t, y, g, x in zip(panel.unit_codes, times.tolist(),
                                                 panel.outcomes, adoption, panel.covariates)
                        if t < g])
-    folds = assign_folds(pseudo, CONFIG.n_folds, CONFIG.seed)
-    y_tilde = pseudo.outcomes - crossfit_predictions(pseudo, CONFIG.g_learner,
-                                                     pseudo.outcomes, folds)
+    y_tilde = outcome_residuals(pseudo, CONFIG,
+                                assign_folds(pseudo, CONFIG.n_folds, CONFIG.seed))
     want = aggregate_schemes(estimate_group_time(pseudo, y_tilde, CONFIG)).overall.att
     assert result.placebo.att == want
     assert result.placebo.ci_low is None  # B = 0: no bootstrap

@@ -183,7 +183,8 @@ class TestSubgroupDgp:
         oracle = generate(cfg)
         config = PipelineConfig(bootstrap_reps=0, seed=5)
         art = estimate_effects(oracle.panel, config)
-        result = subgroup_effects(oracle.panel, art.y_tilde, oracle.subgroup_of_unit, config)
+        result = subgroup_effects(oracle.panel, art.fits.y_tilde, oracle.subgroup_of_unit,
+                                  config)
         assert not result.failures
         assert abs(result.effects["a"].overall.att - 1.0) < 0.35
         assert abs(result.effects["b"].overall.att - 3.0) < 0.35
