@@ -20,11 +20,13 @@ matrix product. ``full`` mode calls
 :func:`~sdidml.crossfit.outcome_residuals` again on each replicate's
 distinct drawn units, with the weight row as sample weights in place of
 repeated copies, and writes the residuals back onto the original units;
-the B residual matrices go to one cell call as a stack, each weighted by
-its own row. Either way one cell call gives all B replicates, and the
-bootstrap sets each point summary's SE and percentile CI from the
-replicates' values under its key; values that differ only by rounding
-give an SE of 0.
+the residual vectors go to the cell routine as stacks of a bounded number
+of replicates, one cell call per chunk, each vector weighted by its own
+row. A replicate's row depends on its own vector and weights alone, so the
+chunks' cell rows, stacked, are those of one call over all B, and memory
+stays bounded whatever B is. The bootstrap sets each point summary's SE
+and percentile CI from the replicates' values under its key; values that
+differ only by rounding give an SE of 0.
 
 Every refit here (a full-mode replicate and the placebo test) is one
 ``outcome_residuals`` call: the contrast estimator reads only
@@ -66,6 +68,9 @@ WEIGHT_SUM_TOL = 1e-12
 # magnitude differ only by rounding: their SE is 0.
 SE_ROUNDING_TOL = 1e-12
 WEAK_OVERLAP_CLIP_SHARE = 0.10
+# A full-mode cell call takes at most this many stacked residuals (about
+# 8 MB), or one replicate's if it has more, so memory follows the panel, not B.
+_STACK_ELEMENTS = 2 ** 20
 
 
 # -- point aggregation -----------------------------------------------------------
@@ -250,9 +255,11 @@ def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
 
     B is ``config.bootstrap_reps``. Replicate r draws ``n_units`` units with
     replacement using seed ``config.seed + r``; its weight row counts how
-    many times each original unit was drawn, and one
-    :func:`group_time_cells` call turns the B rows and the residuals on
-    ``panel``'s observations into every replicate's cells.
+    many times each original unit was drawn, and :func:`group_time_cells`
+    turns the B rows and the residuals on ``panel``'s observations into
+    every replicate's cells: one call in fixed mode, one call per chunk of
+    at most ``_STACK_ELEMENTS`` stacked residuals (at least one replicate)
+    in full mode.
     ``fixed_nuisance`` uses ``y_tilde``, the point estimate's outcome
     residuals in ``panel``'s observation order, for every replicate.
     ``full`` mode ignores ``y_tilde`` and gives each replicate its own
@@ -277,10 +284,10 @@ def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
     weights = np.array([np.bincount(_resample(seed, r, n_units), minlength=n_units)
                         for r in range(B)], dtype=np.float64)
 
-    def replicate_y_tilde(r: int) -> np.ndarray:
+    def replicate_y_tilde(r: int, y: np.ndarray) -> None:
         c = weights[r]
         drawn = np.flatnonzero(c)
-        y = np.zeros(panel.n_obs)
+        y[:] = 0.0
         try:
             bpanel = subset_units(panel, drawn)
             folds = assign_folds(panel, config.n_folds, seed + r)[drawn]
@@ -288,11 +295,20 @@ def bootstrap(config: PipelineConfig, panel: PanelDataset, mode: str,
                                                            c[drawn][bpanel.unit_codes])
         except (DataError, EstimationError, LearnerError):
             y[:] = np.nan
-        return y
 
-    if mode == "full":  # one residual vector per replicate
-        y_tilde = np.array([replicate_y_tilde(r) for r in range(B)])
-    keys, tau, counts, _, _ = group_time_cells(panel, y_tilde, config, weights)
+    if mode == "fixed_nuisance":
+        keys, tau, counts, _, _ = group_time_cells(panel, y_tilde, config, weights)
+    else:  # one residual vector per replicate, a bounded chunk of them per cell call
+        chunk = max(1, _STACK_ELEMENTS // panel.n_obs)
+        parts = []
+        for start in range(0, B, chunk):
+            stack = np.empty((min(chunk, B - start), panel.n_obs))
+            for i, y in enumerate(stack):
+                replicate_y_tilde(start + i, y)
+            keys, tau, counts, _, _ = group_time_cells(
+                panel, stack, config, weights[start:start + len(stack)])
+            parts.append((tau, counts))
+        tau, counts = (np.vstack(rows) for rows in zip(*parts))
 
     failed = np.zeros(B, dtype=bool)
     rows, _ = _summaries(keys, tau, counts, failed)

@@ -73,15 +73,20 @@ def nuisance_features(panel: PanelDataset,
     weights the mean and the SD, so integer weights c standardize as the
     rows repeated c times would.
     """
-    X = panel.covariates
+    covariates, p = panel.covariates, panel.n_covariates
+    features = np.zeros((panel.n_obs, p + panel.n_periods - 1))
+    X = features[:, :p]  # filled in place: no temporary of the covariates' size
     if sample_weight is None:
-        means, scales = X.mean(axis=0), X.std(axis=0)
+        means, scales = covariates.mean(axis=0), covariates.std(axis=0)
+        np.subtract(covariates, means, out=X)
     else:
         total = sample_weight.sum()
-        means = sample_weight @ X / total
-        scales = np.sqrt(sample_weight @ (X - means) ** 2 / total)
-    X = (X - means) / np.where(scales == 0.0, 1.0, scales)
-    return np.hstack([X, np.eye(panel.n_periods)[panel.time_codes, 1:]])
+        np.subtract(covariates, sample_weight @ covariates / total, out=X)
+        scales = np.sqrt(sample_weight @ X ** 2 / total)
+    X /= np.where(scales == 0.0, 1.0, scales)
+    later = np.flatnonzero(panel.time_codes)
+    features[later, p - 1 + panel.time_codes[later]] = 1.0
+    return features
 
 
 def outcome_residuals(panel: PanelDataset, config: PipelineConfig, folds: np.ndarray,
@@ -91,9 +96,10 @@ def outcome_residuals(panel: PanelDataset, config: PipelineConfig, folds: np.nda
 
     ``folds`` gives each of ``panel``'s units, in ``panel.units`` order, a
     fold in ``range(config.n_folds)``, or :class:`AlignmentMismatchError`
-    is raised. For each fold k the learner is trained on all observations
-    of units outside fold k and evaluated on fold k's observations. A
-    learner failure is re-raised with its fold number.
+    is raised. For each fold k that holds an observation, the learner is
+    trained on all observations of units outside fold k and evaluated on
+    fold k's observations; a fold with none is not fit. A learner failure
+    is re-raised with its fold number.
 
     ``sample_weight`` gives each observation a weight in the standardization
     (:func:`nuisance_features`) and in every fit (:func:`learners.fit`);
@@ -112,6 +118,8 @@ def outcome_residuals(panel: PanelDataset, config: PipelineConfig, folds: np.nda
     g_hat = np.empty(panel.n_obs)
     for k in range(config.n_folds):
         test = fold_of_obs == k
+        if not test.any():  # e.g. a replicate that drew no unit of fold k
+            continue
         train = ~test
         try:
             model = learners.fit(config.g_learner, features[train], panel.outcomes[train],

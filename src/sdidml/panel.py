@@ -5,10 +5,12 @@ per (unit, time) observation, in canonical (unit, time) order: unit and
 period codes into the sorted ``units`` and ``periods``, the outcome Y, the
 binary absorbing treatment D and a fixed-width covariate matrix X. Adoption
 cohorts g(i) = min{t : D_it = 1} are derived per unit. Columns go to the
-constructor, and a CSV file (:func:`read_panel_csv`) is parsed by one
-``np.loadtxt`` call and checked in arrays; a text that parse declines goes
-through the csv module and a per-cell column parser, which accepts the
-same inputs and raises the errors that name the bad cell.
+constructor, and a CSV file (:func:`read_panel_csv`) is streamed line by
+line through one ``np.loadtxt`` pass and checked in arrays, so its peak
+memory stays near the size of the panel, not of the text; a file that
+pass declines is read again through the csv module and a per-cell column
+parser, which accepts the same inputs and raises the errors that name the
+bad cell.
 Panels are sliced by row index (:func:`unit_rows`, :func:`subset_units`),
 never rebuilt row by row. The data layer builds no model features: the
 cross-fit standardizes the covariates (:mod:`sdidml.crossfit`).
@@ -17,7 +19,6 @@ cross-fit standardizes the covariates (:mod:`sdidml.crossfit`).
 from __future__ import annotations
 
 import csv
-import io
 import math
 from typing import Mapping, Optional, Sequence
 
@@ -274,15 +275,6 @@ def _panel_from_columns(columns: Mapping[str, Sequence],
                         covariate_names)
 
 
-def _rows(panel: PanelDataset):
-    """Rows ``[unit, time, outcome, treatment, *covariates]`` of Python scalars."""
-    units = [panel.units[c] for c in panel.unit_codes.tolist()]
-    times = [panel.periods[c] for c in panel.time_codes.tolist()]
-    return [[u, t, y, d, *x] for u, t, y, d, x in zip(
-        units, times, panel.outcomes.tolist(),
-        panel.treatments.astype(int).tolist(), panel.covariates.tolist())]
-
-
 def pivot_unit_time(panel: PanelDataset, values: np.ndarray):
     """Arrange an observation-aligned vector into a (units x periods) matrix.
 
@@ -338,54 +330,72 @@ def subset_units(panel: PanelDataset, codes) -> PanelDataset:
 
 # -- CSV interface -------------------------------------------------------------
 
-def _panel_from_text(text: str) -> Optional[PanelDataset]:
-    """The panel of a plain CSV text, parsed by one ``np.loadtxt`` call.
+def _panel_from_lines(lines) -> Optional[PanelDataset]:
+    """The panel of plain CSV lines, parsed by one ``np.loadtxt`` pass.
 
-    Returns None, for the csv-module reader to parse or reject, whenever
-    the text has a quote, a field longer than the csv module allows, a
-    repeated or missing header name or no data row, when ``loadtxt``
-    rejects a cell or a row, or when a value fails a check the cell parser
-    makes: finite outcome and covariates, an integral time below 2**53 in
-    magnitude, a 0/1 treatment and a non-empty unit id. Lines end at LF
-    or CRLF and empty lines are skipped, as in the csv module; a CR
-    anywhere else in a line makes it decline.
+    ``lines`` is an iterable of lines that end at LF, as a file opened with
+    ``newline="\n"`` yields them; they are checked as ``loadtxt`` reads
+    them, so the text is never held whole. Returns None, for the csv-module
+    reader to parse or reject, whenever a line has a quote or is longer than
+    the csv module allows a field to be, the header repeats or lacks a name,
+    there is no data row, a line fails to decode, when ``loadtxt`` rejects a
+    cell or a row, or when a value fails a check the cell parser makes:
+    finite outcome and covariates, an integral time below 2**53 in
+    magnitude, a 0/1 treatment and a non-empty unit id. Lines end at LF or
+    CRLF and empty lines are skipped, as in the csv module; a CR anywhere
+    else in a line makes ``loadtxt`` reject it.
+
+    The time, outcome, treatment and covariate columns are views of the
+    parsed records (the covariates are copied only when other columns sit
+    between them), so the constructor's sorted copy is the only other one.
     """
-    if '"' in text:
-        return None
-    lines = text.split("\n")  # loadtxt ends a line at a CR too, and rejects a CR inside one
-    head = lines[0].removesuffix("\r")
-    header = head.split(",")
-    if ("\r" in head or len(set(header)) < len(header)
-            or not set(REQUIRED_COLUMNS) <= set(header)
-            or all(line in ("", "\r") for line in lines[1:])
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
-    at = header.index("unit")  # the columns before and after it are two float fields
-    dtype = np.dtype([("before", np.float64, (at,)), ("unit", object),
-                      ("after", np.float64, (len(header) - at - 1,))])
+    limit = csv.field_size_limit()
+
+    def data_rows(lines):
+        blank = True
+        for line in lines:
+            if '"' in line or len(line) > limit:
+                raise ValueError("a line for the csv module")
+            blank = blank and line in ("\n", "\r\n", "\r")
+            yield line
+        if blank:
+            raise ValueError("no data row")
+
     try:
-        data = np.loadtxt(lines[1:], dtype=dtype, delimiter=",", comments=None,
+        lines = iter(lines)
+        head = next(lines, "").removesuffix("\n").removesuffix("\r")
+        header = head.split(",")
+        if ('"' in head or "\r" in head or len(head) > limit
+                or len(set(header)) < len(header) or not set(REQUIRED_COLUMNS) <= set(header)):
+            return None
+        fields = []  # one per required column, one subarray per run of adjacent covariates
+        for name in header:
+            if name in REQUIRED_COLUMNS:
+                fields.append((name, object if name == "unit" else np.float64))
+            elif fields and fields[-1][0] not in REQUIRED_COLUMNS:
+                run, _, (width,) = fields[-1]
+                fields[-1] = (run, np.float64, (width + 1,))
+            else:
+                fields.append((f"x{len(fields)}", np.float64, (1,)))
+        data = np.loadtxt(data_rows(lines), dtype=fields, delimiter=",", comments=None,
                           quotechar=None, ndmin=1)
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError is one too
         return None
-    values = np.hstack([data["before"], data["after"]])
-    numeric = header[:at] + header[at + 1:]
-    time, outcome, d = (values[:, numeric.index(name)] for name in REQUIRED_COLUMNS[1:])
-    covariate_names = [name for name in numeric if name not in REQUIRED_COLUMNS]
-    X = values[:, [numeric.index(name) for name in covariate_names]]
-    ids = data["unit"]
+    time, outcome, d, ids = data["time"], data["outcome"], data["treatment"], data["unit"]
+    runs = [data[field[0]] for field in fields if field[0] not in REQUIRED_COLUMNS]
+    X = runs[0] if len(runs) == 1 else np.hstack([np.empty((len(data), 0)), *runs])
     if not (np.isfinite(outcome).all() and np.isfinite(X).all()
             and (np.abs(time) < 2.0 ** 53).all() and (time == np.trunc(time)).all()
             and ((d == 0.0) | (d == 1.0)).all() and all(ids)):
         return None
-    return PanelDataset(ids, time.astype(np.int64), outcome,
-                        (d == 1.0).astype(np.float64), X, covariate_names)
+    return PanelDataset(ids, time.astype(np.int64), outcome, (d == 1.0).astype(np.float64),
+                        X, [name for name in header if name not in REQUIRED_COLUMNS])
 
 
 def _read_csv_cells(path, lines) -> PanelDataset:
     """Parse CSV lines with the csv module and the per-cell column parser.
 
-    Accepts every text :func:`_panel_from_text` accepts, with the same
+    Accepts every text :func:`_panel_from_lines` accepts, with the same
     result, and raises the panel errors, naming ``path`` and the line.
     """
     reader = csv.reader(lines)
@@ -418,32 +428,43 @@ def _read_csv_cells(path, lines) -> PanelDataset:
     return _panel_from_columns(columns, [c for c in header if c not in REQUIRED_COLUMNS])
 
 
+def _open_csv(path, newline: str):
+    try:
+        return open(path, newline=newline, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot open panel CSV {path}: {exc}") from None
+
+
 def read_panel_csv(path) -> PanelDataset:
     """Read the canonical CSV layout: unit,time,outcome,treatment,<covariates...>.
 
-    The text is read once and parsed by :func:`_panel_from_text`; a text
-    it declines goes to :func:`_read_csv_cells`, which parses it cell by
-    cell or raises the error that names the bad cell or line.
+    One streaming pass: :func:`_panel_from_lines` parses the lines as they
+    are read, so the text is never held whole and peak memory stays near
+    twice the size of the panel's columns. A file it declines, at whatever
+    line, is opened again for :func:`_read_csv_cells`, which parses it cell
+    by cell or raises the error that names the bad cell or line.
     """
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open panel CSV {path}: {exc}") from None
-    with fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError:
-            fh.seek(0)  # the line-by-line reader reports where decoding fails
-            return _read_csv_cells(path, fh)
-    panel = _panel_from_text(text)
+    with _open_csv(path, "\n") as fh:
+        panel = _panel_from_lines(fh)
     if panel is None:
-        panel = _read_csv_cells(path, io.StringIO(text, newline=""))
+        with _open_csv(path, "") as fh:
+            panel = _read_csv_cells(path, fh)
     return panel
 
 
 def write_panel_csv(panel: PanelDataset, path) -> None:
-    """Write the canonical CSV layout, lossless for finite doubles."""
+    """Write the canonical CSV layout, lossless for finite doubles.
+
+    Rows are formatted one unit at a time, so no row list of the whole
+    panel is built.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(REQUIRED_COLUMNS) + list(panel.covariate_names))
-        writer.writerows(_rows(panel))
+        for k, unit in enumerate(panel.units):
+            rows = slice(panel.unit_starts[k], panel.unit_starts[k + 1])
+            writer.writerows(
+                [unit, panel.periods[c], y, d, *x] for c, y, d, x in zip(
+                    panel.time_codes[rows].tolist(), panel.outcomes[rows].tolist(),
+                    panel.treatments[rows].astype(int).tolist(),
+                    panel.covariates[rows].tolist()))

@@ -3,11 +3,13 @@
 The contrast cells read y_tilde = Y - g_hat alone, so a replicate cross-fits
 g and never fits the treatment model m. It fits the distinct drawn units
 once each, weighted by how many times each was drawn; its residuals go back
-onto the original units, and one ``group_time_cells`` call takes every
-replicate's residuals and weight row. These tests pin that this
+onto the original units, and ``group_time_cells`` takes the replicates'
+residuals and weight rows in stacked chunks. These tests pin that this
 reproduces, for every outcome learner kind, the replicate that copied each
 drawn unit under a fresh id, cross-fit both nuisances on that panel and
-estimated its cells, kept here as the reference, and that no refit fits m.
+estimated its cells, kept here as the reference, that no refit fits m or
+a fold with no row to predict, and that any chunking gives the results of
+one stack.
 """
 
 from collections import Counter
@@ -20,7 +22,7 @@ from panels import fresh_id_panel, panel_of
 from sdidml import aggregate, learners
 from sdidml.aggregate import aggregate_schemes, bootstrap, placebo_test
 from sdidml.config import BOOTSTRAP_MODES, PipelineConfig
-from sdidml.crossfit import assign_folds, crossfit_nuisance
+from sdidml.crossfit import assign_folds, crossfit_nuisance, nuisance_features
 from sdidml.didcore import estimate_group_time
 from sdidml.errors import DataError, EstimationError, LearnerError
 from sdidml.learners import LearnerSpec
@@ -199,3 +201,72 @@ def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
         bootstrap(config, panel, mode, y_tilde, point)
     placebo_test(panel, replace(config, placebo_shift=1))
     assert m_rows == []
+
+
+def every_fold_residuals(panel, config, folds, sample_weight=None):
+    """Y - g_hat with a fit for every fold, also one with no row to predict."""
+    w = learners.check_sample_weight(sample_weight, panel.n_obs)
+    features = nuisance_features(panel, w)
+    fold_of_obs = folds[panel.unit_codes]
+    g_hat = np.empty(panel.n_obs)
+    for k in range(config.n_folds):
+        train, test = fold_of_obs != k, fold_of_obs == k
+        model = learners.fit(config.g_learner, features[train], panel.outcomes[train],
+                             None if w is None else w[train])
+        g_hat[test] = learners.predict(model, features[test])
+    return panel.outcomes - g_hat
+
+
+def test_a_fold_with_no_row_to_predict_is_not_fit(monkeypatch):
+    # Sixteen units in five folds: in 38 (replicate, fold) pairs of 199
+    # replicates, the replicate drew no unit of the fold.
+    panel = generate(replace(scenario("S1"), n_units=16)).panel
+    config = PipelineConfig(bootstrap_reps=199)
+    point = point_results(panel, config)
+    fits = Counter()
+    fit = learners.fit
+
+    def counting(spec, *args, **kwargs):
+        fits[spec.kind] += 1
+        return fit(spec, *args, **kwargs)
+
+    monkeypatch.setattr(learners, "fit", counting)
+    got = bootstrap(config, panel, "full", None, point)
+    assert fits == {"ridge": 199 * 5 - 38}
+    fits.clear()
+    monkeypatch.setattr(aggregate, "outcome_residuals", every_fold_residuals)
+    want = bootstrap(config, panel, "full", None, point)
+    assert fits == {"ridge": 199 * 5}
+    assert want.n_failed == 0
+    assert repr(got) == repr(want)  # every summary, bit for bit
+
+
+@pytest.mark.parametrize("make_panel,n_folds,B,per_chunk", [
+    (lambda: generate(scenario("S2")).panel, 5, 40, 15),
+    (two_control_panel, 2, 30, 14),
+], ids=["S2", "failure_in_a_middle_chunk"])
+def test_chunks_give_the_results_of_one_stack(monkeypatch, make_panel, n_folds, B,
+                                             per_chunk):
+    panel = make_panel()
+    config = PipelineConfig(n_folds=n_folds, bootstrap_reps=B, seed=9)
+    point = point_results(panel, config)
+    group_time_cells = aggregate.group_time_cells
+    stacks = []
+
+    def recording(panel, y, *args):
+        stacks.append(y.copy())
+        return group_time_cells(panel, y, *args)
+
+    monkeypatch.setattr(aggregate, "group_time_cells", recording)
+    one = bootstrap(config, panel, "full", None, point)
+    assert [len(y) for y in stacks] == [B]  # the default holds every test panel's B
+    stacks.clear()
+    monkeypatch.setattr(aggregate, "_STACK_ELEMENTS", per_chunk * panel.n_obs)
+    chunked = bootstrap(config, panel, "full", None, point)
+    sizes = [len(y) for y in stacks]
+    assert len(sizes) >= 3 and set(sizes[:-1]) == {per_chunk} and sum(sizes) == B
+    if n_folds == 2:  # a replicate whose refit failed sits in a middle chunk
+        assert any(np.isnan(y).all(axis=1).any() for y in stacks[1:-1])
+        assert one.n_failed > 0
+    assert (chunked.n_reps, chunked.n_failed) == (one.n_reps, one.n_failed)
+    assert repr(chunked) == repr(one)

@@ -1,3 +1,7 @@
+import csv
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -13,7 +17,8 @@ from sdidml.errors import (
 )
 from panels import panel_of
 from sdidml.panel import (
-    _panel_from_text,
+    REQUIRED_COLUMNS,
+    _panel_from_lines,
     read_panel_csv,
     write_panel_csv,
 )
@@ -120,8 +125,35 @@ class TestSerialization:
         got = read_panel_csv(path)
         assert got == panel
         assert got.treatments.tobytes() == panel.treatments.tobytes()
-        with open(path, newline="", encoding="utf-8") as fh:  # one loadtxt pass, no fallback
-            assert _panel_from_text(fh.read()) == panel
+        with open(path, newline="\n", encoding="utf-8") as fh:  # one loadtxt pass, no fallback
+            assert _panel_from_lines(fh) == panel
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5"])
+    def test_csv_bytes_are_the_csv_writers_over_every_row(self, tmp_path, name):
+        # the unit-by-unit writer against the csv module over one row list
+        panel = generate(scenario(name)).panel
+        rows = [[panel.units[u], panel.periods[t], y, int(d), *x] for u, t, y, d, x in zip(
+            panel.unit_codes.tolist(), panel.time_codes.tolist(), panel.outcomes.tolist(),
+            panel.treatments.tolist(), panel.covariates.tolist())]
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow([*REQUIRED_COLUMNS, *panel.covariate_names])
+        writer.writerows(rows)
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+
+    def test_reading_peaks_near_the_size_of_the_panel(self, tmp_path):
+        # the text is streamed: neither it nor its lines are held whole
+        path = tmp_path / "panel.csv"
+        write_panel_csv(generate(scenario("S3")).panel, path)
+        tracemalloc.start()
+        try:
+            panel = read_panel_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * panel.covariates.nbytes
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -27,6 +27,7 @@ from sdidml.errors import (
 from sdidml.panel import (
     REQUIRED_COLUMNS,
     _panel_from_columns,
+    _panel_from_lines,
     read_panel_csv,
     subset_units,
     unit_rows,
@@ -201,6 +202,8 @@ def reference_read_panel_csv(path):
                 rows.append(row)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     cells = list(zip(*rows)) or [()] * len(header)
     columns = {name: cells[header.index(name)] for name in header}
     return _panel_from_columns(columns, [c for c in header if c not in REQUIRED_COLUMNS])
@@ -316,3 +319,26 @@ def test_bad_byte_after_the_first_chunk_names_the_same_offset():
     assert len(data) > 3 * 8192
     got = assert_same_read(data)
     assert "not UTF-8" in str(got)
+
+
+# Lines the streaming parse declines only when it reaches them: the file is
+# then read again by the csv-module reader, which parses the first two and
+# rejects the last two.
+LATE_LINES = {
+    "quoted_unit": b'"u5",100,0.5,0\n',
+    "lone_cr": b"u5,100,0.5,0\ru6,100,0.5,1\n",
+    "long_field": b"u5,100," + b"1" * 131_073 + b",0\n",
+    "bad_byte": b"u5,100,0.5,0\xff\n",
+}
+
+
+@pytest.mark.parametrize("name", LATE_LINES)
+def test_a_decline_after_ten_thousand_rows_reads_as_the_reference(tmp_path, name):
+    rows = "".join(f"u{i % 100},{i // 100},{i}.5,0\n" for i in range(10_000))
+    data = ("unit,time,outcome,treatment\n" + rows).encode() + LATE_LINES[name]
+    path = tmp_path / "panel.csv"
+    path.write_bytes(data)
+    with open(path, newline="\n", encoding="utf-8") as fh:
+        assert _panel_from_lines(fh) is None
+    got = assert_same_read(data)
+    assert isinstance(got, DataError) == (name in ("long_field", "bad_byte"))
