@@ -18,8 +18,9 @@ each original unit was drawn. ``fixed_nuisance`` mode (faster but
 approximate) reuses the point-estimate residuals, so all B rows are one
 matrix product. ``full`` mode calls
 :func:`~sdidml.crossfit.outcome_residuals` again on each replicate's
-distinct drawn units, with the weight row as sample weights in place of
-repeated copies, and writes the residuals back onto the original units;
+distinct drawn units (:func:`~sdidml.panel.subset_units`), in folds dealt
+afresh for the replicate, with the weight row as sample weights in place
+of repeated copies, and writes the residuals back onto the original units;
 the residual vectors go to the cell routine as stacks of a bounded number
 of replicates, one cell call per chunk, each vector weighted by its own
 row. A replicate's row depends on its own vector and weights alone, so the
@@ -29,10 +30,11 @@ and percentile CI from the replicates' values under its key; values that
 differ only by rounding give an SE of 0.
 
 Every refit here (a full-mode replicate and the placebo test) is one
-``outcome_residuals`` call: the contrast estimator reads only
-y_tilde = Y - g_hat, so the treatment model m is fit only for the point
-estimate, in :mod:`sdidml.pipeline`, once per adoption cohort on one row
-per unit. The overlap report reads those cohort propensities (Callaway
+``outcome_residuals`` call, the point estimate's path, which fits g for
+all of its folds in one held-out ``learners.fit`` call. The contrast
+estimator reads only y_tilde = Y - g_hat, so the treatment model m is fit
+only for the point estimate, in :mod:`sdidml.pipeline`, once per adoption
+cohort on one row per unit. The overlap report reads those cohort propensities (Callaway
 and Sant'Anna 2021), one row per cohort, and judges common support by the
 share of units clipped (Crump, Hotz, Imbens and Mitnik 2009).
 

@@ -11,16 +11,18 @@ builds the features (:func:`nuisance_features`: the standardized
 covariates and one-hot period indicators, the first period omitted as the
 reference; adoption-cohort information is deliberately excluded so the
 treatment contrast survives into the structural stage), fits
-``config.g_learner`` on each fold's complement and returns the read-only
-outcome residual y_tilde = Y - g_hat in observation order. The contrast
-estimator reads only y_tilde, so the bootstrap and placebo refits call
-:func:`outcome_residuals` alone. It takes optional per-observation
-weights, which weight the feature standardization and every fit; a
-full-mode bootstrap replicate passes how many times each of its distinct
-units was drawn. :func:`crossfit_nuisance` adds the treatment model m,
-fit once per adoption cohort on one row per unit: the cohort propensity
-P(G = g | X at the base period) among the cohort and its controls
-(Callaway and Sant'Anna 2021), which feeds the overlap report alone.
+``config.g_learner`` on every fold's complement in one held-out
+:func:`learners.fit` call and returns the read-only outcome residual
+y_tilde = Y - g_hat in observation order. The contrast estimator reads
+only y_tilde, so the point estimate, the bootstrap and the placebo refits
+all cross-fit g through :func:`outcome_residuals` alone. It takes optional
+per-observation weights, which weight the feature standardization and
+every fit; a full-mode bootstrap replicate passes how many times each of
+its distinct units was drawn. :func:`crossfit_nuisance` adds the
+treatment model m, fit once per adoption cohort on one row per unit: the
+cohort propensity P(G = g | X at the base period) among the cohort and
+its controls (Callaway and Sant'Anna 2021), which feeds the overlap
+report alone.
 """
 
 from __future__ import annotations
@@ -96,10 +98,13 @@ def outcome_residuals(panel: PanelDataset, config: PipelineConfig, folds: np.nda
 
     ``folds`` gives each of ``panel``'s units, in ``panel.units`` order, a
     fold in ``range(config.n_folds)``, or :class:`AlignmentMismatchError`
-    is raised. For each fold k that holds an observation, the learner is
-    trained on all observations of units outside fold k and evaluated on
-    fold k's observations; a fold with none is not fit. A learner failure
-    is re-raised with its fold number.
+    is raised. One held-out fit (:func:`learners.fit` and
+    :func:`learners.predict` with each observation's fold) trains the
+    learner, for each fold k that holds an observation, on all observations
+    of units outside fold k and evaluates it on fold k's observations; a
+    fold with none is not fit, and a learner failure names its fold. Ridge
+    with lambda > 0 builds every fold's fit from per-fold moments, within
+    rounding of a fit on the complement's rows.
 
     ``sample_weight`` gives each observation a weight in the standardization
     (:func:`nuisance_features`) and in every fit (:func:`learners.fit`);
@@ -115,19 +120,8 @@ def outcome_residuals(panel: PanelDataset, config: PipelineConfig, folds: np.nda
     fold_of_obs = folds[panel.unit_codes]
     w = learners.check_sample_weight(sample_weight, panel.n_obs)
     features = nuisance_features(panel, w)
-    g_hat = np.empty(panel.n_obs)
-    for k in range(config.n_folds):
-        test = fold_of_obs == k
-        if not test.any():  # e.g. a replicate that drew no unit of fold k
-            continue
-        train = ~test
-        try:
-            model = learners.fit(config.g_learner, features[train], panel.outcomes[train],
-                                 None if w is None else w[train])
-        except LearnerError as exc:
-            raise type(exc)(f"fold {k}: {exc}") from exc
-        g_hat[test] = learners.predict(model, features[test])
-    y_tilde = panel.outcomes - g_hat
+    model = learners.fit(config.g_learner, features, panel.outcomes, w, folds=fold_of_obs)
+    y_tilde = panel.outcomes - learners.predict(model, features, folds=fold_of_obs)
     y_tilde.setflags(write=False)
     return y_tilde
 

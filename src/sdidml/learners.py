@@ -5,6 +5,14 @@ linear models, greedy gradient-boosted regression trees, and L2-penalized
 logistic regression for binary treatment models. All fits are deterministic
 functions of (spec, data). The regression kinds also take per-row sample
 weights: a row of integer weight c counts as c copies of that row.
+
+:func:`fit` with per-row fold labels returns held-out fits, one per fold
+label present, each trained on the rows of the other folds; :func:`predict`
+with the same labels evaluates each row by its own fold's fit. This is the
+whole cross-fit of a learner. Ridge with lambda > 0 builds all of them from
+one pass of per-fold moments and one batched solve, sharing the step from
+centered moments to (intercept, coefficients, objective) with the single
+ridge fit; every other kind fits each complement's rows in turn.
 """
 
 from __future__ import annotations
@@ -195,23 +203,89 @@ def _fit_mean(X: np.ndarray, y: np.ndarray, w: Optional[np.ndarray]):
     return mu, np.zeros(X.shape[1]), TrainingDiagnostics(0, 0.5 * sse, True)
 
 
-def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float, w: Optional[np.ndarray]):
-    p = X.shape[1]
-    xm, ym, Xc, yc = _centered(X, y, w)
-    if p == 0:
-        return ym, np.zeros(0), TrainingDiagnostics(0, 0.5 * float(yc @ yc), True)
-    if lam == 0.0 and np.linalg.matrix_rank(Xc) < p:
-        raise SingularSystemError(
-            "ridge with lambda=0 on a rank-deficient design has no unique solution")
-    gram = Xc.T @ Xc + lam * np.eye(p)
+def _moments(Xc: np.ndarray, yc: np.ndarray) -> np.ndarray:
+    """The Gram of the centered rows [Xc, yc] (from :func:`_centered`)."""
+    p = Xc.shape[1]
+    gram = np.empty((p + 1, p + 1))
+    gram[:p, :p] = Xc.T @ Xc
+    gram[:p, p] = gram[p, :p] = Xc.T @ yc
+    gram[p, p] = yc @ yc
+    return gram
+
+
+def _ridge_solution(mean: np.ndarray, gram: np.ndarray, lam: float):
+    """Intercept, coefficients and objective of the ridge fit whose data have
+    weighted mean ``mean`` of [X, y] and Gram ``gram`` of the centered
+    [X, y] rows; leading axes index independent fits.
+
+    The objective (1/2)||y_c - X_c b||^2 + (lam/2)||b||^2 at the solution of
+    (X_c'X_c + lam I) b = X_c'y_c is (1/2)(y_c'y_c - b'X_c'y_c).
+    """
+    p = gram.shape[-1] - 1
+    rhs = gram[..., :p, p]
     try:
-        beta = np.linalg.solve(gram, Xc.T @ yc)
+        beta = np.linalg.solve(gram[..., :p, :p] + lam * np.eye(p), rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise SingularSystemError("normal equations are singular") from None
-    resid = yc - Xc @ beta
-    obj = 0.5 * float(resid @ resid) + 0.5 * lam * float(beta @ beta)
-    intercept = ym - float(xm @ beta)
-    return intercept, beta, TrainingDiagnostics(0, obj, True)
+    intercept = mean[..., p] - (mean[..., :p] * beta).sum(axis=-1)
+    objective = 0.5 * (gram[..., p, p] - (rhs * beta).sum(axis=-1))
+    return intercept, beta, objective
+
+
+def _fit_ridge(X: np.ndarray, y: np.ndarray, lam: float, w: Optional[np.ndarray]):
+    xm, ym, Xc, yc = _centered(X, y, w)
+    if lam == 0.0 and np.linalg.matrix_rank(Xc) < X.shape[1]:
+        raise SingularSystemError(
+            "ridge with lambda=0 on a rank-deficient design has no unique solution")
+    intercept, beta, obj = _ridge_solution(np.append(xm, ym), _moments(Xc, yc), lam)
+    return float(intercept), beta, TrainingDiagnostics(0, float(obj), True)
+
+
+def _ridge_held_out(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
+                    w: Optional[np.ndarray], folds: np.ndarray,
+                    labels: np.ndarray) -> dict[int, FittedModel]:
+    """Ridge (lambda > 0) fits on the complement of each fold in ``labels``,
+    from one pass over the rows.
+
+    Each fold j contributes its weight total W_j, the weighted mean m_j of
+    [X, y] and the Gram C_j of its rows centered at m_j, computed from a
+    copy of its rows alone. Fold k's training moments pool the other folds
+    (Chan, Golub and LeVeque 1983): the mean m of the m_j weighted by W_j,
+    and sum_j C_j + W_j (m_j - m)(m_j - m)'. The sums over j != k are
+    products with a 0/1 matrix, so fold k's own moments enter as exact
+    zeros and no rounding lets a held-out row move its own fold's fit. One
+    batched solve gives every fold's coefficients; with lambda > 0 each
+    system is positive definite.
+    """
+    if labels.size == 1:
+        raise DimensionMismatchError(f"fold {labels[0]}: need at least one training row")
+    K, p = labels.size, X.shape[1]
+    totals, means, grams = np.zeros(K), np.zeros((K, p + 1)), np.zeros((K, p + 1, p + 1))
+    for j, k in enumerate(labels):
+        rows = np.flatnonzero(folds == k)
+        wj = None if w is None else w[rows]
+        totals[j] = rows.size if wj is None else wj.sum()
+        if totals[j] > 0:  # a fold of zero weight adds nothing to any fit
+            xm, ym, Xc, yc = _centered(X[rows], y[rows], wj)
+            means[j, :p], means[j, p] = xm, ym
+            grams[j] = _moments(Xc, yc)
+    others = 1.0 - np.eye(K)
+    train_totals = others @ totals
+    if not train_totals.all():
+        raise LearnerError(f"fold {labels[train_totals == 0][0]}: sample weights must be "
+                           "finite and non-negative with a positive sum")
+    train_means = (others @ (totals[:, None] * means)) / train_totals[:, None]
+    spread = means[None, :, :] - train_means[:, None, :]  # (fold k, fold j, column)
+    # The training Grams take the place of the folds' own, so that no more
+    # than two (K, p + 1, p + 1) stacks are alive at once.
+    grams = (others @ grams.reshape(K, -1)).reshape(grams.shape)
+    grams += (spread * (others * totals)[:, :, None]).transpose(0, 2, 1) @ spread
+    intercepts, betas, objectives = _ridge_solution(train_means, grams, spec.lam)
+    betas.setflags(write=False)
+    return {int(k): FittedModel(spec=spec, n_features=p, intercept=float(intercepts[j]),
+                                coef=betas[j],
+                                diagnostics=TrainingDiagnostics(0, float(objectives[j]), True))
+            for j, k in enumerate(labels)}
 
 
 def _soft_threshold(rho: float, lam: float) -> float:
@@ -450,21 +524,36 @@ def _fit_gbt(X: np.ndarray, y: np.ndarray, spec: LearnerSpec, w: Optional[np.nda
 # -- public API ----------------------------------------------------------------
 
 
-def fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray,
-        sample_weight: Optional[np.ndarray] = None) -> FittedModel:
-    """Train the learner selected by ``spec`` on the given data.
+@dataclass(frozen=True)
+class HeldOutModels:
+    """Held-out fits of one learner, from :func:`fit` with ``folds``:
+    ``models[k]`` was trained on every row outside fold k, for each fold
+    label k that holds a row."""
 
-    The fit is deterministic given (spec, data). Iterative learners
-    that exhaust ``max_iter`` emit a :class:`ConvergenceWarning` and return
-    a model whose diagnostics carry ``converged=False``.
+    models: dict[int, FittedModel]
 
-    ``sample_weight`` (one finite, non-negative weight per row, with a
-    positive sum; see :func:`check_sample_weight`) weights each row's term
-    of the training objective, so integer weights c give the fit on the
-    rows repeated c times; rows of weight 0 are dropped. The regression
-    kinds (mean, ridge, lasso, gbt) take weights, logistic does not.
-    Without weights every kind runs its unweighted arithmetic.
-    """
+    @property
+    def diagnostics(self) -> TrainingDiagnostics:
+        """The folds' diagnostics pooled: iterations and objectives summed,
+        converged when every fold's fit converged."""
+        folds = [model.diagnostics for model in self.models.values()]
+        return TrainingDiagnostics(sum(d.iterations for d in folds),
+                                   sum(d.objective for d in folds),
+                                   all(d.converged for d in folds))
+
+
+def _fold_labels(folds, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fold labels for ``n`` rows, checked to be non-negative integers, and
+    the labels present in ascending order."""
+    folds = np.asarray(folds)
+    if folds.shape != (n,) or folds.dtype.kind not in "iu" or (n and folds.min() < 0):
+        raise DimensionMismatchError(f"fold labels of shape {folds.shape} and type "
+                                     f"{folds.dtype} are not {n} non-negative integers")
+    return folds, np.flatnonzero(np.bincount(folds))
+
+
+def _fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray,
+         sample_weight: Optional[np.ndarray]) -> FittedModel:
     X, y = _check_training_input(features, targets)
     w = check_sample_weight(sample_weight, X.shape[0])
     if w is not None:
@@ -493,19 +582,55 @@ def fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray,
                        coef=coef, diagnostics=diag)
 
 
+def fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray,
+        sample_weight: Optional[np.ndarray] = None,
+        folds: Optional[np.ndarray] = None) -> FittedModel | HeldOutModels:
+    """Train the learner selected by ``spec`` on the given data.
+
+    The fit is deterministic given (spec, data). Iterative learners
+    that exhaust ``max_iter`` emit a :class:`ConvergenceWarning` and return
+    a model whose diagnostics carry ``converged=False``.
+
+    ``sample_weight`` (one finite, non-negative weight per row, with a
+    positive sum; see :func:`check_sample_weight`) weights each row's term
+    of the training objective, so integer weights c give the fit on the
+    rows repeated c times; rows of weight 0 are dropped. The regression
+    kinds (mean, ridge, lasso, gbt) take weights, logistic does not.
+    Without weights every kind runs its unweighted arithmetic.
+
+    ``folds``, one non-negative integer label per row, asks for held-out
+    fits: a :class:`HeldOutModels` with, for each label k present, the fit
+    on the rows of the other labels. An error in fold k's fit, such as a
+    complement with no row or weights summing to 0, names the fold. Ridge
+    with lambda > 0 fits every fold from per-fold moments
+    (:func:`_ridge_held_out`), equal to the per-fold fits up to rounding;
+    every other kind fits each complement with the arithmetic of a call
+    per fold.
+    """
+    if folds is None:
+        return _fit(spec, features, targets, sample_weight)
+    X, y = _check_training_input(features, targets)
+    w = check_sample_weight(sample_weight, X.shape[0])
+    folds, labels = _fold_labels(folds, X.shape[0])
+    if spec.kind == "ridge" and spec.lam > 0:
+        return HeldOutModels(_ridge_held_out(spec, X, y, w, folds, labels))
+    models = {}
+    for k in labels:
+        train = folds != k
+        try:
+            models[int(k)] = _fit(spec, X[train], y[train], None if w is None else w[train])
+        except LearnerError as exc:
+            raise type(exc)(f"fold {k}: {exc}") from exc
+    return HeldOutModels(models)
+
+
 _PROB_EPS = 1e-12  # keeps logistic outputs strictly inside (0, 1)
 
 
-def predict(model: FittedModel, features: np.ndarray) -> np.ndarray:
-    """Evaluate a fitted model on new rows; logistic returns probabilities."""
-    X = np.asarray(features, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatchError("features must be a 2-d matrix")
+def _evaluate(model: FittedModel, X: np.ndarray) -> np.ndarray:
     if X.shape[1] != model.n_features:
         raise DimensionMismatchError(
             f"model was trained on {model.n_features} features, got {X.shape[1]}")
-    if not np.isfinite(X).all():
-        raise NonFiniteInputError("prediction input contains NaN or infinity")
     if model.spec.kind == "gbt":
         return _ensemble_predict(model.trees, model.intercept,
                                  model.spec.learning_rate, X)
@@ -513,3 +638,29 @@ def predict(model: FittedModel, features: np.ndarray) -> np.ndarray:
     if model.spec.kind == "logistic":
         return np.clip(_sigmoid(z), _PROB_EPS, 1.0 - _PROB_EPS)
     return z
+
+
+def predict(model: FittedModel | HeldOutModels, features: np.ndarray,
+            folds: Optional[np.ndarray] = None) -> np.ndarray:
+    """Evaluate a fitted model on new rows; logistic returns probabilities.
+
+    With ``folds``, one label per row, ``model`` holds held-out fits
+    (:func:`fit` with ``folds``) and each row is evaluated by the fit of its
+    own fold, one fold at a time.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatchError("features must be a 2-d matrix")
+    if not np.isfinite(X).all():
+        raise NonFiniteInputError("prediction input contains NaN or infinity")
+    if folds is None:
+        return _evaluate(model, X)
+    folds, labels = _fold_labels(folds, X.shape[0])
+    out = np.empty(X.shape[0])
+    for k in labels:
+        fitted = model.models.get(int(k))
+        if fitted is None:
+            raise LearnerError(f"fold {k}: no held-out fit")
+        rows = folds == k
+        out[rows] = _evaluate(fitted, X[rows])
+    return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,6 +36,11 @@ from .errors import (
 )
 
 REQUIRED_COLUMNS = ("unit", "time", "outcome", "treatment")
+# A CSV line, its LF or CRLF end removed, in which every quote opens or
+# closes a whole field: a field is unquoted text without a quote, or a
+# quoted one ("" inside stands for a quote) that holds no CR.
+_FIELD = r'(?:[^",]*|"(?:[^"\r]|"")*")'
+_WHOLE_FIELDS = re.compile(f"{_FIELD}(?:,{_FIELD})*")
 
 
 class PanelDataset:
@@ -335,15 +341,17 @@ def _panel_from_lines(lines) -> Optional[PanelDataset]:
 
     ``lines`` is an iterable of lines that end at LF, as a file opened with
     ``newline="\n"`` yields them; they are checked as ``loadtxt`` reads
-    them, so the text is never held whole. Returns None, for the csv-module
-    reader to parse or reject, whenever a line has a quote or is longer than
-    the csv module allows a field to be, the header repeats or lacks a name,
-    there is no data row, a line fails to decode, when ``loadtxt`` rejects a
-    cell or a row, or when a value fails a check the cell parser makes:
-    finite outcome and covariates, an integral time below 2**53 in
-    magnitude, a 0/1 treatment and a non-empty unit id. Lines end at LF or
-    CRLF and empty lines are skipped, as in the csv module; a CR anywhere
-    else in a line makes ``loadtxt`` reject it.
+    them, so the text is never held whole. A quoted field is read as the
+    csv module reads it. Returns None, for the csv-module reader to parse or
+    reject, whenever a line has a quote that does not open or close a whole
+    field (such as a quoted field that spans lines or holds a CR) or is
+    longer than the csv module allows a field to be, the header repeats or
+    lacks a name, there is no data row, a line fails to decode, when
+    ``loadtxt`` rejects a cell or a row, or when a value fails a check the
+    cell parser makes: finite outcome and covariates, an integral time
+    below 2**53 in magnitude, a 0/1 treatment and a non-empty unit id. Lines
+    end at LF or CRLF and empty lines are skipped, as in the csv module; a
+    CR anywhere else in a line makes ``loadtxt`` reject it.
 
     The time, outcome, treatment and covariate columns are views of the
     parsed records (the covariates are copied only when other columns sit
@@ -351,10 +359,14 @@ def _panel_from_lines(lines) -> Optional[PanelDataset]:
     """
     limit = csv.field_size_limit()
 
+    def plain(line):
+        return len(line) <= limit and ('"' not in line or _WHOLE_FIELDS.fullmatch(
+            line.removesuffix("\n").removesuffix("\r")) is not None)
+
     def data_rows(lines):
         blank = True
         for line in lines:
-            if '"' in line or len(line) > limit:
+            if not plain(line):
                 raise ValueError("a line for the csv module")
             blank = blank and line in ("\n", "\r\n", "\r")
             yield line
@@ -364,9 +376,10 @@ def _panel_from_lines(lines) -> Optional[PanelDataset]:
     try:
         lines = iter(lines)
         head = next(lines, "").removesuffix("\n").removesuffix("\r")
-        header = head.split(",")
-        if ('"' in head or "\r" in head or len(head) > limit
-                or len(set(header)) < len(header) or not set(REQUIRED_COLUMNS) <= set(header)):
+        if "\r" in head or not plain(head):
+            return None
+        header = next(csv.reader([head]), [])
+        if len(set(header)) < len(header) or not set(REQUIRED_COLUMNS) <= set(header):
             return None
         fields = []  # one per required column, one subarray per run of adjacent covariates
         for name in header:
@@ -378,7 +391,7 @@ def _panel_from_lines(lines) -> Optional[PanelDataset]:
             else:
                 fields.append((f"x{len(fields)}", np.float64, (1,)))
         data = np.loadtxt(data_rows(lines), dtype=fields, delimiter=",", comments=None,
-                          quotechar=None, ndmin=1)
+                          quotechar='"', ndmin=1)
     except ValueError:  # UnicodeDecodeError is one too
         return None
     time, outcome, d, ids = data["time"], data["outcome"], data["treatment"], data["unit"]

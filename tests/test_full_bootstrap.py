@@ -95,13 +95,19 @@ def point_results(panel, config):
     return aggregate_schemes(estimate_effects(panel, config).effects)
 
 
-# Outcome learners, by id suffix; the default (ridge) has none. In the
+# Outcome learners, by id suffix; the default (ridge) has none. Ridge
+# with lambda > 0 fits every fold from per-fold moments, ridge with
+# lambda = 0 from the rows, as the other kinds do. That one runs on the
+# null panel alone: on the eight-unit panel a complement often holds one
+# distinct unit, too few rows for a full-rank design, and 8 of 30
+# replicates fail, more than the bootstrap allows. In the
 # depth-2 trees on the eight-unit panel a covariate cut and a period dummy
 # can split off the same rows; their scores, which round differently for
 # weights and for copies, tie within the gain guard, so both pick the
 # lower feature.
-G_LEARNERS = {"": LearnerSpec.ridge(1.0), "-lasso": LearnerSpec.lasso(0.05),
-              "-mean": LearnerSpec.mean(), "-gbt": LearnerSpec.gbt(5, 2, 0.3, 2)}
+G_LEARNERS = {"": LearnerSpec.ridge(1.0), "-ridge0": LearnerSpec.ridge(0.0),
+              "-lasso": LearnerSpec.lasso(0.05), "-mean": LearnerSpec.mean(),
+              "-gbt": LearnerSpec.gbt(5, 2, 0.3, 2)}
 
 
 @pytest.mark.parametrize("make_panel,n_folds,B,expect_failures,g_learner", [
@@ -109,7 +115,8 @@ G_LEARNERS = {"": LearnerSpec.ridge(1.0), "-lasso": LearnerSpec.lasso(0.05),
     for name, make_panel, n_folds, B, expect_failures in [
         ("null_panel", small_null_panel, 5, 12, False),
         ("some_failures", two_control_panel, 2, 30, True)]
-    for suffix, spec in G_LEARNERS.items()])
+    for suffix, spec in G_LEARNERS.items()
+    if not (name == "some_failures" and suffix == "-ridge0")])
 def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel, n_folds,
                                                         B, expect_failures, g_learner):
     panel = make_panel()
@@ -150,6 +157,7 @@ def test_matches_the_replicate_that_fits_both_nuisances(monkeypatch, make_panel,
 
 
 def test_refits_never_fit_the_treatment_model(monkeypatch):
+    # Each refit is one held-out fit call of g, for all of its folds.
     panel = small_null_panel()
     config = PipelineConfig(bootstrap_reps=4, bootstrap_mode="full", seed=3)
     kinds = Counter()
@@ -163,7 +171,7 @@ def test_refits_never_fit_the_treatment_model(monkeypatch):
     y_tilde, point = artifacts.fits.y_tilde, aggregate_schemes(artifacts.effects)
     monkeypatch.setattr(learners, "fit", counting)
     bootstrap(config, panel, "full", None, point)
-    assert kinds == {"ridge": 4 * config.n_folds}
+    assert kinds == {"ridge": 4}
 
     kinds.clear()
     bootstrap(config, panel, "fixed_nuisance", y_tilde, point)  # reuses the point residuals
@@ -171,7 +179,7 @@ def test_refits_never_fit_the_treatment_model(monkeypatch):
 
     kinds.clear()
     placebo_test(panel, replace(config, bootstrap_mode="fixed_nuisance", placebo_shift=1))
-    assert kinds == {"ridge": config.n_folds}
+    assert kinds == {"ridge": 1}
 
 
 def test_treatment_model_fits_once_per_cohort_and_fold(monkeypatch):
@@ -223,12 +231,13 @@ def test_a_fold_with_no_row_to_predict_is_not_fit(monkeypatch):
     panel = generate(replace(scenario("S1"), n_units=16)).panel
     config = PipelineConfig(bootstrap_reps=199)
     point = point_results(panel, config)
-    fits = Counter()
+    fits = Counter()  # models fit, one per fold of a held-out fit call
     fit = learners.fit
 
     def counting(spec, *args, **kwargs):
-        fits[spec.kind] += 1
-        return fit(spec, *args, **kwargs)
+        model = fit(spec, *args, **kwargs)
+        fits[spec.kind] += len(model.models) if kwargs.get("folds") is not None else 1
+        return model
 
     monkeypatch.setattr(learners, "fit", counting)
     got = bootstrap(config, panel, "full", None, point)
@@ -238,7 +247,8 @@ def test_a_fold_with_no_row_to_predict_is_not_fit(monkeypatch):
     want = bootstrap(config, panel, "full", None, point)
     assert fits == {"ridge": 199 * 5}
     assert want.n_failed == 0
-    assert repr(got) == repr(want)  # every summary, bit for bit
+    # the held-out ridge fits pool per-fold moments, the reference fits rows
+    assert_inference_close(got, want)
 
 
 @pytest.mark.parametrize("make_panel,n_folds,B,per_chunk", [

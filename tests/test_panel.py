@@ -155,6 +155,30 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak <= 3 * panel.covariates.nbytes
 
+    def test_quoted_fields_stream_too(self, tmp_path):
+        # every unit id and name quoted, as csv.QUOTE_NONNUMERIC writes them:
+        # the streaming pass reads the file, not the csv-module reader
+        panel = generate(scenario("S3")).panel
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        write_panel_csv(panel, plain)
+        with open(plain, newline="", encoding="utf-8") as src, \
+                open(quoted, "w", newline="", encoding="utf-8") as dst:
+            rows = csv.reader(src)
+            writer = csv.writer(dst, quoting=csv.QUOTE_NONNUMERIC)
+            writer.writerow(next(rows))
+            writer.writerows([row[0], *map(float, row[1:])] for row in rows)
+        assert '"u' in quoted.read_text(encoding="utf-8")
+        with open(quoted, newline="\n", encoding="utf-8") as fh:
+            assert _panel_from_lines(fh) is not None
+        tracemalloc.start()
+        try:
+            got = read_panel_csv(quoted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == read_panel_csv(plain)
+        assert peak <= 3 * got.covariates.nbytes
+
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("unit,time,outcome,x0\nA,1,0.0,0.0\n")

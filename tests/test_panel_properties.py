@@ -323,9 +323,9 @@ def test_bad_byte_after_the_first_chunk_names_the_same_offset():
 
 # Lines the streaming parse declines only when it reaches them: the file is
 # then read again by the csv-module reader, which parses the first two and
-# rejects the last two.
+# rejects the last two. The quoted unit id spans two lines.
 LATE_LINES = {
-    "quoted_unit": b'"u5",100,0.5,0\n',
+    "quoted_unit": b'"u\n5",100,0.5,0\n',
     "lone_cr": b"u5,100,0.5,0\ru6,100,0.5,1\n",
     "long_field": b"u5,100," + b"1" * 131_073 + b",0\n",
     "bad_byte": b"u5,100,0.5,0\xff\n",
