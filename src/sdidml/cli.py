@@ -8,7 +8,9 @@ comparison of the cross-fitted estimator against the TWFE baseline), and
 
 Only this module formats output: it maps unit codes (such as the fold
 array's) to unit ids, echoes settings from its config, and writes every
-file through one JSON writer and one CSV writer.
+file through one JSON writer and one CSV writer. It reads every JSON file
+(run config, DGP config, a prior run's artifacts) through one reader,
+:func:`_read_json_object`, and leaves each check to the config it builds.
 
 Exit codes are stable: 0 success, 2 configuration or usage error, 3 data
 error, 4 estimation error. Every failure, an argparse usage error too,
@@ -33,6 +35,7 @@ from .config import BOOTSTRAP_MODES, PipelineConfig
 from .errors import (
     ConfigError,
     DataError,
+    InvalidConfigError,
     MissingArtifactsError,
     SdidmlError,
     json_fields,
@@ -101,19 +104,6 @@ class RunConfig:
             (pipeline if owner else run)[name] = value
         return cls(pipeline=PipelineConfig(**pipeline), **run)
 
-    @classmethod
-    def from_file(cls, path) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ConfigError("config JSON must be an object")
-        return cls.from_dict(data)
-
     def to_dict(self) -> dict:
         out: dict = {}
         for key, value in json_object(self, _CONFIG_KEYS).items():
@@ -168,15 +158,23 @@ def _output_dir(path) -> Path:
     return outdir
 
 
+def _read_json_object(path, error: type) -> dict:
+    """The JSON object in the file ``path``. A file that cannot be read, is
+    not UTF-8 JSON or holds no object raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    # ValueError covers bad JSON and bad UTF-8, RecursionError too deep a nesting
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise error(f"{path} does not hold a JSON object")
+    return data
+
+
 def _resolve_scenario_or_config(token: str) -> DGPConfig:
     if token.endswith(".json"):
-        try:
-            with open(token, encoding="utf-8") as fh:
-                return DGPConfig.from_dict(json.load(fh))
-        except OSError as exc:
-            raise ConfigError(f"cannot read DGP config {token}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{token} is not valid JSON: {exc}") from None
+        return DGPConfig.from_dict(_read_json_object(token, InvalidConfigError))
     return scenario(token)
 
 
@@ -184,18 +182,15 @@ def _resolve_scenario_or_config(token: str) -> DGPConfig:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
+    cfg = RunConfig.from_dict(_read_json_object(args.config, ConfigError) if args.config else {})
     overrides = {name: value for name, value in (
         ("input_path", args.input), ("output_dir", args.output)) if value is not None}
     if args.seed is not None:
         overrides["pipeline"] = replace(cfg.pipeline, seed=args.seed)
     cfg = replace(cfg, **overrides)
-    if cfg.input_path is None:
-        raise ConfigError("no input CSV given; set input_path in the config "
-                          "or pass --input")
-    if cfg.output_dir is None:
-        raise ConfigError("no output directory given; set output_dir in the "
-                          "config or pass --output")
+    for key, flag in (("input_path", "--input"), ("output_dir", "--output")):
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"no {key} given; set it in the config or pass {flag}")
     outdir = _output_dir(cfg.output_dir)
 
     panel = read_panel_csv(cfg.input_path)
@@ -287,9 +282,9 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ConfigError("--reps must be >= 1")
     dgp = _resolve_scenario_or_config(args.scenario)
-    outdir = _output_dir(args.out)
     pipe = PipelineConfig(bootstrap_reps=args.bootstrap_reps,
                           bootstrap_mode=args.bootstrap_mode, seed=args.seed)
+    outdir = _output_dir(args.out)
     results = {
         method: monte_carlo(dgp, pipe, args.reps, args.seed, method=method)
         for method in ("sdidml", "twfe")
@@ -318,27 +313,13 @@ def cmd_benchmark(args: argparse.Namespace) -> int:
 # -- diagnose ---------------------------------------------------------------------
 
 
-def _read_artifact(path: Path) -> dict:
-    """One JSON object written by a prior run; unreadable content is a DataError."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise DataError(f"{path} does not hold a JSON object")
-    return data
-
-
 def cmd_diagnose(args: argparse.Namespace) -> int:
     results_dir = Path(args.results_dir)
-    diag_path = results_dir / "diagnostics.json"
-    res_path = results_dir / "results.json"
-    if not diag_path.exists() or not res_path.exists():
+    paths = [results_dir / name for name in ("diagnostics.json", "results.json")]
+    if not all(path.exists() for path in paths):
         raise MissingArtifactsError(
             f"{results_dir} lacks results.json/diagnostics.json from a prior run")
-    diag = _read_artifact(diag_path)
-    res = _read_artifact(res_path)
+    diag, res = [_read_json_object(path, DataError) for path in paths]
     try:
         _print_diagnosis(res, diag)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -423,9 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Monte Carlo comparison vs the TWFE baseline")
     bench.add_argument("scenario", help="scenario name or DGP-config JSON path")
     bench.add_argument("--reps", type=int, required=True)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=int, default=PipelineConfig.seed)
     bench.add_argument("--out", required=True, help="output directory")
-    bench.add_argument("--bootstrap-reps", type=int, default=199)
+    bench.add_argument("--bootstrap-reps", type=int, default=PipelineConfig.bootstrap_reps)
+    # Not PipelineConfig's "full": a Monte Carlo study runs a whole bootstrap
+    # for every rep, so it defaults to the fast fixed-nuisance mode.
     bench.add_argument("--bootstrap-mode", default="fixed_nuisance",
                        choices=BOOTSTRAP_MODES)
     bench.set_defaults(func=cmd_benchmark)

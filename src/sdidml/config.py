@@ -1,7 +1,8 @@
 """The one set of estimation settings.
 
 Each setting of a run has its one default and its one check here, made
-when the frozen :class:`PipelineConfig` is built. A stage function takes
+when the frozen :class:`PipelineConfig` is built, for a config file, a
+``--seed`` flag and ``benchmark``'s defaults alike. A stage function takes
 the config and reads the settings it uses from it.
 """
 
@@ -56,5 +57,7 @@ class PipelineConfig:
             raise ConfigError(f"bootstrap mode must be one of {BOOTSTRAP_MODES}")
         if not 0 < self.ci_level < 1:
             raise ConfigError("ci_level must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.placebo_shift is not None and self.placebo_shift < 1:
             raise ConfigError("placebo_shift must be >= 1 (or null to skip the placebo)")

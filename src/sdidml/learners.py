@@ -82,11 +82,12 @@ class LearnerSpec:
         return cls("mean")
 
     @classmethod
-    def ridge(cls, lam: float) -> "LearnerSpec":
+    def ridge(cls, lam: float = 0.0) -> "LearnerSpec":
         return cls("ridge", lam=lam)
 
     @classmethod
-    def lasso(cls, lam: float, max_iter: int = 10_000, tol: float = 1e-8) -> "LearnerSpec":
+    def lasso(cls, lam: float = 0.0, max_iter: int = 10_000,
+              tol: float = 1e-8) -> "LearnerSpec":
         return cls("lasso", lam=lam, max_iter=max_iter, tol=tol)
 
     @classmethod
@@ -104,8 +105,9 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, d) -> "LearnerSpec":
+        """A JSON learner object's spec; absent keys take its constructor's defaults."""
         kind, fields = json_kind_fields(d, _KIND_KEYS, "learner")
-        return cls(kind, **fields)
+        return getattr(cls, kind)(**fields)
 
 
 @dataclass(frozen=True)
@@ -646,8 +648,12 @@ def predict(model: FittedModel | HeldOutModels, features: np.ndarray,
 
     With ``folds``, one label per row, ``model`` holds held-out fits
     (:func:`fit` with ``folds``) and each row is evaluated by the fit of its
-    own fold, one fold at a time.
+    own fold, one fold at a time. Held-out fits without labels, or labels
+    with a single fit, raise :class:`LearnerError`.
     """
+    if isinstance(model, HeldOutModels) != (folds is not None):
+        raise LearnerError("held-out fits are evaluated with fold labels, and a single "
+                           "fit without them")
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatchError("features must be a 2-d matrix")

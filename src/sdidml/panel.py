@@ -37,10 +37,12 @@ from .errors import (
 
 REQUIRED_COLUMNS = ("unit", "time", "outcome", "treatment")
 # A CSV line, its LF or CRLF end removed, in which every quote opens or
-# closes a whole field: a field is unquoted text without a quote, or a
-# quoted one ("" inside stands for a quote) that holds no CR.
-_FIELD = r'(?:[^",]*|"(?:[^"\r]|"")*")'
+# closes a whole field: a field is a quoted one ("" inside stands for a
+# quote) that holds no CR, or unquoted text without a quote. On such a
+# line ``_FIELDS.findall`` yields the raw text of every field.
+_FIELD = r'(?:"(?:[^"\r]|"")*"|[^",]*)'
 _WHOLE_FIELDS = re.compile(f"{_FIELD}(?:,{_FIELD})*")
+_FIELDS = re.compile(_FIELD)
 
 
 class PanelDataset:
@@ -209,64 +211,56 @@ def unit_rows(panel: PanelDataset, codes) -> np.ndarray:
 
 # -- parsing ---------------------------------------------------------------------
 
-def _parse_int(value, row: int, field: str) -> int:
-    if isinstance(value, bool):
-        raise FieldTypeError(f"row {row}: field {field!r} must be an integer")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if math.isfinite(value) and value == int(value):
-            return int(value)
-        raise FieldTypeError(f"row {row}: field {field!r} = {value!r} is not an integer")
+def _parse_int(text, row: int, field: str) -> int:
     try:
-        text = str(value).strip()
-        f = float(text)
+        f = float(str(text).strip())
     except ValueError:
-        raise FieldTypeError(f"row {row}: field {field!r} = {value!r} is not an integer") from None
+        f = math.nan
     if not (math.isfinite(f) and f == int(f)):
-        raise FieldTypeError(f"row {row}: field {field!r} = {value!r} is not an integer")
+        raise FieldTypeError(f"row {row}: field {field!r} = {text!r} is not an integer")
     return int(f)
 
 
-def _parse_float(value, row: int, field: str) -> float:
+def _parse_float(text, row: int, field: str) -> float:
     try:
-        f = float(value)
-    except (TypeError, ValueError):
-        raise FieldTypeError(f"row {row}: field {field!r} = {value!r} is not a number") from None
+        f = float(text)
+    except ValueError:
+        raise FieldTypeError(f"row {row}: field {field!r} = {text!r} is not a number") from None
     if not math.isfinite(f):
         raise NonFiniteValueError(f"row {row}: field {field!r} is not finite")
     return f
 
 
-def _parse_treatment(value, row: int, field: str) -> int:
+def _parse_treatment(text, row: int, field: str) -> int:
     try:
-        f = float(value)
-    except (TypeError, ValueError):
+        f = float(text)
+    except ValueError:
         f = math.nan
     if f not in (0.0, 1.0):
-        raise FieldTypeError(f"row {row}: field {field!r} = {value!r} is not 0/1")
+        raise FieldTypeError(f"row {row}: field {field!r} = {text!r} is not 0/1")
     return int(f)
 
 
-def _cells(values, field: str, parse) -> list:
-    """Parse a column cell by cell; errors name the row of the first bad cell."""
+def _cells(texts, field: str, parse) -> list:
+    """Parse a column of ``csv.reader``'s cell texts cell by cell; errors name
+    the row of the first bad cell."""
     out = []
-    for row, value in enumerate(values):
-        if value is None or value == "":
+    for row, text in enumerate(texts):
+        if text == "":
             raise MissingFieldError(f"row {row}: missing field {field!r}")
-        out.append(parse(value, row, field))
+        out.append(parse(text, row, field))
     return out
 
 
-def _float_column(values, field: str) -> np.ndarray:
+def _float_column(texts, field: str) -> np.ndarray:
     """Parse a column with Python's ``float``, cell by cell only if that fails."""
     try:
-        col = np.fromiter(map(float, values), dtype=np.float64, count=len(values))
+        col = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
         if np.isfinite(col).all():
             return col
-    except (TypeError, ValueError):
+    except ValueError:
         pass
-    return np.array(_cells(values, field, _parse_float))
+    return np.array(_cells(texts, field, _parse_float))
 
 
 def _panel_from_columns(columns: Mapping[str, Sequence],
@@ -344,9 +338,9 @@ def _panel_from_lines(lines) -> Optional[PanelDataset]:
     them, so the text is never held whole. A quoted field is read as the
     csv module reads it. Returns None, for the csv-module reader to parse or
     reject, whenever a line has a quote that does not open or close a whole
-    field (such as a quoted field that spans lines or holds a CR) or is
-    longer than the csv module allows a field to be, the header repeats or
-    lacks a name, there is no data row, a line fails to decode, when
+    field (such as a quoted field that spans lines or holds a CR) or a field
+    whose raw text is longer than the csv module allows a field, the header
+    repeats or lacks a name, there is no data row, a line fails to decode, when
     ``loadtxt`` rejects a cell or a row, or when a value fails a check the
     cell parser makes: finite outcome and covariates, an integral time
     below 2**53 in magnitude, a 0/1 treatment and a non-empty unit id. Lines
@@ -360,8 +354,11 @@ def _panel_from_lines(lines) -> Optional[PanelDataset]:
     limit = csv.field_size_limit()
 
     def plain(line):
-        return len(line) <= limit and ('"' not in line or _WHOLE_FIELDS.fullmatch(
-            line.removesuffix("\n").removesuffix("\r")) is not None)
+        if '"' not in line:
+            return len(line) <= limit or max(map(len, line.split(","))) <= limit
+        text = line.removesuffix("\n").removesuffix("\r")
+        return _WHOLE_FIELDS.fullmatch(text) is not None and (
+            len(text) <= limit or max(map(len, _FIELDS.findall(text))) <= limit)
 
     def data_rows(lines):
         blank = True

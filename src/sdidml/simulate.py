@@ -25,12 +25,12 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .aggregate import aggregate_schemes, bootstrap
+from .aggregate import aggregate_schemes
 from .config import PipelineConfig
 from .didcore import estimate_group_time, twfe_baseline
 from .errors import InvalidConfigError, json_fields, json_kind_fields, json_object, json_value
 from .panel import PanelDataset
-from .pipeline import estimate_effects
+from .pipeline import run_pipeline
 
 GENERATOR_NAME = "pcg64"
 
@@ -185,6 +185,8 @@ class DGPConfig:
             raise InvalidConfigError("n_time_varying must lie in [0, p]")
         if not -1 < self.ar1_rho < 1:
             raise InvalidConfigError("ar1_rho must lie in (-1, 1)")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return json_object(self, _DGP_KEYS)
@@ -383,21 +385,14 @@ class MonteCarloResult:
 def _estimate_once(panel: PanelDataset, pipeline: PipelineConfig, method: str):
     """One estimate (and CI when available) on one generated panel."""
     if method == "sdidml":
-        artifacts = estimate_effects(panel, pipeline)
-        results = aggregate_schemes(artifacts.effects)
-        if pipeline.bootstrap_reps >= 2:
-            results = bootstrap(pipeline, panel, pipeline.bootstrap_mode,
-                                artifacts.fits.y_tilde, results)
-        overall = results.overall
+        overall = run_pipeline(panel, pipeline).results.overall
         return overall.att, overall.ci_low, overall.ci_high
     if method == "twfe":
         res = twfe_baseline(panel)
         zq = statistics.NormalDist().inv_cdf(0.5 + pipeline.ci_level / 2.0)
         return res.tau, res.tau - zq * res.se, res.tau + zq * res.se
-    if method == "raw_did":
-        effects = estimate_group_time(panel, panel.outcomes, pipeline)
-        return aggregate_schemes(effects).overall.att, None, None
-    raise InvalidConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    effects = estimate_group_time(panel, panel.outcomes, pipeline)  # raw_did
+    return aggregate_schemes(effects).overall.att, None, None
 
 
 def monte_carlo(config: DGPConfig, pipeline: PipelineConfig, reps: int,

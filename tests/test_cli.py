@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdidml
 from sdidml import cli
 from sdidml.config import PipelineConfig
 from sdidml.crossfit import assign_folds
@@ -222,6 +227,61 @@ def test_dgp_config_that_is_not_an_object_exits_2(tmp_path, capsys, text):
     error = last_error(capsys)
     assert (error["code"], error["type"]) == (2, "InvalidConfigError")
     assert not out.exists()
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+NEGATIVE_SEED_DGP = json.dumps(dict(scenario("S1").to_dict(), seed=-2)).encode()
+SIX_UNITS_CSV = ("unit,time,outcome,treatment\n" + "".join(
+    f"{u},{t},{t}.5,{int(u in 'AB' and t == 2)}\n" for u in "ABCDEF" for t in (1, 2))).encode()
+
+
+# (input files, argv with @name for the path tmp_path / name, exit code, error type)
+BAD_INPUTS = {
+    "run_config_not_utf8": ({"c.json": NOT_UTF8, "p.csv": SIX_UNITS_CSV},
+                            "run --config @c.json --input @p.csv --output @out",
+                            2, "ConfigError"),
+    "run_config_nested_too_deep": ({"c.json": b"[" * 100_000, "p.csv": SIX_UNITS_CSV},
+                                   "run --config @c.json --input @p.csv --output @out",
+                                   2, "ConfigError"),
+    "simulate_dgp_not_utf8": ({"dgp.json": NOT_UTF8}, "simulate @dgp.json --out @out",
+                              2, "InvalidConfigError"),
+    "benchmark_dgp_not_utf8": ({"dgp.json": NOT_UTF8},
+                               "benchmark @dgp.json --reps 1 --out @out",
+                               2, "InvalidConfigError"),
+    "run_seed_flag": ({"p.csv": SIX_UNITS_CSV}, "run --seed -1 --input @p.csv --output @out",
+                      2, "ConfigError"),
+    "run_config_seed": ({"c.json": b'{"seed": -1}', "p.csv": SIX_UNITS_CSV},
+                        "run --config @c.json --input @p.csv --output @out",
+                        2, "ConfigError"),
+    "simulate_seed_flag": ({}, "simulate S1 --seed -3 --out @out", 2, "InvalidConfigError"),
+    "benchmark_seed_flag": ({}, "benchmark S1 --reps 1 --seed -3 --out @out",
+                            2, "ConfigError"),
+    "dgp_seed": ({"dgp.json": NEGATIVE_SEED_DGP}, "simulate @dgp.json --out @out",
+                 2, "InvalidConfigError"),
+    "diagnose_artifact_not_utf8": ({"run/results.json": b"{}",
+                                    "run/diagnostics.json": NOT_UTF8},
+                                   "diagnose @run", 3, "DataError"),
+}
+
+
+@pytest.mark.parametrize("files, argv, code, kind", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_files_and_seeds_exit_with_the_json_error_line(tmp_path, files, argv,
+                                                                 code, kind):
+    # A fresh interpreter, so that an uncaught exception shows as exit code 1
+    # and a traceback, as a user would see it.
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(Path(sdidml.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-m", "sdidml.cli",
+                          *(str(tmp_path / arg[1:]) if arg[0] == "@" else arg
+                            for arg in argv.split())],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == code
+    assert "Traceback" not in out.stderr
+    error = json.loads(out.stderr.splitlines()[-1])["error"]
+    assert (error["code"], error["type"]) == (code, kind)
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_has_no_no_crossfit_flag(tmp_path, capsys):

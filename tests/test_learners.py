@@ -48,6 +48,10 @@ class TestSpecValidation:
         for spec in specs:
             assert LearnerSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_learner_object_of_its_kind_alone_takes_the_constructor_defaults(self, kind):
+        assert LearnerSpec.from_dict({"kind": kind}) == getattr(LearnerSpec, kind)()
+
     def test_alias_kind(self):
         # Each kind has one spelling; the long name of gbt is not another.
         with pytest.raises(ConfigError, match="unknown learner kind"):
@@ -474,3 +478,13 @@ def test_held_out_predictions_need_a_fit_for_every_fold():
         predict(model, X, folds=folds + 1)
     with pytest.raises(DimensionMismatchError):
         fit(LearnerSpec.ridge(1.0), X, y, folds=folds - 1)
+
+
+def test_predict_takes_fold_labels_exactly_for_held_out_fits():
+    X, y = continuous_data(5)
+    folds = np.arange(30) % 3
+    held_out = fit(LearnerSpec.ridge(1.0), X, y, folds=folds)
+    with pytest.raises(LearnerError, match="held-out fits are evaluated with fold labels"):
+        predict(held_out, X)
+    with pytest.raises(LearnerError, match="held-out fits are evaluated with fold labels"):
+        predict(fit(LearnerSpec.ridge(1.0), X, y), X, folds=folds)

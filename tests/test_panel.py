@@ -18,7 +18,9 @@ from sdidml.errors import (
 from panels import panel_of
 from sdidml.panel import (
     REQUIRED_COLUMNS,
+    PanelDataset,
     _panel_from_lines,
+    _read_csv_cells,
     read_panel_csv,
     write_panel_csv,
 )
@@ -178,6 +180,27 @@ class TestSerialization:
             tracemalloc.stop()
         assert got == read_panel_csv(plain)
         assert peak <= 3 * got.covariates.nbytes
+
+    def test_lines_longer_than_the_csv_field_limit_stream(self, tmp_path):
+        # The csv module limits a field, not a line: with 7,000 covariates a
+        # line is longer than csv.field_size_limit(), and no field is. The
+        # id "u,2" is quoted, so both kinds of line are measured.
+        rng = np.random.default_rng(3)
+        units = ["u1", "u,2", "u3", "u4"]
+        panel = PanelDataset(np.repeat(units, 2), np.tile([1, 2], 4), rng.standard_normal(8),
+                             [0, 1, 0, 0, 0, 0, 0, 0], rng.standard_normal((8, 7000)),
+                             [f"x{j}" for j in range(7000)])
+        path = tmp_path / "wide.csv"
+        write_panel_csv(panel, path)
+        with open(path, newline="\n", encoding="utf-8") as fh:
+            lines = fh.readlines()
+            assert min(map(len, lines[1:])) > csv.field_size_limit()
+            assert any(line.startswith('"u,2"') for line in lines)
+            got = _panel_from_lines(lines)
+        with open(path, newline="", encoding="utf-8") as fh:
+            want = _read_csv_cells(path, fh)
+        assert got is not None
+        assert got == want == panel
 
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
