@@ -41,32 +41,38 @@ _PARAM_KEYS = {"lambda": ("lam", float, False), "max_iter": ("max_iter", int, Fa
                "max_depth": ("max_depth", int, False),
                "learning_rate": ("learning_rate", float, False),
                "min_leaf": ("min_leaf", int, False)}
+# Learner kind -> the LearnerSpec fields it reads, each with its default.
+_DEFAULTS = {"mean": {}, "ridge": {"lam": 0.0},
+             "lasso": {"lam": 0.0, "max_iter": 10_000, "tol": 1e-8},
+             "gbt": {"n_trees": 100, "max_depth": 3, "learning_rate": 0.1, "min_leaf": 1},
+             "logistic": {"lam": 1.0, "max_iter": 200, "tol": 1e-8}}
 # Learner kind -> the rows of _PARAM_KEYS it reads; a learner object has no other key.
-_KIND_KEYS = {kind: {key: _PARAM_KEYS[key] for key in keys} for kind, keys in (
-    ("mean", ()), ("ridge", ("lambda",)), ("lasso", ("lambda", "max_iter", "tol")),
-    ("gbt", ("n_trees", "max_depth", "learning_rate", "min_leaf")),
-    ("logistic", ("lambda", "max_iter", "tol")))}
+_KIND_KEYS = {kind: {key: row for key, row in _PARAM_KEYS.items() if row[0] in defaults}
+              for kind, defaults in _DEFAULTS.items()}
 KINDS = tuple(_KIND_KEYS)
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Hyperparameter bundle selecting and configuring one learner kind."""
+    """Hyperparameter bundle for one learner kind; unset fields take ``_DEFAULTS[kind]``."""
 
     kind: str
-    lam: float = 0.0              # ridge / lasso / logistic penalty
-    max_iter: int = 1000          # lasso sweeps / logistic Newton iterations
-    tol: float = 1e-8
-    n_trees: int = 100
-    max_depth: int = 3
-    learning_rate: float = 0.1
-    min_leaf: int = 1
+    lam: Optional[float] = None       # ridge / lasso / logistic penalty
+    max_iter: Optional[int] = None    # lasso sweeps / logistic Newton iterations
+    tol: Optional[float] = None
+    n_trees: Optional[int] = None
+    max_depth: Optional[int] = None
+    learning_rate: Optional[float] = None
+    min_leaf: Optional[int] = None
 
     def __post_init__(self):
         kind = self.kind
         if kind not in KINDS:
             raise ConfigError(f"unknown learner kind {kind!r}; expected one of {KINDS}")
-        if self.lam < 0:
+        for name, default in _DEFAULTS[kind].items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
+        if self.lam is not None and self.lam < 0:
             raise ConfigError("penalty lambda must be >= 0")
         if kind in ("lasso", "logistic") and (self.max_iter < 1 or self.tol <= 0):
             raise ConfigError("max_iter must be >= 1 and tol > 0")
@@ -82,22 +88,24 @@ class LearnerSpec:
         return cls("mean")
 
     @classmethod
-    def ridge(cls, lam: float = 0.0) -> "LearnerSpec":
+    def ridge(cls, lam: Optional[float] = None) -> "LearnerSpec":
         return cls("ridge", lam=lam)
 
     @classmethod
-    def lasso(cls, lam: float = 0.0, max_iter: int = 10_000,
-              tol: float = 1e-8) -> "LearnerSpec":
+    def lasso(cls, lam: Optional[float] = None, max_iter: Optional[int] = None,
+              tol: Optional[float] = None) -> "LearnerSpec":
         return cls("lasso", lam=lam, max_iter=max_iter, tol=tol)
 
     @classmethod
-    def gbt(cls, n_trees: int = 100, max_depth: int = 3,
-            learning_rate: float = 0.1, min_leaf: int = 1) -> "LearnerSpec":
+    def gbt(cls, n_trees: Optional[int] = None, max_depth: Optional[int] = None,
+            learning_rate: Optional[float] = None,
+            min_leaf: Optional[int] = None) -> "LearnerSpec":
         return cls("gbt", n_trees=n_trees, max_depth=max_depth,
                    learning_rate=learning_rate, min_leaf=min_leaf)
 
     @classmethod
-    def logistic(cls, lam: float = 1.0, max_iter: int = 200, tol: float = 1e-8) -> "LearnerSpec":
+    def logistic(cls, lam: Optional[float] = None, max_iter: Optional[int] = None,
+                 tol: Optional[float] = None) -> "LearnerSpec":
         return cls("logistic", lam=lam, max_iter=max_iter, tol=tol)
 
     def to_dict(self) -> dict:
@@ -105,9 +113,9 @@ class LearnerSpec:
 
     @classmethod
     def from_dict(cls, d) -> "LearnerSpec":
-        """A JSON learner object's spec; absent keys take its constructor's defaults."""
+        """A JSON learner object's spec; absent keys take the kind's defaults."""
         kind, fields = json_kind_fields(d, _KIND_KEYS, "learner")
-        return getattr(cls, kind)(**fields)
+        return cls(kind, **fields)
 
 
 @dataclass(frozen=True)
@@ -259,8 +267,6 @@ def _ridge_held_out(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
     batched solve gives every fold's coefficients; with lambda > 0 each
     system is positive definite.
     """
-    if labels.size == 1:
-        raise DimensionMismatchError(f"fold {labels[0]}: need at least one training row")
     K, p = labels.size, X.shape[1]
     totals, means, grams = np.zeros(K), np.zeros((K, p + 1)), np.zeros((K, p + 1, p + 1))
     for j, k in enumerate(labels):
@@ -554,9 +560,9 @@ def _fold_labels(folds, n: int) -> tuple[np.ndarray, np.ndarray]:
     return folds, np.flatnonzero(np.bincount(folds))
 
 
-def _fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray,
+def _fit(spec: LearnerSpec, X: np.ndarray, y: np.ndarray,
          sample_weight: Optional[np.ndarray]) -> FittedModel:
-    X, y = _check_training_input(features, targets)
+    """``fit`` on rows that :func:`_check_training_input` has checked."""
     w = check_sample_weight(sample_weight, X.shape[0])
     if w is not None:
         if spec.kind == "logistic":
@@ -609,11 +615,13 @@ def fit(spec: LearnerSpec, features: np.ndarray, targets: np.ndarray,
     every other kind fits each complement with the arithmetic of a call
     per fold.
     """
-    if folds is None:
-        return _fit(spec, features, targets, sample_weight)
     X, y = _check_training_input(features, targets)
+    if folds is None:
+        return _fit(spec, X, y, sample_weight)
     w = check_sample_weight(sample_weight, X.shape[0])
     folds, labels = _fold_labels(folds, X.shape[0])
+    if labels.size == 1:  # the one fold's complement is empty
+        raise DimensionMismatchError(f"fold {labels[0]}: need at least one training row")
     if spec.kind == "ridge" and spec.lam > 0:
         return HeldOutModels(_ridge_held_out(spec, X, y, w, folds, labels))
     models = {}

@@ -4,13 +4,12 @@ A :class:`PanelDataset` is a set of aligned numpy columns with one entry
 per (unit, time) observation, in canonical (unit, time) order: unit and
 period codes into the sorted ``units`` and ``periods``, the outcome Y, the
 binary absorbing treatment D and a fixed-width covariate matrix X. Adoption
-cohorts g(i) = min{t : D_it = 1} are derived per unit. Columns go to the
-constructor, and a CSV file (:func:`read_panel_csv`) is streamed line by
-line through one ``np.loadtxt`` pass and checked in arrays, so its peak
-memory stays near the size of the panel, not of the text; a file that
-pass declines is read again through the csv module and a per-cell column
-parser, which accepts the same inputs and raises the errors that name the
-bad cell.
+cohorts g(i) = min{t : D_it = 1} are derived per unit. The constructor
+checks every value. A CSV file (:func:`read_panel_csv`) is streamed line by
+line through one ``np.loadtxt`` pass, so its peak memory stays near the
+size of the panel, not of the text; a file that pass cannot parse is read
+again through the csv module and one number converter. Both passes only
+parse, and hand their columns to the constructor.
 Panels are sliced by row index (:func:`unit_rows`, :func:`subset_units`),
 never rebuilt row by row. The data layer builds no model features: the
 cross-fit standardizes the covariates (:mod:`sdidml.crossfit`).
@@ -19,7 +18,6 @@ cross-fit standardizes the covariates (:mod:`sdidml.crossfit`).
 from __future__ import annotations
 
 import csv
-import math
 import re
 from typing import Mapping, Optional, Sequence
 
@@ -48,9 +46,19 @@ _FIELDS = re.compile(_FIELD)
 class PanelDataset:
     """Validated, immutable panel stored as columns in (unit, time) order.
 
-    The constructor takes the columns in any row order, sorts them and
-    rejects duplicate (unit, time) pairs, non-absorbing treatment and a
-    panel without never-treated units or a second cohort to serve as controls.
+    The constructor takes the columns in any row order and checks each
+    value, naming the first input row that breaks a rule, rule by rule:
+
+    - :class:`MissingFieldError`: an empty unit id;
+    - :class:`FieldTypeError`: a time that is not an integer of magnitude below 2**53;
+    - :class:`NonFiniteValueError`: a NaN or infinite outcome;
+    - :class:`FieldTypeError`: a treatment other than 0 or 1;
+    - :class:`NonFiniteValueError`: a NaN or infinite covariate.
+
+    It then sorts the rows and rejects duplicate (unit, time) pairs,
+    non-absorbing treatment and a panel without never-treated units or a
+    second cohort to serve as controls. Times are stored as int64 and
+    treatments as exactly 0.0 or 1.0, so a treatment of -0 reads as 0.0.
 
     Attributes
     ----------
@@ -85,6 +93,8 @@ class PanelDataset:
         n = len(unit_ids)
         if not n:
             raise MissingFieldError("no observations supplied")
+        unit_ids = np.asarray(unit_ids, dtype=str)
+        times = np.asarray(times, dtype=np.float64)
         outcomes = np.asarray(outcomes, dtype=np.float64)
         treatments = np.asarray(treatments, dtype=np.float64)
         covariates = np.asarray(covariates, dtype=np.float64)
@@ -92,10 +102,10 @@ class PanelDataset:
             raise FieldTypeError(
                 f"expected {len(covariate_names)} covariates per observation, "
                 f"got an array of shape {covariates.shape}")
+        _check_values(unit_ids, times, outcomes, treatments, covariates, covariate_names)
 
-        units, unit_codes = np.unique(np.asarray(unit_ids, dtype=str),
-                                      return_inverse=True)
-        periods, time_codes = np.unique(np.asarray(times), return_inverse=True)
+        units, unit_codes = np.unique(unit_ids, return_inverse=True)
+        periods, time_codes = np.unique(times.astype(np.int64), return_inverse=True)
         order = np.lexsort((time_codes, unit_codes))
         unit_codes, time_codes = unit_codes[order], time_codes[order]
         unit_names, period_values = tuple(units.tolist()), tuple(periods.tolist())
@@ -108,9 +118,9 @@ class PanelDataset:
                 f"duplicate (unit, time) pair ({unit_names[unit_codes[k]]!r}, "
                 f"{period_values[time_codes[k]]})")
 
-        treatments = treatments[order]
+        treated = treatments[order] == 1.0
+        treatments = treated.astype(np.float64)
         cohort_times = np.full(len(units), np.inf)
-        treated = treatments == 1.0
         np.minimum.at(cohort_times, unit_codes[treated],
                       periods.astype(np.float64)[time_codes[treated]])
         revert = np.flatnonzero(same_unit & (treatments[1:] < treatments[:-1]))
@@ -156,6 +166,23 @@ class PanelDataset:
         return (f"PanelDataset(n_obs={self.n_obs}, units={self.n_units}, "
                 f"periods={self.n_periods}, p={self.n_covariates}, "
                 f"never_treated={n_never})")
+
+
+def _check_values(unit_ids, times, outcomes, treatments, covariates, covariate_names):
+    """Raise for the first row breaking a rule; apart, so its masks die before the sort."""
+    p = len(covariate_names)
+    for ok, error, message in (
+            (unit_ids != "", MissingFieldError, lambda i: f"row {i}: missing field 'unit'"),
+            ((np.abs(times) < 2.0 ** 53) & (times == np.trunc(times)), FieldTypeError,
+             lambda i: f"row {i}: field 'time' = {times[i].item()!r} is not an integer"),
+            (np.isfinite(outcomes), NonFiniteValueError,
+             lambda i: f"row {i}: field 'outcome' is not finite"),
+            ((treatments == 0.0) | (treatments == 1.0), FieldTypeError,
+             lambda i: f"row {i}: field 'treatment' = {treatments[i].item()!r} is not 0/1"),
+            (np.isfinite(covariates).ravel(), NonFiniteValueError,
+             lambda k: f"row {k // p}: field {covariate_names[k % p]!r} is not finite")):
+        if not ok.all():
+            raise error(message(int(ok.argmin())))
 
 
 def _check_control_pool(cohort_times: np.ndarray) -> None:
@@ -211,68 +238,27 @@ def unit_rows(panel: PanelDataset, codes) -> np.ndarray:
 
 # -- parsing ---------------------------------------------------------------------
 
-def _parse_int(text, row: int, field: str) -> int:
-    try:
-        f = float(str(text).strip())
-    except ValueError:
-        f = math.nan
-    if not (math.isfinite(f) and f == int(f)):
-        raise FieldTypeError(f"row {row}: field {field!r} = {text!r} is not an integer")
-    return int(f)
-
-
-def _parse_float(text, row: int, field: str) -> float:
-    try:
-        f = float(text)
-    except ValueError:
-        raise FieldTypeError(f"row {row}: field {field!r} = {text!r} is not a number") from None
-    if not math.isfinite(f):
-        raise NonFiniteValueError(f"row {row}: field {field!r} is not finite")
-    return f
-
-
-def _parse_treatment(text, row: int, field: str) -> int:
-    try:
-        f = float(text)
-    except ValueError:
-        f = math.nan
-    if f not in (0.0, 1.0):
-        raise FieldTypeError(f"row {row}: field {field!r} = {text!r} is not 0/1")
-    return int(f)
-
-
-def _cells(texts, field: str, parse) -> list:
-    """Parse a column of ``csv.reader``'s cell texts cell by cell; errors name
-    the row of the first bad cell."""
+def _numbers(texts, field: str) -> list:
+    """Doubles of a column of cell texts by ``float(text.strip())``; errors name the row."""
     out = []
     for row, text in enumerate(texts):
-        if text == "":
-            raise MissingFieldError(f"row {row}: missing field {field!r}")
-        out.append(parse(text, row, field))
+        try:
+            out.append(float(str(text).strip()))
+        except ValueError:
+            if text == "":
+                raise MissingFieldError(f"row {row}: missing field {field!r}") from None
+            raise FieldTypeError(
+                f"row {row}: field {field!r} = {text!r} is not a number") from None
     return out
-
-
-def _float_column(texts, field: str) -> np.ndarray:
-    """Parse a column with Python's ``float``, cell by cell only if that fails."""
-    try:
-        col = np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
-        if np.isfinite(col).all():
-            return col
-    except ValueError:
-        pass
-    return np.array(_cells(texts, field, _parse_float))
 
 
 def _panel_from_columns(columns: Mapping[str, Sequence],
                         covariate_names: Sequence[str]) -> PanelDataset:
     """Parse raw cell columns (one per field, rows aligned) into a panel."""
-    X = np.array([_float_column(columns[name], name) for name in covariate_names])
-    return PanelDataset(_cells(columns["unit"], "unit", lambda v, row, field: str(v)),
-                        _cells(columns["time"], "time", _parse_int),
-                        _float_column(columns["outcome"], "outcome"),
-                        _cells(columns["treatment"], "treatment", _parse_treatment),
-                        X.reshape(len(covariate_names), len(columns["unit"])).T,
-                        covariate_names)
+    time, outcome, treatment, *X = (_numbers(columns[name], name) for name in
+                                    ("time", "outcome", "treatment", *covariate_names))
+    return PanelDataset(columns["unit"], time, outcome, treatment,
+                        np.reshape(X, (len(covariate_names), len(time))).T, covariate_names)
 
 
 def pivot_unit_time(panel: PanelDataset, values: np.ndarray):
@@ -337,15 +323,14 @@ def _panel_from_lines(lines) -> Optional[PanelDataset]:
     ``newline="\n"`` yields them; they are checked as ``loadtxt`` reads
     them, so the text is never held whole. A quoted field is read as the
     csv module reads it. Returns None, for the csv-module reader to parse or
-    reject, whenever a line has a quote that does not open or close a whole
-    field (such as a quoted field that spans lines or holds a CR) or a field
-    whose raw text is longer than the csv module allows a field, the header
-    repeats or lacks a name, there is no data row, a line fails to decode, when
-    ``loadtxt`` rejects a cell or a row, or when a value fails a check the
-    cell parser makes: finite outcome and covariates, an integral time
-    below 2**53 in magnitude, a 0/1 treatment and a non-empty unit id. Lines
-    end at LF or CRLF and empty lines are skipped, as in the csv module; a
-    CR anywhere else in a line makes ``loadtxt`` reject it.
+    reject, only for input this pass cannot parse: a line with a quote that
+    does not open or close a whole field (such as a quoted field that spans
+    lines or holds a CR) or a field whose raw text is longer than the csv
+    module allows a field, a header that repeats or lacks a name, no data
+    row, a line that fails to decode, or a cell or row that ``loadtxt``
+    rejects. Lines end at LF or CRLF and empty lines are skipped, as in the
+    csv module; a CR anywhere else in a line makes ``loadtxt`` reject it.
+    The parsed columns go to the constructor, which raises for a bad value.
 
     The time, outcome, treatment and covariate columns are views of the
     parsed records (the covariates are copied only when other columns sit
@@ -391,19 +376,14 @@ def _panel_from_lines(lines) -> Optional[PanelDataset]:
                           quotechar='"', ndmin=1)
     except ValueError:  # UnicodeDecodeError is one too
         return None
-    time, outcome, d, ids = data["time"], data["outcome"], data["treatment"], data["unit"]
     runs = [data[field[0]] for field in fields if field[0] not in REQUIRED_COLUMNS]
     X = runs[0] if len(runs) == 1 else np.hstack([np.empty((len(data), 0)), *runs])
-    if not (np.isfinite(outcome).all() and np.isfinite(X).all()
-            and (np.abs(time) < 2.0 ** 53).all() and (time == np.trunc(time)).all()
-            and ((d == 0.0) | (d == 1.0)).all() and all(ids)):
-        return None
-    return PanelDataset(ids, time.astype(np.int64), outcome, (d == 1.0).astype(np.float64),
-                        X, [name for name in header if name not in REQUIRED_COLUMNS])
+    return PanelDataset(data["unit"], data["time"], data["outcome"], data["treatment"], X,
+                        [name for name in header if name not in REQUIRED_COLUMNS])
 
 
 def _read_csv_cells(path, lines) -> PanelDataset:
-    """Parse CSV lines with the csv module and the per-cell column parser.
+    """Parse CSV lines with the csv module and :func:`_numbers`.
 
     Accepts every text :func:`_panel_from_lines` accepts, with the same
     result, and raises the panel errors, naming ``path`` and the line.
@@ -450,9 +430,9 @@ def read_panel_csv(path) -> PanelDataset:
 
     One streaming pass: :func:`_panel_from_lines` parses the lines as they
     are read, so the text is never held whole and peak memory stays near
-    twice the size of the panel's columns. A file it declines, at whatever
-    line, is opened again for :func:`_read_csv_cells`, which parses it cell
-    by cell or raises the error that names the bad cell or line.
+    twice the size of the panel's columns. A file it cannot parse, at
+    whatever line, is opened again for :func:`_read_csv_cells`, which parses
+    it cell by cell or raises the error that names the bad cell or line.
     """
     with _open_csv(path, "\n") as fh:
         panel = _panel_from_lines(fh)

@@ -51,6 +51,7 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kind", KINDS)
     def test_a_learner_object_of_its_kind_alone_takes_the_constructor_defaults(self, kind):
         assert LearnerSpec.from_dict({"kind": kind}) == getattr(LearnerSpec, kind)()
+        assert LearnerSpec(kind) == getattr(LearnerSpec, kind)()
 
     def test_alias_kind(self):
         # Each kind has one spelling; the long name of gbt is not another.

@@ -16,12 +16,14 @@ from sdidml.errors import (
     NonFiniteValueError,
 )
 from panels import panel_of
+from sdidml import panel as panel_module
 from sdidml.panel import (
     REQUIRED_COLUMNS,
     PanelDataset,
     _panel_from_lines,
     _read_csv_cells,
     read_panel_csv,
+    subset_units,
     write_panel_csv,
 )
 from sdidml.simulate import generate, scenario
@@ -85,6 +87,53 @@ class TestBuildPanel:
     def test_non_binary_treatment(self, tmp_path):
         with pytest.raises(FieldTypeError):
             read_text(tmp_path, HEADER + "A,1,0.0,0.5,0.0\nB,1,0.0,0,0.0\n")
+
+    @pytest.mark.parametrize("column, value, error", [
+        ("outcomes", np.nan, NonFiniteValueError),
+        ("covariates", np.inf, NonFiniteValueError),
+        ("treatments", 2, FieldTypeError),
+        ("treatments", 0.5, FieldTypeError),
+        ("times", 1.5, FieldTypeError),
+        ("times", 10**19, FieldTypeError),
+        ("unit_ids", "", MissingFieldError),
+    ], ids=["nan_outcome", "inf_covariate", "treatment_2", "treatment_half", "time_1.5",
+            "time_1e19", "empty_unit"])
+    def test_the_constructor_names_the_row_of_a_bad_value(self, column, value, error):
+        # 3 units x 2 periods built directly; row 3 (unit B at t=2) gets the bad value
+        columns = {"unit_ids": ["A", "A", "B", "B", "C", "C"], "times": [1, 2, 1, 2, 1, 2],
+                   "outcomes": [0.0] * 6, "treatments": [0, 1, 0, 0, 0, 0],
+                   "covariates": [[0.0]] * 6}
+        columns[column] = [*columns[column][:3], [value] if column == "covariates" else value,
+                           *columns[column][4:]]
+        with pytest.raises(error, match=r"^row 3: "):
+            PanelDataset(*columns.values(), ["x0"])
+
+    def test_the_streaming_pass_raises_a_bad_value_itself(self, tmp_path, monkeypatch):
+        # the csv-module reader is not called to name the cell
+        def fallback(*args):
+            raise AssertionError("the file was read a second time")
+
+        monkeypatch.setattr(panel_module, "_read_csv_cells", fallback)
+        rows = "".join(f"u{i},1,{i}.5,0\n" for i in range(99))
+        with pytest.raises(NonFiniteValueError, match=r"^row 99: field 'outcome'"):
+            read_text(tmp_path, "unit,time,outcome,treatment\n" + rows + "u99,1,nan,0\n")
+
+    @pytest.mark.parametrize("header, row_a", [
+        ("unit,time,outcome,treatment", "A,1,\x1c1.5,0"),
+        ("unit,time,outcome,treatment", "A,1,1.5,\x1c1"),
+        ("unit,time,outcome,treatment,x0", "A,1,1.5,0,\x1c2"),
+    ], ids=["outcome", "treatment", "covariate"])
+    def test_a_cell_padded_with_a_separator_reads_on_both_passes(self, tmp_path, header,
+                                                                 row_a):
+        # float(text.strip()) reads the cells np.loadtxt reads; a lone CR
+        # sends the second file to the csv-module reader
+        pad = ",0" * (header.count(",") - 3)
+        plain = f"{header}\n{row_a}\nA,2,1,1{pad}\nB,1,1,0{pad}\nB,2,1,0{pad}\n"
+        lone_cr = plain + f"C,1,1,0{pad}\rC,2,1,0{pad}\n"
+        assert _panel_from_lines(io.StringIO(lone_cr, newline="\n")) is None
+        want = read_text(tmp_path, plain.replace("\x1c", "") + f"C,1,1,0{pad}\nC,2,1,0{pad}\n")
+        assert read_text(tmp_path, lone_cr) == want
+        assert read_text(tmp_path, plain) == subset_units(want, [0, 1])
 
     def test_unbalanced_panel_accepted(self):
         panel = panel_of([

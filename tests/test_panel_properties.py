@@ -101,7 +101,7 @@ def reference_panel(recs, names):
 
 
 def panel_from_records(recs, names):
-    """The per-cell column parser on the columns of row dicts."""
+    """The csv-module pass's column step on the columns of row dicts."""
     return _panel_from_columns({name: [rec.get(name) for rec in recs]
                                 for name in (*REQUIRED_COLUMNS, *names)}, names)
 
@@ -237,7 +237,8 @@ def assert_same_read(data: bytes):
 # Cell texts that only float() accepts, that nothing accepts, or that parse
 # to a value the panel rejects.
 ODD_NUMBERS = ("1_0", "١٢", " 3", "+0.0", "1e400", "-1e400", "1e-400", "nan",
-               "inf", "", " ", "0x10", "1e", "2", "0.5", "True", "1e19", "9007199254740993")
+               "inf", "", " ", "0x10", "1e", "2", "0.5", "True", "1e19", "9007199254740993",
+               "\x1c1.5", "1.5\x1f")
 ODD_UNITS = ('"q,r"', '"s""t"', "", "a\rb")
 UNIT_CELLS = ("a", "b", "B", "u10", "u2", "é", " a", "a ", " ", "x\x85y", "#c", "'q'")
 DIGITS = st.from_regex(r"-?[0-9]{1,20}(\.[0-9]{0,20})?(e-?[0-9]{1,3})?", fullmatch=True)
@@ -309,6 +310,9 @@ def csv_texts(draw):
 @example(b"unit,time,outcome,treatment\nA,1,1,-0\nA,2,1,1\nB,1,1,0\n")
 @example(b"unit,time,outcome,treatment\nA,1,1,2\nB,1,1,0\n")
 @example(b"unit,time,outcome,treatment\n\r")  # a blank line, and no data row
+@example(b"unit,time,outcome,treatment\nA,1,\x1c1.5,0\nB,1,1,0\n")  # cells padded
+@example(b"unit,time,outcome,treatment\nA,1,1.5,\x1c1\nA,2,1,1\nB,1,1,0\n")  # with
+@example(b"unit,time,outcome,treatment,x0\nA,1,1.5,0,\x1c2\nB,1,1,0,0\n")  # a separator
 def test_read_panel_csv_matches_the_csv_module_reader(data):
     assert_same_read(data)
 
